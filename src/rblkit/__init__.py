@@ -24,6 +24,7 @@ from .estimators import (
     estimate_pose_mds,
     estimate_pose_nls,
     estimate_relative_pose,
+    mds_from_ranges,
     multilaterate_node,
     procrustes,
     semantic_error,
@@ -51,6 +52,7 @@ from .harness import (
     ResultRow,
     ScenarioConfig,
     derive_seed,
+    draw_trial,
     generate_trajectory,
     load_experiment,
     load_scenario,
@@ -59,6 +61,7 @@ from .harness import (
     run_benchmark,
     run_scenario_once,
     run_trial,
+    run_trial_estimators,
 )
 from .measurement import (
     AnchorSet,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RblError
-from .geometry import Conformation, Pose, apply_pose
+from .geometry import Conformation, Pose, apply_pose, pose_jacobian_rows
 from .measurement import AnchorSet
 
 _SINGULAR_RCOND = 1e-12
@@ -58,9 +58,7 @@ def range_jacobian(anchors: AnchorSet, conf: Conformation, pose: Pose, mask=None
     dist = np.linalg.norm(delta, axis=1)
     if np.any(dist <= 0.0):
         raise RblError("anchor coincides with a node; range gradient undefined")
-    unit = delta / dist[:, None]
-    j_rot = np.cross(conf.nodes[kk], unit @ pose.rotation)
-    return np.hstack([j_rot, unit])
+    return pose_jacobian_rows(conf.nodes[kk], delta / dist[:, None], pose.rotation)
 
 
 def _full_mask(anchors: AnchorSet, conf: Conformation) -> np.ndarray:

@@ -11,16 +11,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import crlb_sweep, sweep_to_csv
+from .completion import complete_edm
 from .errors import ConfigError, RblError
 from .geometry import Twist
 from .harness import (
-    ExperimentConfig,
     derive_seed,
+    draw_trial,
     generate_trajectory,
     load_experiment,
     load_scenario,
@@ -29,12 +31,9 @@ from .harness import (
     rows_to_json,
     run_benchmark,
     run_scenario_once,
-    _draw_trial,
 )
-from .measurement import Edm, assemble_edm
-from .completion import complete_edm
+from .measurement import Edm, NoiseModel, assemble_edm
 from .tracking import MeasurementFrame, TrackConfig, track_sequence, track_to_csv
-from .measurement import NoiseModel
 
 
 def _add_common(sub):
@@ -59,13 +58,7 @@ def _resolve_configs(args, need_experiment=False):
     if need_experiment and experiment is None:
         raise ConfigError("an --experiment file or --preset is required")
     if experiment is not None and args.seed is not None:
-        experiment = ExperimentConfig(
-            sigma_grid=experiment.sigma_grid,
-            trials=experiment.trials,
-            master_seed=args.seed,
-            estimators=experiment.estimators,
-            completion=experiment.completion,
-        )
+        experiment = replace(experiment, master_seed=args.seed)
     return scenario, experiment
 
 
@@ -96,7 +89,7 @@ def _cmd_simulate(args) -> int:
     scenario, experiment = _resolve_configs(args)
     sigma = _default_sigma(args, scenario, experiment)
     seed = args.seed if args.seed is not None else 1234
-    truth, meas = _draw_trial(scenario, sigma, derive_seed(seed, 11, 0, 0))
+    truth, meas = draw_trial(scenario, sigma, derive_seed(seed, 11, 0, 0))
     doc = {
         "sigma": sigma,
         "seed": seed,

@@ -14,7 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .completion import complete_edm, embed_from_gram, gram_from_edm
+from .completion import (
+    CompletionReport,
+    complete_edm,
+    embed_from_gram,
+    gram_from_edm,
+    zero_imputed,
+)
 from .errors import (
     AmbiguousAlignmentError,
     DegenerateEmbeddingError,
@@ -22,8 +28,10 @@ from .errors import (
     InvalidHeadingError,
     UnderdeterminedError,
 )
-from .geometry import Conformation, Pose, apply_pose, so3_exp, so3_project
+from .geometry import Conformation, Pose, apply_pose, pose_jacobian_rows, so3_exp, so3_project
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_edm, wrap_angle
+
+ESTIMATOR_TAGS = ("mds", "nls", "gabp")
 
 
 @dataclass(frozen=True)
@@ -237,6 +245,27 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
     )
 
 
+def mds_from_ranges(
+    meas: MeasurementSet, anchors: AnchorSet, conf: Conformation, completion: bool = True
+) -> tuple[PoseEstimate, CompletionReport | None]:
+    """The EDM pipeline: assemble the joint EDM from the observed ranges,
+    complete it when links are missing, and embed it with MDS.
+
+    With completion=False a masked EDM is zero-filled instead (the
+    baseline completion is measured against). Returns the MDS estimate and
+    the completion report, which is None when nothing was completed.
+    """
+    edm = assemble_edm(anchors, conf, meas)
+    report = None
+    if not edm.is_complete():
+        if completion:
+            report = complete_edm(edm)
+            edm = report.completed
+        else:
+            edm = zero_imputed(edm)
+    return estimate_pose_mds(edm, anchors, conf), report
+
+
 def _nls_weights(noise: NoiseModel | None) -> tuple[float, float]:
     if noise is None:
         return 1.0, 1.0
@@ -274,8 +303,7 @@ def _nls_residuals(rot, trans, conf_nodes, anchor_xyz, meas, jj, kk, w_range, w_
 
     def chain(rows_s):
         # d residual / d (theta, t) given d residual / d s.
-        j_rot = np.cross(conf_nodes[kk], rows_s @ rot)
-        return np.hstack([j_rot, rows_s])
+        return pose_jacobian_rows(conf_nodes[kk], rows_s, rot)
 
     if meas.ranges is not None:
         unit = delta / dist[:, None]
@@ -345,10 +373,7 @@ def estimate_pose_nls(
         if meas.ranges is None:
             init = Pose.identity()
         else:
-            edm = assemble_edm(anchors, conf, meas)
-            if not edm.is_complete():
-                edm = complete_edm(edm).completed
-            init = estimate_pose_mds(edm, anchors, conf).pose
+            init = mds_from_ranges(meas, anchors, conf)[0].pose
 
     w_range, w_angle = _nls_weights(noise)
     rot = np.array(init.rotation)
@@ -517,7 +542,7 @@ def estimate_pose_gabp(
     variances are returned as the soft-decision output.
     """
     if meas.ranges is None:
-        raise ValueError("the message-passing estimator needs range measurements")
+        raise UnderdeterminedError("the message-passing estimator needs range measurements")
     sigma = noise.range_sigma if noise is not None else 0.0
     belief_mu, belief_p, usable, sweeps, converged = _gabp_node_beliefs(
         anchors.anchors, meas.ranges, meas.mask, sigma, damping, max_sweeps, mean_tol
@@ -568,10 +593,7 @@ def estimate_relative_pose(
     if mask is None:
         mask = np.isfinite(cross)
     meas = MeasurementSet(mask=np.asarray(mask, bool), ranges=cross)
-    edm = assemble_edm(ego, target_conf, meas)
-    if not edm.is_complete():
-        edm = complete_edm(edm).completed
-    estimate = estimate_pose_mds(edm, ego, target_conf)
+    estimate, _ = mds_from_ranges(meas, ego, target_conf)
     tag = "relative-mds"
     if refine:
         estimate = estimate_pose_nls(meas, ego, target_conf, init=estimate.pose, noise=noise)

@@ -276,6 +276,17 @@ def apply_pose(conf: Conformation, pose: Pose) -> np.ndarray:
     return conf.nodes @ pose.rotation.T + pose.translation
 
 
+def pose_jacobian_rows(nodes, grads, rotation) -> np.ndarray:
+    """Chain rule from world-position gradients to the pose chart.
+
+    Row k is [ c_k x (g_k R), g_k ] for body point c_k and the gradient g_k
+    of a scalar with respect to that point's world position: the derivative
+    with respect to a right perturbation (R -> R expm([d_theta]x),
+    t -> t + d_t). With g_k the unit line of sight it is the range row.
+    """
+    return np.hstack([np.cross(nodes, grads @ rotation), grads])
+
+
 def node_velocities(state: RigidBodyState) -> np.ndarray:
     """Per-node world velocities [w]x R c_k + tdot (K, 3)."""
     if state.twist is None:

@@ -12,19 +12,20 @@ from __future__ import annotations
 import importlib.resources
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import fim_ranges
-from .completion import CompletionReport, complete_edm, zero_imputed
+from .bounds import CrlbReport, fim_ranges
+from .completion import CompletionReport
 from .errors import ConfigError, CoverageWarning, RangeClampWarning, RblError
 from .estimators import (
+    ESTIMATOR_TAGS,
     PoseEstimate,
     estimate_pose_gabp,
-    estimate_pose_mds,
     estimate_pose_nls,
+    mds_from_ranges,
 )
 from .geometry import (
     Conformation,
@@ -50,8 +51,6 @@ from .measurement import (
 from .tracking import MeasurementFrame
 
 _MASK64 = (1 << 64) - 1
-
-ESTIMATOR_TAGS = ("mds", "nls", "gabp")
 
 
 def splitmix64(x: int) -> int:
@@ -140,8 +139,6 @@ class BlockageSpec:
 class ScenarioConfig:
     """A full simulation scenario.
 
-    In relative mode the anchors are the ego body's node positions (ego
-    frame) and the pose is the target body's pose relative to the ego.
     Exactly one of `pose` (fixed) or `pose_distribution` must be set.
     """
 
@@ -152,7 +149,6 @@ class ScenarioConfig:
     pose_distribution: PoseDistribution | None = None
     blockage: BlockageSpec = BlockageSpec()
     measurement_kinds: tuple[str, ...] = ("range",)
-    relative_mode: bool = False
 
     def __post_init__(self):
         if (self.pose is None) == (self.pose_distribution is None):
@@ -221,53 +217,108 @@ def rows_to_csv(rows) -> str:
 
 
 def rows_to_json(rows) -> list[dict]:
-    return [
-        {
-            "sigma": r.sigma,
-            "estimator": r.estimator,
-            "rmse_translation_m": r.rmse_translation_m,
-            "rmse_rotation_deg": r.rmse_rotation_deg,
-            "crlb_translation_m": r.crlb_translation_m,
-            "crlb_rotation_deg": r.crlb_rotation_deg,
-            "trials": r.trials,
-            "failures": r.failures,
-        }
-        for r in rows
-    ]
+    return [asdict(r) for r in rows]
 
 
 @dataclass(frozen=True)
 class TrialOutcome:
+    """One estimator's result on one trial draw; `failure` says why no
+    estimate was scored (an estimator error or a missed convergence)."""
+
     truth: Pose
     measurements: MeasurementSet
+    crlb: CrlbReport
     estimate: PoseEstimate | None
     completion: CompletionReport | None
     failure: str | None
     rotation_error_deg: float
     translation_error_m: float
-    crlb_translation_m2: float
-    crlb_rotation_rad2: float
 
 
-def _estimate(tag, meas, anchors, conf, noise, completion):
-    """Dispatch one estimator, honoring the completion switch for the EDM
-    pipeline (zero fill is the baseline when completion is off)."""
-    report = None
-    if tag in ("mds", "nls"):
-        edm = assemble_edm(anchors, conf, meas)
-        if not edm.is_complete():
-            if completion:
-                report = complete_edm(edm)
-                edm = report.completed
+def _noise(scenario: ScenarioConfig, sigma: float, seed: int) -> NoiseModel:
+    return NoiseModel(
+        range_sigma=sigma,
+        angle_sigma=scenario.noise.angle_sigma,
+        range_rate_sigma=scenario.noise.range_rate_sigma,
+        seed=seed,
+    )
+
+
+def _observe(scenario, state, noise, kinds, blockage_seed) -> MeasurementSet:
+    """Simulate one measurement set of `state` and apply the scenario's
+    blockage; range-clamp and coverage warnings are silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RangeClampWarning)
+        warnings.simplefilter("ignore", CoverageWarning)
+        meas = simulate_measurements(scenario.anchors, state, noise, kinds)
+        policy = scenario.blockage.policy(blockage_seed, scenario.anchors, state.world_nodes())
+        if policy is not None:
+            meas = apply_blockage(meas, policy)
+    return meas
+
+
+def draw_trial(scenario: ScenarioConfig, sigma: float, seed: int) -> tuple[Pose, MeasurementSet]:
+    """The seeded draw of one trial: a true pose and its measurements."""
+    truth = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
+    # Static draws have no motion; rates are simulated about zero velocity.
+    twist = Twist.zero() if "range_rate" in scenario.measurement_kinds else None
+    state = RigidBodyState(scenario.conformation, truth, twist)
+    noise = _noise(scenario, sigma, derive_seed(seed, 2))
+    meas = _observe(scenario, state, noise, scenario.measurement_kinds, derive_seed(seed, 3))
+    return truth, meas
+
+
+def run_trial_estimators(
+    scenario: ScenarioConfig,
+    sigma: float,
+    seed: int,
+    estimators=ESTIMATOR_TAGS,
+    completion: bool = True,
+) -> list[TrialOutcome]:
+    """One seeded trial scored for each estimator tag, in order.
+
+    The draw and the CRLB are shared by every tag, and `mds` and `nls`
+    share one EDM -> completion -> MDS result (NLS starts from that MDS
+    pose); when that chain raises, both tags record the failure.
+    """
+    unknown = set(estimators) - set(ESTIMATOR_TAGS)
+    if unknown:
+        raise ConfigError(f"unknown estimators {sorted(unknown)}", field="estimators")
+    anchors, conf = scenario.anchors, scenario.conformation
+    truth, meas = draw_trial(scenario, sigma, seed)
+    crlb = fim_ranges(anchors, conf, truth, meas.mask, sigma)
+    noise = _noise(scenario, sigma, derive_seed(seed, 2))
+    chain = None
+    if {"mds", "nls"} & set(estimators):
+        try:
+            chain = mds_from_ranges(meas, anchors, conf, completion)
+        except RblError as exc:
+            chain = exc
+    outcomes = []
+    for tag in estimators:
+        estimate = report = failure = None
+        rot_err = trans_err = float("nan")
+        try:
+            if tag == "gabp":
+                estimate = estimate_pose_gabp(meas, anchors, conf, noise=noise)
+            elif isinstance(chain, RblError):
+                raise chain
+            elif tag == "mds":
+                estimate, report = chain
             else:
-                edm = zero_imputed(edm)
-        init = estimate_pose_mds(edm, anchors, conf)
-        if tag == "mds":
-            return init, report
-        return estimate_pose_nls(meas, anchors, conf, init=init.pose, noise=noise), report
-    if tag == "gabp":
-        return estimate_pose_gabp(meas, anchors, conf, noise=noise), None
-    raise ConfigError(f"unknown estimator {tag!r}", field="estimators")
+                estimate = estimate_pose_nls(meas, anchors, conf, init=chain[0].pose, noise=noise)
+                report = chain[1]
+        except RblError as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        if estimate is not None and not estimate.converged:
+            failure = f"not converged: {estimate.message}"
+        elif failure is None:
+            rot_err = rotation_error_deg(estimate.pose.rotation, truth.rotation)
+            trans_err = float(np.linalg.norm(estimate.pose.translation - truth.translation))
+        outcomes.append(
+            TrialOutcome(truth, meas, crlb, estimate, report, failure, rot_err, trans_err)
+        )
+    return outcomes
 
 
 def run_trial(
@@ -278,65 +329,7 @@ def run_trial(
     completion: bool = True,
 ) -> TrialOutcome:
     """One seeded draw: sample a pose, simulate, estimate, score."""
-    truth, meas = _draw_trial(scenario, sigma, seed)
-    report_crlb = fim_ranges(
-        scenario.anchors, scenario.conformation, truth, meas.mask, sigma
-    )
-    estimate, report, failure = None, None, None
-    rot_err = trans_err = float("nan")
-    try:
-        estimate, report = _estimate(
-            estimator, meas, scenario.anchors, scenario.conformation,
-            _trial_noise(scenario, sigma, seed), completion,
-        )
-        if not estimate.converged:
-            failure = f"not converged: {estimate.message}"
-        else:
-            rot_err = rotation_error_deg(estimate.pose.rotation, truth.rotation)
-            trans_err = float(np.linalg.norm(estimate.pose.translation - truth.translation))
-    except RblError as exc:
-        failure = f"{type(exc).__name__}: {exc}"
-    return TrialOutcome(
-        truth=truth,
-        measurements=meas,
-        estimate=estimate,
-        completion=report,
-        failure=failure,
-        rotation_error_deg=rot_err,
-        translation_error_m=trans_err,
-        crlb_translation_m2=report_crlb.translation_bound,
-        crlb_rotation_rad2=report_crlb.rotation_bound,
-    )
-
-
-def _trial_noise(scenario: ScenarioConfig, sigma: float, seed: int) -> NoiseModel:
-    return NoiseModel(
-        range_sigma=sigma,
-        angle_sigma=scenario.noise.angle_sigma,
-        range_rate_sigma=scenario.noise.range_rate_sigma,
-        seed=derive_seed(seed, 2),
-    )
-
-
-def _draw_trial(scenario, sigma, seed):
-    rng_pose = np.random.default_rng(derive_seed(seed, 1))
-    truth = scenario.sample_pose(rng_pose)
-    # Static draws have no motion; rates are simulated about zero velocity.
-    twist = Twist.zero() if "range_rate" in scenario.measurement_kinds else None
-    state = RigidBodyState(scenario.conformation, truth, twist)
-    noise = _trial_noise(scenario, sigma, seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RangeClampWarning)
-        warnings.simplefilter("ignore", CoverageWarning)
-        meas = simulate_measurements(
-            scenario.anchors, state, noise, scenario.measurement_kinds
-        )
-        policy = scenario.blockage.policy(
-            derive_seed(seed, 3), scenario.anchors, state.world_nodes()
-        )
-        if policy is not None:
-            meas = apply_blockage(meas, policy)
-    return truth, meas
+    return run_trial_estimators(scenario, sigma, seed, (estimator,), completion)[0]
 
 
 def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> list[ResultRow]:
@@ -357,30 +350,20 @@ def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> lis
     for si, sigma in enumerate(experiment.sigma_grid):
         for trial in range(experiment.trials):
             seed = derive_seed(experiment.master_seed, 11, si, trial)
-            truth, meas = _draw_trial(scenario, sigma, seed)
-            crlb = fim_ranges(scenario.anchors, scenario.conformation, truth, meas.mask, sigma)
-            if not crlb.singular:
-                crlb_sums[si][0] += crlb.translation_bound
-                crlb_sums[si][1] += crlb.rotation_bound
+            outcomes = run_trial_estimators(
+                scenario, sigma, seed, experiment.estimators, experiment.completion
+            )
+            if outcomes and not outcomes[0].crlb.singular:
+                crlb_sums[si][0] += outcomes[0].crlb.translation_bound
+                crlb_sums[si][1] += outcomes[0].crlb.rotation_bound
                 crlb_sums[si][2] += 1
-            noise = _trial_noise(scenario, sigma, seed)
-            for tag in experiment.estimators:
+            for tag, outcome in zip(experiment.estimators, outcomes):
                 cell = sums[(si, tag)]
-                try:
-                    estimate, _ = _estimate(
-                        tag, meas, scenario.anchors, scenario.conformation,
-                        noise, experiment.completion,
-                    )
-                    if not estimate.converged:
-                        cell["fail"] += 1
-                        continue
-                except RblError:
+                if outcome.failure is not None:
                     cell["fail"] += 1
                     continue
-                cell["rot"] += rotation_error_deg(estimate.pose.rotation, truth.rotation) ** 2
-                cell["trans"] += (
-                    float(np.linalg.norm(estimate.pose.translation - truth.translation)) ** 2
-                )
+                cell["rot"] += outcome.rotation_error_deg**2
+                cell["trans"] += outcome.translation_error_m**2
                 cell["n"] += 1
     rows = []
     for si, sigma in enumerate(experiment.sigma_grid):
@@ -438,8 +421,8 @@ def run_scenario_once(
             "translation_m": outcome.translation_error_m,
         },
         "crlb": {
-            "translation_m2": outcome.crlb_translation_m2,
-            "rotation_rad2": outcome.crlb_rotation_rad2,
+            "translation_m2": outcome.crlb.translation_bound,
+            "rotation_rad2": outcome.crlb.rotation_bound,
         },
     }
 
@@ -453,29 +436,15 @@ def generate_trajectory(
     seed: int,
 ) -> tuple[list[MeasurementFrame], list[tuple[Pose, Twist]]]:
     """Constant-twist measurement frames (ranges + range rates) with truth."""
-    rng_pose = np.random.default_rng(derive_seed(seed, 1))
-    start = scenario.sample_pose(rng_pose)
+    start = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
     state0 = RigidBodyState(scenario.conformation, start, twist)
     kinds = tuple(dict.fromkeys(scenario.measurement_kinds + ("range_rate",)))
     frames, truth = [], []
     for i in range(n_frames):
         t = (i + 1) * dt
         current = propagate_state(state0, t)
-        noise = NoiseModel(
-            range_sigma=sigma,
-            angle_sigma=scenario.noise.angle_sigma,
-            range_rate_sigma=scenario.noise.range_rate_sigma,
-            seed=derive_seed(seed, 4, i),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RangeClampWarning)
-            warnings.simplefilter("ignore", CoverageWarning)
-            meas = simulate_measurements(scenario.anchors, current, noise, kinds)
-            policy = scenario.blockage.policy(
-                derive_seed(seed, 5, i), scenario.anchors, current.world_nodes()
-            )
-            if policy is not None:
-                meas = apply_blockage(meas, policy)
+        noise = _noise(scenario, sigma, derive_seed(seed, 4, i))
+        meas = _observe(scenario, current, noise, kinds, derive_seed(seed, 5, i))
         frames.append(MeasurementFrame(t, meas))
         truth.append((current.pose, twist))
     return frames, truth
@@ -505,7 +474,6 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
     anchors_doc = doc.get("anchors")
     if anchors_doc is None:
         raise ConfigError("missing section", field="anchors")
-    relative = bool(anchors_doc.get("relative", False))
     sources = [k for k in ("body", "points", "file") if k in anchors_doc]
     if len(sources) != 1:
         raise ConfigError(
@@ -558,7 +526,6 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
         pose_distribution=dist,
         blockage=blockage,
         measurement_kinds=kinds,
-        relative_mode=relative,
     )
 
 
@@ -611,8 +578,8 @@ def preset(name: str) -> tuple[ScenarioConfig, ExperimentConfig]:
     side-3 cube; range-only, full visibility; sigma grid 1e-3..1 m (log),
     1000 trials, all three estimators.
 
-    "fig5": a car-shaped target ranged from a truck-shaped ego body
-    (relative mode), 20% random link blockage; sigma grid 1e-2..1 m (log),
+    "fig5": a car-shaped target ranged from a truck-shaped ego body, whose
+    nodes are the anchors; 20% random link blockage; sigma grid 1e-2..1 m (log),
     500 trials, EDM/MDS pipeline.
     """
     if name == "fig4":
@@ -644,7 +611,6 @@ def preset(name: str) -> tuple[ScenarioConfig, ExperimentConfig]:
             noise=NoiseModel(),
             blockage=BlockageSpec(kind="bernoulli", p=0.2),
             measurement_kinds=("range",),
-            relative_mode=True,
         )
         experiment = ExperimentConfig(
             sigma_grid=tuple(np.logspace(-2, 0, 5)),

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (
     CoverageWarning,
@@ -22,6 +21,7 @@ from .errors import (
     RangeClampWarning,
     UndefinedBearingError,
     UndefinedDirectionError,
+    UnderdeterminedError,
 )
 from .geometry import Conformation, RigidBodyState, node_velocities, pairwise_distances
 
@@ -378,6 +378,9 @@ class ConvexHullBlockage:
         object.__setattr__(self, "world_nodes", np.array(self.world_nodes, dtype=float))
 
     def keep_mask(self, shape) -> np.ndarray:
+        # Imported here: scipy.spatial is the slowest import of the package.
+        from scipy.spatial import ConvexHull
+
         nodes = self.world_nodes
         hull = ConvexHull(nodes)
         normals, offsets = hull.equations[:, :3], hull.equations[:, 3]
@@ -453,7 +456,7 @@ def assemble_edm(anchors: AnchorSet, conf: Conformation, meas: MeasurementSet) -
     the observed squared ranges; masked links stay unknown.
     """
     if meas.ranges is None:
-        raise ValueError("assemble_edm needs range measurements")
+        raise UnderdeterminedError("assemble_edm needs range measurements")
     a, k = meas.shape
     if a != anchors.num_anchors or k != conf.num_nodes:
         raise ValueError(

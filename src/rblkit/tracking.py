@@ -17,16 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .completion import complete_edm
-from .errors import UnderdeterminedError, UnobservableTwistError
+from .errors import ConfigError, RblError, UnderdeterminedError, UnobservableTwistError
 from .estimators import (
+    ESTIMATOR_TAGS,
     PoseEstimate,
     estimate_pose_gabp,
-    estimate_pose_mds,
     estimate_pose_nls,
+    mds_from_ranges,
 )
 from .geometry import Conformation, Pose, RigidBodyState, Twist, apply_pose, propagate_state
-from .measurement import AnchorSet, MeasurementSet, NoiseModel, assemble_edm
+from .measurement import AnchorSet, MeasurementSet, NoiseModel
 
 _RANK_RCOND = 1e-10
 
@@ -103,27 +103,15 @@ class TrackFrame:
 
 @dataclass(frozen=True)
 class TrackConfig:
-    """Tracking options: which pose estimator runs per frame, the noise
-    model used for weighting, and whether masked EDMs are completed."""
+    """Tracking options: which pose estimator runs per frame and the noise
+    model used for weighting. The mds estimator completes masked EDMs."""
 
     estimator: str = "nls"
     noise: NoiseModel | None = None
-    completion: bool = True
 
-
-def _estimate_frame_pose(meas, anchors, conf, config, init):
-    if config.estimator == "nls":
-        return estimate_pose_nls(meas, anchors, conf, init=init, noise=config.noise)
-    if config.estimator == "gabp":
-        return estimate_pose_gabp(meas, anchors, conf, noise=config.noise)
-    if config.estimator == "mds":
-        edm = assemble_edm(anchors, conf, meas)
-        if not edm.is_complete():
-            if not config.completion:
-                raise UnderdeterminedError("masked EDM with completion disabled")
-            edm = complete_edm(edm).completed
-        return estimate_pose_mds(edm, anchors, conf)
-    raise ValueError(f"unknown estimator {config.estimator!r}")
+    def __post_init__(self):
+        if self.estimator not in ESTIMATOR_TAGS:
+            raise ConfigError(f"unknown estimator {self.estimator!r}", field="estimator")
 
 
 def track_sequence(
@@ -136,8 +124,9 @@ def track_sequence(
 
     Frames are processed independently except for the warm start: each
     frame's pose solve is initialized from the previous estimate propagated
-    by its twist over the elapsed time. Per-frame failures are recorded in
-    the output and the sequence continues.
+    by its twist over the elapsed time. Per-frame estimation failures
+    (RblError, LinAlgError) are recorded in the output and the sequence
+    continues; any other exception propagates.
     """
     frames = list(frames)
     stamps = [f.timestamp for f in frames]
@@ -150,32 +139,25 @@ def track_sequence(
     for frame in frames:
         init = None
         if prev_pose is not None:
-            if prev_twist is not None:
-                propagated = propagate_state(
-                    RigidBodyState(conf, prev_pose, prev_twist),
-                    frame.timestamp - prev_time,
-                )
-                init = propagated.pose
-            else:
-                init = prev_pose
+            elapsed = frame.timestamp - prev_time
+            init = propagate_state(RigidBodyState(conf, prev_pose, prev_twist), elapsed).pose
+        meas = frame.measurements
         try:
-            pose_est = _estimate_frame_pose(frame.measurements, anchors, conf, config, init)
+            if config.estimator == "nls":
+                pose_est = estimate_pose_nls(meas, anchors, conf, init=init, noise=config.noise)
+            elif config.estimator == "gabp":
+                pose_est = estimate_pose_gabp(meas, anchors, conf, noise=config.noise)
+            else:
+                pose_est, _ = mds_from_ranges(meas, anchors, conf)
             weights = None
             if config.noise is not None and config.noise.range_rate_sigma > 0:
-                weights = np.full(
-                    frame.measurements.mask.shape, 1.0 / config.noise.range_rate_sigma**2
-                )
+                weights = np.full(meas.mask.shape, 1.0 / config.noise.range_rate_sigma**2)
             twist, residual = estimate_twist(
-                anchors,
-                conf,
-                pose_est.pose,
-                frame.measurements.range_rates,
-                mask=frame.measurements.mask,
-                weights=weights,
+                anchors, conf, pose_est.pose, meas.range_rates, mask=meas.mask, weights=weights
             )
             out.append(TrackFrame(frame.timestamp, pose_est, twist, residual))
             prev_pose, prev_twist, prev_time = pose_est.pose, twist, frame.timestamp
-        except Exception as exc:  # per-frame failures never abort the sweep
+        except (RblError, np.linalg.LinAlgError) as exc:
             out.append(
                 TrackFrame(frame.timestamp, None, None, float("nan"), f"{type(exc).__name__}: {exc}")
             )

@@ -33,7 +33,7 @@ from rblkit.geometry import (
 )
 from rblkit.harness import (
     ExperimentConfig,
-    _draw_trial,
+    draw_trial as _draw_trial,
     derive_seed,
     generate_trajectory,
     preset,

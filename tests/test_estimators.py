@@ -24,6 +24,7 @@ from rblkit.estimators import (
     estimate_pose_mds,
     estimate_pose_nls,
     estimate_relative_pose,
+    mds_from_ranges,
     multilaterate_node,
     procrustes,
     semantic_error,
@@ -185,6 +186,26 @@ class TestEstimatePoseMds:
         edm = assemble_edm(anchors, conf, blocked)
         with pytest.raises(IncompleteEdmError):
             estimate_pose_mds(edm, anchors, conf)
+
+    def test_chain_full_observation_skips_completion(self):
+        truth = random_pose(np.random.default_rng(8))
+        conf, anchors, meas = simulate_cube_ranges(truth)
+        est, report = mds_from_ranges(meas, anchors, conf)
+        direct = estimate_pose_mds(assemble_edm(anchors, conf, meas), anchors, conf)
+        assert report is None
+        assert np.array_equal(est.pose.rotation, direct.pose.rotation)
+        assert np.array_equal(est.pose.translation, direct.pose.translation)
+
+    def test_chain_completes_or_zero_fills_masked_edm(self):
+        truth = random_pose(np.random.default_rng(9))
+        conf, anchors, meas = simulate_cube_ranges(truth)
+        blocked = apply_blockage(meas, BernoulliBlockage(p=0.3, seed=2))
+        est, report = mds_from_ranges(blocked, anchors, conf)
+        assert report is not None and report.converged
+        assert np.linalg.norm(est.pose.translation - truth.translation) < 1e-6
+        zero, no_report = mds_from_ranges(blocked, anchors, conf, completion=False)
+        assert no_report is None
+        assert np.linalg.norm(zero.pose.translation - truth.translation) > 1e-3
 
     def test_planar_joint_geometry_degenerate(self):
         conf = Conformation([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]])

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import rblkit.estimators
 from rblkit.errors import ConfigError
 from rblkit.geometry import Pose, Twist
 from rblkit.harness import (
@@ -161,7 +162,6 @@ class TestPresets:
 
     def test_fig5_shape(self):
         scenario, experiment = preset("fig5")
-        assert scenario.relative_mode
         assert scenario.blockage.kind == "bernoulli"
         assert scenario.blockage.p == pytest.approx(0.2)
         assert scenario.conformation.num_nodes == 8
@@ -203,20 +203,51 @@ class TestRunBenchmark:
         assert fields[0] == "0.1" and fields[1] == "mds"
         assert int(fields[6]) == 2
 
-    def test_golden_csv(self):
-        # Frozen output: any change to column order, float formatting, or
-        # the seed derivation shows up here.
-        scenario = small_scenario()
+    @pytest.mark.parametrize(
+        "blockage, estimators, body",
+        [
+            (
+                BlockageSpec(),
+                ("mds", "nls"),
+                "0.05,mds,0.0257920837319,1.35727556401,0.0187542792902,1.5307072612,2,0\n"
+                "0.05,nls,0.0190811277024,1.1444521639,0.0187542792902,1.5307072612,2,0\n",
+            ),
+            (
+                BlockageSpec(kind="bernoulli", p=0.2),
+                ("mds", "nls", "gabp"),
+                "0.05,mds,0.0352775284293,2.54451736223,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,nls,0.0226994434138,1.81805566795,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,gabp,0.0354461686268,0.827586178016,0.0220823220682,1.82237936126,2,1\n",
+            ),
+        ],
+        ids=["full", "bernoulli"],
+    )
+    def test_golden_csv(self, blockage, estimators, body):
+        # Frozen output: any change to column order, float formatting, the
+        # seed derivation, or the per-trial estimator pipeline shows up here.
+        scenario = small_scenario(blockage=blockage)
         experiment = small_experiment(
-            sigma_grid=(0.05,), trials=2, estimators=("mds", "nls"), master_seed=11
+            sigma_grid=(0.05,), trials=2, estimators=estimators, master_seed=11
         )
         expected = (
             "sigma,estimator,rmse_translation_m,rmse_rotation_deg,"
-            "crlb_translation_m,crlb_rotation_deg,trials,failures\n"
-            "0.05,mds,0.0257920837319,1.35727556401,0.0187542792902,1.5307072612,2,0\n"
-            "0.05,nls,0.0190811277024,1.1444521639,0.0187542792902,1.5307072612,2,0\n"
+            "crlb_translation_m,crlb_rotation_deg,trials,failures\n" + body
         )
         assert rows_to_csv(run_benchmark(scenario, experiment)) == expected
+
+    def test_mds_and_nls_share_one_completion(self, monkeypatch):
+        calls = []
+        complete_edm = rblkit.estimators.complete_edm
+
+        def counting(edm, *args, **kwargs):
+            calls.append(edm)
+            return complete_edm(edm, *args, **kwargs)
+
+        monkeypatch.setattr(rblkit.estimators, "complete_edm", counting)
+        scenario = small_scenario(blockage=BlockageSpec(kind="bernoulli", p=0.2))
+        experiment = small_experiment(trials=3, estimators=("mds", "nls"))
+        run_benchmark(scenario, experiment)
+        assert len(calls) == len(experiment.sigma_grid) * experiment.trials
 
     def test_estimators_share_trial_draws(self):
         # The CRLB columns are identical across estimator rows at each sigma,

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
+import rblkit
 from rblkit.errors import (
     CoverageWarning,
     InsufficientAnchorsError,
@@ -332,3 +337,14 @@ class TestDeterminismAndJson:
         )
         assert np.isnan(meas.ranges[0, 1]) and np.isnan(meas.ranges[1, 0])
         assert meas.ranges[0, 0] == 1.0 and meas.ranges[1, 1] == 4.0
+
+
+def test_package_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial is imported only when a hull blockage is evaluated.
+    src = str(Path(rblkit.__file__).resolve().parents[1])
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import rblkit; print(sorted(sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert "'scipy.spatial'" not in out.stdout
+    assert "'rblkit'" in out.stdout

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from conftest import cube_anchors, random_pose, unit_cube
 
-from rblkit.errors import UnderdeterminedError, UnobservableTwistError
+import rblkit.tracking
+from rblkit.errors import ConfigError, UnderdeterminedError, UnobservableTwistError
 from rblkit.geometry import (
     Pose,
     RigidBodyState,
@@ -194,6 +195,35 @@ class TestTrackSequence:
         assert track[0].error is None
         assert track[1].error is not None and track[1].pose_estimate is None
         assert track[2].error is None
+
+    def test_frames_without_ranges_recorded_not_raised(self):
+        from rblkit.measurement import MeasurementSet
+
+        conf, anchors, frames, _ = make_trajectory(Twist.zero(), n_frames=2)
+        rates_only = [
+            MeasurementFrame(
+                f.timestamp,
+                MeasurementSet(mask=f.measurements.mask, range_rates=f.measurements.range_rates),
+            )
+            for f in frames
+        ]
+        for tag in ("mds", "nls", "gabp"):
+            track = track_sequence(anchors, conf, rates_only, TrackConfig(estimator=tag))
+            assert all(f.error.startswith("UnderdeterminedError") for f in track)
+
+    def test_unknown_estimator_rejected_at_construction(self):
+        with pytest.raises(ConfigError, match="estimator"):
+            TrackConfig(estimator="kalman")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        conf, anchors, frames, _ = make_trajectory(Twist.zero(), n_frames=2)
+
+        def broken(*args, **kwargs):
+            raise TypeError("injected")
+
+        monkeypatch.setattr(rblkit.tracking, "estimate_pose_nls", broken)
+        with pytest.raises(TypeError, match="injected"):
+            track_sequence(anchors, conf, frames)
 
     def test_timestamps_must_increase(self):
         conf, anchors, frames, _ = make_trajectory(Twist.zero(), n_frames=3)
