@@ -32,6 +32,9 @@ from .geometry import Conformation, Pose, apply_pose, pose_jacobian_rows, so3_ex
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_edm, wrap_angle
 
 ESTIMATOR_TAGS = ("mds", "nls", "gabp")
+# Gauss-Newton stopping rule of estimate_pose_nls: absolute step norm, capped iterations.
+NLS_STEP_TOL = 1e-10
+NLS_MAX_ITERS = 100
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,18 @@ def procrustes(source, target, weights=None) -> Pose:
     return Pose(q, t)
 
 
+def _differenced_rows(ref_a, ref_r, a_j, r_j):
+    """The squared-range equations of one node differenced against a
+    reference anchor, exactly linear in the position x: rows @ x = rhs.
+
+    Broadcasts over leading axes: a_j is (..., M, 3), r_j is (..., M), and
+    ref_a, ref_r broadcast against them.
+    """
+    rows = 2.0 * (a_j - ref_a)
+    rhs = (ref_r**2 - r_j**2) + (a_j**2).sum(axis=-1) - (ref_a**2).sum(axis=-1)
+    return rows, rhs
+
+
 def multilaterate_node(anchors: AnchorSet, ranges, mask=None) -> NodeFix:
     """Locate a single node from ranges to known anchors.
 
@@ -183,9 +198,7 @@ def multilaterate_node(anchors: AnchorSet, ranges, mask=None) -> NodeFix:
         )
     a_obs = pts[idx]
     r_obs = r[idx]
-    ref_a, ref_r = a_obs[0], r_obs[0]
-    rows = 2.0 * (a_obs[1:] - ref_a)
-    rhs = (ref_r**2 - r_obs[1:] ** 2) + (a_obs[1:] ** 2).sum(axis=1) - (ref_a**2).sum()
+    rows, rhs = _differenced_rows(a_obs[0], r_obs[0], a_obs[1:], r_obs[1:])
     x, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
     ambiguous = idx.size == 3 or rank < 3
 
@@ -342,8 +355,6 @@ def estimate_pose_nls(
     init: Pose | None = None,
     noise: NoiseModel | None = None,
     use_adoa: bool = False,
-    max_iters: int = 100,
-    step_tol: float = 1e-10,
 ) -> PoseEstimate:
     """Damped Gauss-Newton fit of the pose to all observed measurements.
 
@@ -353,7 +364,7 @@ def estimate_pose_nls(
     by per-node differences against a reference anchor, for setups where
     anchor headings share an unknown offset. The default starting point is
     the MDS estimate on the (completed, if necessary) EDM. Terminates when
-    the step norm drops below `step_tol` or after `max_iters` iterations; a
+    the step norm drops below NLS_STEP_TOL or after NLS_MAX_ITERS iterations; a
     missed tolerance or an exhausted damping schedule is reported via
     `converged`/`message`, never silently.
     """
@@ -392,7 +403,7 @@ def estimate_pose_nls(
     converged = False
     message = ""
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, NLS_MAX_ITERS + 1):
         res, jac = _nls_residuals(
             rot, trans, conf_nodes, anchor_xyz, meas, jj, kk, w_range, w_angle, adoa_idx
         )
@@ -423,11 +434,11 @@ def estimate_pose_nls(
             break
         rot, trans, cost = rot_try, trans_try, cost_try
         lam = max(lam / 3.0, 1e-12)
-        if np.linalg.norm(step) < step_tol:
+        if np.linalg.norm(step) < NLS_STEP_TOL:
             converged = True
             break
     else:
-        message = f"step norm above {step_tol} after {max_iters} iterations"
+        message = f"step norm above {NLS_STEP_TOL} after {NLS_MAX_ITERS} iterations"
 
     projected = so3_project(rot)
     projection_distance = float(np.linalg.norm(projected - rot))
@@ -455,73 +466,38 @@ def estimate_pose_nls(
 _GABP_PRIOR_PRECISION = 1e-12
 
 
-def _gabp_node_beliefs(anchor_xyz, ranges, mask, sigma, damping, max_sweeps, mean_tol):
-    """Stage 1 of the message-passing estimator.
+def _gabp_node_beliefs(anchor_xyz, ranges, mask, sigma):
+    """Stage 1 of the message-passing estimator: per-node Gaussian beliefs.
 
-    Per node, runs Gaussian belief propagation on the factor graph of the
-    reference-differenced squared-range equations: one scalar variable per
-    coordinate, one factor per linearized measurement, plus a vanishingly
-    weak prior that keeps every message proper. Messages are scalar
-    Gaussians (mean, precision), damped to suppress loop-induced
-    oscillation. Returns belief means, belief precisions, the usable-node
-    mask, sweep count, and a convergence flag.
+    Each node's reference-differenced squared-range equations (against its
+    first observed anchor), weighted by their inverse linearized noise
+    variances, plus a vanishingly weak zero-mean prior, define a Gaussian
+    over its 3 coordinates with information matrix J and vector h. Gaussian
+    belief propagation converges to the means J^-1 h (Weiss & Freeman
+    2001); they are solved for directly, all nodes as one (K, 3, 3) stack,
+    with the exact marginal variances diag(J^-1). Returns means, variances
+    (NaN for nodes with fewer than 3 observed anchors) and the usable mask.
     """
-    n_anchors, n_nodes = ranges.shape
-    counts = mask.sum(axis=0)
-    usable = counts >= 3
-    max_factors = max(int(counts.max()) - 1, 1)
-    coef = np.zeros((n_nodes, max_factors, 3))
-    rhs = np.zeros((n_nodes, max_factors))
-    noise_var = np.ones((n_nodes, max_factors))
-    valid = np.zeros((n_nodes, max_factors), dtype=bool)
-    for k in np.flatnonzero(usable):
-        idx = np.flatnonzero(mask[:, k])
-        ref, others = idx[0], idx[1:]
-        a_ref, r_ref = anchor_xyz[ref], ranges[ref, k]
-        a_j, r_j = anchor_xyz[others], ranges[others, k]
-        m = others.size
-        coef[k, :m] = 2.0 * (a_j - a_ref)
-        rhs[k, :m] = (r_ref**2 - r_j**2) + (a_j**2).sum(axis=1) - (a_ref**2).sum()
-        if sigma > 0.0:
-            noise_var[k, :m] = np.maximum(4.0 * sigma**2 * (r_j**2 + r_ref**2), 1e-12)
-        valid[k, :m] = True
-
-    active = valid[:, :, None] & (coef != 0.0)
-    coef_safe = np.where(coef == 0.0, 1.0, coef)
-    p_fv = np.zeros((n_nodes, max_factors, 3))
-    mu_fv = np.zeros_like(p_fv)
-    belief_mu = np.zeros((n_nodes, 3))
-    belief_p = np.full((n_nodes, 3), _GABP_PRIOR_PRECISION)
-    # Leave-one-out sums are built with off-diagonal masks rather than
-    # total-minus-self: one factor can dominate the rest by 16+ orders of
-    # magnitude, where the subtraction would cancel to zero precision.
-    others_f = 1.0 - np.eye(max_factors)
-    others_c = 1.0 - np.eye(3)
-    converged = False
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        p_vf = _GABP_PRIOR_PRECISION + np.einsum("kgi,gf->kfi", p_fv, others_f)
-        mu_vf = np.einsum("kgi,gf->kfi", p_fv * mu_fv, others_f) / p_vf
-
-        contrib = np.where(active, coef**2 / p_vf, 0.0)
-        denom = noise_var[:, :, None] + np.einsum("kfj,ji->kfi", contrib, others_c)
-        p_new = np.where(active, coef**2 / denom, 0.0)
-        partial = np.einsum("kfj,ji->kfi", coef * mu_vf, others_c)
-        mu_new = np.where(active, (rhs[:, :, None] - partial) / coef_safe, 0.0)
-
-        p_cand = (1.0 - damping) * p_new + damping * p_fv
-        mu_cand = (1.0 - damping) * mu_new + damping * mu_fv
-        p_belief = _GABP_PRIOR_PRECISION + p_cand.sum(axis=1)
-        mu_belief = (p_cand * mu_cand).sum(axis=1) / p_belief
-        if not np.all(np.isfinite(mu_belief[usable])):
-            break  # keep the last stable iterate
-        p_fv, mu_fv = p_cand, mu_cand
-        change = np.abs(mu_belief - belief_mu)[usable].max() if usable.any() else 0.0
-        belief_mu, belief_p = mu_belief, p_belief
-        if sweeps > 1 and change < mean_tol:
-            converged = True
-            break
-    return belief_mu, belief_p, usable, sweeps, converged
+    usable = mask.sum(axis=0) >= 3
+    obs = mask.T
+    r = np.where(obs, ranges.T, 0.0)
+    ref = obs.argmax(axis=1)
+    ref_r = np.take_along_axis(r, ref[:, None], axis=1)
+    # The reference's own row is identically zero; unobserved rows get weight 0.
+    rows, rhs = _differenced_rows(anchor_xyz[ref][:, None, :], ref_r, anchor_xyz, r)
+    weight = obs.astype(float)
+    if sigma > 0.0:
+        weight /= np.maximum(4.0 * sigma**2 * (r**2 + ref_r**2), 1e-12)
+    weighted = rows * weight[:, :, None]
+    info = _GABP_PRIOR_PRECISION * np.eye(3) + weighted.transpose(0, 2, 1) @ rows
+    # The prior bounds every eigenvalue of J below; clipping there only
+    # undoes rounding on nodes whose equations leave a direction unobserved.
+    lam, basis = np.linalg.eigh(info)
+    cov = (basis / np.maximum(lam, _GABP_PRIOR_PRECISION)[:, None, :]) @ basis.transpose(0, 2, 1)
+    means = np.einsum("kij,kaj,ka->ki", cov, weighted, rhs)
+    variances = np.diagonal(cov, axis1=1, axis2=2)
+    keep = usable[:, None]
+    return np.where(keep, means, np.nan), np.where(keep, variances, np.nan), usable
 
 
 def estimate_pose_gabp(
@@ -529,47 +505,38 @@ def estimate_pose_gabp(
     anchors: AnchorSet,
     conf: Conformation,
     noise: NoiseModel | None = None,
-    damping: float = 0.5,
-    max_sweeps: int = 100,
-    mean_tol: float = 1e-9,
 ) -> PoseEstimate:
     """Two-stage message-passing pose estimate.
 
-    Stage 1 localizes each node independently by Gaussian belief
-    propagation (see _gabp_node_beliefs); stage 2 fits the pose by
-    Procrustes over the belief means, weighted by the belief precisions so
-    poorly observed nodes contribute little. The per-node marginal
-    variances are returned as the soft-decision output.
+    Stage 1 localizes each node independently at the exact fixed point of
+    Gaussian belief propagation, with exact marginal variances (see
+    _gabp_node_beliefs); stage 2 fits the pose by Procrustes over the
+    belief means, weighted by the belief precisions so poorly observed
+    nodes contribute little. The per-node marginal variances are returned
+    as the soft-decision output. A direct solve has nothing to converge, so
+    the estimate reports 0 iterations.
     """
     if meas.ranges is None:
         raise UnderdeterminedError("the message-passing estimator needs range measurements")
     sigma = noise.range_sigma if noise is not None else 0.0
-    belief_mu, belief_p, usable, sweeps, converged = _gabp_node_beliefs(
-        anchors.anchors, meas.ranges, meas.mask, sigma, damping, max_sweeps, mean_tol
-    )
+    means, variances, usable = _gabp_node_beliefs(anchors.anchors, meas.ranges, meas.mask, sigma)
     if usable.sum() < 3:
         raise UnderdeterminedError(
             f"only {int(usable.sum())} nodes have >= 3 observed anchors; need 3"
         )
-    weights = np.where(usable, belief_p.min(axis=1), 0.0)
-    pose = procrustes(conf.nodes, np.where(usable[:, None], belief_mu, 0.0), weights)
+    weights = np.where(usable, (1.0 / variances).min(axis=1), 0.0)
+    pose = procrustes(conf.nodes, np.where(usable[:, None], means, 0.0), weights)
 
-    positions = np.where(usable[:, None], belief_mu, np.nan)
-    variances = np.where(usable[:, None], 1.0 / belief_p, np.nan)
     jj, kk = np.nonzero(meas.mask)
     world = apply_pose(conf, pose)
     d = np.linalg.norm(world[kk] - anchors.anchors[jj], axis=1)
     residual_rms = float(np.sqrt(np.mean((d - meas.ranges[jj, kk]) ** 2)))
-    message = "" if converged else f"belief means not settled after {sweeps} sweeps"
     return PoseEstimate(
         pose=pose,
         method_tag="gabp",
         residual_rms=residual_rms,
-        iterations=sweeps,
-        per_node_positions=positions,
+        per_node_positions=means,
         node_variances=variances,
-        converged=converged,
-        message=message,
     )
 
 

@@ -23,8 +23,9 @@ from .errors import (
 ORTHONORMALITY_TOL = 1e-9
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def readonly(a: np.ndarray) -> np.ndarray:
+    """A write-protected copy of `a`, with its dtype kept."""
+    out = np.array(a)
     out.setflags(write=False)
     return out
 
@@ -180,7 +181,7 @@ class Conformation:
         rank = int(np.sum(s > 1e-9 * max(s[0], 1e-300)))
         if rank < 2:
             raise DegenerateConformationError("nodes are collinear")
-        object.__setattr__(self, "nodes", _readonly(nodes))
+        object.__setattr__(self, "nodes", readonly(nodes))
         object.__setattr__(self, "_planar", rank == 2)
 
     @property
@@ -226,8 +227,8 @@ class Pose:
         det = np.linalg.det(r)
         if abs(det - 1.0) > ORTHONORMALITY_TOL:
             raise InvalidPoseError(f"rotation determinant is {det:.12f}, expected +1")
-        object.__setattr__(self, "rotation", _readonly(r))
-        object.__setattr__(self, "translation", _readonly(t))
+        object.__setattr__(self, "rotation", readonly(r))
+        object.__setattr__(self, "translation", readonly(t))
 
     @classmethod
     def identity(cls) -> "Pose":
@@ -251,8 +252,8 @@ class Twist:
             raise ValueError("angular and linear velocities must be length-3 vectors")
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
             raise ValueError("twist components must be finite")
-        object.__setattr__(self, "angular", _readonly(w))
-        object.__setattr__(self, "linear", _readonly(v))
+        object.__setattr__(self, "angular", readonly(w))
+        object.__setattr__(self, "linear", readonly(v))
 
     @classmethod
     def zero(cls) -> "Twist":

@@ -23,7 +23,7 @@ from .errors import (
     UndefinedDirectionError,
     UnderdeterminedError,
 )
-from .geometry import Conformation, RigidBodyState, node_velocities, pairwise_distances
+from .geometry import Conformation, RigidBodyState, node_velocities, pairwise_distances, readonly
 
 # Independent substreams per measurement type, derived from NoiseModel.seed.
 _STREAM_RANGE = 0
@@ -43,12 +43,6 @@ def wrap_angle(theta):
     return out if out.ndim else float(out)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class AnchorSet:
     """World-frame anchor positions, one row per anchor (m)."""
@@ -66,7 +60,7 @@ class AnchorSet:
         d = pairwise_distances(a)
         if a.shape[0] > 1 and np.any(d[np.triu_indices_from(d, k=1)] <= 0.0):
             raise ValueError("anchors must be pairwise distinct")
-        object.__setattr__(self, "anchors", _readonly(a))
+        object.__setattr__(self, "anchors", readonly(a))
 
     @property
     def num_anchors(self) -> int:
@@ -118,7 +112,7 @@ class MeasurementSet:
         mask = np.asarray(self.mask, dtype=bool)
         if mask.ndim != 2:
             raise ValueError("mask must be (A, K)")
-        object.__setattr__(self, "mask", _readonly(mask))
+        object.__setattr__(self, "mask", readonly(mask))
         for name, depth in (("ranges", 2), ("aoa", 3), ("range_rates", 2)):
             m = getattr(self, name)
             if m is None:
@@ -131,7 +125,7 @@ class MeasurementSet:
             m[~mask] = np.nan
             if name == "ranges" and np.any(m[mask] < 0.0):
                 raise ValueError("observed ranges must be nonnegative")
-            object.__setattr__(self, name, _readonly(m))
+            object.__setattr__(self, name, readonly(m))
         if self.ranges is None and self.aoa is None and self.range_rates is None:
             raise ValueError("measurement set is empty")
 
@@ -213,8 +207,8 @@ class Edm:
             raise ValueError("known squared distances must be nonnegative")
         if not known[:a, :a].all() or not known[a:, a:].all():
             raise ValueError("anchor-anchor and node-node blocks must be fully known")
-        object.__setattr__(self, "squared_distances", _readonly(d))
-        object.__setattr__(self, "known_mask", _readonly(known))
+        object.__setattr__(self, "squared_distances", readonly(d))
+        object.__setattr__(self, "known_mask", readonly(known))
         object.__setattr__(self, "n_anchors", a)
 
     @property

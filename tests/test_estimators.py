@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import (
@@ -38,6 +40,7 @@ from rblkit.geometry import (
     random_rotation,
     rotation_error_deg,
 )
+from rblkit.harness import draw_trial, preset, run_benchmark
 from rblkit.measurement import (
     AnchorSet,
     BernoulliBlockage,
@@ -292,10 +295,8 @@ class TestEstimatePoseGabp:
         target = np.array([1.2, 0.7, 2.1])
         ranges = np.linalg.norm(anchors - target, axis=1).reshape(4, 1)
         mask = np.ones((4, 1), dtype=bool)
-        mu, prec, usable, sweeps, converged = _gabp_node_beliefs(
-            anchors, ranges, mask, sigma=0.0, damping=0.5, max_sweeps=100, mean_tol=1e-12
-        )
-        assert converged and usable[0]
+        mu, var, usable = _gabp_node_beliefs(anchors, ranges, mask, sigma=0.0)
+        assert usable[0] and np.all(var[0] > 0.0)
         ref, others = anchors[0], anchors[1:]
         rows = 2.0 * (others - ref)
         rhs = (
@@ -305,6 +306,46 @@ class TestEstimatePoseGabp:
         )
         direct = np.linalg.lstsq(rows, rhs, rcond=None)[0]
         assert np.abs(mu[0] - direct).max() < 1e-9
+
+    def test_noisy_blocked_beliefs_equal_weighted_least_squares(self):
+        # Per node: the weighted least-squares solution of the differenced
+        # equations plus the weak prior, and the diagonal of inv(J).
+        scenario, _ = preset("fig5")
+        sigma = 0.05
+        _, meas = draw_trial(scenario, sigma, seed=5)
+        anchors = scenario.anchors.anchors
+        assert not meas.mask.all()
+        mu, var, usable = _gabp_node_beliefs(anchors, meas.ranges, meas.mask, sigma)
+        prior = 1e-12
+        for k in range(meas.mask.shape[1]):
+            idx = np.flatnonzero(meas.mask[:, k])
+            if idx.size < 3:
+                assert not usable[k] and np.isnan(mu[k]).all() and np.isnan(var[k]).all()
+                continue
+            assert usable[k]
+            r = meas.ranges[idx, k]
+            a = anchors[idx]
+            rows = 2.0 * (a[1:] - a[0])
+            rhs = r[0] ** 2 - r[1:] ** 2 + (a[1:] ** 2).sum(axis=1) - (a[0] ** 2).sum()
+            w = 1.0 / (4.0 * sigma**2 * (r[1:] ** 2 + r[0] ** 2))
+            stacked = np.vstack([rows * np.sqrt(w)[:, None], np.sqrt(prior) * np.eye(3)])
+            target = np.concatenate([rhs * np.sqrt(w), np.zeros(3)])
+            expect = np.linalg.lstsq(stacked, target, rcond=None)[0]
+            info = prior * np.eye(3) + rows.T @ (w[:, None] * rows)
+            assert np.abs(mu[k] - expect).max() < 1e-9
+            np.testing.assert_allclose(var[k], np.diag(np.linalg.inv(info)), rtol=1e-9)
+
+    def test_direct_solve_reports_no_iterations(self):
+        conf, anchors, meas = simulate_cube_ranges(Pose.identity())
+        est = estimate_pose_gabp(meas, anchors, conf, noise=NoiseModel(range_sigma=0.1))
+        assert (est.iterations, est.converged, est.message) == (0, True, "")
+
+    def test_no_failures_on_fig5_preset(self):
+        scenario, experiment = preset("fig5")
+        experiment = replace(experiment, trials=3, estimators=("gabp",))
+        rows = run_benchmark(scenario, experiment)
+        assert len(rows) == len(experiment.sigma_grid)
+        assert [row.failures for row in rows] == [0] * len(rows)
 
     def test_rmse_within_factor_two_of_nls(self):
         conf, anchors = unit_cube(), cube_anchors()

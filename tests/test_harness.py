@@ -217,7 +217,7 @@ class TestRunBenchmark:
                 ("mds", "nls", "gabp"),
                 "0.05,mds,0.0352775284293,2.54451736223,0.0220823220682,1.82237936126,2,0\n"
                 "0.05,nls,0.0226994434138,1.81805566795,0.0220823220682,1.82237936126,2,0\n"
-                "0.05,gabp,0.0354461686268,0.827586178016,0.0220823220682,1.82237936126,2,1\n",
+                "0.05,gabp,0.0348298870294,1.39710556955,0.0220823220682,1.82237936126,2,0\n",
             ),
         ],
         ids=["full", "bernoulli"],
