@@ -130,18 +130,27 @@ def complete_edm(edm: Edm, rank: int = 3, max_iters: int = 500, tol: float = 1e-
     # rank projection amplifies inconsistent noisy entries.
     cap = 1.5 * sp_fill
 
+    # Loop invariants: centered_gram's centering matrix, and the flat indices
+    # (in boolean-mask order) and values of the known entries.
+    center = np.eye(edm.size) - 1.0 / edm.size
+    known_idx, unknown_idx = np.flatnonzero(known), np.flatnonzero(unknown)
+    known_vals = d_known.ravel()[known_idx]
+    fill = current.ravel()[unknown_idx]
+
     history: list[float] = []
     mismatch = float("inf")
     converged = False
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        gram = centered_gram(current)
-        points, _ = embed_from_gram(gram, dim=rank)
-        projected = np.minimum(edm_from_points(points), cap)
-        mismatch = float(np.abs(projected[known] - d_known[known]).max())
-        change = float(np.abs(projected[unknown] - current[unknown]).max())
+        points, _ = embed_from_gram(-0.5 * (center @ current @ center), dim=rank)
+        current = np.minimum(edm_from_points(points), cap)
+        flat = current.ravel()
+        mismatch = float(np.abs(flat[known_idx] - known_vals).max())
+        new_fill = flat[unknown_idx]
+        change = float(np.abs(new_fill - fill).max())
         history.append(change)
-        current = np.where(known, d_known, projected)
+        flat[known_idx] = known_vals
+        fill = new_fill
         if change < tol:
             converged = True
             break

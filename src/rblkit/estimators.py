@@ -300,52 +300,53 @@ def _adoa_indices(jj, kk):
     return np.asarray(sel, dtype=int), np.asarray(refs, dtype=int)
 
 
-def _nls_residuals(rot, trans, conf_nodes, anchor_xyz, meas, jj, kk, w_range, w_angle, adoa_idx):
+def _nls_residuals(rot, trans, obs, w_range, w_angle, adoa_idx, jacobian=True):
     """Stacked weighted residuals and Jacobian rows at (rot, trans).
 
-    Rows are ordered ranges first, then azimuths (absolute, or
-    reference-differenced when adoa_idx is given) and elevations, each
-    scaled by the square root of its type weight. The Jacobian is taken
-    with respect to a right perturbation (rot -> rot expm(d_theta),
-    trans -> trans + d_t).
+    `obs` holds the body nodes, the observed node indices kk, and the body
+    points, anchors, ranges and AoA pairs of the observed links, gathered
+    once per solve (ranges or AoA are None when not measured). Rows are
+    ordered ranges first, then azimuths (absolute, or reference-differenced
+    when adoa_idx is given) and elevations, each scaled by the square root
+    of its type weight. The Jacobian is taken with respect to a right
+    perturbation (rot -> rot expm(d_theta), trans -> trans + d_t); with
+    jacobian=False it is None.
     """
+    conf_nodes, kk, nodes, anchor_xyz, ranges, aoa = obs
+    # The pose is applied before the gather: a matmul on gathered rows can round differently.
     world = conf_nodes @ rot.T + trans
-    delta = world[kk] - anchor_xyz[jj]
-    dist = np.linalg.norm(delta, axis=1)
+    delta = world[kk] - anchor_xyz
+    dist = np.sqrt(np.add.reduce(delta * delta, axis=1))  # what np.linalg.norm(axis=1) computes
     res_parts, jac_parts = [], []
-
-    def chain(rows_s):
-        # d residual / d (theta, t) given d residual / d s.
-        return pose_jacobian_rows(conf_nodes[kk], rows_s, rot)
-
-    if meas.ranges is not None:
-        unit = delta / dist[:, None]
-        res_parts.append(np.sqrt(w_range) * (dist - meas.ranges[jj, kk]))
-        jac_parts.append(np.sqrt(w_range) * chain(unit))
-    if meas.aoa is not None:
+    if ranges is not None:
+        res_parts.append(np.sqrt(w_range) * (dist - ranges))
+        if jacobian:
+            unit = delta / dist[:, None]
+            jac_parts.append(np.sqrt(w_range) * pose_jacobian_rows(nodes, unit, rot))
+    if aoa is not None:
         dx, dy, dz = delta[:, 0], delta[:, 1], delta[:, 2]
-        rho2 = dx**2 + dy**2
-        rho = np.sqrt(rho2)
         az = np.arctan2(dy, dx)
         el = np.arcsin(np.clip(dz / dist, -1.0, 1.0))
-        az_rows = np.stack([-dy / rho2, dx / rho2, np.zeros_like(dx)], axis=1)
-        el_rows = np.stack(
-            [-dx * dz / (dist**2 * rho), -dy * dz / (dist**2 * rho), rho / dist**2], axis=1
-        )
-        az_jac = chain(az_rows)
-        az_meas = meas.aoa[jj, kk, 0]
         if adoa_idx is not None:
             sel, refs = adoa_idx
-            model_diff = az[sel] - az[refs]
-            meas_diff = wrap_angle(az_meas[sel] - az_meas[refs])
-            res_parts.append(np.sqrt(w_angle) * wrap_angle(model_diff - meas_diff))
-            jac_parts.append(np.sqrt(w_angle) * (az_jac[sel] - az_jac[refs]))
+            meas_diff = wrap_angle(aoa[sel, 0] - aoa[refs, 0])
+            res_parts.append(np.sqrt(w_angle) * wrap_angle(az[sel] - az[refs] - meas_diff))
         else:
-            res_parts.append(np.sqrt(w_angle) * wrap_angle(az - az_meas))
+            res_parts.append(np.sqrt(w_angle) * wrap_angle(az - aoa[:, 0]))
+        res_parts.append(np.sqrt(w_angle) * (el - aoa[:, 1]))
+        if jacobian:
+            rho2 = dx**2 + dy**2
+            rho = np.sqrt(rho2)
+            az_rows = np.stack([-dy / rho2, dx / rho2, np.zeros_like(dx)], axis=1)
+            el_rows = np.stack(
+                [-dx * dz / (dist**2 * rho), -dy * dz / (dist**2 * rho), rho / dist**2], axis=1
+            )
+            az_jac = pose_jacobian_rows(nodes, az_rows, rot)
+            if adoa_idx is not None:
+                az_jac = az_jac[sel] - az_jac[refs]
             jac_parts.append(np.sqrt(w_angle) * az_jac)
-        res_parts.append(np.sqrt(w_angle) * (el - meas.aoa[jj, kk, 1]))
-        jac_parts.append(np.sqrt(w_angle) * chain(el_rows))
-    return np.concatenate(res_parts), np.vstack(jac_parts)
+            jac_parts.append(np.sqrt(w_angle) * pose_jacobian_rows(nodes, el_rows, rot))
+    return np.concatenate(res_parts), (np.vstack(jac_parts) if jacobian else None)
 
 
 def estimate_pose_nls(
@@ -390,23 +391,22 @@ def estimate_pose_nls(
     rot = np.array(init.rotation)
     trans = np.array(init.translation)
     conf_nodes = conf.nodes
-    anchor_xyz = anchors.anchors
+    anchor_xyz = anchors.anchors[jj]
+    ranges = None if meas.ranges is None else meas.ranges[jj, kk]
+    aoa = None if meas.aoa is None else meas.aoa[jj, kk]
+    obs = (conf_nodes, kk, conf_nodes[kk], anchor_xyz, ranges, aoa)
 
     def cost_at(r, t):
-        res, _ = _nls_residuals(
-            r, t, conf_nodes, anchor_xyz, meas, jj, kk, w_range, w_angle, adoa_idx
-        )
-        return float(res @ res), res
+        res, _ = _nls_residuals(r, t, obs, w_range, w_angle, adoa_idx, jacobian=False)
+        return float(res @ res)
 
-    cost, _ = cost_at(rot, trans)
+    cost = cost_at(rot, trans)
     lam = 1e-6
     converged = False
     message = ""
     iterations = 0
     for iterations in range(1, NLS_MAX_ITERS + 1):
-        res, jac = _nls_residuals(
-            rot, trans, conf_nodes, anchor_xyz, meas, jj, kk, w_range, w_angle, adoa_idx
-        )
+        res, jac = _nls_residuals(rot, trans, obs, w_range, w_angle, adoa_idx)
         grad = jac.T @ res
         hess = jac.T @ jac
         # Marquardt scaling: damp relative to the curvature so the schedule
@@ -422,7 +422,7 @@ def estimate_pose_nls(
                 continue
             rot_try = rot @ so3_exp(step[:3])
             trans_try = trans + step[3:]
-            cost_try, _ = cost_at(rot_try, trans_try)
+            cost_try = cost_at(rot_try, trans_try)
             # Accept non-increase up to float resolution of the cost itself:
             # near the minimum no step can beat the ulp-level plateau.
             if cost_try <= cost * (1.0 + 1e-12) + 1e-18:
@@ -443,14 +443,12 @@ def estimate_pose_nls(
     projected = so3_project(rot)
     projection_distance = float(np.linalg.norm(projected - rot))
     pose = Pose(projected, trans)
-    if meas.ranges is not None:
+    if ranges is not None:
         world = conf_nodes @ pose.rotation.T + pose.translation
-        d = np.linalg.norm(world[kk] - anchor_xyz[jj], axis=1)
-        residual_rms = float(np.sqrt(np.mean((d - meas.ranges[jj, kk]) ** 2)))
+        d = np.linalg.norm(world[kk] - anchor_xyz, axis=1)
+        residual_rms = float(np.sqrt(np.mean((d - ranges) ** 2)))
     else:
-        res, _ = _nls_residuals(
-            pose.rotation, trans, conf_nodes, anchor_xyz, meas, jj, kk, 1.0, 1.0, adoa_idx
-        )
+        res, _ = _nls_residuals(pose.rotation, trans, obs, 1.0, 1.0, adoa_idx, jacobian=False)
         residual_rms = float(np.sqrt(np.mean(res**2)))
     return PoseEstimate(
         pose=pose,

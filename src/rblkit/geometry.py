@@ -277,6 +277,17 @@ def apply_pose(conf: Conformation, pose: Pose) -> np.ndarray:
     return conf.nodes @ pose.rotation.T + pose.translation
 
 
+def _cross_rows(a, b, tail) -> np.ndarray:
+    # (M, 6) rows [a_k x b_k, tail_k], the same products and differences np.cross forms.
+    out = np.empty((a.shape[0], 6))
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    out[:, 0] = a1 * b2 - a2 * b1
+    out[:, 1] = a2 * b0 - a0 * b2
+    out[:, 2] = a0 * b1 - a1 * b0
+    out[:, 3:] = tail
+    return out
+
+
 def pose_jacobian_rows(nodes, grads, rotation) -> np.ndarray:
     """Chain rule from world-position gradients to the pose chart.
 
@@ -285,7 +296,13 @@ def pose_jacobian_rows(nodes, grads, rotation) -> np.ndarray:
     with respect to a right perturbation (R -> R expm([d_theta]x),
     t -> t + d_t). With g_k the unit line of sight it is the range row.
     """
-    return np.hstack([np.cross(nodes, grads @ rotation), grads])
+    return _cross_rows(nodes, grads @ rotation, grads)
+
+
+def twist_jacobian_rows(nodes, units, rotation) -> np.ndarray:
+    """Range-rate rows in the twist (w, v): row k is [ (R c_k) x u_k, u_k ] for body
+    point c_k and unit line of sight u_k, since u . (w x R c_k) = ((R c_k) x u) . w."""
+    return _cross_rows(nodes @ rotation.T, units, units)
 
 
 def node_velocities(state: RigidBodyState) -> np.ndarray:

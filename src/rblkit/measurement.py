@@ -376,37 +376,21 @@ class ConvexHullBlockage:
         from scipy.spatial import ConvexHull
 
         nodes = self.world_nodes
+        starts = self.anchors.anchors
         hull = ConvexHull(nodes)
         normals, offsets = hull.equations[:, :3], hull.equations[:, 3]
-        keep = np.ones(shape, dtype=bool)
-        for j, a in enumerate(self.anchors.anchors):
-            for k in range(nodes.shape[0]):
-                keep[j, k] = not _segment_hits_hull(
-                    a, nodes[k], normals, offsets, self.margin
-                )
-        return keep
-
-
-def _segment_hits_hull(start, end, normals, offsets, margin) -> bool:
-    # Feasibility of n.(start + t (end-start)) + b <= -margin for all facets,
-    # some t in [0, 1]: clip the parameter interval facet by facet.
-    d = end - start
-    lo, hi = 0.0, 1.0
-    num = -(normals @ start + offsets + margin)
-    den = normals @ d
-    for i in range(normals.shape[0]):
-        if abs(den[i]) < 1e-300:
-            if num[i] < 0.0:
-                return False
-            continue
-        bound = num[i] / den[i]
-        if den[i] > 0.0:
-            hi = min(hi, bound)
-        else:
-            lo = max(lo, bound)
-        if lo > hi:
-            return False
-    return lo <= hi
+        # Link (j, k) is blocked when n.(a_j + t (s_k - a_j)) + b <= -margin on every
+        # facet for some t in [0, 1]: clip the t interval of all (anchor, node, facet)
+        # triples at once. Right operands of shape (3, 1) keep each product a
+        # matrix-vector one, which rounds as normals @ vector does.
+        num = -((normals @ starts[:, :, None])[..., 0] + offsets + self.margin)[:, None, :]
+        den = (normals @ (nodes[None, :, :] - starts[:, None, :])[..., None])[..., 0]
+        # A facet parallel to the link bounds no t, unless the link lies outside it (num < 0).
+        parallel = np.abs(den) < 1e-300
+        bound = num / np.where(parallel, 1.0, den)
+        hi = np.where(den > 0.0, bound, np.inf).min(axis=2, where=~parallel, initial=1.0)
+        lo = np.where(den < 0.0, bound, -np.inf).max(axis=2, where=~parallel, initial=0.0)
+        return (lo > hi) | (parallel & (num < 0.0)).any(axis=2)
 
 
 @dataclass(frozen=True)

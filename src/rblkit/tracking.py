@@ -25,7 +25,15 @@ from .estimators import (
     estimate_pose_nls,
     mds_from_ranges,
 )
-from .geometry import Conformation, Pose, RigidBodyState, Twist, apply_pose, propagate_state
+from .geometry import (
+    Conformation,
+    Pose,
+    RigidBodyState,
+    Twist,
+    apply_pose,
+    propagate_state,
+    twist_jacobian_rows,
+)
 from .measurement import AnchorSet, MeasurementSet, NoiseModel
 
 _RANK_RCOND = 1e-10
@@ -55,10 +63,7 @@ def estimate_twist(
     world = apply_pose(conf, pose)
     delta = world[kk] - anchors.anchors[jj]
     dist = np.linalg.norm(delta, axis=1)
-    unit = delta / dist[:, None]
-    rotated = conf.nodes[kk] @ pose.rotation.T
-    # Row: [ (R c_k) x u , u ] since u . (w x R c_k) = ((R c_k) x u) . w.
-    rows = np.hstack([np.cross(rotated, unit), unit])
+    rows = twist_jacobian_rows(conf.nodes[kk], delta / dist[:, None], pose.rotation)
     obs = rates[jj, kk]
     if weights is not None:
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])

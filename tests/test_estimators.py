@@ -21,7 +21,9 @@ from rblkit.errors import (
 from rblkit.estimators import (
     PoseEstimate,
     SemanticHeading,
+    _adoa_indices,
     _gabp_node_beliefs,
+    _nls_residuals,
     estimate_pose_gabp,
     estimate_pose_mds,
     estimate_pose_nls,
@@ -268,6 +270,37 @@ class TestEstimatePoseNls:
         est = estimate_pose_nls(meas, anchors, conf, use_adoa=True)
         rot_err, trans_err = pose_errors(est, truth)
         assert rot_err < 1e-6 and trans_err < 1e-8
+
+    @pytest.mark.parametrize(
+        "kinds, use_adoa",
+        [(("range",), False), (("range", "aoa"), False), (("range", "aoa"), True)],
+        ids=["ranges", "aoa", "adoa"],
+    )
+    def test_residual_only_cost_equals_full(self, kinds, use_adoa):
+        # The line search costs trial poses from the residuals alone; that
+        # cost must be the full call's res @ res bit for bit.
+        rng = np.random.default_rng(14)
+        conf, anchors = unit_cube(), cube_anchors()
+        noise = NoiseModel(range_sigma=0.05, angle_sigma=0.02, seed=3)
+        state = RigidBodyState(conf, random_pose(rng))
+        meas = simulate_measurements(anchors, state, noise, kinds)
+        meas = apply_blockage(meas, BernoulliBlockage(p=0.2, seed=4))
+        jj, kk = np.nonzero(meas.mask)
+        aoa = None if meas.aoa is None else meas.aoa[jj, kk]
+        obs = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], meas.ranges[jj, kk], aoa)
+        adoa_idx = _adoa_indices(jj, kk) if use_adoa else None
+        for _ in range(5):
+            pose = random_pose(rng)
+            args = (pose.rotation, pose.translation, obs, 4.0, 9.0, adoa_idx)
+            res, jac = _nls_residuals(*args)
+            res_only, no_jac = _nls_residuals(*args, jacobian=False)
+            assert no_jac is None and jac.shape == (res.size, 6)
+            assert np.array_equal(res_only, res)
+            assert float(res_only @ res_only) == float(res @ res)
+            # The range block is the np.linalg.norm form it replaces.
+            world = conf.nodes @ pose.rotation.T + pose.translation
+            dist = np.linalg.norm(world[kk] - anchors.anchors[jj], axis=1)
+            assert np.array_equal(res[: kk.size], 2.0 * (dist - meas.ranges[jj, kk]))
 
     def test_underdetermined_raises(self):
         conf, anchors, meas = simulate_cube_ranges(Pose.identity())

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rblkit.errors import (
     DegenerateConformationError,
@@ -19,12 +22,14 @@ from rblkit.geometry import (
     node_velocities,
     pairwise_distances,
     parse_points,
+    pose_jacobian_rows,
     propagate_state,
     random_rotation,
     rotation_error_deg,
     so3_exp,
     so3_log,
     so3_project,
+    twist_jacobian_rows,
 )
 
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -147,6 +152,36 @@ class TestApplyPose:
         ident = compose_poses(inverse_pose(p), p)
         assert np.allclose(ident.rotation, np.eye(3), atol=1e-12)
         assert np.allclose(ident.translation, 0.0, atol=1e-12)
+
+
+# (M, 6) blocks of finite reals: body points, then gradients or lines of sight.
+jacobian_inputs = arrays(
+    float,
+    st.tuples(st.integers(1, 12), st.just(6)),
+    elements=st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+rotation_seeds = st.integers(0, 2**32 - 1)
+
+
+class TestJacobianRows:
+    # The rows are written out component by component; they must equal the
+    # np.cross formula they replace bit for bit, not just to rounding.
+
+    @settings(max_examples=200, deadline=None)
+    @given(jacobian_inputs, rotation_seeds)
+    def test_pose_rows_equal_cross_formula(self, block, seed):
+        nodes, grads = block[:, :3], block[:, 3:]
+        rot = random_rotation(np.random.default_rng(seed))
+        expected = np.hstack([np.cross(nodes, grads @ rot), grads])
+        assert np.array_equal(pose_jacobian_rows(nodes, grads, rot), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jacobian_inputs, rotation_seeds)
+    def test_twist_rows_equal_cross_formula(self, block, seed):
+        nodes, units = block[:, :3], block[:, 3:]
+        rot = random_rotation(np.random.default_rng(seed))
+        expected = np.hstack([np.cross(nodes @ rot.T, units), units])
+        assert np.array_equal(twist_jacobian_rows(nodes, units, rot), expected)
 
 
 class TestNodeVelocities:

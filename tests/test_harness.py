@@ -219,8 +219,15 @@ class TestRunBenchmark:
                 "0.05,nls,0.0226994434138,1.81805566795,0.0220823220682,1.82237936126,2,0\n"
                 "0.05,gabp,0.0348298870294,1.39710556955,0.0220823220682,1.82237936126,2,0\n",
             ),
+            (
+                BlockageSpec(kind="hull"),
+                ("mds", "nls", "gabp"),
+                "0.05,mds,0.0353146114224,1.29690276999,0.022252289804,1.6475984787,2,0\n"
+                "0.05,nls,0.0116486175291,1.18381867262,0.022252289804,1.6475984787,2,0\n"
+                "0.05,gabp,0.0284302194567,1.66291685525,0.022252289804,1.6475984787,2,0\n",
+            ),
         ],
-        ids=["full", "bernoulli"],
+        ids=["full", "bernoulli", "hull"],
     )
     def test_golden_csv(self, blockage, estimators, body):
         # Frozen output: any change to column order, float formatting, the

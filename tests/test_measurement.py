@@ -1,10 +1,11 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial import Delaunay
+from scipy.spatial import ConvexHull, Delaunay
 
 import rblkit
 from rblkit.errors import (
@@ -235,6 +236,72 @@ class TestBlockage:
         near = nodes[:, 0] < 0
         assert out.mask[0, near].all()
         assert not out.mask[0, ~near].any()
+
+    def test_hull_keep_mask_matches_per_link_oracle(self):
+        rng = np.random.default_rng(21)
+        blocked = visible = 0
+        for trial in range(60):
+            if trial % 2:
+                nodes = rng.normal(size=(rng.integers(4, 13), 3)) * rng.uniform(0.5, 3.0)
+            else:
+                # Boxes: coplanar faces, so every node lies on several facets.
+                pose = Pose(random_rotation(rng), rng.normal(size=3))
+                nodes = unit_cube().nodes * rng.uniform(0.5, 4.0, 3) @ pose.rotation.T
+                nodes = nodes + pose.translation
+            anchors = AnchorSet(rng.normal(size=(rng.integers(1, 9), 3)) * 6.0)
+            keep = ConvexHullBlockage(anchors, nodes).keep_mask((anchors.num_anchors, len(nodes)))
+            assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
+            blocked, visible = blocked + (~keep).sum(), visible + keep.sum()
+        assert blocked > 100 and visible > 100
+
+    def test_hull_keep_mask_facet_parallel_to_link(self):
+        # The anchor lies in the plane of the cube's top face, so every link
+        # to a top node runs parallel to the z facets (den exactly 0): the top
+        # facets leave it visible (num < 0), the bottom ones bound nothing.
+        nodes = unit_cube().nodes
+        anchors = AnchorSet([[3.0, 0.1, 0.5], [-2.0, -3.0, 0.5], [0.2, 0.3, 4.0]])
+        equations = ConvexHull(nodes).equations
+        assert np.any(equations[:, :3] @ (nodes[1] - anchors.anchors[0]) == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keep = ConvexHullBlockage(anchors, nodes).keep_mask((3, 8))
+        assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
+        top = nodes[:, 2] > 0
+        assert keep[:, top].all() and not keep[2, ~top].any()
+
+
+def hull_oracle_keep(anchors, nodes, margin):
+    """Per-link reference for ConvexHullBlockage.keep_mask: the scalar
+    interval clipping the vectorised test replaced."""
+    equations = ConvexHull(nodes).equations
+    normals, offsets = equations[:, :3], equations[:, 3]
+    keep = np.ones((len(anchors), len(nodes)), dtype=bool)
+    for j, a in enumerate(anchors):
+        for k in range(len(nodes)):
+            keep[j, k] = not segment_hits_hull(a, nodes[k], normals, offsets, margin)
+    return keep
+
+
+def segment_hits_hull(start, end, normals, offsets, margin) -> bool:
+    # Feasibility of n.(start + t (end-start)) + b <= -margin for all facets,
+    # some t in [0, 1]: clip the parameter interval facet by facet.
+    d = end - start
+    lo, hi = 0.0, 1.0
+    num = -(normals @ start + offsets + margin)
+    den = normals @ d
+    for i in range(normals.shape[0]):
+        if abs(den[i]) < 1e-300:
+            if num[i] < 0.0:
+                return False
+            continue
+        bound = num[i] / den[i]
+        if den[i] > 0.0:
+            hi = min(hi, bound)
+        else:
+            lo = max(lo, bound)
+        if lo > hi:
+            return False
+    return lo <= hi
 
 
 class TestAssembleEdm:
