@@ -211,7 +211,7 @@ def _cmd_complete(args) -> int:
     if "edm" in doc and doc["edm"] is not None:
         doc = doc["edm"]
     edm = Edm.from_json_dict(doc)
-    report = complete_edm(edm, rank=args.rank, max_iters=args.max_iters, tol=args.tol)
+    report = complete_edm(edm, max_iters=args.max_iters)
     _write_json(_outdir(args) / "completion.json", report.to_json_dict())
     return 0
 
@@ -257,9 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complete", help="complete a masked EDM document")
     _add_common(p)
     p.add_argument("--edm", required=True, metavar="FILE", help="EDM JSON (or a simulate output)")
-    p.add_argument("--rank", type=int, default=3)
     p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_complete)
     return parser
 

@@ -1,11 +1,11 @@
-"""Low-rank completion of partially observed squared-distance matrices.
+"""Completion of partially observed squared-distance matrices.
 
-Missing cross entries are reconstructed by alternating projections: fill
-unknowns, double-center to a Gram matrix, truncate to the top nonnegative
-eigenvalues (rank 3 for bodies in 3D space), map back to an EDM, and
-reimpose the known entries exactly. The start point is a shortest-path
-(Floyd-Warshall) fill over the known distances, which is always metrically
-plausible.
+Only anchor-node cross entries can be missing: the anchor-anchor and
+node-node blocks are always fully known, so each embeds exactly by classical
+MDS, and every missing entry is a function of the one rigid transform
+between the two embeddings. complete_edm fits that transform to the observed
+cross distances (started from the MDS of a linear least-squares fill) and
+fills the missing entries from the fitted configuration.
 
 Observed entries are never modified: denoising of measured data is the
 estimators' job, not the completion's.
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletionInfeasibleError, IncompleteEdmError
+from .geometry import fit_alignment, pose_gauss_newton, range_residuals
 from .measurement import Edm
 
 
@@ -25,10 +26,10 @@ from .measurement import Edm
 class CompletionReport:
     """Outcome of complete_edm.
 
-    final_mismatch is the largest absolute change the last rank projection
-    applied to a known entry (m^2): how far the observed data sit from the
-    rank-constrained set. change_history records the per-iteration maximum
-    change on unknown entries.
+    iterations counts the iterations of the rigid fit; final_mismatch is
+    the fitted configuration's largest absolute misfit on a known entry
+    (m^2); change_history records the per-iteration maximum change on
+    unknown entries.
     """
 
     completed: Edm
@@ -65,12 +66,14 @@ def gram_from_edm(edm: Edm) -> np.ndarray:
 def embed_from_gram(gram: np.ndarray, dim: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates (n, dim) from the top eigenpairs of a centered Gram matrix.
 
-    Returns (points, eigenvalues) with eigenvalues sorted descending; negative
-    eigenvalues are clamped to zero before taking square roots.
+    Returns (points, eigenvalues) with eigenvalues sorted descending.
+    Eigenvalues at most 1e-9 of the largest count as zero before taking
+    square roots, so a planar point set gets an exactly zero third coordinate.
     """
     eigval, eigvec = np.linalg.eigh(gram)
     order = np.argsort(eigval)[::-1][:dim]
-    top = np.clip(eigval[order], 0.0, None)
+    top = eigval[order]
+    top = np.where(top > 1e-9 * max(top[0], 0.0), top, 0.0)
     points = eigvec[:, order] * np.sqrt(top)
     return points, eigval[np.argsort(eigval)[::-1]]
 
@@ -80,15 +83,6 @@ def edm_from_points(points: np.ndarray) -> np.ndarray:
     d = np.einsum("ijk,ijk->ij", diff, diff)
     np.fill_diagonal(d, 0.0)
     return d
-
-
-def _shortest_path_fill(edm: Edm) -> np.ndarray:
-    """Initial guess: squared Floyd-Warshall shortest-path distances."""
-    dist = np.sqrt(np.where(edm.known_mask, edm.squared_distances, np.inf))
-    np.fill_diagonal(dist, 0.0)
-    for k in range(dist.shape[0]):
-        dist = np.minimum(dist, dist[:, k, None] + dist[None, k, :])
-    return dist**2
 
 
 def zero_imputed(edm: Edm) -> Edm:
@@ -101,62 +95,57 @@ def zero_imputed(edm: Edm) -> Edm:
     return Edm(d, np.ones_like(edm.known_mask), edm.n_anchors)
 
 
-def complete_edm(edm: Edm, rank: int = 3, max_iters: int = 500, tol: float = 1e-10) -> CompletionReport:
-    """Reconstruct unknown entries by alternating rank projection.
+def complete_edm(edm: Edm, max_iters: int = 500) -> CompletionReport:
+    """Fill unknown entries from the rigid fit of the node block's
+    embedding to the anchor block's.
 
-    Stops when the largest change on unknown entries falls below `tol`
-    (m^2) or after `max_iters` iterations; `converged` reports which.
-    Known entries of the output are identical to the input.
+    Both diagonal blocks embed exactly by classical MDS (a planar block with
+    a zero third coordinate). The linear least-squares fit of the observed
+    squared cross distances fills the others; the MDS of that EDM, aligned
+    to both blocks, starts geometry.pose_gauss_newton on the observed
+    distances, capped at `max_iters` iterations. Known entries of the output
+    are identical to the input.
 
     Raises CompletionInfeasibleError when some node has no known cross
     entry at all, listing the node indices.
     """
     if edm.is_complete():
         return CompletionReport(edm, 0, 0.0, True)
-    a = edm.n_anchors
-    cross_known = edm.known_mask[:a, a:]
+    a, d, known = edm.n_anchors, edm.squared_distances, edm.known_mask
+    cross_known = known[:a, a:]
     orphaned = np.flatnonzero(~cross_known.any(axis=0))
     if orphaned.size:
         raise CompletionInfeasibleError(orphaned)
 
-    known = edm.known_mask
-    unknown = ~known
-    d_known = np.where(known, edm.squared_distances, 0.0)
-    sp_fill = _shortest_path_fill(edm)
-    current = sp_fill.copy()
-    current[known] = d_known[known]
-    # Shortest-path distances upper-bound the metric completion; capping the
-    # iterate there (with slack for noise) stops the rare runaway where the
-    # rank projection amplifies inconsistent noisy entries.
-    cap = 1.5 * sp_fill
+    anchors, _ = embed_from_gram(centered_gram(d[:a, :a]))
+    nodes, _ = embed_from_gram(centered_gram(d[a:, a:]))
+    ah, bh = np.column_stack([anchors, np.ones(a)]), np.column_stack([nodes, np.ones(len(nodes))])
+    norms = (anchors * anchors).sum(axis=1)[:, None] + (nodes * nodes).sum(axis=1)
+    # |a - (Q b + t)|^2 - |a|^2 - |b|^2 = [a 1] M [b 1]^T, M = [[-2Q, -2t], [2 t^T Q, |t|^2]].
+    lifted = (ah[:, None, :, None] * bh[None, :, None, :])[cross_known].reshape(-1, 16)
+    m = np.linalg.lstsq(lifted, (d[:a, a:] - norms)[cross_known], rcond=None)[0].reshape(4, 4)
+    fill = np.where(cross_known, d[:a, a:], norms + ah @ m @ bh.T)
+    points, _ = embed_from_gram(centered_gram(np.block([[d[:a, :a], fill], [fill.T, d[a:, a:]]])))
+    q, shift, _, _, _ = fit_alignment(points[:a], anchors, None, proper=False)
+    # q is a reflection when the node embedding has the other chirality; the fit keeps it one.
+    q, trans, _, _, _ = fit_alignment(nodes, points[a:] @ q.T + shift, None, proper=False)
 
-    # Loop invariants: centered_gram's centering matrix, and the flat indices
-    # (in boolean-mask order) and values of the known entries.
-    center = np.eye(edm.size) - 1.0 / edm.size
-    known_idx, unknown_idx = np.flatnonzero(known), np.flatnonzero(unknown)
-    known_vals = d_known.ravel()[known_idx]
-    fill = current.ravel()[unknown_idx]
+    (jj, kk), (mj, mk) = np.nonzero(cross_known), np.nonzero(~cross_known)
+    links = (nodes, kk, nodes[kk], anchors[jj], np.sqrt(d[:a, a:][cross_known]))
+    missing = (nodes, mk, None, anchors[mj], None)
+    fills = []  # the unknown entries at each iteration's starting pose, then at the fit
 
-    history: list[float] = []
-    mismatch = float("inf")
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        points, _ = embed_from_gram(-0.5 * (center @ current @ center), dim=rank)
-        current = np.minimum(edm_from_points(points), cap)
-        flat = current.ravel()
-        mismatch = float(np.abs(flat[known_idx] - known_vals).max())
-        new_fill = flat[unknown_idx]
-        change = float(np.abs(new_fill - fill).max())
-        history.append(change)
-        flat[known_idx] = known_vals
-        fill = new_fill
-        if change < tol:
-            converged = True
-            break
+    def residuals(r, t, jacobian):
+        if jacobian:
+            fills.append(range_residuals(r, t, missing, False)[3] ** 2)
+        return range_residuals(r, t, links, jacobian)[:2]
 
-    completed = Edm(np.maximum(current, 0.0), np.ones_like(known), a)
-    # Exact reimposition, bit for bit (maximum() cannot have touched known
-    # entries, which are nonnegative by construction).
+    rot, trans, iterations, converged, _ = pose_gauss_newton(residuals, q, trans, max_iters)
+    fills.append(range_residuals(rot, trans, missing, False)[3] ** 2)
+    history = tuple(float(np.abs(new - old).max()) for old, new in zip(fills, fills[1:]))
+    fit = edm_from_points(np.vstack([anchors, nodes @ rot.T + trans]))
+    mismatch = float(np.abs(fit[known] - d[known]).max())
+    completed = Edm(np.where(known, d, fit), np.ones_like(known), a)
+    # Exact reimposition, bit for bit.
     assert np.array_equal(completed.squared_distances[known], edm.squared_distances[known])
-    return CompletionReport(completed, iterations, mismatch, converged, tuple(history))
+    return CompletionReport(completed, iterations, mismatch, converged, history)

@@ -28,12 +28,19 @@ from .errors import (
     InvalidHeadingError,
     UnderdeterminedError,
 )
-from .geometry import Conformation, Pose, apply_pose, pose_jacobian_rows, so3_exp, so3_project
+from .geometry import (
+    Conformation,
+    Pose,
+    apply_pose,
+    fit_alignment,
+    pose_gauss_newton,
+    pose_jacobian_rows,
+    range_residuals,
+    so3_project,
+)
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_edm, wrap_angle
 
 ESTIMATOR_TAGS = ("mds", "nls", "gabp")
-# Gauss-Newton stopping rule of estimate_pose_nls: absolute step norm, capped iterations.
-NLS_STEP_TOL = 1e-10
 NLS_MAX_ITERS = 100
 
 
@@ -112,39 +119,6 @@ class SemanticHeading:
         object.__setattr__(self, "anchor_point", anchor)
 
 
-def _fit_alignment(source, target, weights, proper):
-    """Closed-form weighted alignment target ~ Q source + t.
-
-    With proper=True the result is constrained to SO(3) by flipping the
-    smallest singular direction when needed (Kabsch convention); otherwise
-    the best orthogonal matrix is returned, reflections included.
-    """
-    s = np.asarray(source, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if weights is None:
-        w = np.full(s.shape[0], 1.0 / s.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (s.shape[0],) or np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be nonnegative finite, one per node")
-        total = w.sum()
-        if total <= 0.0:
-            raise ValueError("weights must not all be zero")
-        w = w / total
-    s_bar = w @ s
-    y_bar = w @ y
-    s_c = s - s_bar
-    y_c = y - y_bar
-    cross = (y_c * w[:, None]).T @ s_c
-    u, sv, vt = np.linalg.svd(cross)
-    if proper:
-        d = np.sign(np.linalg.det(u @ vt))
-        q = u @ np.diag([1.0, 1.0, d]) @ vt
-    else:
-        q = u @ vt
-    return q, y_bar - q @ s_bar, sv, s_c, w
-
-
 def procrustes(source, target, weights=None) -> Pose:
     """Best-fit rigid transform mapping `source` points onto `target` points.
 
@@ -159,7 +133,7 @@ def procrustes(source, target, weights=None) -> Pose:
         raise ValueError(f"source and target must both be (K, 3), got {s.shape} vs {y.shape}")
     if s.shape[0] < 3:
         raise AmbiguousAlignmentError("alignment needs at least 3 corresponded points")
-    q, t, _, s_c, w = _fit_alignment(s, y, weights, proper=True)
+    q, t, _, s_c, w = fit_alignment(s, y, weights, proper=True)
     spread = np.linalg.svd(s_c * np.sqrt(w)[:, None], compute_uv=False)
     if spread[1] <= 1e-12 * max(spread[0], 1e-300):
         raise AmbiguousAlignmentError("source points are collinear; rotation ambiguous")
@@ -243,7 +217,7 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
         raise DegenerateEmbeddingError(
             f"Gram matrix has fewer than 3 significantly positive eigenvalues: {eigvals[:4]}"
         )
-    q, shift, _, _, _ = _fit_alignment(points[:a], anchors.anchors, None, proper=False)
+    q, shift, _, _, _ = fit_alignment(points[:a], anchors.anchors, None, proper=False)
     node_positions = points[a:] @ q.T + shift
     pose = procrustes(conf.nodes, node_positions)
     fitted = apply_pose(conf, pose)
@@ -303,26 +277,21 @@ def _adoa_indices(jj, kk):
 def _nls_residuals(rot, trans, obs, w_range, w_angle, adoa_idx, jacobian=True):
     """Stacked weighted residuals and Jacobian rows at (rot, trans).
 
-    `obs` holds the body nodes, the observed node indices kk, and the body
-    points, anchors, ranges and AoA pairs of the observed links, gathered
-    once per solve (ranges or AoA are None when not measured). Rows are
-    ordered ranges first, then azimuths (absolute, or reference-differenced
-    when adoa_idx is given) and elevations, each scaled by the square root
-    of its type weight. The Jacobian is taken with respect to a right
-    perturbation (rot -> rot expm(d_theta), trans -> trans + d_t); with
-    jacobian=False it is None.
+    `obs` holds the geometry.range_residuals links of the observed entries,
+    then their AoA pairs, gathered once per solve (ranges or AoA are None
+    when not measured). Rows are ordered ranges first, then azimuths
+    (absolute, or reference-differenced when adoa_idx is given) and
+    elevations, each scaled by the square root of its type weight. The
+    Jacobian is taken with respect to a right perturbation (rot -> rot
+    expm(d_theta), trans -> trans + d_t); with jacobian=False it is None.
     """
-    conf_nodes, kk, nodes, anchor_xyz, ranges, aoa = obs
-    # The pose is applied before the gather: a matmul on gathered rows can round differently.
-    world = conf_nodes @ rot.T + trans
-    delta = world[kk] - anchor_xyz
-    dist = np.sqrt(np.add.reduce(delta * delta, axis=1))  # what np.linalg.norm(axis=1) computes
+    nodes, aoa = obs[2], obs[5]
+    range_res, range_rows, delta, dist = range_residuals(rot, trans, obs[:5], jacobian)
     res_parts, jac_parts = [], []
-    if ranges is not None:
-        res_parts.append(np.sqrt(w_range) * (dist - ranges))
+    if range_res is not None:
+        res_parts.append(np.sqrt(w_range) * range_res)
         if jacobian:
-            unit = delta / dist[:, None]
-            jac_parts.append(np.sqrt(w_range) * pose_jacobian_rows(nodes, unit, rot))
+            jac_parts.append(np.sqrt(w_range) * range_rows)
     if aoa is not None:
         dx, dy, dz = delta[:, 0], delta[:, 1], delta[:, 2]
         az = np.arctan2(dy, dx)
@@ -364,9 +333,9 @@ def estimate_pose_nls(
     before squaring. With use_adoa=True the absolute azimuths are replaced
     by per-node differences against a reference anchor, for setups where
     anchor headings share an unknown offset. The default starting point is
-    the MDS estimate on the (completed, if necessary) EDM. Terminates when
-    the step norm drops below NLS_STEP_TOL or after NLS_MAX_ITERS iterations; a
-    missed tolerance or an exhausted damping schedule is reported via
+    the MDS estimate on the (completed, if necessary) EDM. The solver is
+    geometry.pose_gauss_newton capped at NLS_MAX_ITERS iterations; a missed
+    tolerance or an exhausted damping schedule is reported via
     `converged`/`message`, never silently.
     """
     jj, kk = np.nonzero(meas.mask)
@@ -388,68 +357,19 @@ def estimate_pose_nls(
             init = mds_from_ranges(meas, anchors, conf)[0].pose
 
     w_range, w_angle = _nls_weights(noise)
-    rot = np.array(init.rotation)
-    trans = np.array(init.translation)
-    conf_nodes = conf.nodes
-    anchor_xyz = anchors.anchors[jj]
-    ranges = None if meas.ranges is None else meas.ranges[jj, kk]
-    aoa = None if meas.aoa is None else meas.aoa[jj, kk]
-    obs = (conf_nodes, kk, conf_nodes[kk], anchor_xyz, ranges, aoa)
-
-    def cost_at(r, t):
-        res, _ = _nls_residuals(r, t, obs, w_range, w_angle, adoa_idx, jacobian=False)
-        return float(res @ res)
-
-    cost = cost_at(rot, trans)
-    lam = 1e-6
-    converged = False
-    message = ""
-    iterations = 0
-    for iterations in range(1, NLS_MAX_ITERS + 1):
-        res, jac = _nls_residuals(rot, trans, obs, w_range, w_angle, adoa_idx)
-        grad = jac.T @ res
-        hess = jac.T @ jac
-        # Marquardt scaling: damp relative to the curvature so the schedule
-        # works at any noise level (the weighted Hessian scales as 1/sigma^2).
-        diag = np.diag(hess)
-        damping_scale = np.diag(np.maximum(diag, 1e-12 * max(diag.max(), 1e-300)))
-        accepted = False
-        while lam <= 1e8:
-            try:
-                step = np.linalg.solve(hess + lam * damping_scale, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            rot_try = rot @ so3_exp(step[:3])
-            trans_try = trans + step[3:]
-            cost_try = cost_at(rot_try, trans_try)
-            # Accept non-increase up to float resolution of the cost itself:
-            # near the minimum no step can beat the ulp-level plateau.
-            if cost_try <= cost * (1.0 + 1e-12) + 1e-18:
-                accepted = True
-                break
-            lam *= 10.0
-        if not accepted:
-            message = "damping schedule exhausted without cost decrease"
-            break
-        rot, trans, cost = rot_try, trans_try, cost_try
-        lam = max(lam / 3.0, 1e-12)
-        if np.linalg.norm(step) < NLS_STEP_TOL:
-            converged = True
-            break
-    else:
-        message = f"step norm above {NLS_STEP_TOL} after {NLS_MAX_ITERS} iterations"
-
+    ranges, aoa = (None if m is None else m[jj, kk] for m in (meas.ranges, meas.aoa))
+    obs = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], ranges, aoa)
+    rot, trans, iterations, converged, message = pose_gauss_newton(
+        _nls_residuals, np.array(init.rotation), np.array(init.translation), NLS_MAX_ITERS,
+        args=(obs, w_range, w_angle, adoa_idx),
+    )
     projected = so3_project(rot)
     projection_distance = float(np.linalg.norm(projected - rot))
     pose = Pose(projected, trans)
-    if ranges is not None:
-        world = conf_nodes @ pose.rotation.T + pose.translation
-        d = np.linalg.norm(world[kk] - anchor_xyz, axis=1)
-        residual_rms = float(np.sqrt(np.mean((d - ranges) ** 2)))
-    else:
+    res = range_residuals(pose.rotation, pose.translation, obs[:5], jacobian=False)[0]
+    if res is None:
         res, _ = _nls_residuals(pose.rotation, trans, obs, 1.0, 1.0, adoa_idx, jacobian=False)
-        residual_rms = float(np.sqrt(np.mean(res**2)))
+    residual_rms = float(np.sqrt(np.mean(res**2)))
     return PoseEstimate(
         pose=pose,
         method_tag="nls",

@@ -305,6 +305,117 @@ def twist_jacobian_rows(nodes, units, rotation) -> np.ndarray:
     return _cross_rows(nodes @ rotation.T, units, units)
 
 
+def fit_alignment(source, target, weights, proper):
+    """Closed-form weighted alignment target ~ Q source + t.
+
+    With proper=True the result is constrained to SO(3) by flipping the
+    smallest singular direction when needed (Kabsch convention); otherwise
+    the best orthogonal matrix is returned, reflections included.
+    """
+    s = np.asarray(source, dtype=float)
+    y = np.asarray(target, dtype=float)
+    if weights is None:
+        w = np.full(s.shape[0], 1.0 / s.shape[0])
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (s.shape[0],) or np.any(w < 0.0) or not np.all(np.isfinite(w)):
+            raise ValueError("weights must be nonnegative finite, one per node")
+        total = w.sum()
+        if total <= 0.0:
+            raise ValueError("weights must not all be zero")
+        w = w / total
+    s_bar = w @ s
+    y_bar = w @ y
+    s_c = s - s_bar
+    y_c = y - y_bar
+    cross = (y_c * w[:, None]).T @ s_c
+    u, sv, vt = np.linalg.svd(cross)
+    if proper:
+        d = np.sign(np.linalg.det(u @ vt))
+        q = u @ np.diag([1.0, 1.0, d]) @ vt
+    else:
+        q = u @ vt
+    return q, y_bar - q @ s_bar, sv, s_c, w
+
+
+def range_residuals(rot, trans, links, jacobian=True):
+    """Range residuals of the links `links` = (nodes, kk, nodes[kk], anchor_xyz,
+    ranges) at the pose (rot, trans): body node kk[i] to anchor_xyz[i].
+
+    Returns (dist - ranges, their pose_jacobian_rows or None, offsets
+    R c_k + t - a_j, dist); with ranges None the first two are None.
+    """
+    nodes, kk, nodes_k, anchor_xyz, ranges = links
+    # The pose is applied before the gather: a matmul on gathered rows can round differently.
+    delta = (nodes @ rot.T + trans)[kk] - anchor_xyz
+    dist = np.sqrt(np.add.reduce(delta * delta, axis=1))  # what np.linalg.norm(axis=1) computes
+    if ranges is None:
+        return None, None, delta, dist
+    rows = pose_jacobian_rows(nodes_k, delta / dist[:, None], rot) if jacobian else None
+    return dist - ranges, rows, delta, dist
+
+
+POSE_STEP_TOL = 1e-10
+
+
+def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
+    """Damped Gauss-Newton least-squares fit of a pose (rot, trans).
+
+    `residuals(rot, trans, *args, jacobian)` returns the residual vector
+    and, when `jacobian` is true, its rows for a right perturbation
+    (rot expm([d_theta]x), trans + d_t), else None. The rows are asked for
+    exactly once per iteration, at that iteration's starting pose. Stops
+    when an accepted step norm is below POSE_STEP_TOL or after `max_iters`
+    iterations. Returns (rot, trans, iterations, converged, message); the
+    message names a missed tolerance or an exhausted damping schedule.
+    """
+
+    def cost_at(r, t):
+        res, _ = residuals(r, t, *args, False)
+        return float(res @ res)
+
+    cost = cost_at(rot, trans)
+    lam = 1e-6
+    converged = False
+    message = ""
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        res, jac = residuals(rot, trans, *args, True)
+        grad = jac.T @ res
+        hess = jac.T @ jac
+        # Marquardt scaling: damp relative to the curvature so the schedule
+        # works at any noise level (the weighted Hessian scales as 1/sigma^2).
+        diag = np.diag(hess)
+        damping_scale = np.diag(np.maximum(diag, 1e-12 * max(diag.max(), 1e-300)))
+        accepted = False
+        while lam <= 1e8:
+            try:
+                step = np.linalg.solve(hess + lam * damping_scale, -grad)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            rot_try = rot @ so3_exp(step[:3])
+            trans_try = trans + step[3:]
+            cost_try = cost_at(rot_try, trans_try)
+            # Accept non-increase up to float resolution of the cost itself:
+            # near the minimum no step can beat the ulp-level plateau.
+            if cost_try <= cost * (1.0 + 1e-12) + 1e-18:
+                accepted = True
+                break
+            lam *= 10.0
+        if not accepted:
+            message = "damping schedule exhausted without cost decrease"
+            break
+        rot, trans, cost = rot_try, trans_try, cost_try
+        lam = max(lam / 3.0, 1e-12)
+        if np.linalg.norm(step) < POSE_STEP_TOL:
+            converged = True
+            break
+    else:
+        message = f"step norm above {POSE_STEP_TOL} after {max_iters} iterations"
+    return rot, trans, iterations, converged, message
+
+
 def node_velocities(state: RigidBodyState) -> np.ndarray:
     """Per-node world velocities [w]x R c_k + tdot (K, 3)."""
     if state.twist is None:

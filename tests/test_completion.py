@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rblkit.completion import (
     centered_gram,
@@ -10,7 +12,9 @@ from rblkit.completion import (
     zero_imputed,
 )
 from rblkit.errors import CompletionInfeasibleError, IncompleteEdmError
-from rblkit.geometry import Conformation, Pose, RigidBodyState, random_rotation
+from rblkit.estimators import mds_from_ranges
+from rblkit.geometry import Conformation, Pose, RigidBodyState, random_rotation, so3_exp
+from rblkit.harness import derive_seed, draw_trial, preset
 from rblkit.measurement import (
     AnchorSet,
     Edm,
@@ -45,11 +49,15 @@ def cube_edm(sigma=0.0, seed=0, pose=None) -> tuple[Edm, np.ndarray]:
 def drop_cross_entries(edm: Edm, fraction: float, seed: int) -> Edm:
     """Remove a random fraction of cross entries, keeping >= 1 per node."""
     rng = np.random.default_rng(seed)
-    a, k = edm.n_anchors, edm.n_nodes
     while True:
-        keep = rng.random((a, k)) >= fraction
+        keep = rng.random((edm.n_anchors, edm.n_nodes)) >= fraction
         if keep.any(axis=0).all():
-            break
+            return mask_cross_entries(edm, keep)
+
+
+def mask_cross_entries(edm: Edm, keep: np.ndarray) -> Edm:
+    """Keep only the cross entries where `keep` (anchors x nodes) is True."""
+    a = edm.n_anchors
     d = edm.squared_distances.copy()
     known = edm.known_mask.copy()
     known[:a, a:] = keep
@@ -187,6 +195,68 @@ class TestCompletionBenefit:
             sq_completed += np.linalg.norm(est_c.pose.translation - truth.translation) ** 2
             sq_zero += np.linalg.norm(est_z.pose.translation - truth.translation) ** 2
         assert sq_completed / trials < sq_zero / trials
+
+
+def affine_rank(points) -> int:
+    return int(np.linalg.matrix_rank(points - points.mean(axis=0), tol=1e-9))
+
+
+@st.composite
+def posed_masks(draw, flat_anchors, flat_body):
+    """A preset geometry (fig4 cube or fig5 car) with its anchors and/or
+    body optionally cut to their top faces (coplanar anchors, a planar
+    body), a pose, and a random cross mask in which every node is ranged by
+    anchors spanning the anchors' affine hull: four non-coplanar ones, or
+    three non-collinear ones when the anchors are coplanar."""
+    scenario, _ = preset(draw(st.sampled_from(["fig4", "fig5"])))
+    anchors, nodes = scenario.anchors.anchors, scenario.conformation.nodes
+    if flat_anchors:
+        anchors = anchors[anchors[:, 2] > 0.0]
+    if flat_body:
+        nodes = nodes[nodes[:, 2] > 0.0]
+    a, k = anchors.shape[0], nodes.shape[0]
+    axis_angle = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    box = scenario.pose_distribution
+    trans = [draw(st.floats(lo, hi)) for lo, hi in zip(box.translation_low, box.translation_high)]
+    keep = np.array(draw(st.lists(st.booleans(), min_size=a * k, max_size=a * k))).reshape(a, k)
+    for node in range(k):
+        spanning = []
+        for j in draw(st.permutations(range(a))):
+            if affine_rank(anchors[spanning + [j]]) == len(spanning):
+                spanning.append(j)
+        keep[spanning, node] = True
+    return AnchorSet(anchors), Conformation(nodes), Pose(so3_exp(axis_angle), trans), keep
+
+
+class TestCompletionRecovery:
+    @pytest.mark.parametrize(
+        "flat_anchors, flat_body",
+        [(False, False), (False, True), (True, False), (True, True)],
+        ids=["solid", "planar-body", "coplanar-anchors", "both-planar"],
+    )
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_noiseless_completion_is_exact(self, flat_anchors, flat_body, data):
+        anchors, conf, pose, keep = data.draw(posed_masks(flat_anchors, flat_body))
+        meas = simulate_measurements(anchors, RigidBodyState(conf, pose), NoiseModel())
+        edm = assemble_edm(anchors, conf, meas)
+        masked = mask_cross_entries(edm, keep)
+        out = complete_edm(masked).completed.squared_distances
+        truth, known = edm.squared_distances, masked.known_mask
+        rel = np.abs(out[~known] - truth[~known]) / truth[~known]
+        assert rel.max(initial=0.0) < 1e-9
+        assert np.array_equal(out[known], masked.squared_distances[known])
+
+    def test_fig5_mds_tail(self):
+        # Rank alternation left 26 of these 200 draws more than 0.1 m off
+        # (max 6.1 m) at a spurious fixed point.
+        scenario, _ = preset("fig5")
+        errors = []
+        for trial in range(200):
+            truth, meas = draw_trial(scenario, 0.01, derive_seed(606, 1, 0, trial))
+            estimate, _ = mds_from_ranges(meas, scenario.anchors, scenario.conformation)
+            errors.append(np.linalg.norm(estimate.pose.translation - truth.translation))
+        assert max(errors) < 0.1
 
 
 class TestZeroImputed:

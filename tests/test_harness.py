@@ -215,15 +215,15 @@ class TestRunBenchmark:
             (
                 BlockageSpec(kind="bernoulli", p=0.2),
                 ("mds", "nls", "gabp"),
-                "0.05,mds,0.0352775284293,2.54451736223,0.0220823220682,1.82237936126,2,0\n"
-                "0.05,nls,0.0226994434138,1.81805566795,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,mds,0.0301790078684,2.1309655277,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,nls,0.0226994434138,1.81805566797,0.0220823220682,1.82237936126,2,0\n"
                 "0.05,gabp,0.0348298870294,1.39710556955,0.0220823220682,1.82237936126,2,0\n",
             ),
             (
                 BlockageSpec(kind="hull"),
                 ("mds", "nls", "gabp"),
-                "0.05,mds,0.0353146114224,1.29690276999,0.022252289804,1.6475984787,2,0\n"
-                "0.05,nls,0.0116486175291,1.18381867262,0.022252289804,1.6475984787,2,0\n"
+                "0.05,mds,0.0167776467542,1.30649834604,0.022252289804,1.6475984787,2,0\n"
+                "0.05,nls,0.011648617529,1.18381867262,0.022252289804,1.6475984787,2,0\n"
                 "0.05,gabp,0.0284302194567,1.66291685525,0.022252289804,1.6475984787,2,0\n",
             ),
         ],
