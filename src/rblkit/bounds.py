@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RblError
-from .geometry import Conformation, Pose, apply_pose, pose_jacobian_rows
+from .geometry import Conformation, Pose, apply_pose, pose_jacobian_rows, range_residuals
 from .measurement import AnchorSet
 
 _SINGULAR_RCOND = 1e-12
@@ -53,12 +53,11 @@ def range_jacobian(anchors: AnchorSet, conf: Conformation, pose: Pose, mask=None
     """
     mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
     jj, kk = np.nonzero(mask)
-    world = apply_pose(conf, pose)
-    delta = world[kk] - anchors.anchors[jj]
-    dist = np.linalg.norm(delta, axis=1)
+    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None)
+    _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
     if np.any(dist <= 0.0):
         raise RblError("anchor coincides with a node; range gradient undefined")
-    return pose_jacobian_rows(conf.nodes[kk], delta / dist[:, None], pose.rotation)
+    return pose_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)
 
 
 def _full_mask(anchors: AnchorSet, conf: Conformation) -> np.ndarray:

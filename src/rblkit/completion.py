@@ -103,8 +103,9 @@ def complete_edm(edm: Edm, max_iters: int = 500) -> CompletionReport:
     a zero third coordinate). The linear least-squares fit of the observed
     squared cross distances fills the others; the MDS of that EDM, aligned
     to both blocks, starts geometry.pose_gauss_newton on the observed
-    distances, capped at `max_iters` iterations. Known entries of the output
-    are identical to the input.
+    distances until a step accepted on the first damping try moves the cost
+    by at most 1e-12 relative (`converged`), or for `max_iters` iterations.
+    Known entries of the output are identical to the input.
 
     Raises CompletionInfeasibleError when some node has no known cross
     entry at all, listing the node indices.

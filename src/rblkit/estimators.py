@@ -334,9 +334,10 @@ def estimate_pose_nls(
     by per-node differences against a reference anchor, for setups where
     anchor headings share an unknown offset. The default starting point is
     the MDS estimate on the (completed, if necessary) EDM. The solver is
-    geometry.pose_gauss_newton capped at NLS_MAX_ITERS iterations; a missed
-    tolerance or an exhausted damping schedule is reported via
-    `converged`/`message`, never silently.
+    geometry.pose_gauss_newton, converged once a step accepted on the first
+    damping try moves the cost by at most 1e-12 relative; missing that in
+    NLS_MAX_ITERS iterations, or an exhausted damping schedule, is reported
+    via `converged`/`message`, never silently.
     """
     jj, kk = np.nonzero(meas.mask)
     adoa_idx = None

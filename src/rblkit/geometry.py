@@ -355,19 +355,20 @@ def range_residuals(rot, trans, links, jacobian=True):
     return dist - ranges, rows, delta, dist
 
 
-POSE_STEP_TOL = 1e-10
-
-
 def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     """Damped Gauss-Newton least-squares fit of a pose (rot, trans).
 
     `residuals(rot, trans, *args, jacobian)` returns the residual vector
     and, when `jacobian` is true, its rows for a right perturbation
     (rot expm([d_theta]x), trans + d_t), else None. The rows are asked for
-    exactly once per iteration, at that iteration's starting pose. Stops
-    when an accepted step norm is below POSE_STEP_TOL or after `max_iters`
-    iterations. Returns (rot, trans, iterations, converged, message); the
-    message names a missed tolerance or an exhausted damping schedule.
+    exactly once per iteration, at that iteration's starting pose. A step is
+    accepted when it raises the cost by at most the band cost * 1e-12 +
+    1e-18. The fit has converged when a step accepted on the first damping
+    try moves the cost by no more than that band: a relative test, the same
+    at any noise level and in any units, that a step damping had to shrink
+    never passes. Returns (rot, trans, iterations, converged, message); the
+    message names the missed test and the `max_iters` cap it hit, or an
+    exhausted damping schedule.
     """
 
     def cost_at(r, t):
@@ -387,7 +388,7 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
         # works at any noise level (the weighted Hessian scales as 1/sigma^2).
         diag = np.diag(hess)
         damping_scale = np.diag(np.maximum(diag, 1e-12 * max(diag.max(), 1e-300)))
-        accepted = False
+        start_lam, band = lam, cost * 1e-12 + 1e-18
         while lam <= 1e8:
             try:
                 step = np.linalg.solve(hess + lam * damping_scale, -grad)
@@ -399,20 +400,19 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
             cost_try = cost_at(rot_try, trans_try)
             # Accept non-increase up to float resolution of the cost itself:
             # near the minimum no step can beat the ulp-level plateau.
-            if cost_try <= cost * (1.0 + 1e-12) + 1e-18:
-                accepted = True
+            if cost_try <= cost + band:
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             message = "damping schedule exhausted without cost decrease"
             break
+        converged = lam == start_lam and abs(cost - cost_try) <= band
         rot, trans, cost = rot_try, trans_try, cost_try
         lam = max(lam / 3.0, 1e-12)
-        if np.linalg.norm(step) < POSE_STEP_TOL:
-            converged = True
+        if converged:
             break
     else:
-        message = f"step norm above {POSE_STEP_TOL} after {max_iters} iterations"
+        message = f"cost change above relative 1e-12 after {max_iters} iterations"
     return rot, trans, iterations, converged, message
 
 

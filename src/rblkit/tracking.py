@@ -30,8 +30,8 @@ from .geometry import (
     Pose,
     RigidBodyState,
     Twist,
-    apply_pose,
     propagate_state,
+    range_residuals,
     twist_jacobian_rows,
 )
 from .measurement import AnchorSet, MeasurementSet, NoiseModel
@@ -60,10 +60,9 @@ def estimate_twist(
     jj, kk = np.nonzero(mask)
     if jj.size < 6:
         raise UnderdeterminedError(f"twist has 6 degrees of freedom; got {jj.size} rates")
-    world = apply_pose(conf, pose)
-    delta = world[kk] - anchors.anchors[jj]
-    dist = np.linalg.norm(delta, axis=1)
-    rows = twist_jacobian_rows(conf.nodes[kk], delta / dist[:, None], pose.rotation)
+    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None)
+    _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
+    rows = twist_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)
     obs = rates[jj, kk]
     if weights is not None:
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])

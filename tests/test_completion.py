@@ -258,6 +258,19 @@ class TestCompletionRecovery:
             errors.append(np.linalg.norm(estimate.pose.translation - truth.translation))
         assert max(errors) < 0.1
 
+    def test_fig5_sigma_one_fits_converge(self):
+        # An absolute step-norm test left 10 of these 200 fits at the
+        # 500-iteration cap (64.5 iterations on average): large-residual
+        # Gauss-Newton creeps inside the cost's float-resolution band.
+        scenario, _ = preset("fig5")
+        reports = []
+        for trial in range(200):
+            _, meas = draw_trial(scenario, 1.0, derive_seed(606, 1, 0, trial))
+            edm = assemble_edm(scenario.anchors, scenario.conformation, meas)
+            reports.append(complete_edm(edm))
+        assert sum(not r.converged for r in reports) <= 2
+        assert np.mean([r.iterations for r in reports]) < 40
+
 
 class TestZeroImputed:
     def test_fills_unknown_with_zero(self):

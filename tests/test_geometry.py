@@ -22,9 +22,11 @@ from rblkit.geometry import (
     node_velocities,
     pairwise_distances,
     parse_points,
+    pose_gauss_newton,
     pose_jacobian_rows,
     propagate_state,
     random_rotation,
+    range_residuals,
     rotation_error_deg,
     so3_exp,
     so3_log,
@@ -184,6 +186,59 @@ class TestJacobianRows:
         assert np.array_equal(twist_jacobian_rows(nodes, units, rot), expected)
 
 
+def cube_range_links(pose):
+    """Range links of the unit cube ranged from the 8 corners of a side-3
+    cube, with the exact ranges at `pose`."""
+    nodes, anchors = unit_cube().nodes, 3.0 * unit_cube().nodes
+    jj, kk = np.nonzero(np.ones((8, 8), dtype=bool))
+    links = (nodes, kk, nodes[kk], anchors[jj], None)
+    dist = range_residuals(pose.rotation, pose.translation, links, False)[3]
+    return links[:4] + (dist,)
+
+
+def range_fit(rot, trans, links, jacobian):
+    return range_residuals(rot, trans, links, jacobian)[:2]
+
+
+class TestPoseGaussNewton:
+    def test_exact_minimum_converges_in_one_iteration(self):
+        pose = random_pose(np.random.default_rng(41))
+        links = cube_range_links(pose)
+        rot, trans, iterations, converged, message = pose_gauss_newton(
+            range_fit, pose.rotation, pose.translation, 50, args=(links,)
+        )
+        assert (iterations, converged, message) == (1, True, "")
+        assert rotation_error_deg(rot, pose.rotation) < 1e-9
+        assert np.abs(trans - pose.translation).max() < 1e-12
+
+    def test_step_accepted_after_a_rejection_never_converges(self):
+        # The cost callback rejects the first try of every iteration, then
+        # accepts a second try that leaves the cost exactly where it was.
+        costs = iter([1.0] + [4.0, 1.0] * 3)
+        jac = np.eye(6)
+
+        def residuals(rot, trans, jacobian):
+            if jacobian:
+                return np.full(6, 1.0 / np.sqrt(6.0)), jac
+            return np.full(6, np.sqrt(next(costs) / 6.0)), None
+
+        *_, iterations, converged, message = pose_gauss_newton(
+            residuals, np.eye(3), np.zeros(3), 3
+        )
+        assert (iterations, converged) == (3, False)
+        assert message == "cost change above relative 1e-12 after 3 iterations"
+
+    def test_max_iters_reports_the_missed_test(self):
+        pose = random_pose(np.random.default_rng(43))
+        links = cube_range_links(pose)
+        start = pose.rotation @ so3_exp([0.4, 0.3, -0.2])
+        *_, iterations, converged, message = pose_gauss_newton(
+            range_fit, start, pose.translation - 0.2, 2, args=(links,)
+        )
+        assert (iterations, converged) == (2, False)
+        assert message == "cost change above relative 1e-12 after 2 iterations"
+
+
 class TestNodeVelocities:
     def test_pure_translation(self):
         v = np.array([0.3, -0.2, 1.0])
@@ -232,6 +287,17 @@ class TestSo3:
             axis /= np.linalg.norm(axis)
             v = axis * rng.uniform(1e-8, np.pi - 1e-7)
             assert np.abs(so3_log(so3_exp(v)) - v).max() < 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        arrays(np.float64, 3, elements=st.floats(-1.0, 1.0)).filter(
+            lambda a: np.linalg.norm(a) > 1e-3
+        ),
+        st.floats(0.0, np.pi - 1e-6),
+    )
+    def test_log_exp_round_trip_property(self, axis, angle):
+        v = axis / np.linalg.norm(axis) * angle
+        assert np.abs(so3_log(so3_exp(v)) - v).max() < 1e-9
 
     def test_project_fixed_point(self):
         rng = np.random.default_rng(33)

@@ -210,20 +210,20 @@ class TestRunBenchmark:
                 BlockageSpec(),
                 ("mds", "nls"),
                 "0.05,mds,0.0257920837319,1.35727556401,0.0187542792902,1.5307072612,2,0\n"
-                "0.05,nls,0.0190811277024,1.1444521639,0.0187542792902,1.5307072612,2,0\n",
+                "0.05,nls,0.0190811277493,1.14445219608,0.0187542792902,1.5307072612,2,0\n",
             ),
             (
                 BlockageSpec(kind="bernoulli", p=0.2),
                 ("mds", "nls", "gabp"),
-                "0.05,mds,0.0301790078684,2.1309655277,0.0220823220682,1.82237936126,2,0\n"
-                "0.05,nls,0.0226994434138,1.81805566797,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,mds,0.0301790078752,2.13096552663,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,nls,0.0226994435361,1.81805568151,0.0220823220682,1.82237936126,2,0\n"
                 "0.05,gabp,0.0348298870294,1.39710556955,0.0220823220682,1.82237936126,2,0\n",
             ),
             (
                 BlockageSpec(kind="hull"),
                 ("mds", "nls", "gabp"),
-                "0.05,mds,0.0167776467542,1.30649834604,0.022252289804,1.6475984787,2,0\n"
-                "0.05,nls,0.011648617529,1.18381867262,0.022252289804,1.6475984787,2,0\n"
+                "0.05,mds,0.0167776468458,1.30649833466,0.022252289804,1.6475984787,2,0\n"
+                "0.05,nls,0.0116486176596,1.18381868865,0.022252289804,1.6475984787,2,0\n"
                 "0.05,gabp,0.0284302194567,1.66291685525,0.022252289804,1.6475984787,2,0\n",
             ),
         ],
