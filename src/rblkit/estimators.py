@@ -287,6 +287,8 @@ def _nls_residuals(rot, trans, obs, w_range, w_angle, adoa_idx, jacobian=True):
     """
     nodes, aoa = obs[2], obs[5]
     range_res, range_rows, delta, dist = range_residuals(rot, trans, obs[:5], jacobian)
+    if aoa is None:
+        return np.sqrt(w_range) * range_res, (np.sqrt(w_range) * range_rows if jacobian else None)
     res_parts, jac_parts = [], []
     if range_res is not None:
         res_parts.append(np.sqrt(w_range) * range_res)

@@ -7,6 +7,7 @@ velocity w and translational velocity tdot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from .errors import (
 )
 
 ORTHONORMALITY_TOL = 1e-9
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -30,12 +33,6 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def skew(v) -> np.ndarray:
-    """Cross-product operator matrix [v]x such that [v]x u = v x u."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
 def so3_exp(axis_angle) -> np.ndarray:
     """Rodrigues map from an axis-angle vector to a rotation matrix.
 
@@ -43,15 +40,16 @@ def so3_exp(axis_angle) -> np.ndarray:
     expansions of sin(t)/t and (1-cos(t))/t^2 to avoid cancellation.
     """
     v = np.asarray(axis_angle, dtype=float)
-    theta = float(np.linalg.norm(v))
-    k = skew(v)
+    theta = math.sqrt(v.dot(v))  # what np.linalg.norm computes
+    x, y, z = v
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])  # [v]x
     if theta < 1e-6:
         a = 1.0 - theta**2 / 6.0
         b = 0.5 - theta**2 / 24.0
     else:
         a = np.sin(theta) / theta
         b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * k + b * (k @ k)
+    return _EYE3 + a * k + b * (k @ k)
 
 
 def _quat_from_matrix(r: np.ndarray) -> np.ndarray:
@@ -386,12 +384,14 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
         hess = jac.T @ jac
         # Marquardt scaling: damp relative to the curvature so the schedule
         # works at any noise level (the weighted Hessian scales as 1/sigma^2).
-        diag = np.diag(hess)
-        damping_scale = np.diag(np.maximum(diag, 1e-12 * max(diag.max(), 1e-300)))
+        diag = hess.diagonal()
+        scale = np.maximum(diag, 1e-12 * max(diag.max(), 1e-300))
         start_lam, band = lam, cost * 1e-12 + 1e-18
         while lam <= 1e8:
+            damped = hess.copy()
+            damped.flat[::7] += lam * scale
             try:
-                step = np.linalg.solve(hess + lam * damping_scale, -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
