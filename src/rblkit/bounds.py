@@ -53,8 +53,8 @@ def range_jacobian(anchors: AnchorSet, conf: Conformation, pose: Pose, mask=None
     """
     mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
     jj, kk = np.nonzero(mask)
-    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None)
-    _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
+    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None, None)
+    _, _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
     if np.any(dist <= 0.0):
         raise RblError("anchor coincides with a node; range gradient undefined")
     return pose_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletionInfeasibleError, IncompleteEdmError
-from .geometry import fit_alignment, pose_gauss_newton, range_residuals
+from .geometry import fit_alignment, pose_gauss_newton, range_links, range_residuals
 from .measurement import Edm
 
 
@@ -102,9 +102,9 @@ def complete_edm(edm: Edm, max_iters: int = 500) -> CompletionReport:
     Both diagonal blocks embed exactly by classical MDS (a planar block with
     a zero third coordinate). The linear least-squares fit of the observed
     squared cross distances fills the others; the MDS of that EDM, aligned
-    to both blocks, starts geometry.pose_gauss_newton on the observed
-    distances until a step accepted on the first damping try moves the cost
-    by at most 1e-12 relative (`converged`), or for `max_iters` iterations.
+    to both blocks, starts geometry.pose_gauss_newton's Newton steps on the
+    observed distances until a step accepted on the first damping try moves
+    the cost by at most 1e-12 relative (`converged`), or for `max_iters`.
     Known entries of the output are identical to the input.
 
     Raises CompletionInfeasibleError when some node has no known cross
@@ -132,17 +132,17 @@ def complete_edm(edm: Edm, max_iters: int = 500) -> CompletionReport:
     q, trans, _, _, _ = fit_alignment(nodes, points[a:] @ q.T + shift, None, proper=False)
 
     (jj, kk), (mj, mk) = np.nonzero(cross_known), np.nonzero(~cross_known)
-    links = (nodes, kk, nodes[kk], anchors[jj], np.sqrt(d[:a, a:][cross_known]))
-    missing = (nodes, mk, None, anchors[mj], None)
+    links = range_links(nodes, kk, anchors[jj], np.sqrt(d[:a, a:][cross_known]))
+    missing = (nodes, mk, None, anchors[mj], None, None)
     fills = []  # the unknown entries at each iteration's starting pose, then at the fit
 
     def residuals(r, t, jacobian):
         if jacobian:
-            fills.append(range_residuals(r, t, missing, False)[3] ** 2)
-        return range_residuals(r, t, links, jacobian)[:2]
+            fills.append(range_residuals(r, t, missing, False)[4] ** 2)
+        return range_residuals(r, t, links, jacobian)[:3]
 
     rot, trans, iterations, converged, _ = pose_gauss_newton(residuals, q, trans, max_iters)
-    fills.append(range_residuals(rot, trans, missing, False)[3] ** 2)
+    fills.append(range_residuals(rot, trans, missing, False)[4] ** 2)
     history = tuple(float(np.abs(new - old).max()) for old, new in zip(fills, fills[1:]))
     fit = edm_from_points(np.vstack([anchors, nodes @ rot.T + trans]))
     mismatch = float(np.abs(fit[known] - d[known]).max())

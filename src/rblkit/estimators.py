@@ -35,6 +35,7 @@ from .geometry import (
     fit_alignment,
     pose_gauss_newton,
     pose_jacobian_rows,
+    range_links,
     range_residuals,
     so3_project,
 )
@@ -275,49 +276,50 @@ def _adoa_indices(jj, kk):
 
 
 def _nls_residuals(rot, trans, obs, w_range, w_angle, adoa_idx, jacobian=True):
-    """Stacked weighted residuals and Jacobian rows at (rot, trans).
+    """Stacked weighted residuals, Jacobian rows and curvature at (rot, trans).
 
-    `obs` holds the geometry.range_residuals links of the observed entries,
-    then their AoA pairs, gathered once per solve (ranges or AoA are None
-    when not measured). Rows are ordered ranges first, then azimuths
-    (absolute, or reference-differenced when adoa_idx is given) and
-    elevations, each scaled by the square root of its type weight. The
-    Jacobian is taken with respect to a right perturbation (rot -> rot
-    expm(d_theta), trans -> trans + d_t); with jacobian=False it is None.
+    `obs` holds the geometry.range_links of the observed entries, then their
+    AoA pairs, gathered once per solve (ranges or AoA are None when not
+    measured). Rows are ordered ranges first, then azimuths (absolute, or
+    reference-differenced when adoa_idx is given) and elevations, each
+    scaled by the square root of its type weight, for a right perturbation
+    (rot -> rot expm(d_theta), trans -> trans + d_t). The curvature is the
+    range block's alone; jacobian=False gives None for rows and curvature.
     """
-    nodes, aoa = obs[2], obs[5]
-    range_res, range_rows, delta, dist = range_residuals(rot, trans, obs[:5], jacobian)
+    nodes, aoa = obs[2], obs[6]
+    range_res, range_rows, curv, delta, dist = range_residuals(rot, trans, obs[:6], jacobian)
+    curv = None if curv is None else w_range * curv
+    sw = np.sqrt(w_range)
     if aoa is None:
-        return np.sqrt(w_range) * range_res, (np.sqrt(w_range) * range_rows if jacobian else None)
+        return sw * range_res, (sw * range_rows if jacobian else None), curv
     res_parts, jac_parts = [], []
     if range_res is not None:
-        res_parts.append(np.sqrt(w_range) * range_res)
+        res_parts.append(sw * range_res)
         if jacobian:
-            jac_parts.append(np.sqrt(w_range) * range_rows)
-    if aoa is not None:
-        dx, dy, dz = delta[:, 0], delta[:, 1], delta[:, 2]
-        az = np.arctan2(dy, dx)
-        el = np.arcsin(np.clip(dz / dist, -1.0, 1.0))
+            jac_parts.append(sw * range_rows)
+    dx, dy, dz = delta[:, 0], delta[:, 1], delta[:, 2]
+    az = np.arctan2(dy, dx)
+    el = np.arcsin(np.clip(dz / dist, -1.0, 1.0))
+    if adoa_idx is not None:
+        sel, refs = adoa_idx
+        meas_diff = wrap_angle(aoa[sel, 0] - aoa[refs, 0])
+        res_parts.append(np.sqrt(w_angle) * wrap_angle(az[sel] - az[refs] - meas_diff))
+    else:
+        res_parts.append(np.sqrt(w_angle) * wrap_angle(az - aoa[:, 0]))
+    res_parts.append(np.sqrt(w_angle) * (el - aoa[:, 1]))
+    if jacobian:
+        rho2 = dx**2 + dy**2
+        rho = np.sqrt(rho2)
+        az_rows = np.stack([-dy / rho2, dx / rho2, np.zeros_like(dx)], axis=1)
+        el_rows = np.stack(
+            [-dx * dz / (dist**2 * rho), -dy * dz / (dist**2 * rho), rho / dist**2], axis=1
+        )
+        az_jac = pose_jacobian_rows(nodes, az_rows, rot)
         if adoa_idx is not None:
-            sel, refs = adoa_idx
-            meas_diff = wrap_angle(aoa[sel, 0] - aoa[refs, 0])
-            res_parts.append(np.sqrt(w_angle) * wrap_angle(az[sel] - az[refs] - meas_diff))
-        else:
-            res_parts.append(np.sqrt(w_angle) * wrap_angle(az - aoa[:, 0]))
-        res_parts.append(np.sqrt(w_angle) * (el - aoa[:, 1]))
-        if jacobian:
-            rho2 = dx**2 + dy**2
-            rho = np.sqrt(rho2)
-            az_rows = np.stack([-dy / rho2, dx / rho2, np.zeros_like(dx)], axis=1)
-            el_rows = np.stack(
-                [-dx * dz / (dist**2 * rho), -dy * dz / (dist**2 * rho), rho / dist**2], axis=1
-            )
-            az_jac = pose_jacobian_rows(nodes, az_rows, rot)
-            if adoa_idx is not None:
-                az_jac = az_jac[sel] - az_jac[refs]
-            jac_parts.append(np.sqrt(w_angle) * az_jac)
-            jac_parts.append(np.sqrt(w_angle) * pose_jacobian_rows(nodes, el_rows, rot))
-    return np.concatenate(res_parts), (np.vstack(jac_parts) if jacobian else None)
+            az_jac = az_jac[sel] - az_jac[refs]
+        jac_parts.append(np.sqrt(w_angle) * az_jac)
+        jac_parts.append(np.sqrt(w_angle) * pose_jacobian_rows(nodes, el_rows, rot))
+    return np.concatenate(res_parts), (np.vstack(jac_parts) if jacobian else None), curv
 
 
 def estimate_pose_nls(
@@ -328,7 +330,7 @@ def estimate_pose_nls(
     noise: NoiseModel | None = None,
     use_adoa: bool = False,
 ) -> PoseEstimate:
-    """Damped Gauss-Newton fit of the pose to all observed measurements.
+    """Damped Newton fit of the pose to all observed measurements.
 
     Residual types are weighted by their inverse noise variances (weight 1
     where the noise level is zero or unknown); angle residuals are wrapped
@@ -336,10 +338,10 @@ def estimate_pose_nls(
     by per-node differences against a reference anchor, for setups where
     anchor headings share an unknown offset. The default starting point is
     the MDS estimate on the (completed, if necessary) EDM. The solver is
-    geometry.pose_gauss_newton, converged once a step accepted on the first
-    damping try moves the cost by at most 1e-12 relative; missing that in
-    NLS_MAX_ITERS iterations, or an exhausted damping schedule, is reported
-    via `converged`/`message`, never silently.
+    geometry.pose_gauss_newton, Newton on the range terms, converged once a
+    step accepted on the first damping try moves the cost by at most 1e-12
+    relative; missing that in NLS_MAX_ITERS iterations, or an exhausted
+    damping schedule, is reported via `converged`/`message`, never silently.
     """
     jj, kk = np.nonzero(meas.mask)
     adoa_idx = None
@@ -361,7 +363,7 @@ def estimate_pose_nls(
 
     w_range, w_angle = _nls_weights(noise)
     ranges, aoa = (None if m is None else m[jj, kk] for m in (meas.ranges, meas.aoa))
-    obs = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], ranges, aoa)
+    obs = range_links(conf.nodes, kk, anchors.anchors[jj], ranges) + (aoa,)
     rot, trans, iterations, converged, message = pose_gauss_newton(
         _nls_residuals, np.array(init.rotation), np.array(init.translation), NLS_MAX_ITERS,
         args=(obs, w_range, w_angle, adoa_idx),
@@ -369,9 +371,9 @@ def estimate_pose_nls(
     projected = so3_project(rot)
     projection_distance = float(np.linalg.norm(projected - rot))
     pose = Pose(projected, trans)
-    res = range_residuals(pose.rotation, pose.translation, obs[:5], jacobian=False)[0]
+    res = range_residuals(pose.rotation, pose.translation, obs[:6], jacobian=False)[0]
     if res is None:
-        res, _ = _nls_residuals(pose.rotation, trans, obs, 1.0, 1.0, adoa_idx, jacobian=False)
+        res = _nls_residuals(pose.rotation, trans, obs, 1.0, 1.0, adoa_idx, jacobian=False)[0]
     residual_rms = float(np.sqrt(np.mean(res**2)))
     return PoseEstimate(
         pose=pose,

@@ -8,6 +8,7 @@ velocity w and translational velocity tdot.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from .errors import (
 
 ORTHONORMALITY_TOL = 1e-9
 _EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
+_EYE3.flags.writeable = False
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -41,8 +42,7 @@ def so3_exp(axis_angle) -> np.ndarray:
     """
     v = np.asarray(axis_angle, dtype=float)
     theta = math.sqrt(v.dot(v))  # what np.linalg.norm computes
-    x, y, z = v
-    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])  # [v]x
+    k = np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])  # [v]x
     if theta < 1e-6:
         a = 1.0 - theta**2 / 6.0
         b = 0.5 - theta**2 / 24.0
@@ -336,41 +336,73 @@ def fit_alignment(source, target, weights, proper):
     return q, y_bar - q @ s_bar, sv, s_c, w
 
 
-def range_residuals(rot, trans, links, jacobian=True):
-    """Range residuals of the links `links` = (nodes, kk, nodes[kk], anchor_xyz,
-    ranges) at the pose (rot, trans): body node kk[i] to anchor_xyz[i].
+_LEVERS = np.zeros((4, 3, 6))  # [c, 1] @ _LEVERS.reshape(4, 18) is [-[c]x, I], flattened
+_LEVERS[:3, :, :3], _LEVERS[3, :, 3:] = np.cross(_EYE3[:, None], _EYE3), _EYE3
 
-    Returns (dist - ranges, their pose_jacobian_rows or None, offsets
-    R c_k + t - a_j, dist); with ranges None the first two are None.
+
+def range_links(nodes, kk, anchor_xyz, ranges):
+    """range_residuals' links (nodes, kk, nodes[kk], anchor_xyz, ranges, levers) of body node
+    kk[i] to anchor_xyz[i]; levers[i] is [-[c]x, I] for the link's body point c."""
+    nodes_k = nodes[kk]
+    levers = (nodes_k @ _LEVERS[:3].reshape(3, 18) + _LEVERS[3].ravel()).reshape(-1, 3, 6)
+    return nodes, kk, nodes_k, anchor_xyz, ranges, levers
+
+
+def range_residuals(rot, trans, links, jacobian=True):
+    """Range residuals of the range_links `links` at the pose (rot, trans).
+
+    Returns (dist - ranges, their pose_jacobian_rows, their curvature,
+    offsets R c_k + t - a_j, dist). The curvature sum_i r_i Hess(r_i) is the
+    Hessian term Gauss-Newton drops, in the rows' chart: with L_i =
+    [-[c_i]x, R^T], g_i = R^T u_i for the unit line of sight u_i, row_i =
+    g_i L_i and alpha_i = r_i / d_i, link i adds alpha_i (L_i^T L_i -
+    row_i^T row_i), plus r_i ((g_i c_i^T + c_i g_i^T) / 2 - (g_i . c_i) I)
+    in the rotation block. Rows and curvature are None without `jacobian`
+    (levers may then be None), and all three are None without ranges.
     """
-    nodes, kk, nodes_k, anchor_xyz, ranges = links
+    nodes, kk, nodes_k, anchor_xyz, ranges, levers = links
     # The pose is applied before the gather: a matmul on gathered rows can round differently.
     delta = (nodes @ rot.T + trans)[kk] - anchor_xyz
     dist = np.sqrt(np.add.reduce(delta * delta, axis=1))  # what np.linalg.norm(axis=1) computes
     if ranges is None:
-        return None, None, delta, dist
-    rows = pose_jacobian_rows(nodes_k, delta / dist[:, None], rot) if jacobian else None
-    return dist - ranges, rows, delta, dist
+        return None, None, None, delta, dist
+    res = dist - ranges
+    if not jacobian:
+        return res, None, None, delta, dist
+    units = delta / dist[:, None]
+    g = units @ rot
+    rows = _cross_rows(nodes_k, g, units)  # pose_jacobian_rows(nodes_k, units, rot)
+    alpha = res / dist
+    # sum_i alpha_i L_i^T L_i, with L_i = [-[c_i]x, I] blockdiag(I, R^T).
+    curv = (levers * alpha[:, None, None]).reshape(-1, 6).T @ levers.reshape(-1, 6)
+    curv[:3, 3:] = curv[:3, 3:] @ rot.T
+    curv[3:, :3] = curv[:3, 3:].T
+    gc = (g * res[:, None]).T @ nodes_k
+    curv[:3, :3] += 0.5 * (gc + gc.T) - gc.trace() * _EYE3
+    return res, rows, curv - (rows * alpha[:, None]).T @ rows, delta, dist
 
 
 def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
-    """Damped Gauss-Newton least-squares fit of a pose (rot, trans).
+    """Damped Newton least-squares fit of a pose (rot, trans).
 
-    `residuals(rot, trans, *args, jacobian)` returns the residual vector
-    and, when `jacobian` is true, its rows for a right perturbation
-    (rot expm([d_theta]x), trans + d_t), else None. The rows are asked for
-    exactly once per iteration, at that iteration's starting pose. A step is
-    accepted when it raises the cost by at most the band cost * 1e-12 +
-    1e-18. The fit has converged when a step accepted on the first damping
-    try moves the cost by no more than that band: a relative test, the same
-    at any noise level and in any units, that a step damping had to shrink
-    never passes. Returns (rot, trans, iterations, converged, message); the
+    `residuals(rot, trans, *args, jacobian)` returns (res, rows, curvature):
+    the residuals and, when `jacobian` is true (once per iteration, at its
+    starting pose), their rows for a right perturbation (rot
+    expm([d_theta]x), trans + d_t) and sum_i res_i Hess(res_i) in that
+    chart, or None. A step solves with rows^T rows + curvature where that is
+    positive definite (quadratic convergence on large residuals), else with
+    rows^T rows (Gauss-Newton), damped on diag(rows^T rows). It is accepted
+    when it raises the cost by at most the band cost * 1e-12 + 1e-18. The
+    fit has converged when a step accepted on the first damping try moves
+    the cost by no more than that band: a relative test, the same at any
+    noise level and in any units, that a step damping had to shrink never
+    passes. Returns (rot, trans, iterations, converged, message); the
     message names the missed test and the `max_iters` cap it hit, or an
     exhausted damping schedule.
     """
 
     def cost_at(r, t):
-        res, _ = residuals(r, t, *args, False)
+        res = residuals(r, t, *args, False)[0]
         return float(res @ res)
 
     cost = cost_at(rot, trans)
@@ -379,13 +411,17 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     message = ""
     iterations = 0
     for iterations in range(1, max_iters + 1):
-        res, jac = residuals(rot, trans, *args, True)
+        res, jac, curv = residuals(rot, trans, *args, True)
         grad = jac.T @ res
         hess = jac.T @ jac
         # Marquardt scaling: damp relative to the curvature so the schedule
         # works at any noise level (the weighted Hessian scales as 1/sigma^2).
         diag = hess.diagonal()
         scale = np.maximum(diag, 1e-12 * max(diag.max(), 1e-300))
+        if curv is not None:
+            with suppress(np.linalg.LinAlgError):  # Newton where positive definite, else GN
+                np.linalg.cholesky(newton := hess + curv)
+                hess = newton
         start_lam, band = lam, cost * 1e-12 + 1e-18
         while lam <= 1e8:
             damped = hess.copy()

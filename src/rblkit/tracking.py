@@ -60,8 +60,8 @@ def estimate_twist(
     jj, kk = np.nonzero(mask)
     if jj.size < 6:
         raise UnderdeterminedError(f"twist has 6 degrees of freedom; got {jj.size} rates")
-    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None)
-    _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
+    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None, None)
+    _, _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
     rows = twist_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)
     obs = rates[jj, kk]
     if weights is not None:

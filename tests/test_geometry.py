@@ -26,6 +26,7 @@ from rblkit.geometry import (
     pose_jacobian_rows,
     propagate_state,
     random_rotation,
+    range_links,
     range_residuals,
     rotation_error_deg,
     so3_exp,
@@ -33,6 +34,7 @@ from rblkit.geometry import (
     so3_project,
     twist_jacobian_rows,
 )
+from rblkit.harness import preset
 
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -191,13 +193,13 @@ def cube_range_links(pose):
     cube, with the exact ranges at `pose`."""
     nodes, anchors = unit_cube().nodes, 3.0 * unit_cube().nodes
     jj, kk = np.nonzero(np.ones((8, 8), dtype=bool))
-    links = (nodes, kk, nodes[kk], anchors[jj], None)
-    dist = range_residuals(pose.rotation, pose.translation, links, False)[3]
-    return links[:4] + (dist,)
+    links = range_links(nodes, kk, anchors[jj], None)
+    dist = range_residuals(pose.rotation, pose.translation, links, False)[4]
+    return range_links(nodes, kk, anchors[jj], dist)
 
 
 def range_fit(rot, trans, links, jacobian):
-    return range_residuals(rot, trans, links, jacobian)[:2]
+    return range_residuals(rot, trans, links, jacobian)[:3]
 
 
 class TestPoseGaussNewton:
@@ -219,8 +221,8 @@ class TestPoseGaussNewton:
 
         def residuals(rot, trans, jacobian):
             if jacobian:
-                return np.full(6, 1.0 / np.sqrt(6.0)), jac
-            return np.full(6, np.sqrt(next(costs) / 6.0)), None
+                return np.full(6, 1.0 / np.sqrt(6.0)), jac, None
+            return np.full(6, np.sqrt(next(costs) / 6.0)), None, None
 
         *_, iterations, converged, message = pose_gauss_newton(
             residuals, np.eye(3), np.zeros(3), 3
@@ -237,6 +239,78 @@ class TestPoseGaussNewton:
         )
         assert (iterations, converged) == (2, False)
         assert message == "cost change above relative 1e-12 after 2 iterations"
+
+
+    @pytest.mark.parametrize("curvature_sign, newton", [(-2.0, False), (1.0, True)])
+    def test_step_uses_curvature_only_when_positive_definite(self, curvature_sign, newton):
+        # Residuals A [so3_log(rot), trans] - b have rows A at the identity.
+        # With curvature -2 A^T A the sum A^T A + S is indefinite, so the
+        # first step must be the damped Gauss-Newton one; with +A^T A it is
+        # positive definite and the step solves with the sum.
+        rng = np.random.default_rng(44)
+        a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+        b = rng.uniform(-0.3, 0.3, 6)
+        gn = a.T @ a
+
+        def residuals(rot, trans, jacobian):
+            res = a @ np.concatenate([so3_log(rot), trans]) - b
+            return (res, a, curvature_sign * gn) if jacobian else (res, None, None)
+
+        rot, trans, *_ = pose_gauss_newton(residuals, np.eye(3), np.zeros(3), 1)
+        hess = gn + curvature_sign * gn if newton else gn
+        step = np.linalg.solve(hess + 1e-6 * np.diag(np.diag(gn)), a.T @ b)
+        assert np.abs(trans - step[3:]).max() < 1e-12
+        assert np.abs(so3_log(rot) - step[:3]).max() < 1e-12
+
+
+def masked_preset_links(name, seed, p_keep, sigma):
+    """Bernoulli-masked range links of a preset's body and anchors, with noisy
+    ranges at a random pose, and a second random pose to evaluate at."""
+    scenario, _ = preset(name)
+    nodes, anchors = scenario.conformation.nodes, scenario.anchors.anchors
+    rng = np.random.default_rng(seed)
+    mask = rng.random((len(anchors), len(nodes))) < p_keep
+    mask[0, 0] = True
+    jj, kk = np.nonzero(mask)
+    truth = scenario.sample_pose(rng)
+    unmeasured = range_links(nodes, kk, anchors[jj], None)
+    exact = range_residuals(truth.rotation, truth.translation, unmeasured, False)[4]
+    links = range_links(nodes, kk, anchors[jj], exact + sigma * rng.standard_normal(exact.size))
+    rot = truth.rotation @ so3_exp(rng.normal(0.0, 0.3, 3))
+    return links, rot, truth.translation + rng.normal(0.0, 0.5, 3)
+
+
+class TestRangeCurvature:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["fig4", "fig5"]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 1.0),
+        st.sampled_from([0.01, 0.3, 1.0]),
+    )
+    def test_newton_hessian_matches_central_differences(self, name, seed, p_keep, sigma):
+        # rows^T rows + curvature is the Hessian of |r|^2 / 2 in the kernel's
+        # chart (rot expm([d_theta]x), trans + d_t).
+        links, rot, trans = masked_preset_links(name, seed, p_keep, sigma)
+        _, rows, curv, _, _ = range_residuals(rot, trans, links, True)
+
+        def half_cost(x):
+            res = range_residuals(rot @ so3_exp(x[:3]), trans + x[3:], links, False)[0]
+            return 0.5 * float(res @ res)
+
+        h = 1e-4
+        e = h * np.eye(6)
+        numeric = np.array(
+            [
+                [
+                    half_cost(e[i] + e[j]) - half_cost(e[i] - e[j])
+                    - half_cost(e[j] - e[i]) + half_cost(-e[i] - e[j])
+                    for j in range(6)
+                ]
+                for i in range(6)
+            ]
+        ) / (4.0 * h * h)
+        assert np.abs(rows.T @ rows + curv - numeric).max() <= 1e-5 * np.abs(numeric).max()
 
 
 class TestNodeVelocities:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,20 +213,20 @@ class TestRunBenchmark:
                 BlockageSpec(),
                 ("mds", "nls"),
                 "0.05,mds,0.0257920837319,1.35727556401,0.0187542792902,1.5307072612,2,0\n"
-                "0.05,nls,0.0190811277493,1.14445219608,0.0187542792902,1.5307072612,2,0\n",
+                "0.05,nls,0.0190811277024,1.14445216388,0.0187542792902,1.5307072612,2,0\n",
             ),
             (
                 BlockageSpec(kind="bernoulli", p=0.2),
                 ("mds", "nls", "gabp"),
-                "0.05,mds,0.0301790078752,2.13096552663,0.0220823220682,1.82237936126,2,0\n"
-                "0.05,nls,0.0226994435361,1.81805568151,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,mds,0.0301790078683,2.1309655277,0.0220823220682,1.82237936126,2,0\n"
+                "0.05,nls,0.0226994434137,1.81805566796,0.0220823220682,1.82237936126,2,0\n"
                 "0.05,gabp,0.0348298870294,1.39710556955,0.0220823220682,1.82237936126,2,0\n",
             ),
             (
                 BlockageSpec(kind="hull"),
                 ("mds", "nls", "gabp"),
-                "0.05,mds,0.0167776468458,1.30649833466,0.022252289804,1.6475984787,2,0\n"
-                "0.05,nls,0.0116486176596,1.18381868865,0.022252289804,1.6475984787,2,0\n"
+                "0.05,mds,0.0167776467542,1.30649834605,0.022252289804,1.6475984787,2,0\n"
+                "0.05,nls,0.0116486175292,1.18381867263,0.022252289804,1.6475984787,2,0\n"
                 "0.05,gabp,0.0284302194567,1.66291685525,0.022252289804,1.6475984787,2,0\n",
             ),
         ],
@@ -325,3 +328,22 @@ class TestGenerateTrajectory:
             assert np.array_equal(fa.measurements.ranges, fb.measurements.ranges)
         assert all("range_rate" != None for _ in frames_a)
         assert frames_a[0].measurements.range_rates is not None
+
+
+def test_fig5_sweep_trial_loads_no_scipy():
+    # A fresh process's setup pays for every import: scipy.linalg alone
+    # takes about as long as a fig5 sweep's whole setup, so the sweep's
+    # per-trial path (draw, completion, the three estimators, the bound)
+    # must not pull scipy in.
+    src = str(Path(rblkit.estimators.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from rblkit.harness import ExperimentConfig, preset, run_benchmark; "
+        "scenario, _ = preset('fig5'); "
+        "run_benchmark(scenario, ExperimentConfig((0.01, 1.0), 2, 7, ('mds', 'nls', 'gabp'))); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
