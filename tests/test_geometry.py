@@ -240,13 +240,12 @@ class TestPoseGaussNewton:
         assert (iterations, converged) == (2, False)
         assert message == "cost change above relative 1e-12 after 2 iterations"
 
-
     @pytest.mark.parametrize("curvature_sign, newton", [(-2.0, False), (1.0, True)])
     def test_step_uses_curvature_only_when_positive_definite(self, curvature_sign, newton):
         # Residuals A [so3_log(rot), trans] - b have rows A at the identity.
-        # With curvature -2 A^T A the sum A^T A + S is indefinite, so the
-        # first step must be the damped Gauss-Newton one; with +A^T A it is
-        # positive definite and the step solves with the sum.
+        # With curvature -2 A^T A the sum A^T A + S is not positive definite,
+        # so the first step must be the damped Gauss-Newton one; with +A^T A
+        # it is, and the step solves with the sum.
         rng = np.random.default_rng(44)
         a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
         b = rng.uniform(-0.3, 0.3, 6)
