@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RblError
-from .geometry import Conformation, Pose, apply_pose, pose_jacobian_rows, range_residuals
+from .geometry import (
+    Conformation,
+    Pose,
+    apply_pose,
+    diag_stack,
+    link_grid,
+    pose_jacobian_rows,
+    range_links,
+    range_residuals,
+)
 from .measurement import AnchorSet
 
 _SINGULAR_RCOND = 1e-12
@@ -52,16 +61,34 @@ def range_jacobian(anchors: AnchorSet, conf: Conformation, pose: Pose, mask=None
     [ (c_k x R^T u)^T , u^T ].
     """
     mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
-    jj, kk = np.nonzero(mask)
-    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None, None)
-    _, _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
-    if np.any(dist <= 0.0):
+    rows = _grid_rows(anchors.anchors, conf.nodes, pose.rotation, pose.translation, mask)
+    return rows[mask.ravel()]
+
+
+def _grid_rows(anchor_xyz, nodes, rot, trans, mask) -> np.ndarray:
+    """range_jacobian's rows on the full anchor x node grid of each pose of a
+    stack, (..., A K, 6), with zero rows for the links `mask` leaves out."""
+    a, k = mask.shape[-2:]
+    jj, kk = link_grid(a, k)
+    links = range_links(nodes, kk, anchor_xyz[jj], None)
+    _, _, _, delta, dist = range_residuals(rot, trans, links, False)
+    observed = mask.reshape(mask.shape[:-2] + (a * k,))
+    if np.any(observed & (dist <= 0.0)):
         raise RblError("anchor coincides with a node; range gradient undefined")
-    return pose_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)
+    units = delta / np.where(dist > 0.0, dist, 1.0)[..., None]
+    return np.where(observed[..., None], pose_jacobian_rows(links[2], units, rot), 0.0)
 
 
 def _full_mask(anchors: AnchorSet, conf: Conformation) -> np.ndarray:
     return np.ones((anchors.num_anchors, conf.num_nodes), dtype=bool)
+
+
+def _check_bound_inputs(mask, sigma) -> None:
+    bad = sigma[sigma <= 0.0]
+    if bad.size:
+        raise ValueError(f"sigma must be > 0, got {float(bad[0])}")
+    if not mask.any(axis=(-2, -1)).all():
+        raise ValueError("mask is empty; no measurements to bound")
 
 
 def fim_ranges(
@@ -78,36 +105,81 @@ def fim_ranges(
     null-space basis), not raised: some scenarios are legitimately
     unobservable and callers decide what that means.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
     mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise ValueError("mask is empty; no measurements to bound")
-    rows = range_jacobian(anchors, conf, true_pose, mask)
-    fim = (rows.T @ rows) / sigma**2
-    eigval, eigvec = np.linalg.eigh(fim)
-    largest = max(eigval[-1], 0.0)
-    near_zero = eigval <= _SINGULAR_RCOND * max(largest, 1e-300)
-    if near_zero.any():
+    batch = fim_batch(
+        anchors.anchors, conf.nodes, true_pose.rotation[None], true_pose.translation[None],
+        mask[None], np.array([sigma], dtype=float),
+    )
+    return batch.report(0)
+
+
+@dataclass(frozen=True)
+class CrlbBatch:
+    """fim_ranges' outcomes for a stack of poses, as arrays: FIMs (B, 6, 6),
+    their eigenvectors, inverses (placeholders where singular), bound traces
+    and condition numbers (infinite where singular), the singular flags and
+    which eigenvalues count as zero."""
+
+    fim: np.ndarray
+    eigvec: np.ndarray
+    crlb: np.ndarray
+    translation_bound: np.ndarray
+    rotation_bound: np.ndarray
+    condition_number: np.ndarray
+    singular: np.ndarray
+    near_zero: np.ndarray
+    sigma: np.ndarray
+
+    def report(self, i: int) -> CrlbReport:
+        """Item i as fim_ranges reports it."""
+        if self.singular[i]:
+            return CrlbReport(
+                fim=self.fim[i],
+                crlb=None,
+                translation_bound=float("inf"),
+                rotation_bound=float("inf"),
+                sigma=float(self.sigma[i]),
+                condition_number=float("inf"),
+                singular=True,
+                null_space=self.eigvec[i][:, self.near_zero[i]],
+            )
         return CrlbReport(
-            fim=fim,
-            crlb=None,
-            translation_bound=float("inf"),
-            rotation_bound=float("inf"),
-            sigma=sigma,
-            condition_number=float("inf"),
-            singular=True,
-            null_space=eigvec[:, near_zero],
+            fim=self.fim[i],
+            crlb=self.crlb[i],
+            translation_bound=float(self.translation_bound[i]),
+            rotation_bound=float(self.rotation_bound[i]),
+            sigma=float(self.sigma[i]),
+            condition_number=float(self.condition_number[i]),
+            singular=False,
         )
-    crlb = eigvec @ np.diag(1.0 / eigval) @ eigvec.T
-    return CrlbReport(
+
+
+def fim_batch(anchor_xyz, nodes, rot, trans, mask, sigma) -> CrlbBatch:
+    """fim_ranges at a stack of true poses (B, 3, 3) and (B, 3), with masks
+    (B, A, K) and noise levels (B,)."""
+    sigma = np.asarray(sigma, dtype=float)
+    _check_bound_inputs(mask, sigma)
+    return _crlb_batch(_grid_rows(anchor_xyz, nodes, rot, trans, mask), sigma)
+
+
+def _crlb_batch(rows, sigma) -> CrlbBatch:
+    fim = (rows.mT @ rows) / sigma[:, None, None] ** 2
+    eigval, eigvec = np.linalg.eigh(fim)
+    largest = np.maximum(eigval[:, -1], 0.0)
+    near_zero = eigval <= _SINGULAR_RCOND * np.maximum(largest, 1e-300)[:, None]
+    singular = near_zero.any(axis=-1)
+    safe = np.where(singular[:, None], 1.0, eigval)
+    crlb = eigvec @ diag_stack(1.0 / safe) @ eigvec.mT
+    return CrlbBatch(
         fim=fim,
+        eigvec=eigvec,
         crlb=crlb,
-        translation_bound=float(np.trace(crlb[3:, 3:])),
-        rotation_bound=float(np.trace(crlb[:3, :3])),
+        translation_bound=np.where(singular, np.inf, np.trace(crlb[:, 3:, 3:], axis1=1, axis2=2)),
+        rotation_bound=np.where(singular, np.inf, np.trace(crlb[:, :3, :3], axis1=1, axis2=2)),
+        condition_number=np.where(singular, np.inf, eigval[:, -1] / safe[:, 0]),
+        singular=singular,
+        near_zero=near_zero,
         sigma=sigma,
-        condition_number=float(eigval[-1] / eigval[0]),
-        singular=False,
     )
 
 
@@ -118,8 +190,14 @@ def crlb_sweep(
     sigma_grid,
     mask=None,
 ) -> list[CrlbReport]:
-    """One CrlbReport per noise level; bounds scale exactly as sigma^2."""
-    return [fim_ranges(anchors, conf, true_pose, mask, float(s)) for s in sigma_grid]
+    """One CrlbReport per noise level; bounds scale exactly as sigma^2.
+    The Jacobian rows are built once and shared by every level."""
+    mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
+    sigma = np.array([float(s) for s in sigma_grid])
+    _check_bound_inputs(mask, sigma)
+    rows = _grid_rows(anchors.anchors, conf.nodes, true_pose.rotation, true_pose.translation, mask)
+    batch = _crlb_batch(np.broadcast_to(rows, sigma.shape + rows.shape), sigma)
+    return [batch.report(i) for i in range(len(sigma))]
 
 
 def sweep_to_csv(reports) -> str:
@@ -173,7 +251,13 @@ def placement_score(
     poses = list(pose_prior)
     if not poses:
         raise ValueError("pose prior must contain at least one pose")
-    reports = [fim_ranges(anchors, conf, pose, mask, sigma) for pose in poses]
+    mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
+    batch = fim_batch(
+        anchors.anchors, conf.nodes, np.array([p.rotation for p in poses]),
+        np.array([p.translation for p in poses]), np.broadcast_to(mask, (len(poses),) + mask.shape),
+        np.full(len(poses), float(sigma)),
+    )
+    reports = [batch.report(i) for i in range(len(poses))]
     usable = [r for r in reports if not r.singular]
     excluded = tuple(i for i, r in enumerate(reports) if r.singular)
     if usable:

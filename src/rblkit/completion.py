@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletionInfeasibleError, IncompleteEdmError
-from .geometry import fit_alignment, pose_gauss_newton, range_links, range_residuals
+from .geometry import (
+    fit_alignment,
+    link_grid,
+    pose_gauss_newton,
+    range_links,
+    range_residuals,
+    transform_points,
+)
 from .measurement import Edm
 
 
@@ -28,15 +35,13 @@ class CompletionReport:
 
     iterations counts the iterations of the rigid fit; final_mismatch is
     the fitted configuration's largest absolute misfit on a known entry
-    (m^2); change_history records the per-iteration maximum change on
-    unknown entries.
+    (m^2).
     """
 
     completed: Edm
     iterations: int
     final_mismatch: float
     converged: bool
-    change_history: tuple[float, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -48,9 +53,9 @@ class CompletionReport:
 
 
 def centered_gram(squared_distances: np.ndarray) -> np.ndarray:
-    """Double-center a squared EDM: G = -0.5 J D J with J = I - (1/n) 1 1^T."""
+    """Double-center squared EDMs (..., n, n): G = -0.5 J D J with J = I - (1/n) 1 1^T."""
     d = np.asarray(squared_distances, dtype=float)
-    n = d.shape[0]
+    n = d.shape[-1]
     j = np.eye(n) - np.ones((n, n)) / n
     return -0.5 * (j @ d @ j)
 
@@ -64,24 +69,29 @@ def gram_from_edm(edm: Edm) -> np.ndarray:
 
 
 def embed_from_gram(gram: np.ndarray, dim: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (n, dim) from the top eigenpairs of a centered Gram matrix.
+    """Coordinates (..., n, dim) from the top eigenpairs of centered Gram matrices.
 
     Returns (points, eigenvalues) with eigenvalues sorted descending.
     Eigenvalues at most 1e-9 of the largest count as zero before taking
     square roots, so a planar point set gets an exactly zero third coordinate.
     """
     eigval, eigvec = np.linalg.eigh(gram)
-    order = np.argsort(eigval)[::-1][:dim]
-    top = eigval[order]
-    top = np.where(top > 1e-9 * max(top[0], 0.0), top, 0.0)
-    points = eigvec[:, order] * np.sqrt(top)
-    return points, eigval[np.argsort(eigval)[::-1]]
+    descending = np.argsort(eigval, axis=-1)[..., ::-1]
+    order = descending[..., :dim]
+    top = np.take_along_axis(eigval, order, axis=-1)
+    top = np.where(top > 1e-9 * np.maximum(top[..., :1], 0.0), top, 0.0)
+    # Each item column-major, the layout eigvec[:, order] has: BLAS products
+    # of other layouts can round differently.
+    columns = np.take_along_axis(eigvec.mT, order[..., :, None], axis=-2)
+    points = (columns * np.sqrt(top)[..., :, None]).mT
+    return points, np.take_along_axis(eigval, descending, axis=-1)
 
 
 def edm_from_points(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(d, 0.0)
+    diff = points[..., :, None, :] - points[..., None, :, :]
+    d = np.einsum("...ijk,...ijk->...ij", diff, diff)
+    n = d.shape[-1]
+    d[..., np.arange(n), np.arange(n)] = 0.0
     return d
 
 
@@ -112,41 +122,86 @@ def complete_edm(edm: Edm, max_iters: int = 500) -> CompletionReport:
     """
     if edm.is_complete():
         return CompletionReport(edm, 0, 0.0, True)
-    a, d, known = edm.n_anchors, edm.squared_distances, edm.known_mask
-    cross_known = known[:a, a:]
-    orphaned = np.flatnonzero(~cross_known.any(axis=0))
-    if orphaned.size:
-        raise CompletionInfeasibleError(orphaned)
-
-    anchors, _ = embed_from_gram(centered_gram(d[:a, :a]))
-    nodes, _ = embed_from_gram(centered_gram(d[a:, a:]))
-    ah, bh = np.column_stack([anchors, np.ones(a)]), np.column_stack([nodes, np.ones(len(nodes))])
-    norms = (anchors * anchors).sum(axis=1)[:, None] + (nodes * nodes).sum(axis=1)
-    # |a - (Q b + t)|^2 - |a|^2 - |b|^2 = [a 1] M [b 1]^T, M = [[-2Q, -2t], [2 t^T Q, |t|^2]].
-    lifted = (ah[:, None, :, None] * bh[None, :, None, :])[cross_known].reshape(-1, 16)
-    m = np.linalg.lstsq(lifted, (d[:a, a:] - norms)[cross_known], rcond=None)[0].reshape(4, 4)
-    fill = np.where(cross_known, d[:a, a:], norms + ah @ m @ bh.T)
-    points, _ = embed_from_gram(centered_gram(np.block([[d[:a, :a], fill], [fill.T, d[a:, a:]]])))
-    q, shift, _, _, _ = fit_alignment(points[:a], anchors, None, proper=False)
-    # q is a reflection when the node embedding has the other chirality; the fit keeps it one.
-    q, trans, _, _, _ = fit_alignment(nodes, points[a:] @ q.T + shift, None, proper=False)
-
-    (jj, kk), (mj, mk) = np.nonzero(cross_known), np.nonzero(~cross_known)
-    links = range_links(nodes, kk, anchors[jj], np.sqrt(d[:a, a:][cross_known]))
-    missing = (nodes, mk, None, anchors[mj], None, None)
-    fills = []  # the unknown entries at each iteration's starting pose, then at the fit
-
-    def residuals(r, t, jacobian):
-        if jacobian:
-            fills.append(range_residuals(r, t, missing, False)[4] ** 2)
-        return range_residuals(r, t, links, jacobian)[:3]
-
-    rot, trans, iterations, converged, _ = pose_gauss_newton(residuals, q, trans, max_iters)
-    fills.append(range_residuals(rot, trans, missing, False)[4] ** 2)
-    history = tuple(float(np.abs(new - old).max()) for old, new in zip(fills, fills[1:]))
-    fit = edm_from_points(np.vstack([anchors, nodes @ rot.T + trans]))
-    mismatch = float(np.abs(fit[known] - d[known]).max())
-    completed = Edm(np.where(known, d, fit), np.ones_like(known), a)
+    d, known = edm.squared_distances[None], edm.known_mask[None]
+    report = complete_batch(d, known, edm.n_anchors, max_iters).report(0)
     # Exact reimposition, bit for bit.
-    assert np.array_equal(completed.squared_distances[known], edm.squared_distances[known])
-    return CompletionReport(completed, iterations, mismatch, converged, history)
+    known = edm.known_mask
+    assert np.array_equal(report.completed.squared_distances[known], edm.squared_distances[known])
+    return report
+
+
+@dataclass(frozen=True)
+class CompletionBatch:
+    """complete_edm's outcomes for a stack of EDMs, as arrays: the completed
+    squared distances (B, n, n), iterations, final mismatches, converged
+    flags, and per item the CompletionInfeasibleError it raised or None (a
+    failed item's numbers are placeholders)."""
+
+    completed: np.ndarray
+    iterations: np.ndarray
+    final_mismatch: np.ndarray
+    converged: np.ndarray
+    errors: list
+    n_anchors: int
+
+    def report(self, i: int) -> CompletionReport:
+        """Item i as complete_edm reports it, or its error raised."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        completed = self.completed[i]
+        edm = Edm(completed, np.ones(completed.shape, dtype=bool), self.n_anchors)
+        return CompletionReport(
+            edm, int(self.iterations[i]), float(self.final_mismatch[i]), bool(self.converged[i])
+        )
+
+
+def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> CompletionBatch:
+    """complete_edm of a stack of incomplete EDMs: squared distances
+    (B, n, n), NaN where unknown, their known masks, and n_anchors anchors
+    first in each.
+
+    Every item fits on the full anchor x node link grid, its unknown entries
+    weighted zero, so its numbers never depend on the rest of the stack.
+    """
+    a, b = n_anchors, len(d)
+    k = d.shape[-1] - a
+    cross_known = known[:, :a, a:]
+    orphaned = ~cross_known.any(axis=1)
+    errors = [CompletionInfeasibleError(np.flatnonzero(o)) if o.any() else None for o in orphaned]
+    observed = cross_known.reshape(b, a * k)
+
+    anchors, _ = embed_from_gram(centered_gram(d[:, :a, :a]))
+    nodes, _ = embed_from_gram(centered_gram(d[:, a:, a:]))
+    ah = np.concatenate([anchors, np.ones((b, a, 1))], axis=-1)
+    bh = np.concatenate([nodes, np.ones((b, k, 1))], axis=-1)
+    norms = (anchors * anchors).sum(axis=-1)[:, :, None] + (nodes * nodes).sum(axis=-1)[:, None, :]
+    # |a - (Q b + t)|^2 - |a|^2 - |b|^2 = [a 1] M [b 1]^T, M = [[-2Q, -2t], [2 t^T Q, |t|^2]];
+    # unknown entries are zero rows of the least-squares problem.
+    lifted = (ah[:, :, None, :, None] * bh[:, None, :, None, :]).reshape(b, a * k, 16)
+    lifted = np.where(observed[..., None], lifted, 0.0)
+    rhs = np.where(observed, (d[:, :a, a:] - norms).reshape(b, a * k), 0.0)
+    rcond = np.finfo(float).eps * max(a * k, 16)  # np.linalg.lstsq's default cutoff
+    m = (np.linalg.pinv(lifted, rcond=rcond) @ rhs[..., None]).reshape(b, 4, 4)
+    fill = np.where(cross_known, d[:, :a, a:], norms + ah @ m @ bh.mT)
+    top = np.concatenate([d[:, :a, :a], fill], axis=-1)
+    joint = np.concatenate([top, np.concatenate([fill.mT, d[:, a:, a:]], axis=-1)], axis=-2)
+    points, _ = embed_from_gram(centered_gram(joint))
+    q, shift, _, _, _ = fit_alignment(points[:, :a], anchors, None, proper=False)
+    # q is a reflection when the node embedding has the other chirality; the fit keeps it one.
+    aligned = points[:, a:] @ q.mT + shift[:, None, :]
+    q, trans, _, _, _ = fit_alignment(nodes, aligned, None, proper=False)
+
+    jj, kk = link_grid(a, k)
+    ranges = np.sqrt(d[:, :a, a:]).reshape(b, a * k)
+    links = range_links(nodes, kk, anchors[:, jj], ranges, observed)
+
+    def residuals(r, t, nodes, nodes_k, anchor_xyz, ranges, weight, levers, jacobian):
+        grid = (nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers)
+        return range_residuals(r, t, grid, jacobian)[:3]
+
+    rot, trans, iterations, converged, _ = pose_gauss_newton(
+        residuals, q, trans, max_iters, args=links[:1] + links[2:]
+    )
+    fit = edm_from_points(np.concatenate([anchors, transform_points(nodes, rot, trans)], axis=-2))
+    mismatch = np.where(known, np.abs(fit - d), 0.0).max(axis=(-2, -1))
+    return CompletionBatch(np.where(known, d, fit), iterations, mismatch, converged, errors, a)

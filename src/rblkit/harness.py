@@ -17,26 +17,30 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import CrlbReport, fim_ranges
+from .bounds import CrlbBatch, CrlbReport, fim_batch
 from .completion import CompletionReport
-from .errors import ConfigError, CoverageWarning, RangeClampWarning, RblError
+from .errors import ConfigError, CoverageWarning, RangeClampWarning
 from .estimators import (
     ESTIMATOR_TAGS,
+    ChainBatch,
+    PoseBatch,
     PoseEstimate,
-    estimate_pose_gabp,
-    estimate_pose_nls,
-    mds_from_ranges,
+    chain_batch,
+    gabp_batch,
+    nls_batch,
+    nls_weights,
 )
 from .geometry import (
     Conformation,
     Pose,
-    RigidBodyState,
     Twist,
+    haar_rotations,
     load_points,
-    random_rotation,
+    propagate_poses,
     rotation_error_deg,
     so3_exp,
-    propagate_state,
+    transform_points,
+    twist_velocities,
 )
 from .measurement import (
     AnchorSet,
@@ -44,9 +48,9 @@ from .measurement import (
     ConvexHullBlockage,
     MeasurementSet,
     NoiseModel,
-    apply_blockage,
     assemble_edm,
-    simulate_measurements,
+    blockage_batch,
+    simulate_batch,
 )
 from .tracking import MeasurementFrame
 
@@ -96,14 +100,25 @@ class PoseDistribution:
             )
 
     def sample(self, rng: np.random.Generator) -> Pose:
+        rot, trans = self.sample_batch([rng])
+        return Pose(rot[0], trans[0])
+
+    def sample_batch(self, rngs) -> tuple[np.ndarray, np.ndarray]:
+        """One pose per generator, as (B, 3, 3) rotations and (B, 3) translations."""
+        draws, trans = [], []
+        for rng in rngs:
+            if self.rotation == "uniform":
+                draws.append(rng.standard_normal(4))
+            elif self.rotation == "yaw":
+                draws.append([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
+            trans.append(rng.uniform(self.translation_low, self.translation_high))
         if self.rotation == "uniform":
-            rot = random_rotation(rng)
+            rot = haar_rotations(np.array(draws))
         elif self.rotation == "yaw":
-            rot = so3_exp([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
+            rot = so3_exp(np.array(draws))
         else:
-            rot = np.eye(3)
-        trans = rng.uniform(self.translation_low, self.translation_high)
-        return Pose(rot, trans)
+            rot = np.tile(np.eye(3), (len(trans), 1, 1))
+        return rot, np.array(trans)
 
 
 @dataclass(frozen=True)
@@ -163,6 +178,13 @@ class ScenarioConfig:
 
     def sample_pose(self, rng: np.random.Generator) -> Pose:
         return self.pose if self.pose is not None else self.pose_distribution.sample(rng)
+
+    def sample_poses(self, rngs) -> tuple[np.ndarray, np.ndarray]:
+        """sample_pose for each generator, as (B, 3, 3) and (B, 3) stacks."""
+        if self.pose is None:
+            return self.pose_distribution.sample_batch(rngs)
+        n = len(rngs)
+        return np.tile(self.pose.rotation, (n, 1, 1)), np.tile(self.pose.translation, (n, 1))
 
 
 @dataclass(frozen=True)
@@ -244,28 +266,128 @@ def _noise(scenario: ScenarioConfig, sigma: float, seed: int) -> NoiseModel:
     )
 
 
-def _observe(scenario, state, noise, kinds, blockage_seed) -> MeasurementSet:
-    """Simulate one measurement set of `state` and apply the scenario's
-    blockage; range-clamp and coverage warnings are silenced."""
+def _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds):
+    """Simulate the measurements of the scenario's body at B poses (rot,
+    trans), each with its own noise model and blockage seed, and apply the
+    scenario's blockage; range-clamp and coverage warnings are silenced.
+    Returns the (B, A, K) mask and the ranges, aoa and range rates (None
+    when not simulated), NaN where unobserved."""
+    anchors, nodes = scenario.anchors, scenario.conformation.nodes
+    world = transform_points(nodes, rot, trans)
+    velocities = twist_velocities(nodes, rot, twist) if "range_rate" in kinds else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RangeClampWarning)
         warnings.simplefilter("ignore", CoverageWarning)
-        meas = simulate_measurements(scenario.anchors, state, noise, kinds)
-        policy = scenario.blockage.policy(blockage_seed, scenario.anchors, state.world_nodes())
-        if policy is not None:
-            meas = apply_blockage(meas, policy)
-    return meas
+        observed = simulate_batch(anchors.anchors, world, noises, kinds, velocities)
+        policies = [scenario.blockage.policy(s, anchors, w) for s, w in zip(blockage_seeds, world)]
+        full = np.ones((len(world), anchors.num_anchors, len(nodes)), dtype=bool)
+        mask = blockage_batch(full, policies)
+    grids = []
+    for m in observed:  # aoa has a trailing (azimuth, elevation) axis
+        keep = None if m is None else mask.reshape(m.shape[:3] + (1,) * (m.ndim - 3))
+        grids.append(None if m is None else np.where(keep, m, np.nan))
+    return (mask, *grids)
+
+
+def _draw(scenario: ScenarioConfig, sigmas, seeds):
+    """The seeded draws of B trials: true rotations (B, 3, 3) and
+    translations (B, 3), and _observe's measurement stacks."""
+    rot, trans = scenario.sample_poses([np.random.default_rng(derive_seed(s, 1)) for s in seeds])
+    # Static draws have no motion; rates are simulated about zero velocity.
+    kinds = scenario.measurement_kinds
+    twist = Twist.zero() if "range_rate" in kinds else None
+    noises = [_noise(scenario, sigma, derive_seed(seed, 2)) for sigma, seed in zip(sigmas, seeds)]
+    blockage_seeds = [derive_seed(seed, 3) for seed in seeds]
+    return rot, trans, _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds)
+
+
+def _measurement_set(observed, i: int) -> MeasurementSet:
+    mask, ranges, aoa, rates = observed
+    return MeasurementSet(mask[i], *(None if m is None else m[i] for m in (ranges, aoa, rates)))
 
 
 def draw_trial(scenario: ScenarioConfig, sigma: float, seed: int) -> tuple[Pose, MeasurementSet]:
     """The seeded draw of one trial: a true pose and its measurements."""
-    truth = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
-    # Static draws have no motion; rates are simulated about zero velocity.
-    twist = Twist.zero() if "range_rate" in scenario.measurement_kinds else None
-    state = RigidBodyState(scenario.conformation, truth, twist)
-    noise = _noise(scenario, sigma, derive_seed(seed, 2))
-    meas = _observe(scenario, state, noise, scenario.measurement_kinds, derive_seed(seed, 3))
-    return truth, meas
+    rot, trans, observed = _draw(scenario, [sigma], [seed])
+    return Pose(rot[0], trans[0]), _measurement_set(observed, 0)
+
+
+# Trials per stacked batch in run_benchmark: large enough that per-call numpy
+# overhead is shared, small enough to keep peak memory near that of one
+# trial at a time (full fig5 preset: 1.28x at 128 trials, 1.54x at 256).
+TRIAL_CHUNK = 128
+
+
+@dataclass(frozen=True)
+class _Trials:
+    """B seeded trials through every stage at once: the draws, the bounds,
+    each estimator's PoseBatch and the shared MDS chain, with each tag's
+    failure strings and scored errors (NaN where failed)."""
+
+    tags: tuple[str, ...]
+    truth: tuple[np.ndarray, np.ndarray]
+    observed: tuple
+    crlb: CrlbBatch
+    chain: ChainBatch | None
+    estimates: dict[str, PoseBatch]
+    failures: dict[str, list]
+    rotation_errors: dict[str, np.ndarray]
+    translation_errors: dict[str, np.ndarray]
+
+    def outcomes(self, i: int) -> list[TrialOutcome]:
+        """Trial i as run_trial_estimators reports it."""
+        truth = Pose(self.truth[0][i], self.truth[1][i])
+        meas = _measurement_set(self.observed, i)
+        crlb = self.crlb.report(i)
+        out = []
+        for tag in self.tags:
+            batch = self.estimates[tag]
+            estimate = None if batch.errors[i] is not None else batch.estimate(i)
+            report = None
+            if tag != "gabp" and estimate is not None:
+                report = self.chain.report(i)
+            out.append(TrialOutcome(
+                truth, meas, crlb, estimate, report, self.failures[tag][i],
+                float(self.rotation_errors[tag][i]), float(self.translation_errors[tag][i]),
+            ))
+        return out
+
+
+def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion: bool) -> _Trials:
+    """The trials of the (sigma, seed) pairs, all stages stacked.
+
+    The draw and the CRLB are shared by every tag, and `mds` and `nls`
+    share one EDM -> completion -> MDS result (NLS starts from that MDS
+    pose); when that chain fails, both tags record the failure. Each
+    trial's numbers are the ones it gets alone.
+    """
+    anchors, nodes = scenario.anchors.anchors, scenario.conformation.nodes
+    sigmas = np.asarray(sigmas, dtype=float)
+    rot, trans, observed = _draw(scenario, sigmas, seeds)
+    mask, ranges, aoa, _ = observed
+    crlb = fim_batch(anchors, nodes, rot, trans, mask, sigmas)
+    chain = None
+    if {"mds", "nls"} & set(estimators):
+        chain = chain_batch(anchors, nodes, ranges, mask, completion)
+    estimates, failures, rot_err, trans_err = {}, {}, {}, {}
+    for tag in estimators:
+        if tag == "gabp":
+            batch = gabp_batch(anchors, nodes, mask, ranges, sigmas)
+        elif tag == "mds":
+            batch = chain.mds
+        else:
+            w_range, w_angle = nls_weights(sigmas, scenario.noise.angle_sigma)
+            start = (chain.mds.rotation, chain.mds.translation, chain.mds.errors)
+            batch = nls_batch(anchors, nodes, mask, ranges, aoa, w_range, w_angle, start)
+        estimates[tag] = batch
+        failures[tag] = [batch.failure(i) for i in range(len(sigmas))]
+        scored = np.flatnonzero([f is None for f in failures[tag]])
+        rot_err[tag], trans_err[tag] = np.full(len(sigmas), np.nan), np.full(len(sigmas), np.nan)
+        rot_err[tag][scored] = rotation_error_deg(batch.rotation[scored], rot[scored])
+        offset = batch.translation[scored] - trans[scored]
+        trans_err[tag][scored] = np.sqrt(np.vecdot(offset, offset))  # np.linalg.norm of each
+    truth, tags = (rot, trans), tuple(estimators)
+    return _Trials(tags, truth, observed, crlb, chain, estimates, failures, rot_err, trans_err)
 
 
 def run_trial_estimators(
@@ -284,41 +406,7 @@ def run_trial_estimators(
     unknown = set(estimators) - set(ESTIMATOR_TAGS)
     if unknown:
         raise ConfigError(f"unknown estimators {sorted(unknown)}", field="estimators")
-    anchors, conf = scenario.anchors, scenario.conformation
-    truth, meas = draw_trial(scenario, sigma, seed)
-    crlb = fim_ranges(anchors, conf, truth, meas.mask, sigma)
-    noise = _noise(scenario, sigma, derive_seed(seed, 2))
-    chain = None
-    if {"mds", "nls"} & set(estimators):
-        try:
-            chain = mds_from_ranges(meas, anchors, conf, completion)
-        except RblError as exc:
-            chain = exc
-    outcomes = []
-    for tag in estimators:
-        estimate = report = failure = None
-        rot_err = trans_err = float("nan")
-        try:
-            if tag == "gabp":
-                estimate = estimate_pose_gabp(meas, anchors, conf, noise=noise)
-            elif isinstance(chain, RblError):
-                raise chain
-            elif tag == "mds":
-                estimate, report = chain
-            else:
-                estimate = estimate_pose_nls(meas, anchors, conf, init=chain[0].pose, noise=noise)
-                report = chain[1]
-        except RblError as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        if estimate is not None and not estimate.converged:
-            failure = f"not converged: {estimate.message}"
-        elif failure is None:
-            rot_err = rotation_error_deg(estimate.pose.rotation, truth.rotation)
-            trans_err = float(np.linalg.norm(estimate.pose.translation - truth.translation))
-        outcomes.append(
-            TrialOutcome(truth, meas, crlb, estimate, report, failure, rot_err, trans_err)
-        )
-    return outcomes
+    return _run_trials(scenario, [sigma], [seed], estimators, completion).outcomes(0)
 
 
 def run_trial(
@@ -339,7 +427,9 @@ def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> lis
     on sigma index and trial index). Failed trials are excluded from the
     RMSE and reported in the failure count; the CRLB columns average the
     per-trial bound traces and are the same for every estimator at a given
-    sigma.
+    sigma. The sigma x trial draws run through the stages in stacked
+    batches of TRIAL_CHUNK; each trial's numbers are the ones it gets
+    alone, and the cell sums add them in trial order.
     """
     sums = {
         (si, tag): {"rot": 0.0, "trans": 0.0, "n": 0, "fail": 0}
@@ -347,23 +437,35 @@ def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> lis
         for tag in experiment.estimators
     }
     crlb_sums = [[0.0, 0.0, 0] for _ in experiment.sigma_grid]
-    for si, sigma in enumerate(experiment.sigma_grid):
-        for trial in range(experiment.trials):
-            seed = derive_seed(experiment.master_seed, 11, si, trial)
-            outcomes = run_trial_estimators(
-                scenario, sigma, seed, experiment.estimators, experiment.completion
-            )
-            if outcomes and not outcomes[0].crlb.singular:
-                crlb_sums[si][0] += outcomes[0].crlb.translation_bound
-                crlb_sums[si][1] += outcomes[0].crlb.rotation_bound
+    grid, trials = range(len(experiment.sigma_grid)), range(experiment.trials)
+    cells = [(si, trial) for si in grid for trial in trials]
+    for start in range(0, len(cells), TRIAL_CHUNK):
+        chunk = cells[start : start + TRIAL_CHUNK]
+        trials = _run_trials(
+            scenario,
+            [experiment.sigma_grid[si] for si, _ in chunk],
+            [derive_seed(experiment.master_seed, 11, si, trial) for si, trial in chunk],
+            experiment.estimators,
+            experiment.completion,
+        )
+        singular = trials.crlb.singular.tolist()
+        bounds = zip(trials.crlb.translation_bound.tolist(), trials.crlb.rotation_bound.tolist())
+        errors = {
+            tag: (trials.rotation_errors[tag].tolist(), trials.translation_errors[tag].tolist())
+            for tag in experiment.estimators
+        }
+        for i, ((si, _), (t_bound, r_bound)) in enumerate(zip(chunk, bounds)):
+            if experiment.estimators and not singular[i]:
+                crlb_sums[si][0] += t_bound
+                crlb_sums[si][1] += r_bound
                 crlb_sums[si][2] += 1
-            for tag, outcome in zip(experiment.estimators, outcomes):
+            for tag in experiment.estimators:
                 cell = sums[(si, tag)]
-                if outcome.failure is not None:
+                if trials.failures[tag][i] is not None:
                     cell["fail"] += 1
                     continue
-                cell["rot"] += outcome.rotation_error_deg**2
-                cell["trans"] += outcome.translation_error_m**2
+                cell["rot"] += errors[tag][0][i] ** 2
+                cell["trans"] += errors[tag][1][i] ** 2
                 cell["n"] += 1
     rows = []
     for si, sigma in enumerate(experiment.sigma_grid):
@@ -435,19 +537,18 @@ def generate_trajectory(
     sigma: float,
     seed: int,
 ) -> tuple[list[MeasurementFrame], list[tuple[Pose, Twist]]]:
-    """Constant-twist measurement frames (ranges + range rates) with truth."""
+    """Constant-twist measurement frames (ranges + range rates) with truth,
+    all frames drawn as one stacked batch."""
     start = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
-    state0 = RigidBodyState(scenario.conformation, start, twist)
     kinds = tuple(dict.fromkeys(scenario.measurement_kinds + ("range_rate",)))
-    frames, truth = [], []
-    for i in range(n_frames):
-        t = (i + 1) * dt
-        current = propagate_state(state0, t)
-        noise = _noise(scenario, sigma, derive_seed(seed, 4, i))
-        meas = _observe(scenario, current, noise, kinds, derive_seed(seed, 5, i))
-        frames.append(MeasurementFrame(t, meas))
-        truth.append((current.pose, twist))
-    return frames, truth
+    times = (np.arange(n_frames) + 1) * dt
+    rot, trans = propagate_poses(start, twist, times)
+    noises = [_noise(scenario, sigma, derive_seed(seed, 4, i)) for i in range(n_frames)]
+    blockage_seeds = [derive_seed(seed, 5, i) for i in range(n_frames)]
+    observed = _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds)
+    frames = [MeasurementFrame(float(t), _measurement_set(observed, i))
+              for i, t in enumerate(times)]
+    return frames, [(Pose(r, t), twist) for r, t in zip(rot, trans)]
 
 
 # ---------------------------------------------------------------------------

@@ -241,26 +241,14 @@ class Edm:
         return cls(vals, np.asarray(doc["known_mask"], dtype=bool), int(doc["n_anchors"]))
 
 
-def _deltas(anchors: AnchorSet, world_nodes) -> np.ndarray:
-    nodes = np.asarray(world_nodes, dtype=float)
-    return nodes[None, :, :] - anchors.anchors[:, None, :]
-
-
 def simulate_ranges(anchors: AnchorSet, world_nodes, noise: NoiseModel) -> np.ndarray:
     """Noisy anchor-to-node distances (A, K), clamped at zero.
 
     Clamping is rare at realistic noise levels; when it happens a
     RangeClampWarning reports how many entries were affected.
     """
-    dist = np.linalg.norm(_deltas(anchors, world_nodes), axis=-1)
-    if noise.range_sigma > 0.0:
-        rng = _stream(noise.seed, _STREAM_RANGE)
-        dist = dist + rng.normal(0.0, noise.range_sigma, size=dist.shape)
-    clamped = int(np.sum(dist < 0.0))
-    if clamped:
-        warnings.warn(f"clamped {clamped} negative noisy ranges to 0", RangeClampWarning)
-        dist = np.maximum(dist, 0.0)
-    return dist
+    world = np.asarray(world_nodes, dtype=float)[None]
+    return simulate_batch(anchors.anchors, world, [noise], ("range",))[0][0]
 
 
 def simulate_aoa(anchors: AnchorSet, world_nodes, noise: NoiseModel) -> np.ndarray:
@@ -270,17 +258,67 @@ def simulate_aoa(anchors: AnchorSet, world_nodes, noise: NoiseModel) -> np.ndarr
     asin(dz / distance). At the poles (node straight above or below an
     anchor) the azimuth is reported as 0 by convention.
     """
-    delta = _deltas(anchors, world_nodes)
+    world = np.asarray(world_nodes, dtype=float)[None]
+    return simulate_batch(anchors.anchors, world, [noise], ("aoa",))[1][0]
+
+
+def _draws(noises, name: str, which: int, shape, count: int = 1) -> np.ndarray:
+    """`count` zero-mean Gaussian arrays of `shape` per noise model, drawn in
+    turn from its stream `which` with its `name` sigma; zeros where that is 0."""
+    out = np.zeros((count, len(noises)) + tuple(shape))
+    for i, noise in enumerate(noises):
+        sigma = getattr(noise, name)
+        if sigma > 0.0:
+            rng = _stream(noise.seed, which)
+            for c in range(count):
+                out[c, i] = rng.normal(0.0, sigma, size=shape)
+    return out
+
+
+def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
+    """Noisy observations of B bodies at once: world node positions (B, K, 3)
+    and, for range rates, node velocities (B, K, 3), with one NoiseModel per
+    body whose seed drives that body's own streams, so each item is exactly
+    what the body gets alone.
+
+    Returns (ranges (B, A, K), aoa (B, A, K, 2), range rates (B, A, K)),
+    each None unless its kind is requested. Negative noisy ranges are
+    clamped at zero with one RangeClampWarning for the batch.
+    """
+    unknown = set(kinds) - {"range", "aoa", "range_rate"}
+    if unknown:
+        raise ValueError(f"unknown measurement kinds: {sorted(unknown)}")
+    delta = world[:, None, :, :] - anchor_xyz[:, None, :]
     dist = np.linalg.norm(delta, axis=-1)
-    if np.any(dist <= 0.0):
-        raise UndefinedBearingError("node coincides with an anchor; bearing undefined")
-    azimuth = np.arctan2(delta[..., 1], delta[..., 0])
-    elevation = np.arcsin(np.clip(delta[..., 2] / dist, -1.0, 1.0))
-    if noise.angle_sigma > 0.0:
-        rng = _stream(noise.seed, _STREAM_AOA)
-        azimuth = wrap_angle(azimuth + rng.normal(0.0, noise.angle_sigma, size=azimuth.shape))
-        elevation = elevation + rng.normal(0.0, noise.angle_sigma, size=elevation.shape)
-    return np.stack([azimuth, elevation], axis=-1)
+    ranges = aoa = rates = None
+
+    def noisy(name):
+        return np.array([getattr(n, name) > 0.0 for n in noises])[:, None, None]
+
+    if "range" in kinds:
+        noise = _draws(noises, "range_sigma", _STREAM_RANGE, dist.shape[1:])[0]
+        ranges = np.where(noisy("range_sigma"), dist + noise, dist)
+        clamped = int(np.sum(ranges < 0.0))
+        if clamped:
+            warnings.warn(f"clamped {clamped} negative noisy ranges to 0", RangeClampWarning)
+            ranges = np.maximum(ranges, 0.0)
+    if "aoa" in kinds:
+        if np.any(dist <= 0.0):
+            raise UndefinedBearingError("node coincides with an anchor; bearing undefined")
+        azimuth = np.arctan2(delta[..., 1], delta[..., 0])
+        elevation = np.arcsin(np.clip(delta[..., 2] / dist, -1.0, 1.0))
+        az_noise, el_noise = _draws(noises, "angle_sigma", _STREAM_AOA, dist.shape[1:], 2)
+        with_noise = noisy("angle_sigma")
+        azimuth = np.where(with_noise, wrap_angle(azimuth + az_noise), azimuth)
+        elevation = np.where(with_noise, elevation + el_noise, elevation)
+        aoa = np.stack([azimuth, elevation], axis=-1)
+    if "range_rate" in kinds:
+        if np.any(dist <= 0.0):
+            raise UndefinedDirectionError("node coincides with an anchor; direction undefined")
+        rates = np.einsum("...akd,...kd->...ak", delta / dist[..., None], velocities)
+        noise = _draws(noises, "range_rate_sigma", _STREAM_RATE, dist.shape[1:])[0]
+        rates = np.where(noisy("range_rate_sigma"), rates + noise, rates)
+    return ranges, aoa, rates
 
 
 def simulate_adoa(azimuths, reference_anchor: int = 0) -> np.ndarray:
@@ -301,20 +339,12 @@ def simulate_adoa(azimuths, reference_anchor: int = 0) -> np.ndarray:
     return wrap_angle(diff)
 
 
-def simulate_range_rates(anchors: AnchorSet, state: RigidBodyState, noise: NoiseModel) -> np.ndarray:
+def simulate_range_rates(
+    anchors: AnchorSet, state: RigidBodyState, noise: NoiseModel
+) -> np.ndarray:
     """Noisy radial velocities (A, K): projection of node velocity on the line of sight."""
-    world = state.world_nodes()
-    delta = _deltas(anchors, world)
-    dist = np.linalg.norm(delta, axis=-1)
-    if np.any(dist <= 0.0):
-        raise UndefinedDirectionError("node coincides with an anchor; direction undefined")
-    unit = delta / dist[..., None]
-    vel = node_velocities(state)
-    rates = np.einsum("akd,kd->ak", unit, vel)
-    if noise.range_rate_sigma > 0.0:
-        rng = _stream(noise.seed, _STREAM_RATE)
-        rates = rates + rng.normal(0.0, noise.range_rate_sigma, size=rates.shape)
-    return rates
+    world, velocities = state.world_nodes()[None], node_velocities(state)[None]
+    return simulate_batch(anchors.anchors, world, [noise], ("range_rate",), velocities)[2][0]
 
 
 def simulate_measurements(
@@ -325,14 +355,13 @@ def simulate_measurements(
 ) -> MeasurementSet:
     """Simulate the requested measurement types with a fully-observed mask."""
     world = state.world_nodes()
-    unknown = set(kinds) - {"range", "aoa", "range_rate"}
-    if unknown:
-        raise ValueError(f"unknown measurement kinds: {sorted(unknown)}")
+    velocities = node_velocities(state)[None] if "range_rate" in kinds else None
+    ranges, aoa, rates = simulate_batch(anchors.anchors, world[None], [noise], kinds, velocities)
     return MeasurementSet(
         mask=np.ones((anchors.num_anchors, world.shape[0]), dtype=bool),
-        ranges=simulate_ranges(anchors, world, noise) if "range" in kinds else None,
-        aoa=simulate_aoa(anchors, world, noise) if "aoa" in kinds else None,
-        range_rates=simulate_range_rates(anchors, state, noise) if "range_rate" in kinds else None,
+        ranges=None if ranges is None else ranges[0],
+        aoa=None if aoa is None else aoa[0],
+        range_rates=None if rates is None else rates[0],
     )
 
 
@@ -413,16 +442,24 @@ def apply_blockage(meas: MeasurementSet, policy) -> MeasurementSet:
     entries are reported with a CoverageWarning (multilateration downstream
     needs at least one observation per node), never silently repaired.
     """
-    keep = meas.mask & policy.keep_mask(meas.mask.shape)
-    uncovered = np.flatnonzero(~keep.any(axis=0))
-    if uncovered.size:
-        warnings.warn(
-            f"nodes {uncovered.tolist()} have no observed entries after blockage",
-            CoverageWarning,
-        )
+    keep = blockage_batch(meas.mask[None], [policy])[0]
     return MeasurementSet(
         mask=keep, ranges=meas.ranges, aoa=meas.aoa, range_rates=meas.range_rates
     )
+
+
+def blockage_batch(mask, policies) -> np.ndarray:
+    """apply_blockage's masks for a (B, A, K) stack, item i cleared per
+    policies[i] (None keeps every link), with a CoverageWarning for each
+    item that leaves a node unobserved."""
+    keep = np.array([m if p is None else m & p.keep_mask(m.shape) for m, p in zip(mask, policies)])
+    for uncovered in ~keep.any(axis=-2):
+        if uncovered.any():
+            nodes = np.flatnonzero(uncovered).tolist()
+            warnings.warn(
+                f"nodes {nodes} have no observed entries after blockage", CoverageWarning
+            )
+    return keep
 
 
 def assemble_edm(anchors: AnchorSet, conf: Conformation, meas: MeasurementSet) -> Edm:
@@ -433,25 +470,30 @@ def assemble_edm(anchors: AnchorSet, conf: Conformation, meas: MeasurementSet) -
     pose-invariant), so both diagonal blocks are exact. Cross entries are
     the observed squared ranges; masked links stay unknown.
     """
-    if meas.ranges is None:
+    ranges = None if meas.ranges is None else meas.ranges[None]
+    d, known = assemble_batch(anchors.anchors, conf.nodes, ranges, meas.mask[None])
+    return Edm(d[0], known[0], n_anchors=anchors.num_anchors)
+
+
+def assemble_batch(anchor_xyz, nodes, ranges, mask) -> tuple[np.ndarray, np.ndarray]:
+    """assemble_edm of stacked (B, A, K) ranges and masks: the joint squared
+    distances (B, n, n), NaN where unknown, and their known masks."""
+    if ranges is None:
         raise UnderdeterminedError("assemble_edm needs range measurements")
-    a, k = meas.shape
-    if a != anchors.num_anchors or k != conf.num_nodes:
+    b, a, k = mask.shape
+    if a != len(anchor_xyz) or k != len(nodes):
         raise ValueError(
-            f"measurement shape {meas.shape} does not match {anchors.num_anchors} anchors"
-            f" and {conf.num_nodes} nodes"
+            f"measurement shape {(a, k)} does not match {len(anchor_xyz)} anchors"
+            f" and {len(nodes)} nodes"
         )
     n = a + k
-    d = np.full((n, n), np.nan)
-    known = np.zeros((n, n), dtype=bool)
-    d[:a, :a] = pairwise_distances(anchors.anchors) ** 2
-    d[a:, a:] = pairwise_distances(conf.nodes) ** 2
-    known[:a, :a] = True
-    known[a:, a:] = True
-    cross = meas.ranges**2
-    d[:a, a:] = np.where(meas.mask, cross, np.nan)
-    d[a:, :a] = d[:a, a:].T
-    known[:a, a:] = meas.mask
-    known[a:, :a] = meas.mask.T
-    np.fill_diagonal(d, 0.0)
-    return Edm(d, known, n_anchors=a)
+    d = np.empty((b, n, n))
+    known = np.ones((b, n, n), dtype=bool)
+    d[:, :a, :a] = pairwise_distances(anchor_xyz) ** 2
+    d[:, a:, a:] = pairwise_distances(nodes) ** 2
+    d[:, :a, a:] = np.where(mask, ranges**2, np.nan)
+    d[:, a:, :a] = d[:, :a, a:].mT
+    known[:, :a, a:] = mask
+    known[:, a:, :a] = mask.mT
+    d[:, np.arange(n), np.arange(n)] = 0.0
+    return d, known

@@ -31,6 +31,7 @@ from .geometry import (
     RigidBodyState,
     Twist,
     propagate_state,
+    range_links,
     range_residuals,
     twist_jacobian_rows,
 )
@@ -60,7 +61,7 @@ def estimate_twist(
     jj, kk = np.nonzero(mask)
     if jj.size < 6:
         raise UnderdeterminedError(f"twist has 6 degrees of freedom; got {jj.size} rates")
-    links = (conf.nodes, kk, conf.nodes[kk], anchors.anchors[jj], None, None)
+    links = range_links(conf.nodes, kk, anchors.anchors[jj], None)
     _, _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
     rows = twist_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)
     obs = rates[jj, kk]
@@ -68,12 +69,11 @@ def estimate_twist(
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])
         rows = rows * w[:, None]
         obs = obs * w
-    sv = np.linalg.svd(rows, compute_uv=False)
-    if sv[-1] <= _RANK_RCOND * max(sv[0], 1e-300):
-        _, _, vt = np.linalg.svd(rows)
-        null_dim = int(np.sum(sv <= _RANK_RCOND * max(sv[0], 1e-300)))
-        raise UnobservableTwistError(vt[-null_dim:].T)
-    solution, *_ = np.linalg.lstsq(rows, obs, rcond=None)
+    u, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    null = sv <= _RANK_RCOND * max(sv[0], 1e-300)
+    if null[-1]:
+        raise UnobservableTwistError(vt[null].T)
+    solution = vt.T @ ((u.T @ obs) / sv)  # the least-squares solution, from the same SVD
     residual = rows @ solution - obs
     twist = Twist(solution[:3], solution[3:])
     return twist, float(np.sqrt(np.mean(residual**2)))

@@ -23,7 +23,6 @@ from rblkit.errors import (
 from rblkit.estimators import (
     PoseEstimate,
     SemanticHeading,
-    _adoa_indices,
     _gabp_node_beliefs,
     _nls_residuals,
     estimate_pose_gabp,
@@ -289,22 +288,34 @@ class TestEstimatePoseNls:
         state = RigidBodyState(conf, random_pose(rng))
         meas = simulate_measurements(anchors, state, noise, kinds)
         meas = apply_blockage(meas, BernoulliBlockage(p=0.2, seed=4))
-        jj, kk = np.nonzero(meas.mask)
-        aoa = None if meas.aoa is None else meas.aoa[jj, kk]
-        obs = range_links(conf.nodes, kk, anchors.anchors[jj], meas.ranges[jj, kk]) + (aoa,)
-        adoa_idx = _adoa_indices(jj, kk) if use_adoa else None
+        jj, kk = np.nonzero(np.ones_like(meas.mask))
+        observed = meas.mask.ravel()[None].astype(float)
+        ranges = meas.ranges.ravel()[None]
+        links = range_links(conf.nodes, kk, anchors.anchors[jj], ranges, observed)
+        aoa = None
+        if meas.aoa is not None:
+            aoa = np.where(meas.mask[..., None], meas.aoa, 0.0).reshape(1, -1, 2)
+        refs, az_weight = None, observed
+        if use_adoa:
+            first = meas.mask.argmax(axis=0)[kk]
+            refs, az_weight = (first * meas.mask.shape[1] + kk)[None], observed * (jj != first)
         for _ in range(5):
             pose = random_pose(rng)
-            args = (pose.rotation, pose.translation, obs, 4.0, 9.0, adoa_idx)
+            args = (
+                pose.rotation[None], pose.translation[None], links, observed, np.array([4.0]),
+                aoa, np.array([9.0]), refs, az_weight,
+            )
             res, jac, _ = _nls_residuals(*args)
             res_only, no_jac, _ = _nls_residuals(*args, jacobian=False)
-            assert no_jac is None and jac.shape == (res.size, 6)
+            assert no_jac is None and jac.shape == res.shape + (6,)
             assert np.array_equal(res_only, res)
-            assert float(res_only @ res_only) == float(res @ res)
-            # The range block is the np.linalg.norm form it replaces.
+            assert float(np.vecdot(res_only, res_only)[0]) == float(res[0] @ res[0])
+            # The range block is the np.linalg.norm form it replaces, zero
+            # on unobserved links.
             world = conf.nodes @ pose.rotation.T + pose.translation
             dist = np.linalg.norm(world[kk] - anchors.anchors[jj], axis=1)
-            assert np.array_equal(res[: kk.size], 2.0 * (dist - meas.ranges[jj, kk]))
+            expected = np.where(meas.mask.ravel(), 2.0 * (dist - meas.ranges.ravel()), 0.0)
+            assert np.array_equal(res[0, : kk.size], expected)
 
     def test_underdetermined_raises(self):
         conf, anchors, meas = simulate_cube_ranges(Pose.identity())

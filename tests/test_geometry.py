@@ -198,47 +198,58 @@ def cube_range_links(pose):
     return range_links(nodes, kk, anchors[jj], dist)
 
 
-def range_fit(rot, trans, links, jacobian):
-    return range_residuals(rot, trans, links, jacobian)[:3]
+def range_fit(rot, trans, ranges, jacobian):
+    """pose_gauss_newton's callback for cube range fits, one range row per item."""
+    links = cube_range_links(Pose.identity())
+    return range_residuals(rot, trans, links[:4] + (ranges,) + links[5:], jacobian)[:3]
+
+
+def flipped_range_fit(rot, trans, ranges, flip, jacobian):
+    """range_fit whose rows are negated where flip is -1: every step such an
+    item tries goes uphill, so its damping schedule runs out."""
+    res, rows, curv = range_fit(rot, trans, ranges, jacobian)
+    if not jacobian:
+        return res, None, None
+    return res, rows * flip[:, None, None], curv * (flip > 0)[:, None, None]
 
 
 class TestPoseGaussNewton:
     def test_exact_minimum_converges_in_one_iteration(self):
         pose = random_pose(np.random.default_rng(41))
         links = cube_range_links(pose)
-        rot, trans, iterations, converged, message = pose_gauss_newton(
-            range_fit, pose.rotation, pose.translation, 50, args=(links,)
+        rot, trans, iterations, converged, messages = pose_gauss_newton(
+            range_fit, pose.rotation[None], pose.translation[None], 50, args=(links[4][None],)
         )
-        assert (iterations, converged, message) == (1, True, "")
-        assert rotation_error_deg(rot, pose.rotation) < 1e-9
-        assert np.abs(trans - pose.translation).max() < 1e-12
+        assert (iterations[0], converged[0], messages[0]) == (1, True, "")
+        assert rotation_error_deg(rot[0], pose.rotation) < 1e-9
+        assert np.abs(trans[0] - pose.translation).max() < 1e-12
 
     def test_step_accepted_after_a_rejection_never_converges(self):
         # The cost callback rejects the first try of every iteration, then
         # accepts a second try that leaves the cost exactly where it was.
         costs = iter([1.0] + [4.0, 1.0] * 3)
-        jac = np.eye(6)
+        jac = np.eye(6)[None]
 
         def residuals(rot, trans, jacobian):
             if jacobian:
-                return np.full(6, 1.0 / np.sqrt(6.0)), jac, None
-            return np.full(6, np.sqrt(next(costs) / 6.0)), None, None
+                return np.full((1, 6), 1.0 / np.sqrt(6.0)), jac, None
+            return np.full((1, 6), np.sqrt(next(costs) / 6.0)), None, None
 
-        *_, iterations, converged, message = pose_gauss_newton(
-            residuals, np.eye(3), np.zeros(3), 3
+        *_, iterations, converged, messages = pose_gauss_newton(
+            residuals, np.eye(3)[None], np.zeros((1, 3)), 3
         )
-        assert (iterations, converged) == (3, False)
-        assert message == "cost change above relative 1e-12 after 3 iterations"
+        assert (iterations[0], converged[0]) == (3, False)
+        assert messages[0] == "cost change above relative 1e-12 after 3 iterations"
 
     def test_max_iters_reports_the_missed_test(self):
         pose = random_pose(np.random.default_rng(43))
         links = cube_range_links(pose)
         start = pose.rotation @ so3_exp([0.4, 0.3, -0.2])
-        *_, iterations, converged, message = pose_gauss_newton(
-            range_fit, start, pose.translation - 0.2, 2, args=(links,)
+        *_, iterations, converged, messages = pose_gauss_newton(
+            range_fit, start[None], (pose.translation - 0.2)[None], 2, args=(links[4][None],)
         )
-        assert (iterations, converged) == (2, False)
-        assert message == "cost change above relative 1e-12 after 2 iterations"
+        assert (iterations[0], converged[0]) == (2, False)
+        assert messages[0] == "cost change above relative 1e-12 after 2 iterations"
 
     @pytest.mark.parametrize("curvature_sign, newton", [(-2.0, False), (1.0, True)])
     def test_step_uses_curvature_only_when_positive_definite(self, curvature_sign, newton):
@@ -252,14 +263,46 @@ class TestPoseGaussNewton:
         gn = a.T @ a
 
         def residuals(rot, trans, jacobian):
-            res = a @ np.concatenate([so3_log(rot), trans]) - b
-            return (res, a, curvature_sign * gn) if jacobian else (res, None, None)
+            res = (a @ np.concatenate([so3_log(rot[0]), trans[0]]) - b)[None]
+            return (res, a[None], curvature_sign * gn[None]) if jacobian else (res, None, None)
 
-        rot, trans, *_ = pose_gauss_newton(residuals, np.eye(3), np.zeros(3), 1)
+        rot, trans, *_ = pose_gauss_newton(residuals, np.eye(3)[None], np.zeros((1, 3)), 1)
         hess = gn + curvature_sign * gn if newton else gn
         step = np.linalg.solve(hess + 1e-6 * np.diag(np.diag(gn)), a.T @ b)
-        assert np.abs(trans - step[3:]).max() < 1e-12
-        assert np.abs(so3_log(rot) - step[:3]).max() < 1e-12
+        assert np.abs(trans[0] - step[3:]).max() < 1e-12
+        assert np.abs(so3_log(rot[0]) - step[:3]).max() < 1e-12
+
+    def test_stack_items_equal_their_single_fits(self):
+        # Lockstep fits over a stack return, per item, exactly what the item
+        # gets alone: damping, cost and band are per fit and finished fits
+        # leave the stack. The stack holds fits that converge, one that hits
+        # the cap and one whose damping schedule runs out.
+        rng = np.random.default_rng(45)
+        starts_rot, starts_trans, ranges, flip = [], [], [], []
+        cases = [(0.01, 0.1), (1.0, 0.3), (0.3, 1.2), (0.0, 0.2), (0.05, 0.1)]
+        for i, (sigma, spread) in enumerate(cases):
+            pose = random_pose(rng)
+            exact = cube_range_links(pose)[4]
+            ranges.append(exact + sigma * rng.standard_normal(exact.size))
+            starts_rot.append(pose.rotation @ so3_exp(rng.normal(0.0, spread, 3)))
+            starts_trans.append(pose.translation + rng.normal(0.0, spread, 3))
+            flip.append(-1.0 if i == 4 else 1.0)
+        args = (np.array(ranges), np.array(flip))
+        stacked = pose_gauss_newton(
+            flipped_range_fit, np.array(starts_rot), np.array(starts_trans), 4, args=args
+        )
+        messages = stacked[4]
+        assert "" in messages
+        assert "cost change above relative 1e-12 after 4 iterations" in messages
+        assert messages[4] == "damping schedule exhausted without cost decrease"
+        for i in range(len(flip)):
+            single = pose_gauss_newton(
+                flipped_range_fit, starts_rot[i][None], starts_trans[i][None], 4,
+                args=tuple(arg[i : i + 1] for arg in args),
+            )
+            for stack_out, single_out in zip(stacked[:4], single[:4]):
+                assert np.array_equal(stack_out[i], single_out[0])
+            assert single[4][0] == messages[i]
 
 
 def masked_preset_links(name, seed, p_keep, sigma):

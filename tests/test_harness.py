@@ -10,6 +10,7 @@ import rblkit.estimators
 from rblkit.errors import ConfigError
 from rblkit.geometry import Pose, Twist
 from rblkit.harness import (
+    ESTIMATOR_TAGS,
     BlockageSpec,
     ExperimentConfig,
     PoseDistribution,
@@ -22,9 +23,11 @@ from rblkit.harness import (
     rows_to_csv,
     run_benchmark,
     run_scenario_once,
+    run_trial_estimators,
     scenario_from_dict,
     splitmix64,
 )
+from rblkit.harness import _run_trials
 
 
 def small_scenario(**overrides):
@@ -247,17 +250,18 @@ class TestRunBenchmark:
 
     def test_mds_and_nls_share_one_completion(self, monkeypatch):
         calls = []
-        complete_edm = rblkit.estimators.complete_edm
+        complete_batch = rblkit.estimators.complete_batch
 
-        def counting(edm, *args, **kwargs):
-            calls.append(edm)
-            return complete_edm(edm, *args, **kwargs)
+        def counting(d, *args, **kwargs):
+            calls.append(len(d))
+            return complete_batch(d, *args, **kwargs)
 
-        monkeypatch.setattr(rblkit.estimators, "complete_edm", counting)
+        monkeypatch.setattr(rblkit.estimators, "complete_batch", counting)
         scenario = small_scenario(blockage=BlockageSpec(kind="bernoulli", p=0.2))
         experiment = small_experiment(trials=3, estimators=("mds", "nls"))
         run_benchmark(scenario, experiment)
-        assert len(calls) == len(experiment.sigma_grid) * experiment.trials
+        # One completed EDM per trial, every trial of the sweep in one batch.
+        assert calls == [len(experiment.sigma_grid) * experiment.trials]
 
     def test_estimators_share_trial_draws(self):
         # The CRLB columns are identical across estimator rows at each sigma,
@@ -278,6 +282,80 @@ class TestRunBenchmark:
         rows = run_benchmark(scenario, experiment)
         assert rows[0].failures > 0
         assert rows[0].failures <= rows[0].trials
+
+
+def outcome_bits(outcome):
+    """Everything a trial outcome reports, as a key equal only bit for bit."""
+    est, crlb, comp = outcome.estimate, outcome.crlb, outcome.completion
+    return (
+        outcome.failure,
+        None if est is None else (
+            est.pose.rotation.tobytes(), est.pose.translation.tobytes(), est.iterations,
+            est.converged, est.message, float(est.residual_rms).hex(),
+        ),
+        crlb.translation_bound.hex(), crlb.rotation_bound.hex(), crlb.fim.tobytes(),
+        None if comp is None else (
+            comp.iterations, comp.converged, comp.completed.squared_distances.tobytes(),
+        ),
+        float(outcome.rotation_error_deg).hex(), float(outcome.translation_error_m).hex(),
+        outcome.measurements.ranges.tobytes(), outcome.truth.rotation.tobytes(),
+    )
+
+
+def stacked_scenario(name, blockage):
+    scenario, experiment = preset(name)
+    return ScenarioConfig(
+        conformation=scenario.conformation,
+        anchors=scenario.anchors,
+        pose_distribution=scenario.pose_distribution,
+        blockage=blockage,
+    ), experiment.sigma_grid
+
+
+class TestBatchedTrials:
+    @pytest.mark.parametrize(
+        "name, blockage",
+        [
+            ("fig4", BlockageSpec()),
+            ("fig5", BlockageSpec(kind="bernoulli", p=0.2)),
+            ("fig4", BlockageSpec(kind="hull")),
+            ("fig4", BlockageSpec(kind="bernoulli", p=0.9)),
+        ],
+        ids=["fig4", "fig5-bernoulli", "hull", "bernoulli-failing"],
+    )
+    def test_batch_equals_single_trials(self, name, blockage):
+        # run_benchmark's stacked stages give each trial exactly what
+        # run_trial_estimators gives it alone: poses, iterations, messages,
+        # bounds and failure strings.
+        scenario, grid = stacked_scenario(name, blockage)
+        sigmas = [grid[i % len(grid)] for i in range(12)]
+        seeds = [derive_seed(31, 11, i) for i in range(12)]
+        batch = _run_trials(scenario, sigmas, seeds, ESTIMATOR_TAGS, True)
+        failures = 0
+        for i, (sigma, seed) in enumerate(zip(sigmas, seeds)):
+            single = run_trial_estimators(scenario, sigma, seed)
+            stacked = batch.outcomes(i)
+            assert [outcome_bits(o) for o in stacked] == [outcome_bits(o) for o in single]
+            failures += sum(o.failure is not None for o in single)
+        if blockage.p == 0.9:
+            assert failures > 0
+
+    def test_trial_bits_independent_of_batch(self):
+        # One trial gives the same bits alone, first or last in a batch, and
+        # among trials of other noise levels that complete or fail.
+        scenario, grid = stacked_scenario("fig5", BlockageSpec(kind="bernoulli", p=0.7))
+        sigma, seed = grid[-1], derive_seed(8, 0)
+        others = [derive_seed(8, i) for i in range(1, 9)]
+        alone = _run_trials(scenario, [sigma], [seed], ESTIMATOR_TAGS, True)
+        reference = [outcome_bits(o) for o in alone.outcomes(0)]
+        for sigmas, seeds, at in [
+            ([sigma] + list(grid[:3]), [seed] + others[:3], 0),
+            (list(grid) + [sigma], others[:5] + [seed], 5),
+            ([grid[0], sigma, grid[2]] * 3, others[:4] + [seed] + others[4:8], 4),
+        ]:
+            batch = _run_trials(scenario, sigmas, seeds, ESTIMATOR_TAGS, True)
+            assert [outcome_bits(o) for o in batch.outcomes(at)] == reference
+            assert any(o.failure for i in range(len(seeds)) for o in batch.outcomes(i))
 
 
 class TestRunScenarioOnce:
