@@ -321,16 +321,16 @@ def mds_from_ranges(
 @dataclass(frozen=True)
 class ChainBatch:
     """mds_from_ranges' outcomes for a stack: the MDS estimates and the
-    completion of the items that needed one (`completed` holds their
+    completion of the items that needed one (`completed_items` holds their
     indices into the stack)."""
 
     mds: PoseBatch
     completion: CompletionBatch | None
-    completed: np.ndarray
+    completed_items: np.ndarray
 
     def report(self, i: int) -> CompletionReport | None:
         """Item i's completion report, None when it needed none."""
-        pos = np.flatnonzero(self.completed == i)
+        pos = np.flatnonzero(self.completed_items == i)
         return self.completion.report(int(pos[0])) if pos.size else None
 
 
