@@ -321,8 +321,8 @@ def mds_from_ranges(
 @dataclass(frozen=True)
 class ChainBatch:
     """mds_from_ranges' outcomes for a stack: the MDS estimates and the
-    completion of the items that needed one (`completed_items` holds their
-    indices into the stack)."""
+    completion of the items that needed one, None when none did
+    (`completed_items` holds their indices into the stack)."""
 
     mds: PoseBatch
     completion: CompletionBatch | None
@@ -339,26 +339,22 @@ def chain_batch(anchor_xyz, nodes, ranges, mask, completion: bool = True) -> Cha
     d, known = assemble_batch(anchor_xyz, nodes, ranges, mask)
     errors = [None] * len(d)
     completed, batch = np.flatnonzero(~known.all(axis=(-2, -1))), None
-    if completion:
+    if not completion:
+        completed = completed[:0]
+        d = np.where(known, d, 0.0)  # the zero fill completion is measured against
+    elif completed.size:  # a fully observed stack has nothing to complete
         batch = complete_batch(d[completed], known[completed], len(anchor_xyz))
         d[completed] = batch.completed
         for i, error in zip(completed, batch.errors):
             errors[i] = error
-    else:
-        completed = completed[:0]
-        d = np.where(known, d, 0.0)  # the zero fill completion is measured against
     return ChainBatch(mds_batch(d, anchor_xyz, nodes, errors), batch, completed)
 
 
-def nls_weights(range_sigma, angle_sigma) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse noise variances of range and angle residuals, elementwise;
-    weight 1 where a noise level is zero or unknown."""
-
-    def weight(sigma):
-        sigma = np.asarray(sigma, dtype=float)
-        return np.where(sigma > 0.0, 1.0 / np.where(sigma > 0.0, sigma, 1.0) ** 2, 1.0)
-
-    return np.broadcast_arrays(weight(range_sigma), weight(angle_sigma))
+def nls_weights(sigma) -> np.ndarray:
+    """Inverse noise variances 1 / sigma^2, elementwise; weight 1 where a
+    noise level is zero or unknown."""
+    sigma = np.asarray(sigma, dtype=float)
+    return 1.0 / np.where(sigma > 0.0, sigma, 1.0) ** 2
 
 
 def _nls_residuals(
@@ -440,7 +436,7 @@ def estimate_pose_nls(
     damping schedule, is reported via `converged`/`message`, never silently.
     """
     sigmas = (0.0, 0.0) if noise is None else (noise.range_sigma, noise.angle_sigma)
-    w_range, w_angle = nls_weights([sigmas[0]], [sigmas[1]])
+    w_range, w_angle = nls_weights([[sigmas[0]], [sigmas[1]]])
     start = None if init is None else (init.rotation[None], init.translation[None], [None])
     stacks = [None if m is None else m[None] for m in (meas.ranges, meas.aoa)]
     return nls_batch(
@@ -469,10 +465,10 @@ def nls_batch(
         first = mask.argmax(axis=-2)[:, kk]  # each link's node's first observed anchor
         refs, az_weight = first * k + kk, observed & (jj != first)
     n_angles = 0 if aoa is None else az_weight.sum(axis=-1) + n_obs
-    n_res = np.zeros(b, dtype=int) + (0 if ranges is None else n_obs) + n_angles
+    n_res = n_obs * (ranges is not None) + n_angles
     errors = [
         UnderdeterminedError(f"pose has 6 degrees of freedom; got {n} residuals") if n < 6 else None
-        for n in n_res
+        for n in n_res.tolist()
     ]
     if init is None and ranges is None:
         init = (np.broadcast_to(np.eye(3), (b, 3, 3)), np.zeros((b, 3)), [None] * b)
@@ -483,10 +479,10 @@ def nls_batch(
     rot, trans = np.array(init[0], dtype=float), np.array(init[1], dtype=float)
     iterations, converged = np.zeros(b, dtype=int), np.zeros(b, dtype=bool)
     messages, projection, residual_rms = [""] * b, np.zeros(b), np.full(b, np.nan)
-    fit = np.flatnonzero([e is None for e in errors])
-    if fit.size:
+    items = [i for i, e in enumerate(errors) if e is None]
+    if items:
         # Every item fits in the common case; the slice then copies nothing.
-        fit = slice(None) if fit.size == b else fit
+        fit = slice(None) if len(items) == b else np.array(items)
         weight = observed[fit].astype(float)
         grid_ranges = None if ranges is None else ranges.reshape(b, -1)[fit]
         links = range_links(nodes, kk, anchor_xyz[jj], grid_ranges, weight)
@@ -515,8 +511,8 @@ def nls_batch(
             count = n_angles[fit]
         residual_rms[fit] = np.sqrt(np.add.reduce(final**2, axis=-1) / count)
         rot[fit], trans[fit] = projected, t_fit
-        for j, i in enumerate(np.arange(b)[fit]):
-            messages[i], errors[i] = fit_messages[j], projection_errors[j]
+        for i, message, error in zip(items, fit_messages, projection_errors):
+            messages[i], errors[i] = message, error
     return PoseBatch(
         "nls", rot, trans, residual_rms, errors, iterations, converged, messages, projection
     )

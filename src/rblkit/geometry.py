@@ -26,6 +26,10 @@ _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
 
+def _all_finite(*arrays) -> bool:
+    return all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays)
+
+
 def readonly(a: np.ndarray) -> np.ndarray:
     """A write-protected copy of `a`, with its dtype kept."""
     out = np.array(a)
@@ -46,12 +50,13 @@ def so3_exp(axis_angle) -> np.ndarray:
     theta = np.sqrt(np.vecdot(v, v))[..., None, None]  # what np.linalg.norm computes
     k = (v @ _SKEW).reshape(v.shape + (3,))  # [v]x: each entry is one signed component of v
     small = theta < 1e-6
+    square = theta * theta  # what theta**2 computes
     if np.logical_or.reduce(small, axis=None):
         safe = np.where(small, 1.0, theta)
-        a = np.where(small, 1.0 - theta**2 / 6.0, np.sin(safe) / safe)
-        b = np.where(small, 0.5 - theta**2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
+        a = np.where(small, 1.0 - square / 6.0, np.sin(safe) / safe)
+        b = np.where(small, 0.5 - square / 24.0, (1.0 - np.cos(safe)) / safe**2)
     else:
-        a, b = np.sin(theta) / theta, (1.0 - np.cos(theta)) / theta**2
+        a, b = np.sin(theta) / theta, (1.0 - np.cos(theta)) / square
     return _EYE3 + a * k + b * (k @ k)
 
 
@@ -129,15 +134,19 @@ def project_batch(m) -> tuple[np.ndarray, list]:
     """so3_project of each matrix of a (B, 3, 3) stack: the rotations and,
     per item, the DegenerateProjectionError of a rank-deficient one or None."""
     u, s, vt = np.linalg.svd(m)
-    degenerate = s[:, 2] <= 1e-13 * np.maximum(s[:, 0], 1e-300)
-    flip = np.ones_like(s)
-    flip[:, 2] = np.sign(np.linalg.det(u @ vt))
     errors = [None] * len(m)
-    for i in np.flatnonzero(degenerate):
+    for i in np.flatnonzero(s[:, 2] <= 1e-13 * np.maximum(s[:, 0], 1e-300)):
         errors[i] = DegenerateProjectionError(
             f"matrix is rank deficient (singular values {s[i]}); nearest rotation not unique"
         )
-    return u @ diag_stack(flip) @ vt, errors
+    return _proper(u, vt), errors
+
+
+def _proper(u, vt):
+    # u diag(1, 1, sign det(u vt)) vt with the sign put into u's last column (u is overwritten):
+    # the same products, without building the diagonal matrices.
+    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    return u @ vt
 
 
 def diag_stack(values) -> np.ndarray:
@@ -245,12 +254,13 @@ class Pose:
             raise InvalidPoseError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise InvalidPoseError(f"translation must be length 3, got {t.shape}")
-        if not (np.isfinite(r).all() and np.isfinite(t).all()):
+        if not _all_finite(r, t):
             raise InvalidPoseError("pose entries must be finite")
-        err = np.abs(r.T @ r - _EYE3).max()
+        err = np.maximum.reduce(np.abs(r.T @ r - _EYE3), axis=None)
         if err > ORTHONORMALITY_TOL:
             raise InvalidPoseError(f"rotation is not orthonormal (max deviation {err:.3e})")
-        det = np.linalg.det(r)
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()  # a fraction of np.linalg.det's call cost
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if abs(det - 1.0) > ORTHONORMALITY_TOL:
             raise InvalidPoseError(f"rotation determinant is {det:.12f}, expected +1")
         object.__setattr__(self, "rotation", readonly(r))
@@ -276,7 +286,7 @@ class Twist:
         v = np.asarray(self.linear, dtype=float)
         if w.shape != (3,) or v.shape != (3,):
             raise ValueError("angular and linear velocities must be length-3 vectors")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(v))):
+        if not _all_finite(w, v):
             raise ValueError("twist components must be finite")
         object.__setattr__(self, "angular", readonly(w))
         object.__setattr__(self, "linear", readonly(v))
@@ -364,12 +374,7 @@ def fit_alignment(source, target, weights, proper):
     y_c = y - y_bar[..., None, :]
     cross = (y_c * w[..., None]).mT @ s_c
     u, sv, vt = np.linalg.svd(cross)
-    if proper:
-        flip = np.ones_like(sv)
-        flip[..., 2] = np.sign(np.linalg.det(u @ vt))
-        q = u @ diag_stack(flip) @ vt
-    else:
-        q = u @ vt
+    q = _proper(u, vt) if proper else u @ vt
     return q, y_bar - (q @ s_bar[..., None])[..., 0], sv, s_c, w
 
 
@@ -381,8 +386,9 @@ def link_grid(n_anchors: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return jj, readonly(np.tile(np.arange(n_nodes), n_anchors))
 
 
-_LEVERS = np.zeros((4, 3, 6))  # [c, 1] @ _LEVERS.reshape(4, 18) is [-[c]x, I], flattened
+_LEVERS = np.zeros((4, 3, 6))  # c @ _LEVERS[:3] + _LEVERS[3] is [-[c]x, I], flattened
 _LEVERS[:3, :, :3], _LEVERS[3, :, 3:] = np.cross(_EYE3[:, None], _EYE3), _EYE3
+_LEVERS = _LEVERS.reshape(4, 18)
 
 
 def range_links(nodes, kk, anchor_xyz, ranges, observed=None):
@@ -401,7 +407,7 @@ def range_links(nodes, kk, anchor_xyz, ranges, observed=None):
         return nodes, kk, nodes_k, anchor_xyz, None, None, None
     weight = np.ones(np.shape(ranges)) if observed is None else np.asarray(observed, dtype=float)
     ranges = np.where(weight > 0.0, ranges, 0.0)
-    levers = nodes_k @ _LEVERS[:3].reshape(3, 18) + _LEVERS[3].ravel()
+    levers = nodes_k @ _LEVERS[:3] + _LEVERS[3]
     return nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers.reshape(nodes_k.shape + (6,))
 
 
@@ -440,7 +446,8 @@ def range_residuals(rot, trans, links, jacobian=True):
     curv[..., 3:, :3] = curv[..., :3, 3:].mT
     gc = (g * res[..., None]).mT @ nodes_k
     trace = gc.trace(axis1=-2, axis2=-1)[..., None, None]
-    curv[..., :3, :3] += 0.5 * (gc + gc.mT) - trace * _EYE3
+    rotation_block = curv[..., :3, :3]  # a view: += writes curv
+    rotation_block += 0.5 * (gc + gc.mT) - trace * _EYE3
     return res, rows, curv - (rows * alpha[..., None]).mT @ rows, delta, dist
 
 
@@ -472,9 +479,11 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     for a stack of poses: the residuals (b, M) and, when `jacobian` is true
     (once per iteration, at its starting poses), their rows (b, M, 6) for a
     right perturbation (rot expm([d_theta]x), trans + d_t) and sum_i res_i
-    Hess(res_i) (b, 6, 6) in that chart, or None. Every entry of `args` is
-    None or holds one item per pose along its first axis; the kernel hands
-    the callback the items of the poses it passes. A step solves with
+    Hess(res_i) (b, 6, 6) in that chart, or None; the same residuals give
+    the iteration's starting cost, so a fit started at its minimum makes one
+    Jacobian and one trial evaluation. Every entry of `args` is None or
+    holds one item per pose along its first axis; the kernel hands the
+    callback the items of the poses it passes. A step solves with
     rows^T rows + curvature where that is positive definite (quadratic
     convergence on large residuals), else with rows^T rows (Gauss-Newton),
     damped on diag(rows^T rows). It is accepted when it raises the cost by
@@ -493,72 +502,76 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     iterations, converged = np.full(n, max_iters), np.zeros(n, dtype=bool)
     messages = [f"cost change above relative 1e-12 after {max_iters} iterations"] * n
 
-    def cost_at(r, t, a):
-        res = residuals(r, t, *a, False)[0]
-        return np.vecdot(res, res)  # rounds as res @ res
-
-    def attempt(r, t, hess, descent, lam, scale, cost, band, a):
+    def attempt(r, t, hess, descent, lam, scale, ceiling, a):
         """One damping try: (accepted, tried poses, their costs)."""
         damped = hess.copy()
-        damped.reshape(-1, 36)[:, ::7] += lam[:, None] * scale
+        diagonal = damped.reshape(-1, 36)[:, ::7]  # a view: += writes damped's diagonal
+        diagonal += lam[:, None] * scale
         step, solved = _stacked(np.linalg.solve, damped, descent)
         r_try, t_try = r @ so3_exp(step[:, :3, 0]), t + step[:, 3:, 0]
-        c_try = cost_at(r_try, t_try, a)
+        res = residuals(r_try, t_try, *a, False)[0]
+        c_try = np.vecdot(res, res)  # rounds as res @ res
         # Accept non-increase up to float resolution of the cost itself:
         # near the minimum no step can beat the ulp-level plateau.
-        ok = c_try <= cost + band
+        ok = c_try <= ceiling
         return ok if solved is None else ok & solved, r_try, t_try, c_try
 
     live = np.arange(n)
     r, t = rot, trans
-    cost = cost_at(r, t, args)
     lam = np.full(n, 1e-6)
     for it in range(1, max_iters + 1):
         if not live.size:
             break
         res, jac, curv = residuals(r, t, *args, True)
+        cost = np.vecdot(res, res)  # bit for bit the cost its accepted trial had
         descent = -(jac.mT @ res[..., None])  # minus the gradient, (b, 6, 1)
         hess = jac.mT @ jac
         # Marquardt scaling: damp relative to the curvature so the schedule
         # works at any noise level (the weighted Hessian scales as 1/sigma^2).
         diag = hess.diagonal(axis1=-2, axis2=-1)
-        largest = np.maximum.reduce(diag, axis=-1, keepdims=True)
-        scale = np.maximum(diag, 1e-12 * np.maximum(largest, 1e-300))
+        largest = np.maximum.reduce(diag, axis=-1, keepdims=True, initial=1e-300)
+        scale = np.maximum(diag, 1e-12 * largest)
         if curv is not None:  # Newton where positive definite, else Gauss-Newton
             newton = hess + curv
             definite = _stacked(np.linalg.cholesky, newton)[1]
             hess = newton if definite is None else np.where(definite[:, None, None], newton, hess)
         band = cost * 1e-12 + 1e-18
-        # Fast path: every fit accepts its current damping on the first try.
-        first, r_new, t_new, c_new = attempt(r, t, hess, descent, lam, scale, cost, band, args)
+        ceiling = cost + band
+        first, r_new, t_new, c_new = attempt(r, t, hess, descent, lam, scale, ceiling, args)
+        conv = np.abs(cost - c_new) <= band
         accepted = first
-        if not np.logical_and.reduce(first):
+        # Fast path: every fit accepts its current damping on the first try.
+        if np.count_nonzero(first) < len(first):
+            conv &= first  # a step that damping had to shrink never converges
             accepted = first.copy()
             lam[~first] *= 10.0
             todo = np.flatnonzero(~first & (lam <= 1e8))
             while todo.size:
-                ok, r_try, t_try, c_try = attempt(
+                ok, r_try, t_try, _ = attempt(
                     r[todo], t[todo], hess[todo], descent[todo], lam[todo], scale[todo],
-                    cost[todo], band[todo], _take(args, todo),
+                    ceiling[todo], _take(args, todo),
                 )
                 win, lose = todo[ok], todo[~ok]
-                r_new[win], t_new[win], c_new[win] = r_try[ok], t_try[ok], c_try[ok]
+                r_new[win], t_new[win] = r_try[ok], t_try[ok]
                 accepted[win] = True
                 lam[lose] *= 10.0
                 todo = lose[lam[lose] <= 1e8]
             # A fit whose damping schedule ran out keeps its pose.
             r_new[~accepted], t_new[~accepted] = r[~accepted], t[~accepted]
-        conv = first & (np.abs(cost - c_new) <= band)
-        r, t, cost = r_new, t_new, c_new
+        r, t = r_new, t_new
         lam = np.maximum(lam / 3.0, 1e-12)
         done = conv if accepted is first else conv | ~accepted
-        if np.logical_or.reduce(done):
-            ids = live[done]
-            rot[ids], trans[ids], iterations[ids], converged[ids] = r[done], t[done], it, conv[done]
-            for i, ok in zip(ids, accepted[done]):
+        finished = np.count_nonzero(done)
+        if finished:
+            last = finished == len(live)  # then nothing is left to compact
+            ids, sel = (live, slice(None)) if last else (live[done], done)
+            rot[ids], trans[ids], iterations[ids], converged[ids] = r[sel], t[sel], it, conv[sel]
+            for i, ok in zip(ids.tolist(), accepted[sel].tolist()):
                 messages[i] = "" if ok else "damping schedule exhausted without cost decrease"
+            if last:
+                return rot, trans, iterations, converged, messages
             keep = ~done
-            live, r, t, cost, lam = live[keep], r[keep], t[keep], cost[keep], lam[keep]
+            live, r, t, lam = live[keep], r[keep], t[keep], lam[keep]
             args = _take(args, keep)
     rot[live], trans[live] = r, t
     return rot, trans, iterations, converged, messages

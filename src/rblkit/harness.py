@@ -175,6 +175,11 @@ class ScenarioConfig:
                 "range measurements are required by the estimators",
                 field="measurements",
             )
+        if self.blockage.kind == "hull" and self.conformation.is_planar:
+            raise ConfigError(
+                "hull self-occlusion needs a solid body; a planar body's hull is flat",
+                field="blockage",
+            )
 
     def sample_pose(self, rng: np.random.Generator) -> Pose:
         return self.pose if self.pose is not None else self.pose_distribution.sample(rng)
@@ -376,7 +381,8 @@ def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion:
         elif tag == "mds":
             batch = chain.mds
         else:
-            w_range, w_angle = nls_weights(sigmas, scenario.noise.angle_sigma)
+            angle_sigmas = np.full(len(sigmas), scenario.noise.angle_sigma)
+            w_range, w_angle = nls_weights([sigmas, angle_sigmas])
             start = (chain.mds.rotation, chain.mds.translation, chain.mds.errors)
             batch = nls_batch(anchors, nodes, mask, ranges, aoa, w_range, w_angle, start)
         estimates[tag] = batch

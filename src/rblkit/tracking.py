@@ -13,6 +13,7 @@ since [w]x R c_k = -[R c_k]x w.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +29,8 @@ from .estimators import (
 from .geometry import (
     Conformation,
     Pose,
-    RigidBodyState,
     Twist,
-    propagate_state,
+    propagate_poses,
     range_links,
     range_residuals,
     twist_jacobian_rows,
@@ -76,7 +76,7 @@ def estimate_twist(
     solution = vt.T @ ((u.T @ obs) / sv)  # the least-squares solution, from the same SVD
     residual = rows @ solution - obs
     twist = Twist(solution[:3], solution[3:])
-    return twist, float(np.sqrt(np.mean(residual**2)))
+    return twist, math.sqrt(np.add.reduce(residual * residual) / residual.size)  # np.mean's sum / n
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,8 @@ def track_sequence(
         init = None
         if prev_pose is not None:
             elapsed = frame.timestamp - prev_time
-            init = propagate_state(RigidBodyState(conf, prev_pose, prev_twist), elapsed).pose
+            rot, trans = propagate_poses(prev_pose, prev_twist, [elapsed])
+            init = Pose(rot[0], trans[0])  # the pose propagate_state returns
         meas = frame.measurements
         try:
             if config.estimator == "nls":

@@ -13,6 +13,7 @@ from conftest import (
     unit_cube,
 )
 
+import rblkit.estimators
 from rblkit.errors import (
     AmbiguousAlignmentError,
     DegenerateEmbeddingError,
@@ -25,6 +26,7 @@ from rblkit.estimators import (
     SemanticHeading,
     _gabp_node_beliefs,
     _nls_residuals,
+    chain_batch,
     estimate_pose_gabp,
     estimate_pose_mds,
     estimate_pose_nls,
@@ -203,6 +205,27 @@ class TestEstimatePoseMds:
         assert report is None
         assert np.array_equal(est.pose.rotation, direct.pose.rotation)
         assert np.array_equal(est.pose.translation, direct.pose.translation)
+
+    def test_fully_observed_stack_never_reaches_completion(self, monkeypatch):
+        # A stack with no missing link pays for no empty completion, and its
+        # MDS estimates are the direct ones, bit for bit.
+        def refuse(*args, **kwargs):
+            raise AssertionError("complete_batch called on a fully observed stack")
+
+        rng = np.random.default_rng(81)
+        draws = [simulate_cube_ranges(random_pose(rng), sigma=0.01, seed=s)[2] for s in range(4)]
+        conf, anchors = unit_cube(), cube_anchors()
+        monkeypatch.setattr(rblkit.estimators, "complete_batch", refuse)
+        chain = chain_batch(
+            anchors.anchors, conf.nodes,
+            np.stack([m.ranges for m in draws]), np.stack([m.mask for m in draws]),
+        )
+        assert chain.completion is None and chain.completed_items.size == 0
+        for i, meas in enumerate(draws):
+            direct = estimate_pose_mds(assemble_edm(anchors, conf, meas), anchors, conf)
+            assert chain.report(i) is None
+            assert np.array_equal(chain.mds.rotation[i], direct.pose.rotation)
+            assert np.array_equal(chain.mds.translation[i], direct.pose.translation)
 
     def test_chain_completes_or_zero_fills_masked_edm(self):
         truth = random_pose(np.random.default_rng(9))

@@ -224,10 +224,28 @@ class TestPoseGaussNewton:
         assert rotation_error_deg(rot[0], pose.rotation) < 1e-9
         assert np.abs(trans[0] - pose.translation).max() < 1e-12
 
+    def test_exact_minimum_costs_one_jacobian_and_one_trial(self):
+        # The starting cost comes from the first Jacobian evaluation, so a fit
+        # started at its minimum evaluates the callback exactly twice.
+        pose = random_pose(np.random.default_rng(45))
+        links = cube_range_links(pose)
+        calls = []
+
+        def counting(rot, trans, ranges, jacobian):
+            calls.append(jacobian)
+            return range_fit(rot, trans, ranges, jacobian)
+
+        *_, iterations, converged, _ = pose_gauss_newton(
+            counting, pose.rotation[None], pose.translation[None], 50, args=(links[4][None],)
+        )
+        assert (iterations[0], converged[0]) == (1, True)
+        assert calls == [True, False]
+
     def test_step_accepted_after_a_rejection_never_converges(self):
         # The cost callback rejects the first try of every iteration, then
-        # accepts a second try that leaves the cost exactly where it was.
-        costs = iter([1.0] + [4.0, 1.0] * 3)
+        # accepts a second try that leaves the cost (1, from the rows'
+        # residuals) exactly where it was.
+        costs = iter([4.0, 1.0] * 3)
         jac = np.eye(6)[None]
 
         def residuals(rot, trans, jacobian):

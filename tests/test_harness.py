@@ -8,7 +8,7 @@ import pytest
 
 import rblkit.estimators
 from rblkit.errors import ConfigError
-from rblkit.geometry import Pose, Twist
+from rblkit.geometry import Conformation, Pose, Twist
 from rblkit.harness import (
     ESTIMATOR_TAGS,
     BlockageSpec,
@@ -97,6 +97,15 @@ class TestConfigs:
             small_experiment(trials=0)
         with pytest.raises(ConfigError):
             small_experiment(estimators=("mds", "bogus"))
+
+    def test_planar_body_rejects_hull_blockage(self):
+        # Qhull cannot build the hull of a planar body, so the combination is
+        # refused when the scenario is built, not mid-sweep.
+        flat = Conformation([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]])
+        with pytest.raises(ConfigError, match="blockage") as caught:
+            small_scenario(conformation=flat, blockage=BlockageSpec(kind="hull"))
+        assert caught.value.field == "blockage"
+        small_scenario(conformation=flat, blockage=BlockageSpec(kind="bernoulli", p=0.1))
 
     def test_blockage_spec_validation(self):
         with pytest.raises(ConfigError):

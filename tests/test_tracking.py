@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import cube_anchors, random_pose, unit_cube
@@ -12,6 +14,7 @@ from rblkit.geometry import (
     random_rotation,
     rotation_error_deg,
 )
+from rblkit.harness import BlockageSpec, generate_trajectory, preset
 from rblkit.measurement import NoiseModel, simulate_measurements
 from rblkit.tracking import (
     MeasurementFrame,
@@ -258,3 +261,46 @@ class TestTrackSequence:
         back = MeasurementFrame.from_json_dict(doc)
         assert back.timestamp == frames[0].timestamp
         assert np.array_equal(back.measurements.ranges, frames[0].measurements.ranges)
+
+
+GOLDEN_TRACK = (
+    "timestamp,rotation_error_deg,translation_error_m,"
+    "angular_error_rad_s,linear_error_m_s,twist_residual_rms,estimator_converged,error\n"
+    "0.05,0.538545281849,0.00228991858439,0.00947729303125,0.00189956384012,0.00854237406614,True,\n"
+    "0.1,0.273481546529,0.00438191753953,0.0106769540572,0.00180356911764,0.00844484975997,True,\n"
+    "0.15,0.252939761938,0.00139222635534,0.00752820861847,0.00434776856638,0.00763132565243,True,\n"
+    "0.2,0.227153181608,0.00148707917806,0.00627536595538,0.00263199146306,0.0073219108465,True,\n"
+    "0.25,0.629850201344,0.0031087985117,0.00473451425084,0.00604367485826,0.00830661967357,True,\n"
+    "0.3,0.419124256839,0.00452717012109,0.00612980592048,0.00496030685623,0.00929764546448,True,\n"
+    "0.35,0.154881599459,0.00494854666141,0.0049297064751,0.00278722359541,0.00799673240627,True,\n"
+    "0.4,0.212072871264,0.00168819856454,0.00665998920085,0.00251158027625,0.0096599841173,True,\n"
+    "0.45,0.206758524823,0.00309788275769,0.00678105277104,0.00500354949338,0.0103505760686,True,\n"
+    "0.5,0.208450414375,0.00477509034273,0.00322043967089,0.0010007678818,0.00901231822563,True,\n"
+    "0.55,0.508958429791,0.00268499049408,0.00580487842012,0.0017181668756,0.00958152646242,True,\n"
+    "0.6,0.347249317333,0.00325439435245,0.00701221067054,0.00637614116971,0.00747433246557,True,\n"
+    "0.65,0.249765303746,0.00378971230114,0.00607902606826,0.00414781908887,0.00884938625991,True,\n"
+    "0.7,0.200862206875,0.00592063530747,0.00991720171417,0.00430738064177,0.00845249528632,True,\n"
+    "0.75,0.263433850719,0.00280311408839,0.00449145431128,0.00529089769035,0.00837779460068,True,\n"
+    "0.8,0.417199748369,0.00748874562831,0.00729705328616,0.00149472210186,0.0101689721348,True,\n"
+    "0.85,0.371580863498,0.00268020501721,0.00205783040889,0.00437895651765,0.00897917221159,True,\n"
+    "0.9,0.276490637747,0.005188259414,0.0104763308643,0.00435141624495,0.00956180201593,True,\n"
+    "0.95,0.277521527611,0.00143826468766,0.00797171801254,0.00261730496083,0.00963730934784,True,\n"
+    "1,0.150826596512,0.00230588985421,0.00147928988317,0.00220887821593,0.00958822010134,True,\n"
+)
+
+
+def test_golden_track_csv():
+    # Frozen output of the tracker: the fig4 body under hull self-occlusion,
+    # ranges and range rates, 20 warm-started NLS frames. Any change to the
+    # pose kernel's arithmetic, the twist fit or the frame loop shows up here.
+    scenario, _ = preset("fig4")
+    scenario = replace(
+        scenario,
+        blockage=BlockageSpec(kind="hull"),
+        measurement_kinds=("range", "range_rate"),
+        noise=NoiseModel(range_rate_sigma=0.01),
+    )
+    twist = Twist([0.3, -0.2, 0.4], [0.05, -0.03, 0.02])
+    frames, truth = generate_trajectory(scenario, twist, 20, 0.05, 0.01, 31)
+    track = track_sequence(scenario.anchors, scenario.conformation, frames, TrackConfig("nls"))
+    assert track_to_csv(track, truth) == GOLDEN_TRACK
