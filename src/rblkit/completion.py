@@ -76,15 +76,14 @@ def embed_from_gram(gram: np.ndarray, dim: int = 3) -> tuple[np.ndarray, np.ndar
     square roots, so a planar point set gets an exactly zero third coordinate.
     """
     eigval, eigvec = np.linalg.eigh(gram)
-    descending = np.argsort(eigval, axis=-1)[..., ::-1]
-    order = descending[..., :dim]
-    top = np.take_along_axis(eigval, order, axis=-1)
+    eigval = eigval[..., ::-1]  # eigh sorts ascending
+    top = eigval[..., :dim]
     top = np.where(top > 1e-9 * np.maximum(top[..., :1], 0.0), top, 0.0)
-    # Each item column-major, the layout eigvec[:, order] has: BLAS products
-    # of other layouts can round differently.
-    columns = np.take_along_axis(eigvec.mT, order[..., :, None], axis=-2)
+    # Each item column-major (a contiguous copy of eigvec.mT's top rows,
+    # transposed back): BLAS products of other layouts can round differently.
+    columns = np.ascontiguousarray(eigvec.mT[..., : -dim - 1 : -1, :])
     points = (columns * np.sqrt(top)[..., :, None]).mT
-    return points, np.take_along_axis(eigval, descending, axis=-1)
+    return points, eigval
 
 
 def edm_from_points(points: np.ndarray) -> np.ndarray:

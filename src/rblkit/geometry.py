@@ -190,6 +190,13 @@ def pairwise_distances(points) -> np.ndarray:
     return np.linalg.norm(diff, axis=-1)
 
 
+def affine_rank(points) -> int:
+    """Dimension of the affine span of points (K, 3): the singular values of
+    the centred points above 1e-9 of the largest."""
+    s = np.linalg.svd(points - points.mean(axis=0), compute_uv=False)
+    return int(np.sum(s > 1e-9 * max(s[0], 1e-300)))
+
+
 @dataclass(frozen=True)
 class Conformation:
     """Body-frame node coordinates of a rigid body, one row per node (m).
@@ -211,9 +218,7 @@ class Conformation:
         d = pairwise_distances(nodes)
         if np.any(d[np.triu_indices_from(d, k=1)] <= 0.0):
             raise DegenerateConformationError("nodes must be pairwise distinct")
-        centered = nodes - nodes.mean(axis=0)
-        s = np.linalg.svd(centered, compute_uv=False)
-        rank = int(np.sum(s > 1e-9 * max(s[0], 1e-300)))
+        rank = affine_rank(nodes)
         if rank < 2:
             raise DegenerateConformationError("nodes are collinear")
         object.__setattr__(self, "nodes", readonly(nodes))
@@ -321,11 +326,16 @@ def transform_points(points, rot, trans) -> np.ndarray:
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-def _cross_rows(a, b, tail) -> np.ndarray:
-    # (..., M, 6) rows [a_k x b_k, tail_k], the same products and differences np.cross forms.
+def cross(a, b) -> np.ndarray:
+    """a x b over the last axis: the products and differences np.cross
+    forms, without its per-call overhead."""
     a_next, a_prev = a.take(_NEXT, axis=-1), a.take(_PREV, axis=-1)
-    cross = a_next * b.take(_PREV, axis=-1) - a_prev * b.take(_NEXT, axis=-1)
-    return np.concatenate([cross, tail], axis=-1)
+    return a_next * b.take(_PREV, axis=-1) - a_prev * b.take(_NEXT, axis=-1)
+
+
+def _cross_rows(a, b, tail) -> np.ndarray:
+    # (..., M, 6) rows [a_k x b_k, tail_k].
+    return np.concatenate([cross(a, b), tail], axis=-1)
 
 
 def pose_jacobian_rows(nodes, grads, rotation) -> np.ndarray:

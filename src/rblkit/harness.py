@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import CrlbBatch, CrlbReport, fim_batch
 from .completion import CompletionReport
-from .errors import ConfigError, CoverageWarning, RangeClampWarning
+from .errors import ConfigError, RangeClampWarning
 from .estimators import (
     ESTIMATOR_TAGS,
     ChainBatch,
@@ -49,7 +49,8 @@ from .measurement import (
     MeasurementSet,
     NoiseModel,
     assemble_edm,
-    blockage_batch,
+    hull_facets,
+    hull_keep,
     simulate_batch,
 )
 from .tracking import MeasurementFrame
@@ -148,6 +149,18 @@ class BlockageSpec:
         if self.kind == "hull":
             return ConvexHullBlockage(anchors, world_nodes, margin=self.margin)
         return None
+
+    def keep_batch(self, seeds, anchors: AnchorSet, nodes, world) -> np.ndarray:
+        """What policy(seed, anchors, w).keep_mask keeps for B placements
+        `world` (B, K, 3) of a body with body-frame `nodes`, one seed each,
+        as a (B, A, K) stack. The hull's facet triples are found once, from
+        `nodes`, and every placement is clipped in one call."""
+        shape = (anchors.num_anchors, len(nodes))
+        if self.kind == "hull":
+            return hull_keep(anchors.anchors, world, hull_facets(nodes), self.margin)
+        if self.kind == "bernoulli":
+            return np.array([BernoulliBlockage(self.p, seed=s).keep_mask(shape) for s in seeds])
+        return np.ones((len(world),) + shape, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -274,19 +287,16 @@ def _noise(scenario: ScenarioConfig, sigma: float, seed: int) -> NoiseModel:
 def _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds):
     """Simulate the measurements of the scenario's body at B poses (rot,
     trans), each with its own noise model and blockage seed, and apply the
-    scenario's blockage; range-clamp and coverage warnings are silenced.
-    Returns the (B, A, K) mask and the ranges, aoa and range rates (None
-    when not simulated), NaN where unobserved."""
+    scenario's blockage; range-clamp warnings are silenced and no node left
+    unobserved is warned about. Returns the (B, A, K) mask and the ranges,
+    aoa and range rates (None when not simulated), NaN where unobserved."""
     anchors, nodes = scenario.anchors, scenario.conformation.nodes
     world = transform_points(nodes, rot, trans)
     velocities = twist_velocities(nodes, rot, twist) if "range_rate" in kinds else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RangeClampWarning)
-        warnings.simplefilter("ignore", CoverageWarning)
         observed = simulate_batch(anchors.anchors, world, noises, kinds, velocities)
-        policies = [scenario.blockage.policy(s, anchors, w) for s, w in zip(blockage_seeds, world)]
-        full = np.ones((len(world), anchors.num_anchors, len(nodes)), dtype=bool)
-        mask = blockage_batch(full, policies)
+    mask = scenario.blockage.keep_batch(blockage_seeds, anchors, nodes, world)
     grids = []
     for m in observed:  # aoa has a trailing (azimuth, elevation) axis
         keep = None if m is None else mask.reshape(m.shape[:3] + (1,) * (m.ndim - 3))

@@ -9,6 +9,7 @@ anchor and poisons every downstream solver.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -23,7 +24,15 @@ from .errors import (
     UndefinedDirectionError,
     UnderdeterminedError,
 )
-from .geometry import Conformation, RigidBodyState, node_velocities, pairwise_distances, readonly
+from .geometry import (
+    Conformation,
+    RigidBodyState,
+    affine_rank,
+    cross,
+    node_velocities,
+    pairwise_distances,
+    readonly,
+)
 
 # Independent substreams per measurement type, derived from NoiseModel.seed.
 _STREAM_RANGE = 0
@@ -381,14 +390,87 @@ class BernoulliBlockage:
         return rng.random(shape) >= self.p
 
 
+def hull_facets(nodes) -> np.ndarray:
+    """Node-index triples (F, 3) spanning the distinct facet planes of the
+    convex hull of `nodes` (K, 3), each ordered so that
+    (n_j - n_i) x (n_l - n_i) points out of the hull.
+
+    A triple spans a facet when every node lies on one side of its plane,
+    within 1e-11 of the nodes' extent: well under the 1e-9 thickness that
+    Conformation's rank test asks of a solid body, well over rounding. Of
+    the triples through the same nodes, the first in index order stands for
+    the plane. A rotation keeps both which triples qualify and their
+    handedness, so a body's facets found in its own frame hold at every
+    pose. A collinear or flat node set (by the rank test) has no interior
+    and raises InvalidPolicyError.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    rank = affine_rank(nodes)
+    if rank < 3:
+        cause = "collinear" if rank < 2 else "coplanar"
+        raise InvalidPolicyError(f"hull self-occlusion needs a solid body; the nodes are {cause}")
+    k = len(nodes)
+    extent = np.ptp(nodes, axis=0).max()
+    tol = 1e-11 * extent
+    triples = np.array(list(itertools.combinations(range(k), 3)))
+    p0, p1, p2 = (nodes[triples[:, c]] for c in range(3))
+    normals = cross(p1 - p0, p2 - p0)
+    length = np.linalg.norm(normals, axis=1)
+    spans = length > tol * extent  # not collinear
+    triples, normals = triples[spans], normals[spans] / length[spans, None]
+    offsets = (normals * p0[spans]).sum(axis=1)
+    facets, planes = [], []
+    for c in range(0, len(triples), k * k):
+        # Every node's signed distance from K^2 planes at a time: O(K^3) memory.
+        dist = normals[c : c + k * k] @ nodes.T - offsets[c : c + k * k, None]
+        above, below = (dist > tol).any(axis=1), (dist < -tol).any(axis=1)
+        facet = above ^ below
+        # Nodes above the plane: swap j and l to turn the normal outward.
+        t = triples[c : c + k * k][facet]
+        facets.extend(np.where(above[facet, None], t[:, [0, 2, 1]], t))
+        planes.extend(np.abs(dist[facet]) <= tol)
+    first = {}
+    for triple, plane in zip(facets, planes):
+        first.setdefault(plane.tobytes(), triple)
+    return np.array(list(first.values()))
+
+
+def hull_keep(anchor_xyz, world, facets, margin: float) -> np.ndarray:
+    """The (B, A, K) links from anchors (A, 3) to the nodes of B bodies at
+    world positions (B, K, 3) that each body's own hull leaves visible; the
+    hull's facet planes pass through the node triples `facets` of
+    hull_facets. Each body's bits are the same in any stack."""
+    p0, p1, p2 = (world[:, facets[:, c]] for c in range(3))
+    normals = cross(p1 - p0, p2 - p0)
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    offsets = -(normals * p0).sum(axis=-1)
+    # Link (j, k) is blocked when n.(a_j + t (s_k - a_j)) + b <= -margin on every
+    # facet for some t in [0, 1]: clip the t interval of all (body, anchor, node,
+    # facet) tuples at once. Right operands of shape (3, 1) keep each product a
+    # matrix-vector one, which rounds as normals @ vector does.
+    num = -((normals[:, None] @ anchor_xyz[:, :, None])[..., 0] + offsets[:, None] + margin)
+    num = num[:, :, None, :]
+    den = (normals[:, None, None] @ (world[:, None] - anchor_xyz[:, None])[..., None])[..., 0]
+    # A facet parallel to the link bounds no t, unless the link lies outside it (num < 0).
+    parallel = np.abs(den) < 1e-300
+    bound = num / np.where(parallel, 1.0, den)
+    hi = np.where(den > 0.0, bound, np.inf).min(axis=-1, where=~parallel, initial=1.0)
+    lo = np.where(den < 0.0, bound, -np.inf).max(axis=-1, where=~parallel, initial=0.0)
+    return (lo > hi) | (parallel & (num < 0.0)).any(axis=-1)
+
+
 @dataclass(frozen=True)
 class ConvexHullBlockage:
     """Self-occlusion: a link is blocked when the anchor-node segment passes
-    through the body's convex hull.
+    through the convex hull of `world_nodes`.
 
-    Because every node lies on the hull itself, the test uses the hull
-    shrunk inward by `margin`: a ray that merely grazes the surface within
-    `margin` stays visible, while one that crosses the interior is blocked.
+    The hull's facet planes pass through node triples (hull_facets), found
+    from the nodes themselves. Every hull vertex lies on the hull, so the
+    test uses the hull shrunk inward by `margin` (m): a link that only
+    grazes the surface, or runs less than `margin` deep inside it, stays
+    visible; one that reaches `margin` inside every facet plane is blocked.
+    A collinear or flat node set has no interior and raises
+    InvalidPolicyError.
     """
 
     anchors: AnchorSet
@@ -398,28 +480,13 @@ class ConvexHullBlockage:
     def __post_init__(self):
         if not np.isfinite(self.margin) or self.margin < 0.0:
             raise InvalidPolicyError(f"margin must be finite and >= 0, got {self.margin}")
-        object.__setattr__(self, "world_nodes", np.array(self.world_nodes, dtype=float))
+        nodes = np.array(self.world_nodes, dtype=float)
+        object.__setattr__(self, "world_nodes", nodes)
+        object.__setattr__(self, "_facets", hull_facets(nodes))
 
     def keep_mask(self, shape) -> np.ndarray:
-        # Imported here: scipy.spatial is the slowest import of the package.
-        from scipy.spatial import ConvexHull
-
-        nodes = self.world_nodes
-        starts = self.anchors.anchors
-        hull = ConvexHull(nodes)
-        normals, offsets = hull.equations[:, :3], hull.equations[:, 3]
-        # Link (j, k) is blocked when n.(a_j + t (s_k - a_j)) + b <= -margin on every
-        # facet for some t in [0, 1]: clip the t interval of all (anchor, node, facet)
-        # triples at once. Right operands of shape (3, 1) keep each product a
-        # matrix-vector one, which rounds as normals @ vector does.
-        num = -((normals @ starts[:, :, None])[..., 0] + offsets + self.margin)[:, None, :]
-        den = (normals @ (nodes[None, :, :] - starts[:, None, :])[..., None])[..., 0]
-        # A facet parallel to the link bounds no t, unless the link lies outside it (num < 0).
-        parallel = np.abs(den) < 1e-300
-        bound = num / np.where(parallel, 1.0, den)
-        hi = np.where(den > 0.0, bound, np.inf).min(axis=2, where=~parallel, initial=1.0)
-        lo = np.where(den < 0.0, bound, -np.inf).max(axis=2, where=~parallel, initial=0.0)
-        return (lo > hi) | (parallel & (num < 0.0)).any(axis=2)
+        anchors = self.anchors.anchors
+        return hull_keep(anchors, self.world_nodes[None], self._facets, self.margin)[0]
 
 
 @dataclass(frozen=True)
@@ -442,24 +509,14 @@ def apply_blockage(meas: MeasurementSet, policy) -> MeasurementSet:
     entries are reported with a CoverageWarning (multilateration downstream
     needs at least one observation per node), never silently repaired.
     """
-    keep = blockage_batch(meas.mask[None], [policy])[0]
+    keep = meas.mask & policy.keep_mask(meas.mask.shape)
+    uncovered = ~keep.any(axis=0)
+    if uncovered.any():
+        nodes = np.flatnonzero(uncovered).tolist()
+        warnings.warn(f"nodes {nodes} have no observed entries after blockage", CoverageWarning)
     return MeasurementSet(
         mask=keep, ranges=meas.ranges, aoa=meas.aoa, range_rates=meas.range_rates
     )
-
-
-def blockage_batch(mask, policies) -> np.ndarray:
-    """apply_blockage's masks for a (B, A, K) stack, item i cleared per
-    policies[i] (None keeps every link), with a CoverageWarning for each
-    item that leaves a node unobserved."""
-    keep = np.array([m if p is None else m & p.keep_mask(m.shape) for m, p in zip(mask, policies)])
-    for uncovered in ~keep.any(axis=-2):
-        if uncovered.any():
-            nodes = np.flatnonzero(uncovered).tolist()
-            warnings.warn(
-                f"nodes {nodes} have no observed entries after blockage", CoverageWarning
-            )
-    return keep
 
 
 def assemble_edm(anchors: AnchorSet, conf: Conformation, meas: MeasurementSet) -> Edm:

@@ -99,8 +99,8 @@ class TestConfigs:
             small_experiment(estimators=("mds", "bogus"))
 
     def test_planar_body_rejects_hull_blockage(self):
-        # Qhull cannot build the hull of a planar body, so the combination is
-        # refused when the scenario is built, not mid-sweep.
+        # A planar body's hull has no interior to occlude with, so the
+        # combination is refused when the scenario is built, not mid-sweep.
         flat = Conformation([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]])
         with pytest.raises(ConfigError, match="blockage") as caught:
             small_scenario(conformation=flat, blockage=BlockageSpec(kind="hull"))
@@ -428,6 +428,30 @@ def test_fig5_sweep_trial_loads_no_scipy():
         "from rblkit.harness import ExperimentConfig, preset, run_benchmark; "
         "scenario, _ = preset('fig5'); "
         "run_benchmark(scenario, ExperimentConfig((0.01, 1.0), 2, 7, ('mds', 'nls', 'gabp'))); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_hull_track_round_loads_no_scipy():
+    # The hull self-occlusion test is plain numpy, so a hull-blocked
+    # trajectory and its tracking round leave scipy unloaded.
+    src = str(Path(rblkit.estimators.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from dataclasses import replace; "
+        "from rblkit import BlockageSpec, NoiseModel, TrackConfig, Twist, "
+        "generate_trajectory, preset, track_sequence; "
+        "scenario, _ = preset('fig4'); "
+        "scenario = replace(scenario, blockage=BlockageSpec(kind='hull'), "
+        "measurement_kinds=('range', 'range_rate'), noise=NoiseModel(range_rate_sigma=0.01)); "
+        "frames, _ = generate_trajectory(scenario, Twist([0.3, 0, 0.1], [0.05, 0, 0]), 5, 0.05, "
+        "0.01, 3); "
+        "assert not frames[0].measurements.mask.all(); "
+        "track_sequence(scenario.anchors, scenario.conformation, frames, TrackConfig('nls')); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run(

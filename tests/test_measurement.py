@@ -20,10 +20,13 @@ from rblkit.geometry import (
     Pose,
     RigidBodyState,
     Twist,
+    affine_rank,
     pairwise_distances,
     propagate_state,
     random_rotation,
+    transform_points,
 )
+from rblkit.harness import BlockageSpec, preset
 from rblkit.measurement import (
     AnchorSet,
     BernoulliBlockage,
@@ -34,6 +37,8 @@ from rblkit.measurement import (
     NoiseModel,
     apply_blockage,
     assemble_edm,
+    hull_facets,
+    hull_keep,
     simulate_adoa,
     simulate_aoa,
     simulate_measurements,
@@ -304,6 +309,99 @@ def segment_hits_hull(start, end, normals, offsets, margin) -> bool:
     return lo <= hi
 
 
+def random_placement(rng, nodes, scale):
+    """nodes under a random proper rotation and a translation of `scale`."""
+    return nodes @ random_rotation(rng).T + rng.normal(size=3) * scale
+
+
+class TestHullFacets:
+    def test_cube_has_six_facets(self):
+        facets = hull_facets(unit_cube().nodes)
+        assert facets.shape == (6, 3)
+        # Each facet is one face: its three nodes share one coordinate.
+        corners = unit_cube().nodes[facets]
+        assert all(np.ptp(c, axis=0).min() == 0.0 for c in corners)
+
+    @pytest.mark.parametrize("name", ["fig4", "fig5"])
+    def test_preset_bodies_match_qhull_oracle(self, name):
+        scenario, _ = preset(name)
+        rng = np.random.default_rng(17)
+        rot, trans = scenario.sample_poses([rng] * 500)
+        world = transform_points(scenario.conformation.nodes, rot, trans)
+        blocked = 0
+        for nodes in world:
+            keep = ConvexHullBlockage(scenario.anchors, nodes).keep_mask(None)
+            assert np.array_equal(keep, hull_oracle_keep(scenario.anchors.anchors, nodes, 1e-9))
+            blocked += (~keep).sum()
+        assert 0.05 < blocked / (~keep).size / len(world) < 0.5
+
+    def test_clouds_with_interior_nodes_match_qhull_oracle(self):
+        rng = np.random.default_rng(23)
+        interior = blocked = 0
+        for _ in range(60):
+            shell = rng.normal(size=(rng.integers(4, 9), 3))
+            inner = rng.uniform(-0.2, 0.2, size=(rng.integers(1, 5), 3)) + shell.mean(axis=0)
+            nodes = random_placement(rng, np.vstack([shell, inner]), 3.0)
+            anchors = AnchorSet(rng.normal(size=(rng.integers(1, 9), 3)) * 6.0)
+            keep = ConvexHullBlockage(anchors, nodes).keep_mask(None)
+            assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
+            interior += len(nodes) - len(ConvexHull(nodes).vertices)
+            blocked += (~keep).sum()
+        assert interior > 60 and blocked > 100
+
+    @pytest.mark.parametrize("thickness", [1.5e-9, 3e-9])
+    def test_slabs_just_above_rank_tolerance_match_qhull_oracle(self, thickness):
+        # Boxes and random clouds whose thinnest side is `thickness` of their
+        # extent, just above the 1e-9 at which Conformation calls a body flat.
+        rng = np.random.default_rng(29)
+        blocked = 0
+        for trial in range(60):
+            size = rng.uniform(1.0, 50.0)
+            if trial % 2:
+                body = rng.uniform(-0.5, 0.5, size=(rng.integers(5, 13), 3))
+            else:
+                body = unit_cube().nodes * [1.0, rng.uniform(0.3, 1.0), 1.0]
+            nodes = random_placement(rng, body * [size, size, size * thickness], size)
+            if affine_rank(nodes) < 3:
+                continue
+            anchors = AnchorSet(rng.normal(size=(6, 3)) * 2 * size + nodes.mean(axis=0))
+            keep = ConvexHullBlockage(anchors, nodes).keep_mask(None)
+            assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
+            blocked += (~keep).sum()
+        assert blocked > 100
+
+    @pytest.mark.parametrize("name", ["fig4", "fig5"])
+    def test_stacked_clip_equals_single_policies(self, name):
+        # _observe clips a stack with the body-frame facets; the bench replay
+        # builds one ConvexHullBlockage per frame from its world nodes. Both
+        # must find the same triples, hence the same planes and bits.
+        scenario, _ = preset(name)
+        nodes = scenario.conformation.nodes
+        rng = np.random.default_rng(31)
+        rot, trans = scenario.sample_poses([rng] * 200)
+        world = transform_points(nodes, rot, trans)
+        spec = BlockageSpec(kind="hull")
+        stacked = spec.keep_batch(range(len(world)), scenario.anchors, nodes, world)
+        facets = hull_facets(nodes)
+        for i, w in enumerate(world):
+            policy = spec.policy(i, scenario.anchors, w)
+            assert np.array_equal(hull_facets(w), facets)
+            assert np.array_equal(stacked[i], policy.keep_mask(None))
+        assert np.array_equal(stacked, hull_keep(scenario.anchors.anchors, world, facets, 1e-9))
+
+    @pytest.mark.parametrize(
+        "nodes, cause",
+        [
+            ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0.0]], "coplanar"),
+            ([[0, 0, 0], [1, 1, 1], [2, 2, 2.0]], "collinear"),
+        ],
+    )
+    def test_flat_node_set_rejected(self, nodes, cause):
+        nodes = random_placement(np.random.default_rng(3), np.asarray(nodes, dtype=float), 1.0)
+        with pytest.raises(InvalidPolicyError, match=cause):
+            ConvexHullBlockage(cube_anchors(), nodes)
+
+
 class TestAssembleEdm:
     def test_full_mask_zero_noise_matches_truth(self):
         conf = unit_cube()
@@ -407,7 +505,7 @@ class TestDeterminismAndJson:
 
 
 def test_package_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial is imported only when a hull blockage is evaluated.
+    # rblkit needs only numpy at runtime; scipy.spatial serves the tests' oracles.
     src = str(Path(rblkit.__file__).resolve().parents[1])
     code = "import sys; sys.path.insert(0, sys.argv[1]); import rblkit; print(sorted(sys.modules))"
     out = subprocess.run(
