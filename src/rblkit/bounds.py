@@ -1,11 +1,11 @@
-"""Fisher information and Cramer-Rao lower bounds for range-based pose
-estimation, plus anchor-placement scoring.
+"""Fisher information and Cramer-Rao lower bounds for pose estimation from
+ranges and, where measured, angles of arrival; plus anchor-placement scoring.
 
-The 6 pose parameters are ordered (rotation 3, translation 3), with the
-rotation parameterized by a right perturbation R -> R expm([d_theta]x) at
-the evaluated pose: the same minimal chart the iterative estimator steps
-in, so bound traces compare directly against estimator mean squared
-errors.
+The information is built from the residual rows the iterative estimator
+fits (geometry.range_residuals and angle_residuals), in the chart it steps
+in: 6 pose parameters (rotation 3, translation 3), the rotation perturbed on
+the right, R -> R expm([d_theta]x). Bound traces therefore compare directly
+against estimator mean squared errors.
 """
 
 from __future__ import annotations
@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RblError
+from .errors import RblError, UndefinedBearingError
 from .geometry import (
     Conformation,
     Pose,
+    angle_residuals,
     apply_pose,
     diag_stack,
     link_grid,
-    pose_jacobian_rows,
     range_links,
     range_residuals,
 )
@@ -61,32 +61,37 @@ def range_jacobian(anchors: AnchorSet, conf: Conformation, pose: Pose, mask=None
     [ (c_k x R^T u)^T , u^T ].
     """
     mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
-    rows = _grid_rows(anchors.anchors, conf.nodes, pose.rotation, pose.translation, mask)
-    return rows[mask.ravel()]
+    rows = _unit_rows(anchors.anchors, conf.nodes, pose.rotation, pose.translation, mask, False)
+    return rows[0][mask.ravel()]
 
 
-def _grid_rows(anchor_xyz, nodes, rot, trans, mask) -> np.ndarray:
-    """range_jacobian's rows on the full anchor x node grid of each pose of a
-    stack, (..., A K, 6), with zero rows for the links `mask` leaves out."""
+def _unit_rows(anchor_xyz, nodes, rot, trans, mask, angles: bool):
+    """The unit-weight rows NLS fits at poses (..., 3, 3), (..., 3) with masks
+    (..., A, K): range rows (..., A K, 6) and, with `angles`, azimuth and
+    elevation rows (..., 2 A K, 6), else None; zero on unobserved links."""
     a, k = mask.shape[-2:]
     jj, kk = link_grid(a, k)
-    links = range_links(nodes, kk, anchor_xyz[jj], None)
-    _, _, _, delta, dist = range_residuals(rot, trans, links, False)
     observed = mask.reshape(mask.shape[:-2] + (a * k,))
+    links = range_links(nodes, kk, anchor_xyz[jj], None, observed)
+    _, rows, delta, dist = range_residuals(rot, trans, links)
     if np.any(observed & (dist <= 0.0)):
         raise RblError("anchor coincides with a node; range gradient undefined")
-    units = delta / np.where(dist > 0.0, dist, 1.0)[..., None]
-    return np.where(observed[..., None], pose_jacobian_rows(links[2], units, rot), 0.0)
+    if not angles:
+        return rows, None
+    if np.any(observed & (delta[..., 0] == 0.0) & (delta[..., 1] == 0.0)):
+        raise UndefinedBearingError("vertical line of sight; azimuth gradient undefined")
+    return rows, angle_residuals(rot, links, delta, dist, None)[1]
 
 
 def _full_mask(anchors: AnchorSet, conf: Conformation) -> np.ndarray:
     return np.ones((anchors.num_anchors, conf.num_nodes), dtype=bool)
 
 
-def _check_bound_inputs(mask, sigma) -> None:
-    bad = sigma[sigma <= 0.0]
-    if bad.size:
-        raise ValueError(f"sigma must be > 0, got {float(bad[0])}")
+def _check_bound_inputs(mask, sigma, angle_sigma) -> None:
+    for name, level in (("sigma", sigma), ("angle_sigma", angle_sigma)):
+        bad = np.zeros(0) if level is None else level[level <= 0.0]
+        if bad.size:
+            raise ValueError(f"{name} must be > 0, got {float(bad[0])}")
     if not mask.any(axis=(-2, -1)).all():
         raise ValueError("mask is empty; no measurements to bound")
 
@@ -105,12 +110,7 @@ def fim_ranges(
     null-space basis), not raised: some scenarios are legitimately
     unobservable and callers decide what that means.
     """
-    mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
-    batch = fim_batch(
-        anchors.anchors, conf.nodes, true_pose.rotation[None], true_pose.translation[None],
-        mask[None], np.array([sigma], dtype=float),
-    )
-    return batch.report(0)
+    return crlb_sweep(anchors, conf, true_pose, [sigma], mask)[0]
 
 
 @dataclass(frozen=True)
@@ -132,38 +132,35 @@ class CrlbBatch:
 
     def report(self, i: int) -> CrlbReport:
         """Item i as fim_ranges reports it."""
-        if self.singular[i]:
-            return CrlbReport(
-                fim=self.fim[i],
-                crlb=None,
-                translation_bound=float("inf"),
-                rotation_bound=float("inf"),
-                sigma=float(self.sigma[i]),
-                condition_number=float("inf"),
-                singular=True,
-                null_space=self.eigvec[i][:, self.near_zero[i]],
-            )
+        singular = bool(self.singular[i])
         return CrlbReport(
             fim=self.fim[i],
-            crlb=self.crlb[i],
+            crlb=None if singular else self.crlb[i],
             translation_bound=float(self.translation_bound[i]),
             rotation_bound=float(self.rotation_bound[i]),
             sigma=float(self.sigma[i]),
             condition_number=float(self.condition_number[i]),
-            singular=False,
+            singular=singular,
+            null_space=self.eigvec[i][:, self.near_zero[i]] if singular else None,
         )
 
 
-def fim_batch(anchor_xyz, nodes, rot, trans, mask, sigma) -> CrlbBatch:
-    """fim_ranges at a stack of true poses (B, 3, 3) and (B, 3), with masks
-    (B, A, K) and noise levels (B,)."""
+def fim_batch(anchor_xyz, nodes, rot, trans, mask, sigma, angle_sigma=None) -> CrlbBatch:
+    """Fisher information at a stack of true poses (B, 3, 3) and (B, 3),
+    with masks (B, A, K) and range noise levels (B,).
+
+    FIM = sum over the measured kinds of rows^T rows / sigma_kind^2, with
+    the unit-weight rows of the residuals NLS fits: the observed ranges',
+    and with angle noise levels `angle_sigma` (B,) their links' azimuths'
+    and elevations'. Without angle_sigma the bound is range-only.
+    """
     sigma = np.asarray(sigma, dtype=float)
-    _check_bound_inputs(mask, sigma)
-    return _crlb_batch(_grid_rows(anchor_xyz, nodes, rot, trans, mask), sigma)
-
-
-def _crlb_batch(rows, sigma) -> CrlbBatch:
+    angle_sigma = None if angle_sigma is None else np.asarray(angle_sigma, dtype=float)
+    _check_bound_inputs(mask, sigma, angle_sigma)
+    rows, angle_rows = _unit_rows(anchor_xyz, nodes, rot, trans, mask, angle_sigma is not None)
     fim = (rows.mT @ rows) / sigma[:, None, None] ** 2
+    if angle_rows is not None:
+        fim += (angle_rows.mT @ angle_rows) / angle_sigma[:, None, None] ** 2
     eigval, eigvec = np.linalg.eigh(fim)
     largest = np.maximum(eigval[:, -1], 0.0)
     near_zero = eigval <= _SINGULAR_RCOND * np.maximum(largest, 1e-300)[:, None]
@@ -189,15 +186,20 @@ def crlb_sweep(
     true_pose: Pose,
     sigma_grid,
     mask=None,
+    angle_sigma: float | None = None,
 ) -> list[CrlbReport]:
-    """One CrlbReport per noise level; bounds scale exactly as sigma^2.
-    The Jacobian rows are built once and shared by every level."""
+    """One CrlbReport per range noise level, as fim_batch bounds it, with
+    azimuths and elevations measured at angle_sigma when it is given.
+    Range-only bounds scale exactly as sigma^2."""
     mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
     sigma = np.array([float(s) for s in sigma_grid])
-    _check_bound_inputs(mask, sigma)
-    rows = _grid_rows(anchors.anchors, conf.nodes, true_pose.rotation, true_pose.translation, mask)
-    batch = _crlb_batch(np.broadcast_to(rows, sigma.shape + rows.shape), sigma)
-    return [batch.report(i) for i in range(len(sigma))]
+    n = len(sigma)
+    batch = fim_batch(
+        anchors.anchors, conf.nodes, np.broadcast_to(true_pose.rotation, (n, 3, 3)),
+        np.broadcast_to(true_pose.translation, (n, 3)), np.broadcast_to(mask, (n,) + mask.shape),
+        sigma, None if angle_sigma is None else np.full(n, float(angle_sigma)),
+    )
+    return [batch.report(i) for i in range(n)]
 
 
 def sweep_to_csv(reports) -> str:
@@ -258,20 +260,11 @@ def placement_score(
         np.full(len(poses), float(sigma)),
     )
     reports = [batch.report(i) for i in range(len(poses))]
-    usable = [r for r in reports if not r.singular]
     excluded = tuple(i for i, r in enumerate(reports) if r.singular)
-    if usable:
-        score = float(
-            np.mean([r.translation_bound + trade_off * r.rotation_bound for r in usable])
-        )
-    else:
-        score = float("inf")
-    potentials = []
-    for pose in poses:
-        centroid = apply_pose(conf, pose).mean(axis=0)
-        diff = centroid - anchors.anchors
-        norms = np.linalg.norm(diff, axis=1)
-        potentials.append(frame_potential(diff / norms[:, None]))
+    totals = [r.translation_bound + trade_off * r.rotation_bound for r in reports if not r.singular]
+    score = float(np.mean(totals)) if totals else float("inf")
+    diffs = [apply_pose(conf, pose).mean(axis=0) - anchors.anchors for pose in poses]
+    potentials = [frame_potential(d / np.linalg.norm(d, axis=1)[:, None]) for d in diffs]
     return PlacementScore(
         score=score,
         per_pose=tuple(reports),

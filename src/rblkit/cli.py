@@ -139,7 +139,8 @@ def _cmd_crlb(args) -> int:
         raise ConfigError("need an --experiment/--preset sigma grid or --sigma")
     seed = args.seed if args.seed is not None else 1234
     pose = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
-    reports = crlb_sweep(scenario.anchors, scenario.conformation, pose, grid)
+    angle_sigma = scenario.noise.angle_sigma if "aoa" in scenario.measurement_kinds else None
+    reports = crlb_sweep(scenario.anchors, scenario.conformation, pose, grid, None, angle_sigma)
     out = _outdir(args)
     if args.format == "json":
         doc = [

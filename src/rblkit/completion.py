@@ -22,6 +22,7 @@ from .geometry import (
     fit_alignment,
     link_grid,
     pose_gauss_newton,
+    range_curvature,
     range_links,
     range_residuals,
     transform_points,
@@ -196,7 +197,8 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
 
     def residuals(r, t, nodes, nodes_k, anchor_xyz, ranges, weight, levers, jacobian):
         grid = (nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers)
-        return range_residuals(r, t, grid, jacobian)[:3]
+        res, rows, _, dist = range_residuals(r, t, grid, jacobian)
+        return res, rows, None if rows is None else range_curvature(r, grid, res, rows, dist)
 
     rot, trans, iterations, converged, _ = pose_gauss_newton(
         residuals, q, trans, max_iters, args=links[:1] + links[2:]

@@ -31,16 +31,16 @@ from .errors import (
 from .geometry import (
     Conformation,
     Pose,
+    angle_residuals,
     fit_alignment,
     link_grid,
     pose_gauss_newton,
-    pose_jacobian_rows,
     project_batch,
+    range_curvature,
     range_links,
     range_residuals,
-    transform_points,
 )
-from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch, wrap_angle
+from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch
 
 ESTIMATOR_TAGS = ("mds", "nls", "gabp")
 NLS_MAX_ITERS = 100
@@ -235,30 +235,20 @@ def multilaterate_node(anchors: AnchorSet, ranges, mask=None) -> NodeFix:
         raise UnderdeterminedError(
             f"multilateration needs >= 3 observed anchors, got {idx.size}"
         )
-    a_obs = pts[idx]
-    r_obs = r[idx]
+    a_obs, r_obs = pts[idx], r[idx]
     rows, rhs = _differenced_rows(a_obs[0], r_obs[0], a_obs[1:], r_obs[1:])
     x, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    ambiguous = idx.size == 3 or rank < 3
-
-    # One Gauss-Newton step on true (non-squared) residuals.
-    delta = x - a_obs
-    dist = np.linalg.norm(delta, axis=1)
-    unit = delta / np.where(dist > 0, dist, 1.0)[:, None]
-    step, *_ = np.linalg.lstsq(unit, -(dist - r_obs), rcond=None)
-    x = x + step
-
-    delta = x - a_obs
-    dist = np.linalg.norm(delta, axis=1)
-    unit = delta / np.where(dist > 0, dist, 1.0)[:, None]
-    resid = dist - r_obs
-    jtj = unit.T @ unit
-    cov = np.linalg.pinv(jtj)
+    # The node is a one-point body at translation x; its range rows' last
+    # three columns are the position Jacobian (the unit lines of sight).
+    links = range_links(np.zeros((1, 3)), np.zeros(idx.size, dtype=int), a_obs, r_obs)
+    resid, rows = range_residuals(np.eye(3), x, links)[:2]
+    x = x + np.linalg.lstsq(rows[:, 3:], -resid, rcond=None)[0]  # one Gauss-Newton step
+    resid, rows = range_residuals(np.eye(3), x, links)[:2]
     return NodeFix(
         position=x,
-        covariance=cov,
+        covariance=np.linalg.pinv(rows[:, 3:].T @ rows[:, 3:]),
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        ambiguous=bool(ambiguous),
+        ambiguous=bool(idx.size == 3 or rank < 3),
     )
 
 
@@ -275,21 +265,31 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
         raise IncompleteEdmError("MDS needs a fully known EDM; run complete_edm first")
     if edm.n_anchors != anchors.num_anchors or edm.n_nodes != conf.num_nodes:
         raise ValueError("EDM block sizes do not match anchors/conformation")
-    return mds_batch(edm.squared_distances[None], anchors.anchors, conf.nodes).estimate(0)
+    d, known = edm.squared_distances[None], edm.known_mask[None]
+    return mds_batch(d, known, anchors.anchors, conf.nodes).estimate(0)
 
 
-def mds_batch(d, anchor_xyz, nodes, errors=None) -> PoseBatch:
+def _observed_rms(anchor_xyz, nodes, rot, trans, ranges, mask) -> np.ndarray:
+    """RMS of the observed-range residuals at poses (B, 3, 3), (B, 3), for
+    ranges and masks (B, A, K); 0 where nothing was observed."""
+    b, a, k = mask.shape
+    jj, kk = link_grid(a, k)
+    observed = mask.reshape(b, -1)
+    links = range_links(nodes, kk, anchor_xyz[jj], ranges.reshape(b, -1), observed)
+    res = range_residuals(rot, trans, links, jacobian=False)[0]
+    return np.sqrt(np.add.reduce(res**2, axis=-1) / np.maximum(observed.sum(axis=-1), 1))
+
+
+def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
     """estimate_pose_mds of a stack of complete squared EDMs (B, n, n),
-    anchors first; items failed upstream (`errors`) keep their error."""
+    anchors first, scored on the cross entries their masks `known` mark as
+    measured; items failed upstream (`errors`) keep their error."""
     a = len(anchor_xyz)
     points, eigvals = embed_from_gram(centered_gram(d), dim=3)
     q, shift, _, _, _ = fit_alignment(points[:, :a], anchor_xyz, None, proper=False)
     node_positions = points[:, a:] @ q.mT + shift[:, None, :]
     rot, trans, collinear = _procrustes(nodes, node_positions, None)
-    fitted = transform_points(nodes, rot, trans)
-    cross = np.sqrt(d[:, :a, a:])
-    dist = np.linalg.norm(fitted[:, None, :, :] - anchor_xyz[:, None, :], axis=-1)
-    residual = np.sqrt(np.mean(((dist - cross) ** 2).reshape(len(d), -1), axis=-1))
+    residual = _observed_rms(anchor_xyz, nodes, rot, trans, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
     degenerate = eigvals[:, 2] <= 1e-9 * np.maximum(eigvals[:, 0], 1e-300)
     errors = [None] * len(d) if errors is None else list(errors)
     for i, error in enumerate(errors):
@@ -347,7 +347,7 @@ def chain_batch(anchor_xyz, nodes, ranges, mask, completion: bool = True) -> Cha
         d[completed] = batch.completed
         for i, error in zip(completed, batch.errors):
             errors[i] = error
-    return ChainBatch(mds_batch(d, anchor_xyz, nodes, errors), batch, completed)
+    return ChainBatch(mds_batch(d, known, anchor_xyz, nodes, errors), batch, completed)
 
 
 def nls_weights(sigma) -> np.ndarray:
@@ -357,61 +357,33 @@ def nls_weights(sigma) -> np.ndarray:
     return 1.0 / np.where(sigma > 0.0, sigma, 1.0) ** 2
 
 
-def _nls_residuals(
-    rot, trans, links, observed, w_range, aoa, w_angle, refs, az_weight, jacobian=True
-):
+def _nls_residuals(rot, trans, links, w_range, aoa, w_angle, refs, jacobian=True):
     """Stacked weighted residuals, Jacobian rows and curvature of poses (B, 3, 3), (B, 3).
 
     `links` are the geometry.range_links of every anchor-node pair (ranges
-    None when not measured) and `observed` (B, M) weighs the measured ones
-    1, the others 0; aoa (B, M, 2) holds the links' (azimuth, elevation) or
-    is None. Residuals are ordered ranges first, then azimuths (absolute,
-    or differenced against the reference link refs[i] when refs is given,
-    weighted by az_weight) and elevations, each scaled by the square root of
-    its type weight (B,), for a right perturbation (rot -> rot
-    expm(d_theta), trans -> trans + d_t). The curvature is the range
-    block's alone; jacobian=False gives None for rows and curvature.
+    None when not measured); aoa (B, M, 2) holds the links' (azimuth,
+    elevation) or is None. The residuals and rows are geometry's
+    range_residuals then angle_residuals (with the reference links refs),
+    each scaled by the square root of its type weight (B,); the curvature
+    is the ranges' range_curvature. jacobian=False gives None for both.
     """
-    range_res, range_rows, curv, delta, dist = range_residuals(rot, trans, links, jacobian)
-    w_range = w_range.reshape(-1, 1, 1)
-    sw = np.sqrt(w_range)
-    if aoa is None and not jacobian:
-        return sw[:, 0] * range_res, None, None
-    curv = None if curv is None else w_range * curv
-    if aoa is None:
-        return sw[:, 0] * range_res, sw * range_rows, curv
-    nodes_k = links[2]
-    res_parts, jac_parts = [], []
-    if range_res is not None:
-        res_parts.append(sw[:, 0] * range_res)
+    ranged = links[4] is not None
+    range_res, range_rows, delta, dist = range_residuals(rot, trans, links, jacobian and ranged)
+    res, rows, curv = [], [], None
+    if ranged:
+        sw = np.sqrt(w_range)[:, None]
+        res.append(sw * range_res)
         if jacobian:
-            jac_parts.append(sw * range_rows)
-    dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
-    az = np.arctan2(dy, dx)
-    el = np.arcsin(np.clip(dz / dist, -1.0, 1.0))
-    sa = np.sqrt(w_angle)[:, None]
-    if refs is not None:
-        meas_diff = wrap_angle(aoa[..., 0] - np.take_along_axis(aoa[..., 0], refs, axis=-1))
-        az_diff = az - np.take_along_axis(az, refs, axis=-1)
-        res_parts.append(sa * wrap_angle(az_diff - meas_diff) * az_weight)
-    else:
-        res_parts.append(sa * wrap_angle(az - aoa[..., 0]) * az_weight)
-    res_parts.append(sa * (el - aoa[..., 1]) * observed)
-    if jacobian:
-        rho2 = dx**2 + dy**2
-        rho = np.sqrt(rho2)
-        az_rows = np.stack([-dy / rho2, dx / rho2, np.zeros_like(dx)], axis=-1)
-        el_rows = np.stack(
-            [-dx * dz / (dist**2 * rho), -dy * dz / (dist**2 * rho), rho / dist**2], axis=-1
-        )
-        az_jac = pose_jacobian_rows(nodes_k, az_rows, rot)
-        if refs is not None:
-            az_jac = az_jac - np.take_along_axis(az_jac, refs[..., None], axis=-2)
-        jac_parts.append(sa[..., None] * az_jac * az_weight[..., None])
-        el_jac = pose_jacobian_rows(nodes_k, el_rows, rot)
-        jac_parts.append(sa[..., None] * el_jac * observed[..., None])
-    rows = np.concatenate(jac_parts, axis=-2) if jacobian else None
-    return np.concatenate(res_parts, axis=-1), rows, curv
+            rows.append(sw[..., None] * range_rows)
+            curv = w_range[:, None, None] * range_curvature(rot, links, range_res, range_rows, dist)
+    if aoa is not None:
+        angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, refs, jacobian)
+        sa = np.sqrt(w_angle)[:, None]
+        res.append(sa * angle_res)
+        if jacobian:
+            rows.append(sa[..., None] * angle_rows)
+    rows = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=-2)) if jacobian else None
+    return res[0] if len(res) == 1 else np.concatenate(res, axis=-1), rows, curv
 
 
 def estimate_pose_nls(
@@ -488,27 +460,22 @@ def nls_batch(
         links = range_links(nodes, kk, anchor_xyz[jj], grid_ranges, weight)
         aoa_f = None if aoa is None else np.where(mask[..., None], aoa, 0.0).reshape(b, -1, 2)[fit]
         refs_f = None if refs is None else refs[fit]
-        az_w = weight if refs is None else az_weight[fit].astype(float)
 
-        def residuals(r, t, ranges, weight, w_r, aoa, w_a, refs, az_w, jacobian):
+        def residuals(r, t, ranges, weight, w_r, aoa, w_a, refs, jacobian):
             grid = links[:4] + (ranges, weight, links[6])
-            return _nls_residuals(r, t, grid, weight, w_r, aoa, w_a, refs, az_w, jacobian)
+            return _nls_residuals(r, t, grid, w_r, aoa, w_a, refs, jacobian)
 
         r_fit, t_fit, iterations[fit], converged[fit], fit_messages = pose_gauss_newton(
             residuals, rot[fit], trans[fit], NLS_MAX_ITERS,
-            args=(links[4], weight, w_range[fit], aoa_f, w_angle[fit], refs_f, az_w),
+            args=(links[4], weight, w_range[fit], aoa_f, w_angle[fit], refs_f),
         )
         projected, projection_errors = project_batch(r_fit)
         diff = (projected - r_fit).reshape(-1, 9)
         projection[fit] = np.sqrt(np.vecdot(diff, diff))  # np.linalg.norm of each difference
-        if ranges is not None:
-            final, count = range_residuals(projected, t_fit, links, jacobian=False)[0], n_obs[fit]
-        else:
-            ones = np.ones(len(weight))
-            final = _nls_residuals(
-                projected, t_fit, links, weight, ones, aoa_f, ones, refs_f, az_w, False
-            )[0]
-            count = n_angles[fit]
+        # Scored on the observed ranges, or on the angles where no range was measured.
+        ones, angles = np.ones(len(weight)), None if ranges is not None else aoa_f
+        final = _nls_residuals(projected, t_fit, links, ones, angles, ones, refs_f, False)[0]
+        count = (n_obs if ranges is not None else n_angles)[fit]
         residual_rms[fit] = np.sqrt(np.add.reduce(final**2, axis=-1) / count)
         rot[fit], trans[fit] = projected, t_fit
         for i, message, error in zip(items, fit_messages, projection_errors):
@@ -595,14 +562,8 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
         if n < 3 else AmbiguousAlignmentError(_COLLINEAR) if bad else None
         for n, bad in zip(n_usable, collinear)
     ]
-    b, a, k = mask.shape
-    jj, kk = link_grid(a, k)
-    d = np.linalg.norm(transform_points(nodes, rot, trans)[:, kk] - anchor_xyz[jj], axis=-1)
-    observed = mask.reshape(b, -1)
-    squares = np.where(observed, (d - ranges.reshape(b, -1)) ** 2, 0.0)
-    residual_rms = np.sqrt(np.add.reduce(squares, axis=-1) / np.maximum(observed.sum(axis=-1), 1))
     return PoseBatch(
-        "gabp", rot, trans, residual_rms, errors,
+        "gabp", rot, trans, _observed_rms(anchor_xyz, nodes, rot, trans, ranges, mask), errors,
         per_node_positions=means, node_variances=variances,
     )
 

@@ -149,6 +149,13 @@ def _proper(u, vt):
     return u @ vt
 
 
+def wrap_angle(theta):
+    """Wrap angles to (-pi, pi]."""
+    wrapped = np.asarray((np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi)
+    out = np.where(wrapped == -np.pi, np.pi, wrapped)
+    return out if out.ndim else float(out)
+
+
 def diag_stack(values) -> np.ndarray:
     """Diagonal matrices (..., n, n) with the entries (..., n) on the diagonal."""
     n = values.shape[-1]
@@ -402,20 +409,19 @@ _LEVERS = _LEVERS.reshape(4, 18)
 
 
 def range_links(nodes, kk, anchor_xyz, ranges, observed=None):
-    """range_residuals' links (nodes, kk, nodes[..., kk, :], anchor_xyz, ranges, observed,
+    """range_residuals' links (nodes, kk, nodes[..., kk, :], anchor_xyz, ranges, weight,
     levers) of body node kk[i] to anchor_xyz[..., i, :]; levers[..., i, :, :] is
-    [-[c]x, I] for the link's body point c.
+    [-[c]x, I] for the link's body point c, None without ranges.
 
     Leading axes stack independent problems. `observed` (..., M) marks the
-    links that were measured, all by default; the others pad a stack to a
-    common link grid with zero residual, rows and curvature, so each item's
-    numbers never depend on the rest of the stack. Without ranges, only the
-    offsets and distances are available.
+    links that were measured (weight 1), all by default; the others pad a
+    stack to a common link grid with weight 0, so each item's numbers never
+    depend on the rest of the stack.
     """
     nodes_k = nodes[..., kk, :]
+    weight = np.asarray(np.ones(kk.shape) if observed is None else observed, dtype=float)
     if ranges is None:
-        return nodes, kk, nodes_k, anchor_xyz, None, None, None
-    weight = np.ones(np.shape(ranges)) if observed is None else np.asarray(observed, dtype=float)
+        return nodes, kk, nodes_k, anchor_xyz, None, weight, None
     ranges = np.where(weight > 0.0, ranges, 0.0)
     levers = nodes_k @ _LEVERS[:3] + _LEVERS[3]
     return nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers.reshape(nodes_k.shape + (6,))
@@ -425,28 +431,35 @@ def range_residuals(rot, trans, links, jacobian=True):
     """Range residuals of the range_links `links` at the poses (rot, trans),
     (..., 3, 3) and (..., 3).
 
-    Returns (dist - ranges, their pose_jacobian_rows, their curvature,
-    offsets R c_k + t - a_j, dist). The curvature sum_i r_i Hess(r_i) is the
-    Hessian term Gauss-Newton drops, in the rows' chart: with L_i =
-    [-[c_i]x, R^T], g_i = R^T u_i for the unit line of sight u_i, row_i =
-    g_i L_i and alpha_i = r_i / d_i, link i adds alpha_i (L_i^T L_i -
-    row_i^T row_i), plus r_i ((g_i c_i^T + c_i g_i^T) / 2 - (g_i . c_i) I)
-    in the rotation block. Unobserved links have zero residual, rows and
-    curvature. Rows and curvature are None without `jacobian`, and all three
-    are None without ranges.
+    Returns (dist - ranges, their pose_jacobian_rows, offsets R c_k + t - a_j,
+    dist). Unobserved links have zero residuals and rows, also where a node
+    coincides with an anchor. The residuals are None without ranges, the
+    rows without `jacobian`.
     """
-    nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers = links
+    nodes, kk, nodes_k, anchor_xyz, ranges, weight, _ = links
     # The pose is applied before the gather: a matmul on gathered rows can round differently.
     delta = transform_points(nodes, rot, trans).take(kk, axis=-2) - anchor_xyz
     dist = np.sqrt(np.add.reduce(delta * delta, axis=-1))  # what np.linalg.norm(axis=-1) computes
-    if ranges is None:
-        return None, None, None, delta, dist
-    res = (dist - ranges) * weight
+    res = None if ranges is None else (dist - ranges) * weight
     if not jacobian:
-        return res, None, None, delta, dist
-    units = delta / dist[..., None] * weight[..., None]
-    g = units @ rot
-    rows = _cross_rows(nodes_k, g, units)  # pose_jacobian_rows(nodes_k, units, rot)
+        return res, None, delta, dist
+    # A nonzero dist is at least 1e-162, so the floor only turns 0 / 0 into 0.
+    units = delta / np.maximum(dist, 1e-300)[..., None] * weight[..., None]
+    return res, _cross_rows(nodes_k, units @ rot, units), delta, dist  # pose_jacobian_rows
+
+
+def range_curvature(rot, links, res, rows, dist):
+    """sum_i r_i Hess(r_i) of range_residuals' residuals `res`, rows and
+    distances at the rotations rot: the Hessian term Gauss-Newton drops.
+
+    In the rows' chart, with L_i = [-[c_i]x, R^T], g_i = R^T u_i for the
+    unit line of sight u_i, row_i = g_i L_i and alpha_i = r_i / d_i, link i
+    adds alpha_i (L_i^T L_i - row_i^T row_i), plus r_i ((g_i c_i^T + c_i
+    g_i^T) / 2 - (g_i . c_i) I) in the rotation block. Unobserved links add
+    nothing.
+    """
+    nodes_k, levers = links[2], links[6]
+    g = rows[..., 3:] @ rot  # the rows' u_i, back in the body frame
     alpha = res / dist
     # sum_i alpha_i L_i^T L_i, with L_i = [-[c_i]x, I] blockdiag(I, R^T).
     rows3 = 3 * levers.shape[-3]
@@ -458,7 +471,45 @@ def range_residuals(rot, trans, links, jacobian=True):
     trace = gc.trace(axis1=-2, axis2=-1)[..., None, None]
     rotation_block = curv[..., :3, :3]  # a view: += writes curv
     rotation_block += 0.5 * (gc + gc.mT) - trace * _EYE3
-    return res, rows, curv - (rows * alpha[..., None]).mT @ rows, delta, dist
+    return curv - (rows * alpha[..., None]).mT @ rows
+
+
+def angle_residuals(rot, links, delta, dist, aoa, refs=None, jacobian=True):
+    """Azimuth and elevation residuals (..., 2M) of the range_links `links`
+    and their pose_jacobian_rows (..., 2M, 6), from range_residuals'
+    offsets `delta` and distances `dist` at the rotations rot.
+
+    aoa (..., M, 2) holds the links' measured (azimuth, elevation), or is
+    None: then there are rows alone. Azimuths come first, wrapped, absolute
+    or, with refs (..., M), differenced against link refs[..., i]'s.
+    Unobserved links have zero residuals and rows; without `jacobian` the
+    rows are None.
+    """
+    nodes_k, weight = links[2], links[5]
+    dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
+    dist = np.where(weight > 0.0, dist, 1.0)  # an unobserved link may have length 0
+    res = rows = None
+    if aoa is not None:
+        az = np.arctan2(dy, dx)
+        el = np.arcsin(np.clip(dz / dist, -1.0, 1.0))
+        if refs is None:
+            az_res = wrap_angle(az - aoa[..., 0])
+        else:
+            measured = wrap_angle(aoa[..., 0] - np.take_along_axis(aoa[..., 0], refs, axis=-1))
+            az_res = wrap_angle(az - np.take_along_axis(az, refs, axis=-1) - measured)
+        res = np.concatenate([az_res * weight, (el - aoa[..., 1]) * weight], axis=-1)
+    if jacobian:
+        rho2 = np.where(weight > 0.0, dx**2 + dy**2, 1.0)
+        rho = np.sqrt(rho2)
+        az_rows = np.stack([-dy / rho2, dx / rho2, np.zeros_like(dx)], axis=-1)
+        scale = dist**2 * rho
+        el_rows = np.stack([-dx * dz / scale, -dy * dz / scale, rho / dist**2], axis=-1)
+        az_jac = pose_jacobian_rows(nodes_k, az_rows, rot)
+        if refs is not None:
+            az_jac = az_jac - np.take_along_axis(az_jac, refs[..., None], axis=-2)
+        el_jac = pose_jacobian_rows(nodes_k, el_rows, rot)
+        rows = np.concatenate([az_jac * weight[..., None], el_jac * weight[..., None]], axis=-2)
+    return res, rows
 
 
 def _stacked(solver, *stacks):

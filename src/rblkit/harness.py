@@ -188,6 +188,11 @@ class ScenarioConfig:
                 "range measurements are required by the estimators",
                 field="measurements",
             )
+        if "aoa" in self.measurement_kinds and self.noise.angle_sigma == 0.0:
+            raise ConfigError(
+                "measured angles need a noise level: noiseless angles have no finite bound",
+                field="noise.angle_sigma",
+            )
         if self.blockage.kind == "hull" and self.conformation.is_planar:
             raise ConfigError(
                 "hull self-occlusion needs a solid body; a planar body's hull is flat",
@@ -380,7 +385,8 @@ def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion:
     sigmas = np.asarray(sigmas, dtype=float)
     rot, trans, observed = _draw(scenario, sigmas, seeds)
     mask, ranges, aoa, _ = observed
-    crlb = fim_batch(anchors, nodes, rot, trans, mask, sigmas)
+    angle_sigma = np.full(len(sigmas), scenario.noise.angle_sigma)
+    crlb = fim_batch(anchors, nodes, rot, trans, mask, sigmas, None if aoa is None else angle_sigma)
     chain = None
     if {"mds", "nls"} & set(estimators):
         chain = chain_batch(anchors, nodes, ranges, mask, completion)
@@ -391,8 +397,7 @@ def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion:
         elif tag == "mds":
             batch = chain.mds
         else:
-            angle_sigmas = np.full(len(sigmas), scenario.noise.angle_sigma)
-            w_range, w_angle = nls_weights([sigmas, angle_sigmas])
+            w_range, w_angle = nls_weights([sigmas, angle_sigma])
             start = (chain.mds.rotation, chain.mds.translation, chain.mds.errors)
             batch = nls_batch(anchors, nodes, mask, ranges, aoa, w_range, w_angle, start)
         estimates[tag] = batch
@@ -423,17 +428,6 @@ def run_trial_estimators(
     if unknown:
         raise ConfigError(f"unknown estimators {sorted(unknown)}", field="estimators")
     return _run_trials(scenario, [sigma], [seed], estimators, completion).outcomes(0)
-
-
-def run_trial(
-    scenario: ScenarioConfig,
-    sigma: float,
-    seed: int,
-    estimator: str,
-    completion: bool = True,
-) -> TrialOutcome:
-    """One seeded draw: sample a pose, simulate, estimate, score."""
-    return run_trial_estimators(scenario, sigma, seed, (estimator,), completion)[0]
 
 
 def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> list[ResultRow]:
@@ -514,7 +508,7 @@ def run_scenario_once(
     completion: bool = True,
 ) -> dict:
     """Full JSON-able trace of a single trial, for debugging and replay."""
-    outcome = run_trial(scenario, sigma, seed, estimator, completion)
+    outcome = run_trial_estimators(scenario, sigma, seed, (estimator,), completion)[0]
     edm_doc = None
     if outcome.measurements.ranges is not None:
         edm_doc = assemble_edm(

@@ -32,6 +32,7 @@ from .geometry import (
     node_velocities,
     pairwise_distances,
     readonly,
+    wrap_angle,
 )
 
 # Independent substreams per measurement type, derived from NoiseModel.seed.
@@ -43,13 +44,6 @@ _STREAM_BLOCKAGE = 3
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(which,)))
-
-
-def wrap_angle(theta):
-    """Wrap angles to (-pi, pi]."""
-    wrapped = np.asarray((np.asarray(theta, dtype=float) + np.pi) % (2.0 * np.pi) - np.pi)
-    out = np.where(wrapped == -np.pi, np.pi, wrapped)
-    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def estimate_twist(
     if jj.size < 6:
         raise UnderdeterminedError(f"twist has 6 degrees of freedom; got {jj.size} rates")
     links = range_links(conf.nodes, kk, anchors.anchors[jj], None)
-    _, _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
+    _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
     rows = twist_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)
     obs = rates[jj, kk]
     if weights is not None:

@@ -3,7 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import unit_cube
+
+from rblkit.bounds import fim_batch
 from rblkit.cli import main
+from rblkit.harness import derive_seed, load_scenario
 
 
 @pytest.fixture
@@ -142,6 +146,47 @@ class TestCrlbCommand:
         out = tmp_path / "out"
         assert main(["crlb", "--preset", "fig4", "--seed", "2", "--out", str(out)]) == 0
         assert (out / "crlb.csv").exists()
+
+
+def aoa_scenario(tmp_path, noise):
+    """A unit cube ranged from the corners of a side-3 cube, with AoA measured."""
+    doc = {
+        "conformation": {"points": unit_cube().nodes.tolist()},
+        "anchors": {"points": (3.0 * unit_cube().nodes).tolist()},
+        "pose_distribution": {"rotation": "uniform"},
+        "noise": noise,
+        "measurements": ["range", "aoa"],
+    }
+    path = tmp_path / "aoa.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestAngleScenarios:
+    def test_crlb_is_the_aoa_fim(self, tmp_path):
+        # `rblkit crlb` bounds the scenario's measured angles too, exactly as
+        # fim_batch (the benchmark's bound) does at the same pose.
+        s = aoa_scenario(tmp_path, {"angle_sigma": 0.01})
+        out = tmp_path / "out"
+        args = ["crlb", "--scenario", s, "--sigma", "0.05", "--seed", "3", "--format", "json"]
+        assert main(args + ["--out", str(out)]) == 0
+        (doc,) = json.loads((out / "crlb.json").read_text())
+        scenario = load_scenario(s)
+        pose = scenario.sample_pose(np.random.default_rng(derive_seed(3, 1)))
+        mask = np.ones((1, 8, 8), dtype=bool)
+        nodes, anchors = scenario.conformation.nodes, scenario.anchors.anchors
+        args = (anchors, nodes, pose.rotation[None], pose.translation[None], mask, [0.05])
+        batch = fim_batch(*args, [0.01])
+        assert doc["crlb_translation_m2"] == batch.translation_bound[0]
+        assert doc["crlb_rotation_rad2"] == batch.rotation_bound[0]
+        assert doc["crlb_translation_m2"] < fim_batch(*args).translation_bound[0]
+
+    def test_benchmark_refuses_noiseless_angles(self, tiny_configs, tmp_path, capsys):
+        s = aoa_scenario(tmp_path, {"range_sigma": 0.1})
+        e = tiny_configs[1]
+        assert main(["benchmark", "--scenario", s, "--experiment", e, "--out", str(tmp_path)]) == 1
+        assert "noise.angle_sigma" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
 
 
 class TestTrackCommand:

@@ -27,6 +27,9 @@ from rblkit.estimators import (
     _gabp_node_beliefs,
     _nls_residuals,
     chain_batch,
+    gabp_batch,
+    nls_batch,
+    nls_weights,
     estimate_pose_gabp,
     estimate_pose_mds,
     estimate_pose_nls,
@@ -325,8 +328,8 @@ class TestEstimatePoseNls:
         for _ in range(5):
             pose = random_pose(rng)
             args = (
-                pose.rotation[None], pose.translation[None], links, observed, np.array([4.0]),
-                aoa, np.array([9.0]), refs, az_weight,
+                pose.rotation[None], pose.translation[None], links, np.array([4.0]),
+                aoa, np.array([9.0]), refs,
             )
             res, jac, _ = _nls_residuals(*args)
             res_only, no_jac, _ = _nls_residuals(*args, jacobian=False)
@@ -657,3 +660,45 @@ class TestEstimatorInvariants:
         assert len(doc["axis_angle"]) == 3
         assert doc["method_tag"] == "nls"
         assert doc["converged"] is True
+
+
+class TestResidualRms:
+    """residual_rms is the RMS of the observed-range residuals at the
+    returned pose, for every estimator: blocked links never count, and
+    neither do completed or zero-filled EDM entries."""
+
+    @staticmethod
+    def draws(n=32, sigma=0.032):
+        scenario, _ = preset("fig5")
+        draws = [draw_trial(scenario, sigma, derive_seed(21, 11, 0, t)) for t in range(n)]
+        mask = np.array([meas.mask for _, meas in draws])
+        ranges = np.array([meas.ranges for _, meas in draws])
+        return scenario.anchors.anchors, scenario.conformation.nodes, mask, ranges
+
+    @staticmethod
+    def observed_rms(batch, anchors, nodes, mask, ranges):
+        out = []
+        for i in range(len(mask)):
+            world = nodes @ batch.rotation[i].T + batch.translation[i]
+            dist = np.linalg.norm(world[None, :, :] - anchors[:, None, :], axis=-1)
+            out.append(np.sqrt(np.mean((dist - ranges[i])[mask[i]] ** 2)))
+        return np.array(out)
+
+    @pytest.mark.parametrize("completion", [True, False], ids=["completed", "zero-filled"])
+    def test_mds_scores_observed_links(self, completion):
+        anchors, nodes, mask, ranges = self.draws()
+        assert not mask.all()
+        mds = chain_batch(anchors, nodes, ranges, mask, completion).mds
+        expected = self.observed_rms(mds, anchors, nodes, mask, ranges)
+        assert np.allclose(mds.residual_rms, expected, rtol=1e-12, atol=0.0)
+
+    def test_gabp_and_nls_score_observed_links(self):
+        anchors, nodes, mask, ranges = self.draws()
+        sigma = np.full(len(mask), 0.032)
+        w_range, w_angle = nls_weights([sigma, sigma])
+        for batch in (
+            gabp_batch(anchors, nodes, mask, ranges, sigma),
+            nls_batch(anchors, nodes, mask, ranges, None, w_range, w_angle),
+        ):
+            expected = self.observed_rms(batch, anchors, nodes, mask, ranges)
+            assert np.allclose(batch.residual_rms, expected, rtol=1e-12, atol=0.0)

@@ -26,6 +26,7 @@ from rblkit.geometry import (
     pose_jacobian_rows,
     propagate_state,
     random_rotation,
+    range_curvature,
     range_links,
     range_residuals,
     rotation_error_deg,
@@ -194,14 +195,16 @@ def cube_range_links(pose):
     nodes, anchors = unit_cube().nodes, 3.0 * unit_cube().nodes
     jj, kk = np.nonzero(np.ones((8, 8), dtype=bool))
     links = range_links(nodes, kk, anchors[jj], None)
-    dist = range_residuals(pose.rotation, pose.translation, links, False)[4]
+    dist = range_residuals(pose.rotation, pose.translation, links, False)[3]
     return range_links(nodes, kk, anchors[jj], dist)
 
 
 def range_fit(rot, trans, ranges, jacobian):
     """pose_gauss_newton's callback for cube range fits, one range row per item."""
     links = cube_range_links(Pose.identity())
-    return range_residuals(rot, trans, links[:4] + (ranges,) + links[5:], jacobian)[:3]
+    grid = links[:4] + (ranges,) + links[5:]
+    res, rows, _, dist = range_residuals(rot, trans, grid, jacobian)
+    return res, rows, None if rows is None else range_curvature(rot, grid, res, rows, dist)
 
 
 def flipped_range_fit(rot, trans, ranges, flip, jacobian):
@@ -334,7 +337,7 @@ def masked_preset_links(name, seed, p_keep, sigma):
     jj, kk = np.nonzero(mask)
     truth = scenario.sample_pose(rng)
     unmeasured = range_links(nodes, kk, anchors[jj], None)
-    exact = range_residuals(truth.rotation, truth.translation, unmeasured, False)[4]
+    exact = range_residuals(truth.rotation, truth.translation, unmeasured, False)[3]
     links = range_links(nodes, kk, anchors[jj], exact + sigma * rng.standard_normal(exact.size))
     rot = truth.rotation @ so3_exp(rng.normal(0.0, 0.3, 3))
     return links, rot, truth.translation + rng.normal(0.0, 0.5, 3)
@@ -352,7 +355,8 @@ class TestRangeCurvature:
         # rows^T rows + curvature is the Hessian of |r|^2 / 2 in the kernel's
         # chart (rot expm([d_theta]x), trans + d_t).
         links, rot, trans = masked_preset_links(name, seed, p_keep, sigma)
-        _, rows, curv, _, _ = range_residuals(rot, trans, links, True)
+        res, rows, _, dist = range_residuals(rot, trans, links, True)
+        curv = range_curvature(rot, links, res, rows, dist)
 
         def half_cost(x):
             res = range_residuals(rot @ so3_exp(x[:3]), trans + x[3:], links, False)[0]

@@ -9,6 +9,7 @@ import pytest
 import rblkit.estimators
 from rblkit.errors import ConfigError
 from rblkit.geometry import Conformation, Pose, Twist
+from rblkit.measurement import NoiseModel
 from rblkit.harness import (
     ESTIMATOR_TAGS,
     BlockageSpec,
@@ -106,6 +107,16 @@ class TestConfigs:
             small_scenario(conformation=flat, blockage=BlockageSpec(kind="hull"))
         assert caught.value.field == "blockage"
         small_scenario(conformation=flat, blockage=BlockageSpec(kind="bernoulli", p=0.1))
+
+    def test_noiseless_angles_are_refused(self):
+        # Noiseless angles have no finite bound, and NLS would weight them
+        # as 1 rad: a scenario that measures them needs an angle noise level.
+        aoa = ("range", "aoa")
+        with pytest.raises(ConfigError, match="angle_sigma") as caught:
+            small_scenario(measurement_kinds=aoa)
+        assert caught.value.field == "noise.angle_sigma"
+        small_scenario(measurement_kinds=aoa, noise=NoiseModel(angle_sigma=0.01))
+        small_scenario(noise=NoiseModel())
 
     def test_blockage_spec_validation(self):
         with pytest.raises(ConfigError):
