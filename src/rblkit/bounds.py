@@ -87,13 +87,12 @@ def _full_mask(anchors: AnchorSet, conf: Conformation) -> np.ndarray:
     return np.ones((anchors.num_anchors, conf.num_nodes), dtype=bool)
 
 
-def _check_bound_inputs(mask, sigma, angle_sigma) -> None:
-    for name, level in (("sigma", sigma), ("angle_sigma", angle_sigma)):
-        bad = np.zeros(0) if level is None else level[level <= 0.0]
-        if bad.size:
-            raise ValueError(f"{name} must be > 0, got {float(bad[0])}")
-    if not mask.any(axis=(-2, -1)).all():
+def _problem_mask(anchors: AnchorSet, conf: Conformation, mask) -> np.ndarray:
+    """The (A, K) mask of one bound, every link when None; refused when empty."""
+    mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
+    if not mask.any():
         raise ValueError("mask is empty; no measurements to bound")
+    return mask
 
 
 def fim_ranges(
@@ -152,11 +151,15 @@ def fim_batch(anchor_xyz, nodes, rot, trans, mask, sigma, angle_sigma=None) -> C
     FIM = sum over the measured kinds of rows^T rows / sigma_kind^2, with
     the unit-weight rows of the residuals NLS fits: the observed ranges',
     and with angle noise levels `angle_sigma` (B,) their links' azimuths'
-    and elevations'. Without angle_sigma the bound is range-only.
+    and elevations'. Without angle_sigma the bound is range-only. An item
+    that observes no link has a zero, singular FIM.
     """
     sigma = np.asarray(sigma, dtype=float)
     angle_sigma = None if angle_sigma is None else np.asarray(angle_sigma, dtype=float)
-    _check_bound_inputs(mask, sigma, angle_sigma)
+    for name, level in (("sigma", sigma), ("angle_sigma", angle_sigma)):
+        bad = np.zeros(0) if level is None else level[level <= 0.0]
+        if bad.size:
+            raise ValueError(f"{name} must be > 0, got {float(bad[0])}")
     rows, angle_rows = _unit_rows(anchor_xyz, nodes, rot, trans, mask, angle_sigma is not None)
     fim = (rows.mT @ rows) / sigma[:, None, None] ** 2
     if angle_rows is not None:
@@ -191,7 +194,7 @@ def crlb_sweep(
     """One CrlbReport per range noise level, as fim_batch bounds it, with
     azimuths and elevations measured at angle_sigma when it is given.
     Range-only bounds scale exactly as sigma^2."""
-    mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
+    mask = _problem_mask(anchors, conf, mask)
     sigma = np.array([float(s) for s in sigma_grid])
     n = len(sigma)
     batch = fim_batch(
@@ -253,7 +256,7 @@ def placement_score(
     poses = list(pose_prior)
     if not poses:
         raise ValueError("pose prior must contain at least one pose")
-    mask = _full_mask(anchors, conf) if mask is None else np.asarray(mask, dtype=bool)
+    mask = _problem_mask(anchors, conf, mask)
     batch = fim_batch(
         anchors.anchors, conf.nodes, np.array([p.rotation for p in poses]),
         np.array([p.translation for p in poses]), np.broadcast_to(mask, (len(poses),) + mask.shape),

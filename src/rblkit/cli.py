@@ -21,6 +21,7 @@ from .completion import complete_edm
 from .errors import ConfigError, RblError
 from .geometry import Twist
 from .harness import (
+    ExperimentConfig,
     derive_seed,
     draw_trial,
     generate_trajectory,
@@ -32,17 +33,8 @@ from .harness import (
     run_benchmark,
     run_scenario_once,
 )
-from .measurement import Edm, NoiseModel, assemble_edm
+from .measurement import Edm, assemble_edm
 from .tracking import MeasurementFrame, TrackConfig, track_sequence, track_to_csv
-
-
-def _add_common(sub):
-    sub.add_argument("--scenario", metavar="FILE", help="scenario config (JSON)")
-    sub.add_argument("--experiment", metavar="FILE", help="experiment config (JSON)")
-    sub.add_argument("--preset", choices=["fig4", "fig5"], help="builtin scenario+experiment")
-    sub.add_argument("--seed", type=int, default=None, metavar="U64", help="master seed override")
-    sub.add_argument("--out", default="rblkit-out", metavar="DIR", help="output directory")
-    sub.add_argument("--format", choices=["csv", "json"], default="csv", help="tabular output format")
 
 
 def _resolve_configs(args, need_experiment=False):
@@ -59,7 +51,8 @@ def _resolve_configs(args, need_experiment=False):
         raise ConfigError("an --experiment file or --preset is required")
     if experiment is not None and args.seed is not None:
         experiment = replace(experiment, master_seed=args.seed)
-    return scenario, experiment
+    seed = ExperimentConfig.master_seed if args.seed is None else args.seed  # the field default
+    return scenario, experiment, seed
 
 
 def _default_sigma(args, scenario, experiment):
@@ -86,9 +79,8 @@ def _write_json(path: Path, doc):
 
 
 def _cmd_simulate(args) -> int:
-    scenario, experiment = _resolve_configs(args)
+    scenario, experiment, seed = _resolve_configs(args)
     sigma = _default_sigma(args, scenario, experiment)
-    seed = args.seed if args.seed is not None else 1234
     truth, meas = draw_trial(scenario, sigma, derive_seed(seed, 11, 0, 0))
     doc = {
         "sigma": sigma,
@@ -105,12 +97,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    scenario, experiment = _resolve_configs(args)
+    scenario, experiment, seed = _resolve_configs(args)
     sigma = _default_sigma(args, scenario, experiment)
-    seed = args.seed if args.seed is not None else 1234
-    completion = experiment.completion if experiment is not None else not args.no_completion
-    if args.no_completion:
-        completion = False
+    completion = not args.no_completion and (experiment is None or experiment.completion)
     trace = run_scenario_once(
         scenario, sigma, derive_seed(seed, 11, 0, 0), args.estimator, completion
     )
@@ -119,7 +108,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    scenario, experiment = _resolve_configs(args, need_experiment=True)
+    scenario, experiment, _ = _resolve_configs(args, need_experiment=True)
     rows = run_benchmark(scenario, experiment)
     out = _outdir(args)
     if args.format == "json":
@@ -130,14 +119,13 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_crlb(args) -> int:
-    scenario, experiment = _resolve_configs(args)
-    if experiment is not None:
-        grid = experiment.sigma_grid
-    elif args.sigma is not None:
+    scenario, experiment, seed = _resolve_configs(args)
+    if args.sigma is not None:
         grid = (args.sigma,)
+    elif experiment is not None:
+        grid = experiment.sigma_grid
     else:
-        raise ConfigError("need an --experiment/--preset sigma grid or --sigma")
-    seed = args.seed if args.seed is not None else 1234
+        raise ConfigError("need --sigma or an --experiment/--preset sigma grid")
     pose = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
     angle_sigma = scenario.noise.angle_sigma if "aoa" in scenario.measurement_kinds else None
     reports = crlb_sweep(scenario.anchors, scenario.conformation, pose, grid, None, angle_sigma)
@@ -166,13 +154,8 @@ def _parse_twist(text: str) -> Twist:
 
 
 def _cmd_track(args) -> int:
-    scenario, experiment = _resolve_configs(args)
-    seed = args.seed if args.seed is not None else 1234
-    noise = NoiseModel(
-        range_sigma=_default_sigma(args, scenario, experiment),
-        angle_sigma=scenario.noise.angle_sigma,
-        range_rate_sigma=scenario.noise.range_rate_sigma,
-    )
+    scenario, experiment, seed = _resolve_configs(args)
+    noise = replace(scenario.noise, range_sigma=_default_sigma(args, scenario, experiment))
     truth = None
     if args.trajectory:
         doc = json.loads(Path(args.trajectory).read_text())
@@ -223,40 +206,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rigid body localization toolkit: simulate, estimate, benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags of several subcommands, each given only to those whose handler reads it.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="rblkit-out", metavar="DIR", help="output directory")
+    configs = argparse.ArgumentParser(add_help=False, parents=[out])
+    configs.add_argument("--scenario", metavar="FILE", help="scenario config (JSON)")
+    configs.add_argument("--experiment", metavar="FILE", help="experiment config (JSON)")
+    configs.add_argument("--preset", choices=["fig4", "fig5"], help="builtin scenario+experiment")
+    configs.add_argument("--seed", type=int, metavar="U64", help="master seed override")
+    sigma = argparse.ArgumentParser(add_help=False)
+    sigma.add_argument("--sigma", type=float, help="range noise sigma (m), in place of the grid")
+    tables = argparse.ArgumentParser(add_help=False)
+    tables.add_argument(
+        "--format", choices=["csv", "json"], default="csv", help="tabular output format"
+    )
+    estimator = argparse.ArgumentParser(add_help=False)
+    estimator.add_argument("--estimator", choices=["mds", "nls", "gabp"], default="nls")
 
-    p = sub.add_parser("simulate", help="draw one trial's measurements")
-    _add_common(p)
-    p.add_argument("--sigma", type=float, default=None, help="range noise sigma (m)")
+    p = sub.add_parser(
+        "simulate", parents=[configs, sigma], help="draw one trial's measurements"
+    )
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("estimate", help="run one estimator on one seeded trial")
-    _add_common(p)
-    p.add_argument("--sigma", type=float, default=None, help="range noise sigma (m)")
-    p.add_argument("--estimator", choices=["mds", "nls", "gabp"], default="nls")
+    p = sub.add_parser(
+        "estimate", parents=[configs, sigma, estimator], help="run one estimator on a seeded trial"
+    )
     p.add_argument("--no-completion", action="store_true", help="zero-fill masked EDMs instead")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("benchmark", help="Monte Carlo RMSE sweep with CRLB columns")
-    _add_common(p)
+    p = sub.add_parser(
+        "benchmark", parents=[configs, tables], help="Monte Carlo RMSE sweep with CRLB columns"
+    )
     p.set_defaults(func=_cmd_benchmark)
 
-    p = sub.add_parser("crlb", help="CRLB-vs-sigma table for a scenario")
-    _add_common(p)
-    p.add_argument("--sigma", type=float, default=None, help="single sigma when no grid given")
+    p = sub.add_parser(
+        "crlb", parents=[configs, sigma, tables], help="CRLB-vs-sigma table for a scenario"
+    )
     p.set_defaults(func=_cmd_crlb)
 
-    p = sub.add_parser("track", help="frame-to-frame pose+twist tracking")
-    _add_common(p)
+    p = sub.add_parser(
+        "track", parents=[configs, sigma, tables, estimator],
+        help="frame-to-frame pose+twist tracking",
+    )
     p.add_argument("--trajectory", metavar="FILE", help="JSON list of measurement frames")
     p.add_argument("--twist", default="0,0,0.1,1,0,0", help="synthesized twist wx,wy,wz,vx,vy,vz")
     p.add_argument("--frames", type=int, default=10, help="synthesized frame count")
     p.add_argument("--dt", type=float, default=0.1, help="synthesized frame spacing (s)")
-    p.add_argument("--sigma", type=float, default=None, help="range noise sigma (m)")
-    p.add_argument("--estimator", choices=["mds", "nls", "gabp"], default="nls")
     p.set_defaults(func=_cmd_track)
 
-    p = sub.add_parser("complete", help="complete a masked EDM document")
-    _add_common(p)
+    p = sub.add_parser("complete", parents=[out], help="complete a masked EDM document")
     p.add_argument("--edm", required=True, metavar="FILE", help="EDM JSON (or a simulate output)")
     p.add_argument("--max-iters", type=int, default=500)
     p.set_defaults(func=_cmd_complete)

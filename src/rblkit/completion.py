@@ -135,7 +135,8 @@ class CompletionBatch:
     """complete_edm's outcomes for a stack of EDMs, as arrays: the completed
     squared distances (B, n, n), iterations, final mismatches, converged
     flags, and per item the CompletionInfeasibleError it raised or None (a
-    failed item's numbers are placeholders)."""
+    failed item's numbers are placeholders) and the fit's message, which
+    names the test an unconverged fit missed."""
 
     completed: np.ndarray
     iterations: np.ndarray
@@ -143,6 +144,7 @@ class CompletionBatch:
     converged: np.ndarray
     errors: list
     n_anchors: int
+    messages: list
 
     def report(self, i: int) -> CompletionReport:
         """Item i as complete_edm reports it, or its error raised."""
@@ -200,9 +202,10 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
         res, rows, _, dist = range_residuals(r, t, grid, jacobian)
         return res, rows, None if rows is None else range_curvature(r, grid, res, rows, dist)
 
-    rot, trans, iterations, converged, _ = pose_gauss_newton(
+    rot, trans, iterations, converged, messages = pose_gauss_newton(
         residuals, q, trans, max_iters, args=links[:1] + links[2:]
     )
     fit = edm_from_points(np.concatenate([anchors, transform_points(nodes, rot, trans)], axis=-2))
     mismatch = np.where(known, np.abs(fit - d), 0.0).max(axis=(-2, -1))
-    return CompletionBatch(np.where(known, d, fit), iterations, mismatch, converged, errors, a)
+    d = np.where(known, d, fit)
+    return CompletionBatch(d, iterations, mismatch, converged, errors, a, messages)

@@ -87,7 +87,7 @@ class PoseBatch:
     errors[i] is the RblError item i raised, or None; a failed item's
     numbers are placeholders. Iterative methods fill iterations, converged,
     messages and projection_distance; two-stage methods per_node_positions,
-    and GaBP node_variances.
+    and GaBP node_variances; the EDM chain's MDS converged and messages.
     """
 
     method_tag: str
@@ -114,9 +114,9 @@ class PoseBatch:
             iterations=int(self.iterations[i]) if iterative else 0,
             per_node_positions=_item(self.per_node_positions, i),
             node_variances=_item(self.node_variances, i),
-            converged=bool(self.converged[i]) if iterative else True,
+            converged=True if self.converged is None else bool(self.converged[i]),
             projection_distance=float(self.projection_distance[i]) if iterative else 0.0,
-            message=self.messages[i] if iterative else "",
+            message="" if self.messages is None else self.messages[i],
         )
 
     def failure(self, i: int) -> str | None:
@@ -335,9 +335,11 @@ class ChainBatch:
 
 
 def chain_batch(anchor_xyz, nodes, ranges, mask, completion: bool = True) -> ChainBatch:
-    """mds_from_ranges of stacked (B, A, K) ranges and masks."""
+    """mds_from_ranges of stacked (B, A, K) ranges and masks. An MDS
+    estimate built on an unconverged completion has not converged either;
+    its message names the test the completion missed."""
     d, known = assemble_batch(anchor_xyz, nodes, ranges, mask)
-    errors = [None] * len(d)
+    errors, converged, messages = [None] * len(d), np.ones(len(d), dtype=bool), [""] * len(d)
     completed, batch = np.flatnonzero(~known.all(axis=(-2, -1))), None
     if not completion:
         completed = completed[:0]
@@ -345,9 +347,11 @@ def chain_batch(anchor_xyz, nodes, ranges, mask, completion: bool = True) -> Cha
     elif completed.size:  # a fully observed stack has nothing to complete
         batch = complete_batch(d[completed], known[completed], len(anchor_xyz))
         d[completed] = batch.completed
-        for i, error in zip(completed, batch.errors):
-            errors[i] = error
-    return ChainBatch(mds_batch(d, known, anchor_xyz, nodes, errors), batch, completed)
+        converged[completed] = batch.converged
+        for i, error, message in zip(completed, batch.errors, batch.messages):
+            errors[i], messages[i] = error, f"completion: {message}" if message else ""
+    mds = mds_batch(d, known, anchor_xyz, nodes, errors)
+    return ChainBatch(replace(mds, converged=converged, messages=messages), batch, completed)
 
 
 def nls_weights(sigma) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import importlib.resources
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +127,8 @@ class BlockageSpec:
     """Which blockage policy a sweep applies, rebuilt per trial.
 
     kind "bernoulli" drops links independently with probability p; "hull"
-    applies convex-hull self-occlusion with the given margin; "none" keeps
-    every link.
+    applies convex-hull self-occlusion with the given margin (m, finite and
+    >= 0); "none" keeps every link.
     """
 
     kind: str = "none"
@@ -136,12 +136,18 @@ class BlockageSpec:
     margin: float = 1e-9
 
     def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "margin", float(self.margin))
         if self.kind not in ("none", "bernoulli", "hull"):
             raise ConfigError(
                 f"kind must be none|bernoulli|hull, got {self.kind!r}", field="blockage.kind"
             )
         if self.kind == "bernoulli" and not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p must be in [0, 1], got {self.p}", field="blockage.p")
+        if not np.isfinite(self.margin) or self.margin < 0.0:
+            raise ConfigError(
+                f"margin must be finite and >= 0, got {self.margin}", field="blockage.margin"
+            )
 
     def policy(self, seed: int, anchors: AnchorSet, world_nodes):
         if self.kind == "bernoulli":
@@ -217,10 +223,15 @@ class ExperimentConfig:
     sigma_grid: tuple[float, ...]
     trials: int = 100
     master_seed: int = 1234
-    estimators: tuple[str, ...] = ("mds", "nls", "gabp")
+    estimators: tuple[str, ...] = ESTIMATOR_TAGS
     completion: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "master_seed", int(self.master_seed))
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        object.__setattr__(self, "completion", bool(self.completion))
         if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
             raise ConfigError("sigma grid must be nonempty and positive", field="sigma_grid")
         if self.trials < 1:
@@ -281,12 +292,7 @@ class TrialOutcome:
 
 
 def _noise(scenario: ScenarioConfig, sigma: float, seed: int) -> NoiseModel:
-    return NoiseModel(
-        range_sigma=sigma,
-        angle_sigma=scenario.noise.angle_sigma,
-        range_rate_sigma=scenario.noise.range_rate_sigma,
-        seed=seed,
-    )
+    return replace(scenario.noise, range_sigma=sigma, seed=seed)
 
 
 def _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds):
@@ -564,10 +570,42 @@ def generate_trajectory(
 # ---------------------------------------------------------------------------
 # Configuration documents (JSON) and builtin presets.
 
-def _points_from(doc, field_name, base_dir):
+# Each section of a document fills one dataclass, and its keys are that
+# class's field names, so a setting is declared once, with its default.
+_REFUSED = {"noise.seed": "; trial noise streams derive from the experiment's master_seed"}
+
+
+def _names(cls, *skip: str) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+def _section(doc, allowed, path: str, required=()) -> dict:
+    """The object `doc`, refused with a ConfigError on the dotted path of a
+    key outside `allowed` or a missing `required` one."""
     if not isinstance(doc, dict):
-        raise ConfigError("expected an object with 'points' or 'file'", field=field_name)
-    if ("points" in doc) == ("file" in doc):
+        raise ConfigError("expected an object", field=path or None)
+    dotted = (path + ".") if path else ""
+    for key in doc:
+        if key not in allowed:
+            raise ConfigError(
+                f"unknown key; allowed keys: {', '.join(allowed)}" + _REFUSED.get(dotted + key, ""),
+                field=dotted + key,
+            )
+    for key in required:
+        if key not in doc:
+            raise ConfigError("missing key", field=dotted + key)
+    return doc
+
+
+def _fill(cls, doc, path: str, *skip: str):
+    """cls built from the object `doc`, one key per field of cls other than
+    `skip`; absent keys keep the field defaults."""
+    required = [f.name for f in fields(cls) if f.default is MISSING]
+    return cls(**_section(doc, _names(cls, *skip), path, required))
+
+
+def _points_from(doc, field_name, base_dir):
+    if len(_section(doc, ("points", "file"), field_name)) != 1:
         raise ConfigError("exactly one of 'points' and 'file'", field=field_name)
     if "points" in doc:
         return np.asarray(doc["points"], dtype=float)
@@ -578,96 +616,52 @@ def _points_from(doc, field_name, base_dir):
 
 
 def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
-    try:
-        conf = Conformation(_points_from(doc["conformation"], "conformation", base_dir))
-    except KeyError:
-        raise ConfigError("missing section", field="conformation") from None
-    anchors_doc = doc.get("anchors")
-    if anchors_doc is None:
-        raise ConfigError("missing section", field="anchors")
-    sources = [k for k in ("body", "points", "file") if k in anchors_doc]
-    if len(sources) != 1:
-        raise ConfigError(
-            f"exactly one anchor source among body/points/file, got {sources}",
-            field="anchors",
-        )
-    if "body" in anchors_doc:
-        body = Conformation(_points_from(anchors_doc["body"], "anchors.body", base_dir))
-        anchors = AnchorSet(body.nodes)
+    """The scenario of a document in the README grammar; absent sections
+    keep the ScenarioConfig defaults."""
+    keys = _names(ScenarioConfig, "measurement_kinds") + ("measurements",)
+    _section(doc, keys, "", required=("conformation", "anchors"))
+    conf = Conformation(_points_from(doc["conformation"], "conformation", base_dir))
+    anchors = _section(doc["anchors"], ("body", "points", "file"), "anchors")
+    if len(anchors) != 1:
+        raise ConfigError("exactly one of 'body', 'points' and 'file'", field="anchors")
+    if "body" in anchors:  # an ego body whose nodes act as anchors
+        points = Conformation(_points_from(anchors["body"], "anchors.body", base_dir)).nodes
     else:
-        anchors = AnchorSet(_points_from(anchors_doc, "anchors", base_dir))
-
-    pose = None
-    dist = None
-    if "pose" in doc and "pose_distribution" in doc:
-        raise ConfigError("give either pose or pose_distribution, not both", field="pose")
-    if "pose" in doc:
-        p = doc["pose"]
-        pose = Pose(np.asarray(p["rotation"], dtype=float), np.asarray(p["translation"], float))
-    elif "pose_distribution" in doc:
-        d = doc["pose_distribution"]
-        box = d.get("translation_box", [[-0.5, 0.5]] * 3)
-        dist = PoseDistribution(
-            rotation=d.get("rotation", "uniform"),
-            translation_low=tuple(b[0] for b in box),
-            translation_high=tuple(b[1] for b in box),
-        )
-    else:
-        raise ConfigError("missing pose or pose_distribution", field="pose")
-
-    n = doc.get("noise", {})
-    noise = NoiseModel(
-        range_sigma=float(n.get("range_sigma", 0.0)),
-        angle_sigma=float(n.get("angle_sigma", 0.0)),
-        range_rate_sigma=float(n.get("range_rate_sigma", 0.0)),
-        seed=int(n.get("seed", 0)),
-    )
-    b = doc.get("blockage", {})
-    blockage = BlockageSpec(
-        kind=b.get("kind", "none"),
-        p=float(b.get("p", 0.0)),
-        margin=float(b.get("margin", 1e-9)),
-    )
-    kinds = tuple(doc.get("measurements", ["range"]))
-    return ScenarioConfig(
-        conformation=conf,
-        anchors=anchors,
-        noise=noise,
-        pose=pose,
-        pose_distribution=dist,
-        blockage=blockage,
-        measurement_kinds=kinds,
-    )
+        points = _points_from(anchors, "anchors", base_dir)
+    settings = {"conformation": conf, "anchors": AnchorSet(points)}
+    sections = (("pose", Pose), ("noise", NoiseModel, "seed"), ("blockage", BlockageSpec))
+    for name, cls, *skip in sections:
+        if name in doc:
+            settings[name] = _fill(cls, doc[name], name, *skip)
+    if "pose_distribution" in doc:
+        box = ("translation_low", "translation_high")  # both set by translation_box
+        keys = _names(PoseDistribution, *box) + ("translation_box",)
+        dist = dict(_section(doc["pose_distribution"], keys, "pose_distribution"))
+        if "translation_box" in dist:  # [[low, high]] per axis
+            dist[box[0]], dist[box[1]] = zip(*dist.pop("translation_box"))
+        settings["pose_distribution"] = PoseDistribution(**dist)
+    if "measurements" in doc:
+        settings["measurement_kinds"] = tuple(doc["measurements"])
+    return ScenarioConfig(**settings)
 
 
 def experiment_from_dict(doc: dict) -> ExperimentConfig:
-    if "sigma_grid" not in doc:
-        raise ConfigError("missing sigma_grid", field="sigma_grid")
-    return ExperimentConfig(
-        sigma_grid=tuple(float(s) for s in doc["sigma_grid"]),
-        trials=int(doc.get("trials", 100)),
-        master_seed=int(doc.get("master_seed", 1234)),
-        estimators=tuple(doc.get("estimators", list(ESTIMATOR_TAGS))),
-        completion=bool(doc.get("completion", True)),
-    )
+    return _fill(ExperimentConfig, doc, "")
+
+
+def _read_json(path):
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
 
 def load_scenario(path) -> ScenarioConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return scenario_from_dict(doc, base_dir=path.parent)
+    return scenario_from_dict(_read_json(path), base_dir=Path(path).parent)
 
 
 def load_experiment(path) -> ExperimentConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return experiment_from_dict(doc)
+    return experiment_from_dict(_read_json(path))
 
 
 def _data_points(name: str) -> np.ndarray:
@@ -697,19 +691,9 @@ def preset(name: str) -> tuple[ScenarioConfig, ExperimentConfig]:
         scenario = ScenarioConfig(
             conformation=Conformation(_cube_corners(1.0)),
             anchors=AnchorSet(_cube_corners(3.0)),
-            pose_distribution=PoseDistribution(rotation="uniform"),
-            noise=NoiseModel(),
-            blockage=BlockageSpec(kind="none"),
-            measurement_kinds=("range",),
+            pose_distribution=PoseDistribution(),
         )
-        experiment = ExperimentConfig(
-            sigma_grid=tuple(np.logspace(-3, 0, 6)),
-            trials=1000,
-            master_seed=1234,
-            estimators=("mds", "nls", "gabp"),
-            completion=True,
-        )
-        return scenario, experiment
+        return scenario, ExperimentConfig(sigma_grid=tuple(np.logspace(-3, 0, 6)), trials=1000)
     if name == "fig5":
         scenario = ScenarioConfig(
             conformation=Conformation(_data_points("car.txt")),
@@ -719,16 +703,10 @@ def preset(name: str) -> tuple[ScenarioConfig, ExperimentConfig]:
                 translation_low=(8.0, -4.0, -0.5),
                 translation_high=(16.0, 4.0, 0.5),
             ),
-            noise=NoiseModel(),
             blockage=BlockageSpec(kind="bernoulli", p=0.2),
-            measurement_kinds=("range",),
         )
         experiment = ExperimentConfig(
-            sigma_grid=tuple(np.logspace(-2, 0, 5)),
-            trials=500,
-            master_seed=1234,
-            estimators=("mds",),
-            completion=True,
+            sigma_grid=tuple(np.logspace(-2, 0, 5)), trials=500, estimators=("mds",)
         )
         return scenario, experiment
     raise ConfigError(f"unknown preset {name!r} (available: fig4, fig5)", field="preset")

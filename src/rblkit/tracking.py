@@ -96,7 +96,8 @@ class MeasurementFrame:
 
 @dataclass(frozen=True)
 class TrackFrame:
-    """Per-frame tracking output; `error` is set when estimation failed."""
+    """Per-frame tracking output; `error` is set when estimation failed.
+    twist_residual_rms is the RMS range-rate misfit of the twist (m/s)."""
 
     timestamp: float
     pose_estimate: PoseEstimate | None
@@ -108,7 +109,7 @@ class TrackFrame:
 @dataclass(frozen=True)
 class TrackConfig:
     """Tracking options: which pose estimator runs per frame and the noise
-    model used for weighting. The mds estimator completes masked EDMs."""
+    model that weights its pose solve. The mds estimator completes masked EDMs."""
 
     estimator: str = "nls"
     noise: NoiseModel | None = None
@@ -154,11 +155,9 @@ def track_sequence(
                 pose_est = estimate_pose_gabp(meas, anchors, conf, noise=config.noise)
             else:
                 pose_est, _ = mds_from_ranges(meas, anchors, conf)
-            weights = None
-            if config.noise is not None and config.noise.range_rate_sigma > 0:
-                weights = np.full(meas.mask.shape, 1.0 / config.noise.range_rate_sigma**2)
+            # Unweighted, so the residual reads in m/s (one shared level would not move the fit).
             twist, residual = estimate_twist(
-                anchors, conf, pose_est.pose, meas.range_rates, mask=meas.mask, weights=weights
+                anchors, conf, pose_est.pose, meas.range_rates, mask=meas.mask
             )
             out.append(TrackFrame(frame.timestamp, pose_est, twist, residual))
             prev_pose, prev_twist, prev_time = pose_est.pose, twist, frame.timestamp

@@ -94,6 +94,28 @@ class TestBenchmarkCommand:
         assert "config error" in capsys.readouterr().err
 
 
+    def test_unknown_key_is_config_error(self, tiny_configs, tmp_path, capsys):
+        s, _ = tiny_configs
+        e = tmp_path / "typo.json"
+        e.write_text(json.dumps({"sigma_grid": [0.1], "trails": 3}))
+        code = main(["benchmark", "--scenario", s, "--experiment", str(e), "--out", str(tmp_path)])
+        assert code == 1
+        assert "trails: unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "benchmark.csv").exists()
+
+    def test_fully_blocked_sweep_succeeds(self, tiny_configs, tmp_path):
+        s, e = tiny_configs
+        with open(s) as f:
+            doc = json.load(f)
+        doc["blockage"] = {"kind": "bernoulli", "p": 1.0}
+        blocked = tmp_path / "blocked.json"
+        blocked.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["benchmark", "--scenario", str(blocked), "--experiment", e, "--out", str(out)]) == 0
+        rows = (out / "benchmark.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 4 and all(row.endswith(",3,3") for row in rows)
+
+
 class TestSimulateAndEstimate:
     def test_simulate_writes_measurements(self, tiny_configs, tmp_path):
         s, _ = tiny_configs
@@ -146,6 +168,13 @@ class TestCrlbCommand:
         out = tmp_path / "out"
         assert main(["crlb", "--preset", "fig4", "--seed", "2", "--out", str(out)]) == 0
         assert (out / "crlb.csv").exists()
+
+
+    def test_sigma_overrides_the_grid(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["crlb", "--preset", "fig4", "--sigma", "0.05", "--out", str(out)]) == 0
+        lines = (out / "crlb.csv").read_text().strip().split("\n")
+        assert len(lines) == 2 and lines[1].startswith("0.05,")
 
 
 def aoa_scenario(tmp_path, noise):
@@ -258,7 +287,7 @@ class TestCompleteCommand:
             ["simulate", "--scenario", str(s_path), "--sigma", "0.001", "--out", str(out)]
         ) == 0
         code = main(
-            ["complete", "--scenario", str(s_path), "--edm", str(out / "measurements.json"),
+            ["complete", "--edm", str(out / "measurements.json"),
              "--out", str(out)]
         )
         assert code == 0
@@ -282,3 +311,18 @@ class TestUsage:
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["benchmark", "--preset", "fig9", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["complete", "--preset", "fig5", "--edm", "measurements.json"],
+            ["complete", "--seed", "3", "--edm", "measurements.json"],
+            ["simulate", "--preset", "fig4", "--format", "csv"],
+            ["estimate", "--preset", "fig4", "--format", "json"],
+        ],
+    )
+    def test_flags_a_subcommand_does_not_read_are_refused(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())

@@ -141,7 +141,7 @@ class TestConfigs:
             "conformation": {"file": "body.txt"},
             "anchors": {"points": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [3, 3, 3]]},
             "pose": {"rotation": np.eye(3).tolist(), "translation": [0.5, 0, 0]},
-            "noise": {"range_sigma": 0.1, "seed": 3},
+            "noise": {"range_sigma": 0.1},
             "blockage": {"kind": "bernoulli", "p": 0.25},
             "measurements": ["range"],
         }
@@ -173,6 +173,73 @@ class TestConfigs:
         exp = experiment_from_dict({"sigma_grid": [0.1], "trials": 7})
         assert exp.estimators == ("mds", "nls", "gabp")
         assert exp.completion is True
+
+
+def scenario_doc(**sections):
+    """A valid scenario document with `sections` set; None drops a section."""
+    doc = {
+        "conformation": {"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+        "anchors": {"points": [[3, 0, 0], [0, 3, 0], [0, 0, 3], [3, 3, 3]]},
+        "pose_distribution": {"rotation": "yaw"},
+    }
+    doc.update(sections)
+    return {key: value for key, value in doc.items() if value is not None}
+
+
+class TestDocumentKeys:
+    @pytest.mark.parametrize(
+        "sections, field",
+        [
+            ({"prob": 0.5}, "prob"),
+            ({"noise": {"range_sigma": 0.1, "sigma": 0.2}}, "noise.sigma"),
+            ({"blockage": {"kind": "bernoulli", "prob": 0.5}}, "blockage.prob"),
+            (
+                {"pose": {"rotation": np.eye(3).tolist(), "translation": [0, 0, 0], "scale": 1},
+                 "pose_distribution": None},
+                "pose.scale",
+            ),
+            ({"pose_distribution": {"rotation": "yaw", "translation": [0, 0, 0]}},
+             "pose_distribution.translation"),
+            ({"anchors": {"points": [[3, 0, 0], [0, 3, 0]], "weights": [1, 1]}}, "anchors.weights"),
+            ({"anchors": {"body": {"points": [[3, 0, 0]], "scale": 2}}}, "anchors.body.scale"),
+            ({"conformation": {"points": [[0, 0, 0]], "scale": 2}}, "conformation.scale"),
+        ],
+    )
+    def test_unknown_scenario_key_refused(self, sections, field):
+        with pytest.raises(ConfigError, match="allowed keys") as caught:
+            scenario_from_dict(scenario_doc(**sections))
+        assert caught.value.field == field
+
+    def test_unknown_experiment_key_refused(self):
+        with pytest.raises(ConfigError, match="allowed keys: sigma_grid, trials") as caught:
+            experiment_from_dict({"sigma_grid": [0.1], "trails": 3})
+        assert caught.value.field == "trails"
+
+    def test_noise_seed_refused(self):
+        # Every trial seeds its noise from the experiment's master seed, so a
+        # scenario noise seed would be a setting that does nothing.
+        with pytest.raises(ConfigError, match="master_seed") as caught:
+            scenario_from_dict(scenario_doc(noise={"range_sigma": 0.1, "seed": 3}))
+        assert caught.value.field == "noise.seed"
+
+    def test_missing_experiment_grid(self):
+        with pytest.raises(ConfigError) as caught:
+            experiment_from_dict({"trials": 3})
+        assert caught.value.field == "sigma_grid"
+
+    def test_documents_fill_dataclass_defaults(self):
+        scenario = scenario_from_dict(scenario_doc(blockage={"kind": "hull"}))
+        assert scenario.blockage == BlockageSpec(kind="hull")
+        assert scenario.noise == NoiseModel()
+        exp = experiment_from_dict({"sigma_grid": [1], "trials": 2, "estimators": ["mds"]})
+        assert exp == ExperimentConfig(sigma_grid=(1.0,), trials=2, estimators=("mds",))
+        assert type(exp.sigma_grid[0]) is float
+
+    @pytest.mark.parametrize("margin", [-1e-3, float("nan"), float("inf")])
+    def test_blockage_margin_refused(self, margin):
+        with pytest.raises(ConfigError) as caught:
+            scenario_from_dict(scenario_doc(blockage={"kind": "hull", "margin": margin}))
+        assert caught.value.field == "blockage.margin"
 
 
 class TestPresets:
@@ -282,6 +349,36 @@ class TestRunBenchmark:
         run_benchmark(scenario, experiment)
         # One completed EDM per trial, every trial of the sweep in one batch.
         assert calls == [len(experiment.sigma_grid) * experiment.trials]
+
+    def test_unconverged_completion_fails_mds(self, monkeypatch):
+        # MDS embeds the completed EDM, so a completion that missed its
+        # convergence test leaves the MDS estimate unconverged too; NLS still
+        # starts from that pose.
+        complete_batch = rblkit.estimators.complete_batch
+        monkeypatch.setattr(
+            rblkit.estimators, "complete_batch",
+            lambda d, known, a: complete_batch(d, known, a, max_iters=1),
+        )
+        scenario = small_scenario(blockage=BlockageSpec(kind="bernoulli", p=0.2))
+        seeds = [derive_seed(5, i) for i in range(4)]
+        trials = _run_trials(scenario, [0.1] * 4, seeds, ("mds", "nls"), True)
+        assert trials.chain.completed_items.tolist() == [0, 1, 2, 3]
+        for i in range(4):
+            assert not trials.estimates["mds"].estimate(i).converged
+            assert trials.failures["mds"][i] == (
+                "not converged: completion: cost change above relative 1e-12 after 1 iterations"
+            )
+            assert trials.failures["nls"][i] is None
+        rows = run_benchmark(scenario, small_experiment(trials=2, estimators=("mds",)))
+        assert all(row.failures == row.trials for row in rows)
+
+    def test_fully_blocked_sweep_counts_failures(self):
+        # Trials that observe no link have a singular bound and no estimate;
+        # they are counted as failures instead of stopping the sweep.
+        scenario = small_scenario(blockage=BlockageSpec(kind="bernoulli", p=1.0))
+        rows = run_benchmark(scenario, small_experiment(trials=3))
+        assert [row.failures for row in rows] == [3] * len(rows)
+        assert all(np.isnan(row.crlb_translation_m) for row in rows)
 
     def test_estimators_share_trial_draws(self):
         # The CRLB columns are identical across estimator rows at each sigma,

@@ -214,6 +214,18 @@ class TestTrackSequence:
             track = track_sequence(anchors, conf, rates_only, TrackConfig(estimator=tag))
             assert all(f.error.startswith("UnderdeterminedError") for f in track)
 
+    def test_twist_residual_in_rate_units(self):
+        # One noise level for every rate leaves the twist fit unchanged, so
+        # its residual reads in m/s with or without a noise model.
+        conf, anchors, frames, _ = make_trajectory(
+            Twist([0, 0, 0.2], [0.3, 0, 0]), n_frames=3, sigma=0.01, rate_sigma=0.01
+        )
+        plain = track_sequence(anchors, conf, frames, TrackConfig("nls"))
+        config = TrackConfig("nls", noise=NoiseModel(range_rate_sigma=0.01))
+        noisy = track_sequence(anchors, conf, frames, config)
+        assert [f.twist_residual_rms for f in noisy] == [f.twist_residual_rms for f in plain]
+        assert all(f.twist_residual_rms < 0.05 for f in noisy)
+
     def test_unknown_estimator_rejected_at_construction(self):
         with pytest.raises(ConfigError, match="estimator"):
             TrackConfig(estimator="kalman")
