@@ -60,7 +60,6 @@ from .harness import (
     rows_to_csv,
     run_benchmark,
     run_scenario_once,
-    run_trial_estimators,
 )
 from .measurement import (
     AnchorSet,

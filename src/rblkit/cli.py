@@ -51,7 +51,8 @@ def _resolve_configs(args, need_experiment=False):
         raise ConfigError("an --experiment file or --preset is required")
     if experiment is not None and args.seed is not None:
         experiment = replace(experiment, master_seed=args.seed)
-    seed = ExperimentConfig.master_seed if args.seed is None else args.seed  # the field default
+    # --seed, else the experiment's master seed, else the field default.
+    seed = (experiment or ExperimentConfig).master_seed if args.seed is None else args.seed
     return scenario, experiment, seed
 
 

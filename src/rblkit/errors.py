@@ -95,8 +95,10 @@ class UnobservableTwistError(RblError):
         )
 
 
-class ConfigError(RblError):
-    """Scenario or experiment configuration is invalid.
+class ConfigError(RblError, ValueError):
+    """Scenario or experiment configuration is invalid. Also a ValueError:
+    the dataclass a setting fills refuses a value outside its domain the
+    same way whether the value came from a document or from code.
 
     Attributes:
         field: dotted path of the offending entry, when known.

@@ -247,10 +247,6 @@ class Conformation:
         """Copy with the centroid moved to the body-frame origin."""
         return Conformation(self.nodes - self.centroid())
 
-    @classmethod
-    def from_file(cls, path) -> "Conformation":
-        return cls(load_points(path))
-
 
 @dataclass(frozen=True)
 class Pose:

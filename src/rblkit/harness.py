@@ -11,20 +11,21 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import operator
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, replace
+from functools import reduce
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import CrlbBatch, CrlbReport, fim_batch
-from .completion import CompletionReport
+from .bounds import CrlbBatch, fim_batch
 from .errors import ConfigError, RangeClampWarning
 from .estimators import (
     ESTIMATOR_TAGS,
     ChainBatch,
     PoseBatch,
-    PoseEstimate,
     chain_batch,
     gabp_batch,
     nls_batch,
@@ -43,6 +44,7 @@ from .geometry import (
     twist_velocities,
 )
 from .measurement import (
+    MEASUREMENT_KINDS,
     AnchorSet,
     BernoulliBlockage,
     ConvexHullBlockage,
@@ -127,33 +129,26 @@ class BlockageSpec:
     """Which blockage policy a sweep applies, rebuilt per trial.
 
     kind "bernoulli" drops links independently with probability p; "hull"
-    applies convex-hull self-occlusion with the given margin (m, finite and
-    >= 0); "none" keeps every link.
+    applies convex-hull self-occlusion; "none" keeps every link.
     """
 
     kind: str = "none"
     p: float = 0.0
-    margin: float = 1e-9
 
     def __post_init__(self):
         object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "margin", float(self.margin))
         if self.kind not in ("none", "bernoulli", "hull"):
             raise ConfigError(
                 f"kind must be none|bernoulli|hull, got {self.kind!r}", field="blockage.kind"
             )
         if self.kind == "bernoulli" and not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"p must be in [0, 1], got {self.p}", field="blockage.p")
-        if not np.isfinite(self.margin) or self.margin < 0.0:
-            raise ConfigError(
-                f"margin must be finite and >= 0, got {self.margin}", field="blockage.margin"
-            )
 
     def policy(self, seed: int, anchors: AnchorSet, world_nodes):
         if self.kind == "bernoulli":
             return BernoulliBlockage(self.p, seed=seed)
         if self.kind == "hull":
-            return ConvexHullBlockage(anchors, world_nodes, margin=self.margin)
+            return ConvexHullBlockage(anchors, world_nodes)
         return None
 
     def keep_batch(self, seeds, anchors: AnchorSet, nodes, world) -> np.ndarray:
@@ -163,7 +158,7 @@ class BlockageSpec:
         `nodes`, and every placement is clipped in one call."""
         shape = (anchors.num_anchors, len(nodes))
         if self.kind == "hull":
-            return hull_keep(anchors.anchors, world, hull_facets(nodes), self.margin)
+            return hull_keep(anchors.anchors, world, hull_facets(nodes))
         if self.kind == "bernoulli":
             return np.array([BernoulliBlockage(self.p, seed=s).keep_mask(shape) for s in seeds])
         return np.ones((len(world),) + shape, dtype=bool)
@@ -188,6 +183,12 @@ class ScenarioConfig:
         if (self.pose is None) == (self.pose_distribution is None):
             raise ConfigError(
                 "exactly one of pose and pose_distribution must be set", field="pose"
+            )
+        unknown = set(self.measurement_kinds) - set(MEASUREMENT_KINDS)
+        if unknown:
+            raise ConfigError(
+                f"unknown kinds {sorted(unknown)}; known: {', '.join(MEASUREMENT_KINDS)}",
+                field="measurements",
             )
         if "range" not in self.measurement_kinds:
             raise ConfigError(
@@ -276,21 +277,6 @@ def rows_to_json(rows) -> list[dict]:
     return [asdict(r) for r in rows]
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """One estimator's result on one trial draw; `failure` says why no
-    estimate was scored (an estimator error or a missed convergence)."""
-
-    truth: Pose
-    measurements: MeasurementSet
-    crlb: CrlbReport
-    estimate: PoseEstimate | None
-    completion: CompletionReport | None
-    failure: str | None
-    rotation_error_deg: float
-    translation_error_m: float
-
-
 def _noise(scenario: ScenarioConfig, sigma: float, seed: int) -> NoiseModel:
     return replace(scenario.noise, range_sigma=sigma, seed=seed)
 
@@ -348,9 +334,9 @@ TRIAL_CHUNK = 128
 class _Trials:
     """B seeded trials through every stage at once: the draws, the bounds,
     each estimator's PoseBatch and the shared MDS chain, with each tag's
-    failure strings and scored errors (NaN where failed)."""
+    failure strings and scored errors (NaN where failed). The one record of
+    a trial: run_benchmark reduces it, and run_scenario_once traces item 0."""
 
-    tags: tuple[str, ...]
     truth: tuple[np.ndarray, np.ndarray]
     observed: tuple
     crlb: CrlbBatch
@@ -359,24 +345,6 @@ class _Trials:
     failures: dict[str, list]
     rotation_errors: dict[str, np.ndarray]
     translation_errors: dict[str, np.ndarray]
-
-    def outcomes(self, i: int) -> list[TrialOutcome]:
-        """Trial i as run_trial_estimators reports it."""
-        truth = Pose(self.truth[0][i], self.truth[1][i])
-        meas = _measurement_set(self.observed, i)
-        crlb = self.crlb.report(i)
-        out = []
-        for tag in self.tags:
-            batch = self.estimates[tag]
-            estimate = None if batch.errors[i] is not None else batch.estimate(i)
-            report = None
-            if tag != "gabp" and estimate is not None:
-                report = self.chain.report(i)
-            out.append(TrialOutcome(
-                truth, meas, crlb, estimate, report, self.failures[tag][i],
-                float(self.rotation_errors[tag][i]), float(self.translation_errors[tag][i]),
-            ))
-        return out
 
 
 def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion: bool) -> _Trials:
@@ -413,27 +381,14 @@ def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion:
         rot_err[tag][scored] = rotation_error_deg(batch.rotation[scored], rot[scored])
         offset = batch.translation[scored] - trans[scored]
         trans_err[tag][scored] = np.sqrt(np.vecdot(offset, offset))  # np.linalg.norm of each
-    truth, tags = (rot, trans), tuple(estimators)
-    return _Trials(tags, truth, observed, crlb, chain, estimates, failures, rot_err, trans_err)
+    return _Trials((rot, trans), observed, crlb, chain, estimates, failures, rot_err, trans_err)
 
 
-def run_trial_estimators(
-    scenario: ScenarioConfig,
-    sigma: float,
-    seed: int,
-    estimators=ESTIMATOR_TAGS,
-    completion: bool = True,
-) -> list[TrialOutcome]:
-    """One seeded trial scored for each estimator tag, in order.
-
-    The draw and the CRLB are shared by every tag, and `mds` and `nls`
-    share one EDM -> completion -> MDS result (NLS starts from that MDS
-    pose); when that chain raises, both tags record the failure.
-    """
-    unknown = set(estimators) - set(ESTIMATOR_TAGS)
-    if unknown:
-        raise ConfigError(f"unknown estimators {sorted(unknown)}", field="estimators")
-    return _run_trials(scenario, [sigma], [seed], estimators, completion).outcomes(0)
+def _mean(values: list) -> float:
+    """The mean of the Python floats `values` added left to right, the order
+    and rounding every benchmark table has been summed in (np.sum adds
+    pairwise and Python 3.12's sum compensates); NaN when there are none."""
+    return reduce(operator.add, values, 0.0) / len(values) if values else float("nan")
 
 
 def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> list[ResultRow]:
@@ -445,62 +400,49 @@ def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> lis
     per-trial bound traces and are the same for every estimator at a given
     sigma. The sigma x trial draws run through the stages in stacked
     batches of TRIAL_CHUNK; each trial's numbers are the ones it gets
-    alone, and the cell sums add them in trial order.
+    alone, and each cell is reduced once, in trial order.
     """
-    sums = {
-        (si, tag): {"rot": 0.0, "trans": 0.0, "n": 0, "fail": 0}
-        for si in range(len(experiment.sigma_grid))
-        for tag in experiment.estimators
-    }
-    crlb_sums = [[0.0, 0.0, 0] for _ in experiment.sigma_grid]
-    grid, trials = range(len(experiment.sigma_grid)), range(experiment.trials)
-    cells = [(si, trial) for si in grid for trial in trials]
+    grid, tags, n = experiment.sigma_grid, experiment.estimators, experiment.trials
+    cells = [(si, trial) for si in range(len(grid)) for trial in range(n)]
+    # The sweep's columns in trial order: which bounds count, the bounds, and
+    # each tag's scored flags and errors.
+    bounded, t_bound, r_bound = [], [], []
+    scores = {tag: ([], [], []) for tag in tags}
     for start in range(0, len(cells), TRIAL_CHUNK):
         chunk = cells[start : start + TRIAL_CHUNK]
         trials = _run_trials(
             scenario,
-            [experiment.sigma_grid[si] for si, _ in chunk],
+            [grid[si] for si, _ in chunk],
             [derive_seed(experiment.master_seed, 11, si, trial) for si, trial in chunk],
-            experiment.estimators,
+            tags,
             experiment.completion,
         )
-        singular = trials.crlb.singular.tolist()
-        bounds = zip(trials.crlb.translation_bound.tolist(), trials.crlb.rotation_bound.tolist())
-        errors = {
-            tag: (trials.rotation_errors[tag].tolist(), trials.translation_errors[tag].tolist())
-            for tag in experiment.estimators
-        }
-        for i, ((si, _), (t_bound, r_bound)) in enumerate(zip(chunk, bounds)):
-            if experiment.estimators and not singular[i]:
-                crlb_sums[si][0] += t_bound
-                crlb_sums[si][1] += r_bound
-                crlb_sums[si][2] += 1
-            for tag in experiment.estimators:
-                cell = sums[(si, tag)]
-                if trials.failures[tag][i] is not None:
-                    cell["fail"] += 1
-                    continue
-                cell["rot"] += errors[tag][0][i] ** 2
-                cell["trans"] += errors[tag][1][i] ** 2
-                cell["n"] += 1
+        bounded += (~trials.crlb.singular).tolist()
+        t_bound += trials.crlb.translation_bound.tolist()
+        r_bound += trials.crlb.rotation_bound.tolist()
+        for tag, (scored, t_err, r_err) in scores.items():
+            scored += [f is None for f in trials.failures[tag]]
+            t_err += trials.translation_errors[tag].tolist()
+            r_err += trials.rotation_errors[tag].tolist()
     rows = []
-    for si, sigma in enumerate(experiment.sigma_grid):
-        t_sum, r_sum, n_crlb = crlb_sums[si]
-        crlb_t = float(np.sqrt(t_sum / n_crlb)) if n_crlb else float("nan")
-        crlb_r = float(np.degrees(np.sqrt(r_sum / n_crlb))) if n_crlb else float("nan")
-        for tag in experiment.estimators:
-            cell = sums[(si, tag)]
-            n = cell["n"]
+    for si, sigma in enumerate(grid):
+        cell = slice(si * n, (si + 1) * n)  # the cells run sigma-major
+        crlb_t = float(np.sqrt(_mean(list(compress(t_bound[cell], bounded[cell])))))
+        crlb_r = float(np.degrees(np.sqrt(_mean(list(compress(r_bound[cell], bounded[cell]))))))
+        for tag in tags:
+            scored, t_err, r_err = (column[cell] for column in scores[tag])
+            # Python's v**2 (C pow) rounds as every table has; numpy's x**2 is x*x.
+            t_sq, r_sq = ([v**2 for v in compress(err, scored)] for err in (t_err, r_err))
             rows.append(
                 ResultRow(
                     sigma=float(sigma),
                     estimator=tag,
-                    rmse_translation_m=float(np.sqrt(cell["trans"] / n)) if n else float("nan"),
-                    rmse_rotation_deg=float(np.sqrt(cell["rot"] / n)) if n else float("nan"),
+                    rmse_translation_m=float(np.sqrt(_mean(t_sq))),
+                    rmse_rotation_deg=float(np.sqrt(_mean(r_sq))),
                     crlb_translation_m=crlb_t,
                     crlb_rotation_deg=crlb_r,
-                    trials=experiment.trials,
-                    failures=cell["fail"],
+                    trials=n,
+                    failures=n - sum(scored),
                 )
             )
     return rows
@@ -514,33 +456,38 @@ def run_scenario_once(
     completion: bool = True,
 ) -> dict:
     """Full JSON-able trace of a single trial, for debugging and replay."""
-    outcome = run_trial_estimators(scenario, sigma, seed, (estimator,), completion)[0]
+    if estimator not in ESTIMATOR_TAGS:
+        raise ConfigError(f"unknown estimator {estimator!r}", field="estimator")
+    trial = _run_trials(scenario, [sigma], [seed], (estimator,), completion)
+    meas = _measurement_set(trial.observed, 0)
+    batch, crlb = trial.estimates[estimator], trial.crlb.report(0)
+    estimate = None if batch.errors[0] is not None else batch.estimate(0)
+    report = None if estimator == "gabp" or estimate is None else trial.chain.report(0)
     edm_doc = None
-    if outcome.measurements.ranges is not None:
-        edm_doc = assemble_edm(
-            scenario.anchors, scenario.conformation, outcome.measurements
-        ).to_json_dict()
+    if meas.ranges is not None:
+        edm_doc = assemble_edm(scenario.anchors, scenario.conformation, meas).to_json_dict()
+    rot, trans = trial.truth
     return {
         "sigma": float(sigma),
         "seed": int(seed),
         "estimator": estimator,
         "completion_enabled": completion,
         "truth": {
-            "rotation": [float(v) for v in outcome.truth.rotation.ravel()],
-            "translation": [float(v) for v in outcome.truth.translation],
+            "rotation": [float(v) for v in rot[0].ravel()],
+            "translation": [float(v) for v in trans[0]],
         },
-        "measurements": outcome.measurements.to_json_dict(),
+        "measurements": meas.to_json_dict(),
         "edm": edm_doc,
-        "completion": outcome.completion.to_json_dict() if outcome.completion else None,
-        "estimate": outcome.estimate.to_json_dict() if outcome.estimate else None,
-        "failure": outcome.failure,
+        "completion": report.to_json_dict() if report else None,
+        "estimate": estimate.to_json_dict() if estimate else None,
+        "failure": trial.failures[estimator][0],
         "errors": {
-            "rotation_deg": outcome.rotation_error_deg,
-            "translation_m": outcome.translation_error_m,
+            "rotation_deg": float(trial.rotation_errors[estimator][0]),
+            "translation_m": float(trial.translation_errors[estimator][0]),
         },
         "crlb": {
-            "translation_m2": outcome.crlb.translation_bound,
-            "rotation_rad2": outcome.crlb.rotation_bound,
+            "translation_m2": crlb.translation_bound,
+            "rotation_rad2": crlb.rotation_bound,
         },
     }
 
@@ -638,7 +585,14 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
         keys = _names(PoseDistribution, *box) + ("translation_box",)
         dist = dict(_section(doc["pose_distribution"], keys, "pose_distribution"))
         if "translation_box" in dist:  # [[low, high]] per axis
-            dist[box[0]], dist[box[1]] = zip(*dist.pop("translation_box"))
+            rows = dist.pop("translation_box")
+            pairs = isinstance(rows, list) and [isinstance(r, list) and len(r) == 2 for r in rows]
+            if pairs != [True] * 3:
+                raise ConfigError(
+                    "expected one [low, high] pair per axis, three in all",
+                    field="pose_distribution.translation_box",
+                )
+            dist[box[0]], dist[box[1]] = zip(*rows)
         settings["pose_distribution"] = PoseDistribution(**dist)
     if "measurements" in doc:
         settings["measurement_kinds"] = tuple(doc["measurements"])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CoverageWarning,
     InsufficientAnchorsError,
     InvalidPolicyError,
@@ -41,6 +42,9 @@ _STREAM_AOA = 1
 _STREAM_RATE = 2
 _STREAM_BLOCKAGE = 3
 
+# The kinds of observation a scenario can simulate.
+MEASUREMENT_KINDS = ("range", "aoa", "range_rate")
+
 
 def _stream(seed: int, which: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(which,)))
@@ -55,25 +59,19 @@ class AnchorSet:
     def __post_init__(self):
         a = np.asarray(self.anchors, dtype=float)
         if a.ndim != 2 or a.shape[1] != 3:
-            raise ValueError(f"anchors must be (A, 3), got {a.shape}")
+            raise ConfigError(f"must be (A, 3), got {a.shape}", field="anchors")
         if a.shape[0] < 1:
-            raise ValueError("need at least one anchor")
+            raise ConfigError("need at least one anchor", field="anchors")
         if not np.all(np.isfinite(a)):
-            raise ValueError("anchor coordinates must be finite")
+            raise ConfigError("coordinates must be finite", field="anchors")
         d = pairwise_distances(a)
         if a.shape[0] > 1 and np.any(d[np.triu_indices_from(d, k=1)] <= 0.0):
-            raise ValueError("anchors must be pairwise distinct")
+            raise ConfigError("must be pairwise distinct", field="anchors")
         object.__setattr__(self, "anchors", readonly(a))
 
     @property
     def num_anchors(self) -> int:
         return self.anchors.shape[0]
-
-    @classmethod
-    def from_file(cls, path) -> "AnchorSet":
-        from .geometry import load_points
-
-        return cls(load_points(path))
 
 
 @dataclass(frozen=True)
@@ -89,11 +87,11 @@ class NoiseModel:
         for name in ("range_sigma", "angle_sigma", "range_rate_sigma"):
             v = float(getattr(self, name))
             if not np.isfinite(v) or v < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+                raise ConfigError(f"must be finite and >= 0, got {v}", field=f"noise.{name}")
             object.__setattr__(self, name, v)
         seed = int(self.seed)
         if not 0 <= seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed}")
+            raise ConfigError(f"must be an unsigned 64-bit integer, got {seed}", field="noise.seed")
         object.__setattr__(self, "seed", seed)
 
 
@@ -135,9 +133,6 @@ class MeasurementSet:
     @property
     def shape(self) -> tuple[int, int]:
         return self.mask.shape
-
-    def num_observed(self) -> int:
-        return int(self.mask.sum())
 
     def to_json_dict(self) -> dict:
         def grid(m):
@@ -288,7 +283,7 @@ def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
     each None unless its kind is requested. Negative noisy ranges are
     clamped at zero with one RangeClampWarning for the batch.
     """
-    unknown = set(kinds) - {"range", "aoa", "range_rate"}
+    unknown = set(kinds) - set(MEASUREMENT_KINDS)
     if unknown:
         raise ValueError(f"unknown measurement kinds: {sorted(unknown)}")
     delta = world[:, None, :, :] - anchor_xyz[:, None, :]
@@ -429,7 +424,14 @@ def hull_facets(nodes) -> np.ndarray:
     return np.array(list(first.values()))
 
 
-def hull_keep(anchor_xyz, world, facets, margin: float) -> np.ndarray:
+# How deep (m) inside every facet plane of a hull a link must run to be
+# blocked. Every hull vertex lies on the hull, so a link that only grazes it
+# must stay visible: the margin sits well above the rounding of the clip and
+# well below the size of any body.
+_HULL_MARGIN = 1e-9
+
+
+def hull_keep(anchor_xyz, world, facets) -> np.ndarray:
     """The (B, A, K) links from anchors (A, 3) to the nodes of B bodies at
     world positions (B, K, 3) that each body's own hull leaves visible; the
     hull's facet planes pass through the node triples `facets` of
@@ -442,7 +444,7 @@ def hull_keep(anchor_xyz, world, facets, margin: float) -> np.ndarray:
     # facet for some t in [0, 1]: clip the t interval of all (body, anchor, node,
     # facet) tuples at once. Right operands of shape (3, 1) keep each product a
     # matrix-vector one, which rounds as normals @ vector does.
-    num = -((normals[:, None] @ anchor_xyz[:, :, None])[..., 0] + offsets[:, None] + margin)
+    num = -((normals[:, None] @ anchor_xyz[:, :, None])[..., 0] + offsets[:, None] + _HULL_MARGIN)
     num = num[:, :, None, :]
     den = (normals[:, None, None] @ (world[:, None] - anchor_xyz[:, None])[..., None])[..., 0]
     # A facet parallel to the link bounds no t, unless the link lies outside it (num < 0).
@@ -460,27 +462,22 @@ class ConvexHullBlockage:
 
     The hull's facet planes pass through node triples (hull_facets), found
     from the nodes themselves. Every hull vertex lies on the hull, so the
-    test uses the hull shrunk inward by `margin` (m): a link that only
-    grazes the surface, or runs less than `margin` deep inside it, stays
-    visible; one that reaches `margin` inside every facet plane is blocked.
-    A collinear or flat node set has no interior and raises
-    InvalidPolicyError.
+    test uses the hull shrunk inward by 1e-9 m (_HULL_MARGIN): a link that
+    only grazes the surface stays visible. A collinear or flat node set has
+    no interior and raises InvalidPolicyError.
     """
 
     anchors: AnchorSet
     world_nodes: np.ndarray
-    margin: float = 1e-9
 
     def __post_init__(self):
-        if not np.isfinite(self.margin) or self.margin < 0.0:
-            raise InvalidPolicyError(f"margin must be finite and >= 0, got {self.margin}")
         nodes = np.array(self.world_nodes, dtype=float)
         object.__setattr__(self, "world_nodes", nodes)
         object.__setattr__(self, "_facets", hull_facets(nodes))
 
     def keep_mask(self, shape) -> np.ndarray:
         anchors = self.anchors.anchors
-        return hull_keep(anchors, self.world_nodes[None], self._facets, self.margin)[0]
+        return hull_keep(anchors, self.world_nodes[None], self._facets)[0]
 
 
 @dataclass(frozen=True)

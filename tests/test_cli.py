@@ -154,6 +154,44 @@ class TestSimulateAndEstimate:
             outs.append((out / "trace.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_estimate_traces_the_experiments_first_trial(self, tiny_configs, tmp_path):
+        # Without --seed the trace is the sweep's first trial under the
+        # experiment's master seed (9), not under the default one.
+        s, e = tiny_configs
+        out = tmp_path / "out"
+        assert main(["estimate", "--scenario", s, "--experiment", e, "--out", str(out)]) == 0
+        doc = json.loads((out / "trace.json").read_text())
+        assert doc["seed"] == derive_seed(9, 11, 0, 0)
+        assert main(["estimate", "--scenario", s, "--experiment", e, "--seed", "3",
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "trace.json").read_text())["seed"] == derive_seed(3, 11, 0, 0)
+
+
+class TestScenarioValues:
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("noise", {"range_sigma": -1}, "noise.range_sigma"),
+            ("anchors", {"points": [[3, 0, 0], [0, 3, 0], [3, 0, 0]]}, "anchors"),
+            ("measurements", ["range", "rnage"], "measurements"),
+            ("pose_distribution", {"translation_box": [[0, 1, 2]] * 3},
+             "pose_distribution.translation_box"),
+        ],
+        ids=["negative-sigma", "duplicate-anchors", "unknown-kind", "box-rows-not-pairs"],
+    )
+    def test_out_of_domain_value_is_config_error(
+        self, tiny_configs, tmp_path, capsys, section, value, field
+    ):
+        s, _ = tiny_configs
+        with open(s) as f:
+            doc = json.load(f)
+        doc[section] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "measurements.json").exists()
+
 
 class TestCrlbCommand:
     def test_csv_output(self, tiny_configs, tmp_path):

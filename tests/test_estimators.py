@@ -50,7 +50,7 @@ from rblkit.geometry import (
     rotation_error_deg,
     so3_exp,
 )
-from rblkit.harness import derive_seed, draw_trial, preset, run_benchmark, run_trial_estimators
+from rblkit.harness import _run_trials, derive_seed, draw_trial, preset, run_benchmark
 from rblkit.measurement import (
     AnchorSet,
     BernoulliBlockage,
@@ -357,10 +357,8 @@ class TestEstimatePoseNls:
         # linearly at the 100-iteration cap. Newton steps on the range
         # curvature converge every one, in at most 6 iterations.
         scenario, _ = preset("fig4")
-        failures = [
-            run_trial_estimators(scenario, 1.0, derive_seed(2027, 11, 5, t), ("nls",))[0].failure
-            for t in range(200)
-        ]
+        seeds = [derive_seed(2027, 11, 5, t) for t in range(200)]
+        failures = _run_trials(scenario, [1.0] * 200, seeds, ("nls",), True).failures["nls"]
         assert sum(f is not None and f.startswith("not converged") for f in failures) == 0
 
 

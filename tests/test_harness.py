@@ -24,7 +24,6 @@ from rblkit.harness import (
     rows_to_csv,
     run_benchmark,
     run_scenario_once,
-    run_trial_estimators,
     scenario_from_dict,
     splitmix64,
 )
@@ -401,22 +400,29 @@ class TestRunBenchmark:
         assert rows[0].failures <= rows[0].trials
 
 
-def outcome_bits(outcome):
-    """Everything a trial outcome reports, as a key equal only bit for bit."""
-    est, crlb, comp = outcome.estimate, outcome.crlb, outcome.completion
-    return (
-        outcome.failure,
-        None if est is None else (
-            est.pose.rotation.tobytes(), est.pose.translation.tobytes(), est.iterations,
-            est.converged, est.message, float(est.residual_rms).hex(),
-        ),
-        crlb.translation_bound.hex(), crlb.rotation_bound.hex(), crlb.fim.tobytes(),
-        None if comp is None else (
-            comp.iterations, comp.converged, comp.completed.squared_distances.tobytes(),
-        ),
-        float(outcome.rotation_error_deg).hex(), float(outcome.translation_error_m).hex(),
-        outcome.measurements.ranges.tobytes(), outcome.truth.rotation.tobytes(),
-    )
+def outcome_bits(trials, i):
+    """Everything trial i of a stacked batch reports for each estimator
+    tag, as keys equal only bit for bit."""
+    crlb = trials.crlb.report(i)
+    bits = []
+    for tag, batch in trials.estimates.items():
+        est = None if batch.errors[i] is not None else batch.estimate(i)
+        comp = None if tag == "gabp" or est is None else trials.chain.report(i)
+        bits.append((
+            trials.failures[tag][i],
+            None if est is None else (
+                est.pose.rotation.tobytes(), est.pose.translation.tobytes(), est.iterations,
+                est.converged, est.message, float(est.residual_rms).hex(),
+            ),
+            crlb.translation_bound.hex(), crlb.rotation_bound.hex(), crlb.fim.tobytes(),
+            None if comp is None else (
+                comp.iterations, comp.converged, comp.completed.squared_distances.tobytes(),
+            ),
+            float(trials.rotation_errors[tag][i]).hex(),
+            float(trials.translation_errors[tag][i]).hex(),
+            trials.observed[1][i].tobytes(), trials.truth[0][i].tobytes(),
+        ))
+    return bits
 
 
 def stacked_scenario(name, blockage):
@@ -441,19 +447,18 @@ class TestBatchedTrials:
         ids=["fig4", "fig5-bernoulli", "hull", "bernoulli-failing"],
     )
     def test_batch_equals_single_trials(self, name, blockage):
-        # run_benchmark's stacked stages give each trial exactly what
-        # run_trial_estimators gives it alone: poses, iterations, messages,
-        # bounds and failure strings.
+        # run_benchmark's stacked stages give each trial exactly what a
+        # batch of one gives it alone: poses, iterations, messages, bounds
+        # and failure strings.
         scenario, grid = stacked_scenario(name, blockage)
         sigmas = [grid[i % len(grid)] for i in range(12)]
         seeds = [derive_seed(31, 11, i) for i in range(12)]
         batch = _run_trials(scenario, sigmas, seeds, ESTIMATOR_TAGS, True)
         failures = 0
         for i, (sigma, seed) in enumerate(zip(sigmas, seeds)):
-            single = run_trial_estimators(scenario, sigma, seed)
-            stacked = batch.outcomes(i)
-            assert [outcome_bits(o) for o in stacked] == [outcome_bits(o) for o in single]
-            failures += sum(o.failure is not None for o in single)
+            single = _run_trials(scenario, [sigma], [seed], ESTIMATOR_TAGS, True)
+            assert outcome_bits(batch, i) == outcome_bits(single, 0)
+            failures += sum(f[0] is not None for f in single.failures.values())
         if blockage.p == 0.9:
             assert failures > 0
 
@@ -464,15 +469,15 @@ class TestBatchedTrials:
         sigma, seed = grid[-1], derive_seed(8, 0)
         others = [derive_seed(8, i) for i in range(1, 9)]
         alone = _run_trials(scenario, [sigma], [seed], ESTIMATOR_TAGS, True)
-        reference = [outcome_bits(o) for o in alone.outcomes(0)]
+        reference = outcome_bits(alone, 0)
         for sigmas, seeds, at in [
             ([sigma] + list(grid[:3]), [seed] + others[:3], 0),
             (list(grid) + [sigma], others[:5] + [seed], 5),
             ([grid[0], sigma, grid[2]] * 3, others[:4] + [seed] + others[4:8], 4),
         ]:
             batch = _run_trials(scenario, sigmas, seeds, ESTIMATOR_TAGS, True)
-            assert [outcome_bits(o) for o in batch.outcomes(at)] == reference
-            assert any(o.failure for i in range(len(seeds)) for o in batch.outcomes(i))
+            assert outcome_bits(batch, at) == reference
+            assert any(f for failures in batch.failures.values() for f in failures)
 
 
 class TestRunScenarioOnce:

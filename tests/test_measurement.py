@@ -228,7 +228,7 @@ class TestBlockage:
         anchors = AnchorSet([[-3.0, 0.1, 0.2]])
         state = RigidBodyState(unit_cube(), Pose.identity())
         meas = simulate_measurements(anchors, state, QUIET)
-        out = apply_blockage(meas, ConvexHullBlockage(anchors, nodes, margin=1e-9))
+        out = apply_blockage(meas, ConvexHullBlockage(anchors, nodes))
 
         tri = Delaunay(nodes)
         for k in range(nodes.shape[0]):
@@ -387,7 +387,7 @@ class TestHullFacets:
             policy = spec.policy(i, scenario.anchors, w)
             assert np.array_equal(hull_facets(w), facets)
             assert np.array_equal(stacked[i], policy.keep_mask(None))
-        assert np.array_equal(stacked, hull_keep(scenario.anchors.anchors, world, facets, 1e-9))
+        assert np.array_equal(stacked, hull_keep(scenario.anchors.anchors, world, facets))
 
     @pytest.mark.parametrize(
         "nodes, cause",
