@@ -20,7 +20,6 @@ from .geometry import (
     Pose,
     angle_residuals,
     apply_pose,
-    diag_stack,
     link_grid,
     range_links,
     range_residuals,
@@ -169,7 +168,7 @@ def fim_batch(anchor_xyz, nodes, rot, trans, mask, sigma, angle_sigma=None) -> C
     near_zero = eigval <= _SINGULAR_RCOND * np.maximum(largest, 1e-300)[:, None]
     singular = near_zero.any(axis=-1)
     safe = np.where(singular[:, None], 1.0, eigval)
-    crlb = eigvec @ diag_stack(1.0 / safe) @ eigvec.mT
+    crlb = (eigvec * (1.0 / safe)[:, None, :]) @ eigvec.mT  # eigvec diag(1 / safe) eigvec^T
     return CrlbBatch(
         fim=fim,
         eigvec=eigvec,

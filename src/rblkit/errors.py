@@ -109,6 +109,14 @@ class ConfigError(RblError, ValueError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
+def converted(kind, value, field: str):
+    """kind(value), or a ConfigError on the dotted `field` when kind refuses it."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), field=field) from None
+
+
 class RangeClampWarning(UserWarning):
     """Noisy ranges went negative and were clamped to zero."""
 

@@ -364,30 +364,26 @@ def nls_weights(sigma) -> np.ndarray:
 def _nls_residuals(rot, trans, links, w_range, aoa, w_angle, refs, jacobian=True):
     """Stacked weighted residuals, Jacobian rows and curvature of poses (B, 3, 3), (B, 3).
 
-    `links` are the geometry.range_links of every anchor-node pair (ranges
-    None when not measured); aoa (B, M, 2) holds the links' (azimuth,
-    elevation) or is None. The residuals and rows are geometry's
-    range_residuals then angle_residuals (with the reference links refs),
-    each scaled by the square root of its type weight (B,); the curvature
-    is the ranges' range_curvature. jacobian=False gives None for both.
+    `links` are the geometry.range_links of every anchor-node pair; aoa
+    (B, M, 2) holds the links' (azimuth, elevation) or is None. The
+    residuals and rows are geometry's range_residuals then angle_residuals
+    (with the reference links refs), each scaled by the square root of its
+    type weight (B,); the curvature is the ranges' range_curvature.
+    jacobian=False gives None for both.
     """
-    ranged = links[4] is not None
-    range_res, range_rows, delta, dist = range_residuals(rot, trans, links, jacobian and ranged)
-    res, rows, curv = [], [], None
-    if ranged:
-        sw = np.sqrt(w_range)[:, None]
-        res.append(sw * range_res)
-        if jacobian:
-            rows.append(sw[..., None] * range_rows)
-            curv = w_range[:, None, None] * range_curvature(rot, links, range_res, range_rows, dist)
+    range_res, range_rows, delta, dist = range_residuals(rot, trans, links, jacobian)
+    sw = np.sqrt(w_range)[:, None]
+    res, rows, curv = sw * range_res, None, None
+    if jacobian:
+        rows = sw[..., None] * range_rows
+        curv = w_range[:, None, None] * range_curvature(rot, links, range_res, range_rows, dist)
     if aoa is not None:
         angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, refs, jacobian)
         sa = np.sqrt(w_angle)[:, None]
-        res.append(sa * angle_res)
+        res = np.concatenate([res, sa * angle_res], axis=-1)
         if jacobian:
-            rows.append(sa[..., None] * angle_rows)
-    rows = (rows[0] if len(rows) == 1 else np.concatenate(rows, axis=-2)) if jacobian else None
-    return res[0] if len(res) == 1 else np.concatenate(res, axis=-1), rows, curv
+            rows = np.concatenate([rows, sa[..., None] * angle_rows], axis=-2)
+    return res, rows, curv
 
 
 def estimate_pose_nls(
@@ -411,6 +407,8 @@ def estimate_pose_nls(
     relative; missing that in NLS_MAX_ITERS iterations, or an exhausted
     damping schedule, is reported via `converged`/`message`, never silently.
     """
+    if meas.ranges is None:
+        raise UnderdeterminedError("the least-squares estimator needs range measurements")
     sigmas = (0.0, 0.0) if noise is None else (noise.range_sigma, noise.angle_sigma)
     w_range, w_angle = nls_weights([[sigmas[0]], [sigmas[1]]])
     start = None if init is None else (init.rotation[None], init.translation[None], [None])
@@ -424,13 +422,13 @@ def nls_batch(
     anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None, use_adoa: bool = False
 ) -> PoseBatch:
     """estimate_pose_nls of stacked observations: masks and ranges (B, A, K),
-    aoa (B, A, K, 2) (either None when not measured) and range and angle
-    weights (B,), fitted in lockstep by geometry.pose_gauss_newton.
+    aoa (B, A, K, 2) (None when not measured) and range and angle weights
+    (B,), fitted in lockstep by geometry.pose_gauss_newton.
 
     init = (rotations, translations, errors) starts each item, and an item
     whose start failed keeps that error; by default the start is the MDS
-    estimate (the identity without ranges). Each item solves on the full
-    anchor x node link grid with its unobserved links weighted zero.
+    estimate. Each item solves on the full anchor x node link grid with its
+    unobserved links weighted zero, and is scored on its observed ranges.
     """
     b, a, k = mask.shape
     jj, kk = link_grid(a, k)
@@ -440,15 +438,12 @@ def nls_batch(
     if use_adoa and aoa is not None:
         first = mask.argmax(axis=-2)[:, kk]  # each link's node's first observed anchor
         refs, az_weight = first * k + kk, observed & (jj != first)
-    n_angles = 0 if aoa is None else az_weight.sum(axis=-1) + n_obs
-    n_res = n_obs * (ranges is not None) + n_angles
+    n_res = n_obs if aoa is None else az_weight.sum(axis=-1) + 2 * n_obs
     errors = [
         UnderdeterminedError(f"pose has 6 degrees of freedom; got {n} residuals") if n < 6 else None
         for n in n_res.tolist()
     ]
-    if init is None and ranges is None:
-        init = (np.broadcast_to(np.eye(3), (b, 3, 3)), np.zeros((b, 3)), [None] * b)
-    elif init is None:
+    if init is None:
         mds = chain_batch(anchor_xyz, nodes, ranges, mask).mds
         init = (mds.rotation, mds.translation, [e or s for e, s in zip(errors, mds.errors)])
     errors = [s or e for e, s in zip(errors, init[2])]
@@ -460,8 +455,7 @@ def nls_batch(
         # Every item fits in the common case; the slice then copies nothing.
         fit = slice(None) if len(items) == b else np.array(items)
         weight = observed[fit].astype(float)
-        grid_ranges = None if ranges is None else ranges.reshape(b, -1)[fit]
-        links = range_links(nodes, kk, anchor_xyz[jj], grid_ranges, weight)
+        links = range_links(nodes, kk, anchor_xyz[jj], ranges.reshape(b, -1)[fit], weight)
         aoa_f = None if aoa is None else np.where(mask[..., None], aoa, 0.0).reshape(b, -1, 2)[fit]
         refs_f = None if refs is None else refs[fit]
 
@@ -476,11 +470,9 @@ def nls_batch(
         projected, projection_errors = project_batch(r_fit)
         diff = (projected - r_fit).reshape(-1, 9)
         projection[fit] = np.sqrt(np.vecdot(diff, diff))  # np.linalg.norm of each difference
-        # Scored on the observed ranges, or on the angles where no range was measured.
-        ones, angles = np.ones(len(weight)), None if ranges is not None else aoa_f
-        final = _nls_residuals(projected, t_fit, links, ones, angles, ones, refs_f, False)[0]
-        count = (n_obs if ranges is not None else n_angles)[fit]
-        residual_rms[fit] = np.sqrt(np.add.reduce(final**2, axis=-1) / count)
+        residual_rms[fit] = _observed_rms(
+            anchor_xyz, nodes, projected, t_fit, ranges[fit], mask[fit]
+        )
         rot[fit], trans[fit] = projected, t_fit
         for i, message, error in zip(items, fit_messages, projection_errors):
             messages[i], errors[i] = message, error

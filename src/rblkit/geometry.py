@@ -156,14 +156,6 @@ def wrap_angle(theta):
     return out if out.ndim else float(out)
 
 
-def diag_stack(values) -> np.ndarray:
-    """Diagonal matrices (..., n, n) with the entries (..., n) on the diagonal."""
-    n = values.shape[-1]
-    out = np.zeros(values.shape + (n,))
-    out[..., np.arange(n), np.arange(n)] = values
-    return out
-
-
 def rotation_error_deg(a, b):
     """Geodesic angle between two rotations, in degrees; between each pair
     of two (..., 3, 3) stacks.
@@ -336,27 +328,18 @@ def cross(a, b) -> np.ndarray:
     return a_next * b.take(_PREV, axis=-1) - a_prev * b.take(_NEXT, axis=-1)
 
 
-def _cross_rows(a, b, tail) -> np.ndarray:
-    # (..., M, 6) rows [a_k x b_k, tail_k].
-    return np.concatenate([cross(a, b), tail], axis=-1)
-
-
 def pose_jacobian_rows(nodes, grads, rotation) -> np.ndarray:
-    """Chain rule from world-position gradients to the pose chart.
+    """Chain rule from world-position gradients to the pose chart: the one
+    builder of range, angle and twist rows.
 
     Row k is [ c_k x (g_k R), g_k ] for body point c_k and the gradient g_k
     of a scalar with respect to that point's world position: the derivative
     with respect to a right perturbation (R -> R expm([d_theta]x),
-    t -> t + d_t). With g_k the unit line of sight it is the range row.
-    Broadcasts over leading axes.
+    t -> t + d_t). With g_k the unit line of sight it is the range row; at
+    the identity rotation, for the world points R c_k, it is the range-rate
+    row in the twist (w, v). Broadcasts over leading axes.
     """
-    return _cross_rows(nodes, grads @ rotation, grads)
-
-
-def twist_jacobian_rows(nodes, units, rotation) -> np.ndarray:
-    """Range-rate rows in the twist (w, v): row k is [ (R c_k) x u_k, u_k ] for body
-    point c_k and unit line of sight u_k, since u . (w x R c_k) = ((R c_k) x u) . w."""
-    return _cross_rows(nodes @ rotation.T, units, units)
+    return np.concatenate([cross(nodes, grads @ rotation), grads], axis=-1)
 
 
 def fit_alignment(source, target, weights, proper):
@@ -441,7 +424,7 @@ def range_residuals(rot, trans, links, jacobian=True):
         return res, None, delta, dist
     # A nonzero dist is at least 1e-162, so the floor only turns 0 / 0 into 0.
     units = delta / np.maximum(dist, 1e-300)[..., None] * weight[..., None]
-    return res, _cross_rows(nodes_k, units @ rot, units), delta, dist  # pose_jacobian_rows
+    return res, pose_jacobian_rows(nodes_k, units, rot), delta, dist
 
 
 def range_curvature(rot, links, res, rows, dist):

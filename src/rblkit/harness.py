@@ -14,14 +14,14 @@ import json
 import operator
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, replace
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import CrlbBatch, fim_batch
-from .errors import ConfigError, RangeClampWarning
+from .errors import ConfigError, RangeClampWarning, converted
 from .estimators import (
     ESTIMATOR_TAGS,
     ChainBatch,
@@ -37,6 +37,7 @@ from .geometry import (
     Twist,
     haar_rotations,
     load_points,
+    parse_points,
     propagate_poses,
     rotation_error_deg,
     so3_exp,
@@ -58,6 +59,7 @@ from .measurement import (
 from .tracking import MeasurementFrame
 
 _MASK64 = (1 << 64) - 1
+_float_array = partial(np.asarray, dtype=float)
 
 
 def splitmix64(x: int) -> int:
@@ -95,12 +97,11 @@ class PoseDistribution:
                 f"rotation must be uniform|yaw|none, got {self.rotation!r}",
                 field="pose_distribution.rotation",
             )
-        lo, hi = np.asarray(self.translation_low), np.asarray(self.translation_high)
+        box = "pose_distribution.translation_box"
+        lo = converted(_float_array, self.translation_low, box)
+        hi = converted(_float_array, self.translation_high, box)
         if lo.shape != (3,) or hi.shape != (3,) or np.any(hi < lo):
-            raise ConfigError(
-                "translation box needs low <= high, three components each",
-                field="pose_distribution.translation_box",
-            )
+            raise ConfigError("translation box needs low <= high, three components each", field=box)
 
     def sample(self, rng: np.random.Generator) -> Pose:
         rot, trans = self.sample_batch([rng])
@@ -136,7 +137,7 @@ class BlockageSpec:
     p: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", converted(float, self.p, "blockage.p"))
         if self.kind not in ("none", "bernoulli", "hull"):
             raise ConfigError(
                 f"kind must be none|bernoulli|hull, got {self.kind!r}", field="blockage.kind"
@@ -228,9 +229,10 @@ class ExperimentConfig:
     completion: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma_grid", tuple(float(s) for s in self.sigma_grid))
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        grid = converted(lambda values: tuple(map(float, values)), self.sigma_grid, "sigma_grid")
+        object.__setattr__(self, "sigma_grid", grid)
+        object.__setattr__(self, "trials", converted(int, self.trials, "trials"))
+        object.__setattr__(self, "master_seed", converted(int, self.master_seed, "master_seed"))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "completion", bool(self.completion))
         if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
@@ -286,19 +288,15 @@ def _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds):
     trans), each with its own noise model and blockage seed, and apply the
     scenario's blockage; range-clamp warnings are silenced and no node left
     unobserved is warned about. Returns the (B, A, K) mask and the ranges,
-    aoa and range rates (None when not simulated), NaN where unobserved."""
+    aoa and range rates (None when not simulated), unfilled: the stacked
+    stages read them through the mask, and MeasurementSet stores NaN."""
     anchors, nodes = scenario.anchors, scenario.conformation.nodes
     world = transform_points(nodes, rot, trans)
     velocities = twist_velocities(nodes, rot, twist) if "range_rate" in kinds else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RangeClampWarning)
         observed = simulate_batch(anchors.anchors, world, noises, kinds, velocities)
-    mask = scenario.blockage.keep_batch(blockage_seeds, anchors, nodes, world)
-    grids = []
-    for m in observed:  # aoa has a trailing (azimuth, elevation) axis
-        keep = None if m is None else mask.reshape(m.shape[:3] + (1,) * (m.ndim - 3))
-        grids.append(None if m is None else np.where(keep, m, np.nan))
-    return (mask, *grids)
+    return (scenario.blockage.keep_batch(blockage_seeds, anchors, nodes, world), *observed)
 
 
 def _draw(scenario: ScenarioConfig, sigmas, seeds):
@@ -463,9 +461,6 @@ def run_scenario_once(
     batch, crlb = trial.estimates[estimator], trial.crlb.report(0)
     estimate = None if batch.errors[0] is not None else batch.estimate(0)
     report = None if estimator == "gabp" or estimate is None else trial.chain.report(0)
-    edm_doc = None
-    if meas.ranges is not None:
-        edm_doc = assemble_edm(scenario.anchors, scenario.conformation, meas).to_json_dict()
     rot, trans = trial.truth
     return {
         "sigma": float(sigma),
@@ -477,7 +472,7 @@ def run_scenario_once(
             "translation": [float(v) for v in trans[0]],
         },
         "measurements": meas.to_json_dict(),
-        "edm": edm_doc,
+        "edm": assemble_edm(scenario.anchors, scenario.conformation, meas).to_json_dict(),
         "completion": report.to_json_dict() if report else None,
         "estimate": estimate.to_json_dict() if estimate else None,
         "failure": trial.failures[estimator][0],
@@ -552,14 +547,19 @@ def _fill(cls, doc, path: str, *skip: str):
 
 
 def _points_from(doc, field_name, base_dir):
+    """The (K, 3) finite points of a `points` list or a `file` point table."""
     if len(_section(doc, ("points", "file"), field_name)) != 1:
         raise ConfigError("exactly one of 'points' and 'file'", field=field_name)
     if "points" in doc:
-        return np.asarray(doc["points"], dtype=float)
-    path = Path(base_dir) / doc["file"]
-    if not path.exists():
-        raise ConfigError(f"file not found: {path}", field=field_name)
-    return load_points(path)
+        points = converted(_float_array, doc["points"], field_name)
+    else:
+        path = Path(base_dir) / doc["file"]
+        if not path.exists():
+            raise ConfigError(f"file not found: {path}", field=field_name)
+        points = converted(load_points, path, field_name)
+    if points.ndim != 2 or points.shape[1] != 3 or not np.isfinite(points).all():
+        raise ConfigError(f"expected finite (K, 3) points, got {points.shape}", field=field_name)
+    return points
 
 
 def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
@@ -619,8 +619,6 @@ def load_experiment(path) -> ExperimentConfig:
 
 
 def _data_points(name: str) -> np.ndarray:
-    from .geometry import parse_points
-
     text = importlib.resources.files("rblkit").joinpath(f"data/{name}").read_text()
     return parse_points(text)
 

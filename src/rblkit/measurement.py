@@ -24,6 +24,7 @@ from .errors import (
     UndefinedBearingError,
     UndefinedDirectionError,
     UnderdeterminedError,
+    converted,
 )
 from .geometry import (
     Conformation,
@@ -85,7 +86,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("range_sigma", "angle_sigma", "range_rate_sigma"):
-            v = float(getattr(self, name))
+            v = converted(float, getattr(self, name), f"noise.{name}")
             if not np.isfinite(v) or v < 0.0:
                 raise ConfigError(f"must be finite and >= 0, got {v}", field=f"noise.{name}")
             object.__setattr__(self, name, v)

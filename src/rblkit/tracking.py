@@ -30,10 +30,11 @@ from .geometry import (
     Conformation,
     Pose,
     Twist,
+    pose_jacobian_rows,
     propagate_poses,
     range_links,
     range_residuals,
-    twist_jacobian_rows,
+    rotation_error_deg,
 )
 from .measurement import AnchorSet, MeasurementSet, NoiseModel
 
@@ -63,7 +64,7 @@ def estimate_twist(
         raise UnderdeterminedError(f"twist has 6 degrees of freedom; got {jj.size} rates")
     links = range_links(conf.nodes, kk, anchors.anchors[jj], None)
     _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
-    rows = twist_jacobian_rows(links[2], delta / dist[:, None], pose.rotation)
+    rows = pose_jacobian_rows(links[2] @ pose.rotation.T, delta / dist[:, None], np.eye(3))
     obs = rates[jj, kk]
     if weights is not None:
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])
@@ -174,8 +175,6 @@ def track_to_csv(track: list[TrackFrame], truth=None) -> str:
     `truth` is an optional list of (Pose, Twist) ground-truth pairs aligned
     with the track.
     """
-    from .geometry import rotation_error_deg
-
     header = (
         "timestamp,rotation_error_deg,translation_error_m,"
         "angular_error_rad_s,linear_error_m_s,twist_residual_rms,estimator_converged,error"

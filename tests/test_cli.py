@@ -193,6 +193,57 @@ class TestScenarioValues:
         assert not (tmp_path / "out" / "measurements.json").exists()
 
 
+class TestMalformedDocuments:
+    """A value that does not convert is a config error on its dotted field,
+    not a traceback."""
+
+    FLAT = [[0, 0], [1, 0], [0, 1]]
+
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("conformation", {"points": FLAT}, "conformation"),
+            ("anchors", {"body": {"points": FLAT}}, "anchors.body"),
+            ("conformation", {"file": "bad.txt"}, "conformation"),
+            ("anchors", {"points": [["a", 0, 0], [1, 0, 0], [0, 1, 0]]}, "anchors"),
+            ("noise", {"range_sigma": "abc"}, "noise.range_sigma"),
+            ("blockage", {"kind": "bernoulli", "p": "abc"}, "blockage.p"),
+            ("pose_distribution", {"translation_box": [["a", 1]] * 3},
+             "pose_distribution.translation_box"),
+        ],
+        ids=["flat-points", "flat-body", "bad-point-line", "text-point", "text-sigma",
+             "text-p", "text-box"],
+    )
+    def test_scenario_value(self, tiny_configs, tmp_path, capsys, section, value, field):
+        s, _ = tiny_configs
+        with open(s) as f:
+            doc = json.load(f)
+        doc[section] = value
+        (tmp_path / "bad.txt").write_text("0 0 0\n1 0\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["crlb", "--scenario", str(bad), "--sigma", "0.1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"rblkit: config error: {field}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sigma_grid", [0.1, "abc"]), ("sigma_grid", 0.1), ("trials", "abc"),
+         ("master_seed", "x")],
+        ids=["text-sigma", "scalar-grid", "text-trials", "text-seed"],
+    )
+    def test_experiment_value(self, tiny_configs, tmp_path, capsys, key, value):
+        s, e = tiny_configs
+        with open(e) as f:
+            doc = json.load(f)
+        doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        argv = ["benchmark", "--scenario", s, "--experiment", str(bad), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert f"rblkit: config error: {key}:" in capsys.readouterr().err
+
+
 class TestCrlbCommand:
     def test_csv_output(self, tiny_configs, tmp_path):
         s, e = tiny_configs

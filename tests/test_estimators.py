@@ -351,6 +351,14 @@ class TestEstimatePoseNls:
         with pytest.raises(UnderdeterminedError):
             estimate_pose_nls(sparse, anchors, conf)
 
+    def test_angles_without_ranges_raise(self):
+        # NLS is a range fit, as MDS and GaBP are: angles alone, however
+        # many, start nothing.
+        conf, anchors, meas = simulate_cube_ranges(Pose.identity(), kinds=("range", "aoa"))
+        angles_only = MeasurementSet(mask=meas.mask, aoa=meas.aoa)
+        with pytest.raises(UnderdeterminedError, match="needs range measurements"):
+            estimate_pose_nls(angles_only, anchors, conf)
+
     def test_fig4_sigma_one_fits_converge(self):
         # An absolute step-norm test left 21 of these 200 fits "not converged",
         # and Gauss-Newton under the relative test still left 4 creeping

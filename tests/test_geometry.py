@@ -33,7 +33,6 @@ from rblkit.geometry import (
     so3_exp,
     so3_log,
     so3_project,
-    twist_jacobian_rows,
 )
 from rblkit.harness import preset
 
@@ -179,14 +178,6 @@ class TestJacobianRows:
         rot = random_rotation(np.random.default_rng(seed))
         expected = np.hstack([np.cross(nodes, grads @ rot), grads])
         assert np.array_equal(pose_jacobian_rows(nodes, grads, rot), expected)
-
-    @settings(max_examples=200, deadline=None)
-    @given(jacobian_inputs, rotation_seeds)
-    def test_twist_rows_equal_cross_formula(self, block, seed):
-        nodes, units = block[:, :3], block[:, 3:]
-        rot = random_rotation(np.random.default_rng(seed))
-        expected = np.hstack([np.cross(nodes @ rot.T, units), units])
-        assert np.array_equal(twist_jacobian_rows(nodes, units, rot), expected)
 
 
 def cube_range_links(pose):

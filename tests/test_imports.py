@@ -1,13 +1,15 @@
 """Import hygiene of the rblkit modules (the package __init__ re-exports and
 is left out): no module imports a private name of another rblkit module,
-and none imports a name it never uses."""
+none imports a name it never uses, and no function or class is left
+without a caller."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rblkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rblkit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -35,3 +37,37 @@ def test_imports_are_public_and_used(module):
     for bound, name, internal, line in imports(tree):
         assert not (internal and name.startswith("_")), f"{module}:{line} imports private {name}"
         assert bound in used, f"{module}:{line} imports {bound} and never uses it"
+
+
+def references(path):
+    """(name, line) of every name, attribute and imported name in a file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+
+
+def test_every_definition_is_referenced():
+    # A function or class counts as used when some name, attribute or import
+    # in src/rblkit, tests/ or bench/ refers to it from outside its own
+    # definition; the package __init__'s re-exports do not count.
+    files = [p for d in ("src/rblkit", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    used = {}
+    for path in files:
+        if path != PACKAGE / "__init__.py":
+            for name, line in references(path):
+                used.setdefault(name, []).append((path, line))
+    orphans = []
+    for module in MODULES:
+        path = PACKAGE / module
+        for node in ast.walk(ast.parse(path.read_text())):
+            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if not isinstance(node, kinds) or node.name.startswith("__"):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or ln not in inside for p, ln in used.get(node.name, [])):
+                orphans.append(f"{module}:{node.lineno} {node.name}")
+    assert not orphans, "defined but never referenced: " + ", ".join(orphans)
