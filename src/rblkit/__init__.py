@@ -71,7 +71,6 @@ from .measurement import (
     NoiseModel,
     apply_blockage,
     assemble_edm,
-    simulate_adoa,
     simulate_aoa,
     simulate_measurements,
     simulate_range_rates,

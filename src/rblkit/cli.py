@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import crlb_sweep, sweep_to_csv
 from .completion import complete_edm
-from .errors import ConfigError, RblError
+from .errors import ConfigError, RblError, converted
 from .geometry import Twist
 from .harness import (
     ExperimentConfig,
@@ -148,10 +148,8 @@ def _cmd_crlb(args) -> int:
 
 
 def _parse_twist(text: str) -> Twist:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 6:
-        raise ConfigError("twist must be 'wx,wy,wz,vx,vy,vz'", field="twist")
-    return Twist(parts[:3], parts[3:])
+    parts = [converted(float, v, "twist") for v in text.split(",")]
+    return converted(lambda p: Twist(p[:3], p[3:]), parts, "twist")
 
 
 def _cmd_track(args) -> int:

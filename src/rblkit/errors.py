@@ -37,10 +37,6 @@ class UndefinedDirectionError(RblError):
     """Range-rate direction is undefined (node coincides with an anchor)."""
 
 
-class InsufficientAnchorsError(RblError):
-    """Fewer anchors than the operation requires."""
-
-
 class InvalidPolicyError(RblError):
     """Blockage policy parameters are malformed."""
 

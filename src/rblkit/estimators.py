@@ -361,14 +361,14 @@ def nls_weights(sigma) -> np.ndarray:
     return 1.0 / np.where(sigma > 0.0, sigma, 1.0) ** 2
 
 
-def _nls_residuals(rot, trans, links, w_range, aoa, w_angle, refs, jacobian=True):
+def _nls_residuals(rot, trans, links, w_range, aoa, w_angle, jacobian=True):
     """Stacked weighted residuals, Jacobian rows and curvature of poses (B, 3, 3), (B, 3).
 
     `links` are the geometry.range_links of every anchor-node pair; aoa
     (B, M, 2) holds the links' (azimuth, elevation) or is None. The
-    residuals and rows are geometry's range_residuals then angle_residuals
-    (with the reference links refs), each scaled by the square root of its
-    type weight (B,); the curvature is the ranges' range_curvature.
+    residuals and rows are geometry's range_residuals then angle_residuals,
+    each scaled by the square root of its type weight (B,); the curvature is
+    the ranges' range_curvature.
     jacobian=False gives None for both.
     """
     range_res, range_rows, delta, dist = range_residuals(rot, trans, links, jacobian)
@@ -378,7 +378,7 @@ def _nls_residuals(rot, trans, links, w_range, aoa, w_angle, refs, jacobian=True
         rows = sw[..., None] * range_rows
         curv = w_range[:, None, None] * range_curvature(rot, links, range_res, range_rows, dist)
     if aoa is not None:
-        angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, refs, jacobian)
+        angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, jacobian)
         sa = np.sqrt(w_angle)[:, None]
         res = np.concatenate([res, sa * angle_res], axis=-1)
         if jacobian:
@@ -392,20 +392,17 @@ def estimate_pose_nls(
     conf: Conformation,
     init: Pose | None = None,
     noise: NoiseModel | None = None,
-    use_adoa: bool = False,
 ) -> PoseEstimate:
     """Damped Newton fit of the pose to all observed measurements.
 
     Residual types are weighted by their inverse noise variances (weight 1
     where the noise level is zero or unknown); angle residuals are wrapped
-    before squaring. With use_adoa=True the absolute azimuths are replaced
-    by per-node differences against a reference anchor, for setups where
-    anchor headings share an unknown offset. The default starting point is
-    the MDS estimate on the (completed, if necessary) EDM. The solver is
-    geometry.pose_gauss_newton, Newton on the range terms, converged once a
-    step accepted on the first damping try moves the cost by at most 1e-12
-    relative; missing that in NLS_MAX_ITERS iterations, or an exhausted
-    damping schedule, is reported via `converged`/`message`, never silently.
+    before squaring. The default starting point is the MDS estimate on the
+    (completed, if necessary) EDM. The solver is geometry.pose_gauss_newton,
+    Newton on the range terms, converged once a step accepted on the first
+    damping try moves the cost by at most 1e-12 relative; missing that in
+    NLS_MAX_ITERS iterations, or an exhausted damping schedule, is reported
+    via `converged`/`message`, never silently.
     """
     if meas.ranges is None:
         raise UnderdeterminedError("the least-squares estimator needs range measurements")
@@ -414,13 +411,11 @@ def estimate_pose_nls(
     start = None if init is None else (init.rotation[None], init.translation[None], [None])
     stacks = [None if m is None else m[None] for m in (meas.ranges, meas.aoa)]
     return nls_batch(
-        anchors.anchors, conf.nodes, meas.mask[None], *stacks, w_range, w_angle, start, use_adoa,
+        anchors.anchors, conf.nodes, meas.mask[None], *stacks, w_range, w_angle, start
     ).estimate(0)
 
 
-def nls_batch(
-    anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None, use_adoa: bool = False
-) -> PoseBatch:
+def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None) -> PoseBatch:
     """estimate_pose_nls of stacked observations: masks and ranges (B, A, K),
     aoa (B, A, K, 2) (None when not measured) and range and angle weights
     (B,), fitted in lockstep by geometry.pose_gauss_newton.
@@ -433,12 +428,7 @@ def nls_batch(
     b, a, k = mask.shape
     jj, kk = link_grid(a, k)
     observed = mask.reshape(b, -1)
-    n_obs = observed.sum(axis=-1)
-    refs, az_weight = None, observed
-    if use_adoa and aoa is not None:
-        first = mask.argmax(axis=-2)[:, kk]  # each link's node's first observed anchor
-        refs, az_weight = first * k + kk, observed & (jj != first)
-    n_res = n_obs if aoa is None else az_weight.sum(axis=-1) + 2 * n_obs
+    n_res = observed.sum(axis=-1) * (1 if aoa is None else 3)
     errors = [
         UnderdeterminedError(f"pose has 6 degrees of freedom; got {n} residuals") if n < 6 else None
         for n in n_res.tolist()
@@ -457,15 +447,14 @@ def nls_batch(
         weight = observed[fit].astype(float)
         links = range_links(nodes, kk, anchor_xyz[jj], ranges.reshape(b, -1)[fit], weight)
         aoa_f = None if aoa is None else np.where(mask[..., None], aoa, 0.0).reshape(b, -1, 2)[fit]
-        refs_f = None if refs is None else refs[fit]
 
-        def residuals(r, t, ranges, weight, w_r, aoa, w_a, refs, jacobian):
+        def residuals(r, t, ranges, weight, w_r, aoa, w_a, jacobian):
             grid = links[:4] + (ranges, weight, links[6])
-            return _nls_residuals(r, t, grid, w_r, aoa, w_a, refs, jacobian)
+            return _nls_residuals(r, t, grid, w_r, aoa, w_a, jacobian)
 
         r_fit, t_fit, iterations[fit], converged[fit], fit_messages = pose_gauss_newton(
             residuals, rot[fit], trans[fit], NLS_MAX_ITERS,
-            args=(links[4], weight, w_range[fit], aoa_f, w_angle[fit], refs_f),
+            args=(links[4], weight, w_range[fit], aoa_f, w_angle[fit]),
         )
         projected, projection_errors = project_batch(r_fit)
         diff = (projected - r_fit).reshape(-1, 9)

@@ -453,41 +453,32 @@ def range_curvature(rot, links, res, rows, dist):
     return curv - (rows * alpha[..., None]).mT @ rows
 
 
-def angle_residuals(rot, links, delta, dist, aoa, refs=None, jacobian=True):
+def angle_residuals(rot, links, delta, dist, aoa, jacobian=True):
     """Azimuth and elevation residuals (..., 2M) of the range_links `links`
     and their pose_jacobian_rows (..., 2M, 6), from range_residuals'
     offsets `delta` and distances `dist` at the rotations rot.
 
     aoa (..., M, 2) holds the links' measured (azimuth, elevation), or is
-    None: then there are rows alone. Azimuths come first, wrapped, absolute
-    or, with refs (..., M), differenced against link refs[..., i]'s.
-    Unobserved links have zero residuals and rows; without `jacobian` the
-    rows are None.
+    None: then there are rows alone. Azimuths come first, absolute and
+    wrapped. Unobserved links have zero residuals and rows; without
+    `jacobian` the rows are None.
     """
     nodes_k, weight = links[2], links[5]
     dx, dy, dz = delta[..., 0], delta[..., 1], delta[..., 2]
     dist = np.where(weight > 0.0, dist, 1.0)  # an unobserved link may have length 0
     res = rows = None
     if aoa is not None:
-        az = np.arctan2(dy, dx)
-        el = np.arcsin(np.clip(dz / dist, -1.0, 1.0))
-        if refs is None:
-            az_res = wrap_angle(az - aoa[..., 0])
-        else:
-            measured = wrap_angle(aoa[..., 0] - np.take_along_axis(aoa[..., 0], refs, axis=-1))
-            az_res = wrap_angle(az - np.take_along_axis(az, refs, axis=-1) - measured)
-        res = np.concatenate([az_res * weight, (el - aoa[..., 1]) * weight], axis=-1)
+        az_res = wrap_angle(np.arctan2(dy, dx) - aoa[..., 0])
+        el_res = np.arcsin(np.clip(dz / dist, -1.0, 1.0)) - aoa[..., 1]
+        res = np.concatenate([az_res * weight, el_res * weight], axis=-1)
     if jacobian:
         rho2 = np.where(weight > 0.0, dx**2 + dy**2, 1.0)
         rho = np.sqrt(rho2)
         az_rows = np.stack([-dy / rho2, dx / rho2, np.zeros_like(dx)], axis=-1)
         scale = dist**2 * rho
         el_rows = np.stack([-dx * dz / scale, -dy * dz / scale, rho / dist**2], axis=-1)
-        az_jac = pose_jacobian_rows(nodes_k, az_rows, rot)
-        if refs is not None:
-            az_jac = az_jac - np.take_along_axis(az_jac, refs[..., None], axis=-2)
-        el_jac = pose_jacobian_rows(nodes_k, el_rows, rot)
-        rows = np.concatenate([az_jac * weight[..., None], el_jac * weight[..., None]], axis=-2)
+        jac = [pose_jacobian_rows(nodes_k, u, rot) * weight[..., None] for u in (az_rows, el_rows)]
+        rows = np.concatenate(jac, axis=-2)
     return res, rows
 
 

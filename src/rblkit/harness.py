@@ -62,6 +62,14 @@ _MASK64 = (1 << 64) - 1
 _float_array = partial(np.asarray, dtype=float)
 
 
+def _exact(kind, value):
+    """kind(value) of anything but a bool or a string: int() and float()
+    would read those as numbers, and tuple() a string as its characters."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"refused {type(value).__name__} {value!r}")
+    return kind(value)
+
+
 def splitmix64(x: int) -> int:
     """One step of the splitmix64 mixer (public-domain constants)."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
@@ -229,12 +237,16 @@ class ExperimentConfig:
     completion: bool = True
 
     def __post_init__(self):
-        grid = converted(lambda values: tuple(map(float, values)), self.sigma_grid, "sigma_grid")
-        object.__setattr__(self, "sigma_grid", grid)
-        object.__setattr__(self, "trials", converted(int, self.trials, "trials"))
-        object.__setattr__(self, "master_seed", converted(int, self.master_seed, "master_seed"))
+        kinds = {
+            "sigma_grid": lambda grid: tuple(_exact(float, s) for s in _exact(tuple, grid)),
+            "trials": partial(_exact, operator.index),
+            "master_seed": partial(_exact, operator.index),
+        }
+        for name, kind in kinds.items():
+            object.__setattr__(self, name, converted(kind, getattr(self, name), name))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "completion", bool(self.completion))
+        if not isinstance(self.completion, bool):
+            raise ConfigError(f"expected a bool, got {self.completion!r}", field="completion")
         if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
             raise ConfigError("sigma grid must be nonempty and positive", field="sigma_grid")
         if self.trials < 1:
@@ -576,7 +588,11 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
     else:
         points = _points_from(anchors, "anchors", base_dir)
     settings = {"conformation": conf, "anchors": AnchorSet(points)}
-    sections = (("pose", Pose), ("noise", NoiseModel, "seed"), ("blockage", BlockageSpec))
+    if "pose" in doc:
+        pose = _section(doc["pose"], _names(Pose), "pose", required=_names(Pose))
+        arrays = {k: converted(_float_array, v, f"pose.{k}") for k, v in pose.items()}
+        settings["pose"] = Pose(**arrays)
+    sections = (("noise", NoiseModel, "seed"), ("blockage", BlockageSpec))
     for name, cls, *skip in sections:
         if name in doc:
             settings[name] = _fill(cls, doc[name], name, *skip)

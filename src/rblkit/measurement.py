@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     CoverageWarning,
-    InsufficientAnchorsError,
     InvalidPolicyError,
     RangeClampWarning,
     UndefinedBearingError,
@@ -318,24 +317,6 @@ def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
         noise = _draws(noises, "range_rate_sigma", _STREAM_RATE, dist.shape[1:])[0]
         rates = np.where(noisy("range_rate_sigma"), rates + noise, rates)
     return ranges, aoa, rates
-
-
-def simulate_adoa(azimuths, reference_anchor: int = 0) -> np.ndarray:
-    """Azimuth differences against a reference anchor, wrapped to (-pi, pi].
-
-    Input is the (A, K) azimuth matrix; output drops the reference row,
-    giving (A-1, K).
-    """
-    az = np.asarray(azimuths, dtype=float)
-    if az.ndim != 2:
-        raise ValueError("azimuths must be (A, K)")
-    a = az.shape[0]
-    if a < 2:
-        raise InsufficientAnchorsError("angle differences need at least 2 anchors")
-    if not 0 <= int(reference_anchor) < a:
-        raise ValueError(f"reference anchor {reference_anchor} out of range for {a} anchors")
-    diff = np.delete(az, reference_anchor, axis=0) - az[reference_anchor]
-    return wrap_angle(diff)
 
 
 def simulate_range_rates(

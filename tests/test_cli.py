@@ -210,14 +210,19 @@ class TestMalformedDocuments:
             ("blockage", {"kind": "bernoulli", "p": "abc"}, "blockage.p"),
             ("pose_distribution", {"translation_box": [["a", 1]] * 3},
              "pose_distribution.translation_box"),
+            ("pose", {"rotation": "abc", "translation": [0, 0, 0]}, "pose.rotation"),
+            ("pose", {"rotation": np.eye(3).tolist(), "translation": ["a", 0, 0]},
+             "pose.translation"),
         ],
         ids=["flat-points", "flat-body", "bad-point-line", "text-point", "text-sigma",
-             "text-p", "text-box"],
+             "text-p", "text-box", "text-rotation", "text-translation"],
     )
     def test_scenario_value(self, tiny_configs, tmp_path, capsys, section, value, field):
         s, _ = tiny_configs
         with open(s) as f:
             doc = json.load(f)
+        if section == "pose":  # a scenario takes exactly one of the two
+            del doc["pose_distribution"]
         doc[section] = value
         (tmp_path / "bad.txt").write_text("0 0 0\n1 0\n")
         bad = tmp_path / "bad.json"
@@ -229,8 +234,10 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "key, value",
         [("sigma_grid", [0.1, "abc"]), ("sigma_grid", 0.1), ("trials", "abc"),
-         ("master_seed", "x")],
-        ids=["text-sigma", "scalar-grid", "text-trials", "text-seed"],
+         ("master_seed", "x"), ("sigma_grid", "15"), ("trials", 2.7), ("master_seed", 2.5),
+         ("trials", True), ("completion", "no")],
+        ids=["text-sigma", "scalar-grid", "text-trials", "text-seed", "text-grid",
+             "float-trials", "float-seed", "bool-trials", "text-completion"],
     )
     def test_experiment_value(self, tiny_configs, tmp_path, capsys, key, value):
         s, e = tiny_configs
@@ -308,6 +315,12 @@ class TestAngleScenarios:
 
 
 class TestTrackCommand:
+    @pytest.mark.parametrize("twist", ["a,b", "nan,0,0,0,0,0"], ids=["text", "nan"])
+    def test_malformed_twist(self, tiny_configs, tmp_path, capsys, twist):
+        argv = ["track", "--scenario", tiny_configs[0], "--twist", twist, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "rblkit: config error: twist:" in capsys.readouterr().err
+
     def test_synthesized_trajectory(self, tiny_configs, tmp_path):
         s, _ = tiny_configs
         out = tmp_path / "out"

@@ -292,20 +292,8 @@ class TestEstimatePoseNls:
             sq_with_aoa += rotation_error_deg(est_ra.pose.rotation, truth.rotation) ** 2
         assert np.sqrt(sq_with_aoa / trials) < np.sqrt(sq_range_only / trials)
 
-    def test_adoa_mode_runs_and_recovers(self):
-        rng = np.random.default_rng(13)
-        truth = random_pose(rng)
-        conf, anchors, meas = simulate_cube_ranges(truth, kinds=("range", "aoa"))
-        est = estimate_pose_nls(meas, anchors, conf, use_adoa=True)
-        rot_err, trans_err = pose_errors(est, truth)
-        assert rot_err < 1e-6 and trans_err < 1e-8
-
-    @pytest.mark.parametrize(
-        "kinds, use_adoa",
-        [(("range",), False), (("range", "aoa"), False), (("range", "aoa"), True)],
-        ids=["ranges", "aoa", "adoa"],
-    )
-    def test_residual_only_cost_equals_full(self, kinds, use_adoa):
+    @pytest.mark.parametrize("kinds", [("range",), ("range", "aoa")], ids=["ranges", "aoa"])
+    def test_residual_only_cost_equals_full(self, kinds):
         # The line search costs trial poses from the residuals alone; that
         # cost must be the full call's res @ res bit for bit.
         rng = np.random.default_rng(14)
@@ -321,15 +309,11 @@ class TestEstimatePoseNls:
         aoa = None
         if meas.aoa is not None:
             aoa = np.where(meas.mask[..., None], meas.aoa, 0.0).reshape(1, -1, 2)
-        refs, az_weight = None, observed
-        if use_adoa:
-            first = meas.mask.argmax(axis=0)[kk]
-            refs, az_weight = (first * meas.mask.shape[1] + kk)[None], observed * (jj != first)
         for _ in range(5):
             pose = random_pose(rng)
             args = (
                 pose.rotation[None], pose.translation[None], links, np.array([4.0]),
-                aoa, np.array([9.0]), refs,
+                aoa, np.array([9.0]),
             )
             res, jac, _ = _nls_residuals(*args)
             res_only, no_jac, _ = _nls_residuals(*args, jacobian=False)

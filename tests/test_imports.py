@@ -1,12 +1,14 @@
 """Import hygiene of the rblkit modules (the package __init__ re-exports and
 is left out): no module imports a private name of another rblkit module,
-none imports a name it never uses, and no function or class is left
-without a caller."""
+none imports a name it never uses, no function or class is left without a
+caller, and every class of errors.py is raised or warned somewhere."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from rblkit import errors
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rblkit"
@@ -71,3 +73,33 @@ def test_every_definition_is_referenced():
             if not any(p != path or ln not in inside for p, ln in used.get(node.name, [])):
                 orphans.append(f"{module}:{node.lineno} {node.name}")
     assert not orphans, "defined but never referenced: " + ", ".join(orphans)
+
+
+def called_name(call):
+    """The name a Call node calls, as `f(...)` or `module.f(...)`."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_every_error_class_is_raised():
+    # Each exception class of errors.py is constructed, and each warning
+    # class is the category of a warnings.warn call, in some other module.
+    # A test that imports a class no program path raises does not count.
+    constructed, warned = set(), set()
+    for module in MODULES:
+        if module == "errors.py":
+            continue
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            constructed.add(called_name(node))
+            if called_name(node) == "warn":
+                category = node.args[1:2] + [k.value for k in node.keywords if k.arg == "category"]
+                warned.update(c.id for c in category if isinstance(c, ast.Name))
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+    unused = [
+        name for name in classes
+        if name not in (warned if issubclass(getattr(errors, name), Warning) else constructed)
+    ]
+    assert classes and not unused, "never raised or warned: " + ", ".join(unused)

@@ -10,7 +10,6 @@ from scipy.spatial import ConvexHull, Delaunay
 import rblkit
 from rblkit.errors import (
     CoverageWarning,
-    InsufficientAnchorsError,
     InvalidPolicyError,
     RangeClampWarning,
     UndefinedBearingError,
@@ -39,7 +38,6 @@ from rblkit.measurement import (
     assemble_edm,
     hull_facets,
     hull_keep,
-    simulate_adoa,
     simulate_aoa,
     simulate_measurements,
     simulate_range_rates,
@@ -135,25 +133,7 @@ class TestSimulateAoa:
             simulate_aoa(AnchorSet([[1, 1, 1]]), [[1.0, 1.0, 1.0]], QUIET)
 
 
-class TestSimulateAdoa:
-    def test_identical_azimuths_zero(self):
-        az = np.full((4, 3), 0.7)
-        assert np.allclose(simulate_adoa(az), 0.0)
-
-    def test_simple_difference(self):
-        az = np.array([[0.0], [np.pi / 2]])
-        out = simulate_adoa(az, reference_anchor=0)
-        assert out[0, 0] == pytest.approx(np.pi / 2, abs=1e-15)
-
-    def test_wrap_around(self):
-        az = np.array([[-3.0], [3.0]])
-        out = simulate_adoa(az, reference_anchor=0)
-        assert out[0, 0] == pytest.approx(6.0 - 2.0 * np.pi, abs=1e-12)
-
-    def test_single_anchor_raises(self):
-        with pytest.raises(InsufficientAnchorsError):
-            simulate_adoa(np.zeros((1, 2)))
-
+class TestWrapAngle:
     def test_wrap_angle_half_open(self):
         assert wrap_angle(np.pi) == pytest.approx(np.pi)
         assert wrap_angle(-np.pi) == pytest.approx(np.pi)
