@@ -63,18 +63,12 @@ from .harness import (
 )
 from .measurement import (
     AnchorSet,
-    BernoulliBlockage,
-    ConvexHullBlockage,
     Edm,
-    ExplicitBlockage,
     MeasurementSet,
     NoiseModel,
     apply_blockage,
     assemble_edm,
-    simulate_aoa,
     simulate_measurements,
-    simulate_range_rates,
-    simulate_ranges,
 )
 from .tracking import (
     MeasurementFrame,

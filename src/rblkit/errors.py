@@ -38,7 +38,7 @@ class UndefinedDirectionError(RblError):
 
 
 class InvalidPolicyError(RblError):
-    """Blockage policy parameters are malformed."""
+    """A blockage is malformed: a keep mask of the wrong shape, or a flat body's hull."""
 
 
 class IncompleteEdmError(RblError):

@@ -53,7 +53,7 @@ class PoseEstimate:
     per_node_positions holds the intermediate per-node world estimate for
     two-stage methods; node_variances the per-coordinate belief variances
     when the method produces them (GaBP's soft output). residual_rms is the
-    RMS of observed-range residuals at the returned pose, in meters.
+    RMS of the scored range residuals (see estimate_pose_mds), in meters.
     """
 
     pose: Pose
@@ -260,6 +260,10 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
     embedded anchors to the true anchor positions (allowing a reflection,
     since the embedding has arbitrary chirality), and the pose is read off
     the aligned node positions with a final Procrustes fit.
+
+    residual_rms is scored over every cross entry the EDM marks known. An
+    EDM from complete_edm marks every entry known, so its score includes
+    the filled entries; mds_from_ranges scores only the measured links.
     """
     if not edm.is_complete():
         raise IncompleteEdmError("MDS needs a fully known EDM; run complete_edm first")

@@ -47,11 +47,10 @@ from .geometry import (
 from .measurement import (
     MEASUREMENT_KINDS,
     AnchorSet,
-    BernoulliBlockage,
-    ConvexHullBlockage,
     MeasurementSet,
     NoiseModel,
     assemble_edm,
+    bernoulli_keep,
     hull_facets,
     hull_keep,
     simulate_batch,
@@ -68,6 +67,9 @@ def _exact(kind, value):
     if isinstance(value, (bool, str)):
         raise TypeError(f"refused {type(value).__name__} {value!r}")
     return kind(value)
+
+
+_tuple = partial(_exact, tuple)
 
 
 def splitmix64(x: int) -> int:
@@ -135,7 +137,7 @@ class PoseDistribution:
 
 @dataclass(frozen=True)
 class BlockageSpec:
-    """Which blockage policy a sweep applies, rebuilt per trial.
+    """Which links a scenario's blockage keeps, as a boolean keep mask.
 
     kind "bernoulli" drops links independently with probability p; "hull"
     applies convex-hull self-occlusion; "none" keeps every link.
@@ -154,22 +156,22 @@ class BlockageSpec:
             raise ConfigError(f"p must be in [0, 1], got {self.p}", field="blockage.p")
 
     def policy(self, seed: int, anchors: AnchorSet, world_nodes):
-        if self.kind == "bernoulli":
-            return BernoulliBlockage(self.p, seed=seed)
-        if self.kind == "hull":
-            return ConvexHullBlockage(anchors, world_nodes)
-        return None
+        """keep_batch of one placement (K, 3), its facets found from it; None for kind "none"."""
+        if self.kind == "none":
+            return None
+        world = np.asarray(world_nodes, dtype=float)
+        return self.keep_batch([seed], anchors, world, world[None])[0]
 
     def keep_batch(self, seeds, anchors: AnchorSet, nodes, world) -> np.ndarray:
-        """What policy(seed, anchors, w).keep_mask keeps for B placements
-        `world` (B, K, 3) of a body with body-frame `nodes`, one seed each,
-        as a (B, A, K) stack. The hull's facet triples are found once, from
-        `nodes`, and every placement is clipped in one call."""
+        """The (B, A, K) keep masks of B placements `world` (B, K, 3) of a
+        body with body-frame `nodes`, one seed each. The hull's facet triples
+        are found once, from `nodes`, and every placement is clipped in one
+        call."""
         shape = (anchors.num_anchors, len(nodes))
         if self.kind == "hull":
             return hull_keep(anchors.anchors, world, hull_facets(nodes))
         if self.kind == "bernoulli":
-            return np.array([BernoulliBlockage(self.p, seed=s).keep_mask(shape) for s in seeds])
+            return bernoulli_keep(seeds, self.p, shape)
         return np.ones((len(world),) + shape, dtype=bool)
 
 
@@ -238,13 +240,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kinds = {
-            "sigma_grid": lambda grid: tuple(_exact(float, s) for s in _exact(tuple, grid)),
+            "sigma_grid": lambda grid: tuple(_exact(float, s) for s in _tuple(grid)),
             "trials": partial(_exact, operator.index),
             "master_seed": partial(_exact, operator.index),
+            "estimators": _tuple,
         }
         for name, kind in kinds.items():
             object.__setattr__(self, name, converted(kind, getattr(self, name), name))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
         if not isinstance(self.completion, bool):
             raise ConfigError(f"expected a bool, got {self.completion!r}", field="completion")
         if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
@@ -254,6 +256,8 @@ class ExperimentConfig:
         unknown = set(self.estimators) - set(ESTIMATOR_TAGS)
         if unknown:
             raise ConfigError(f"unknown estimators {sorted(unknown)}", field="estimators")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ConfigError(f"repeated estimators in {list(self.estimators)}", field="estimators")
 
 
 @dataclass(frozen=True)
@@ -611,7 +615,7 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
             dist[box[0]], dist[box[1]] = zip(*rows)
         settings["pose_distribution"] = PoseDistribution(**dist)
     if "measurements" in doc:
-        settings["measurement_kinds"] = tuple(doc["measurements"])
+        settings["measurement_kinds"] = converted(_tuple, doc["measurements"], "measurements")
     return ScenarioConfig(**settings)
 
 

@@ -239,27 +239,6 @@ class Edm:
         return cls(vals, np.asarray(doc["known_mask"], dtype=bool), int(doc["n_anchors"]))
 
 
-def simulate_ranges(anchors: AnchorSet, world_nodes, noise: NoiseModel) -> np.ndarray:
-    """Noisy anchor-to-node distances (A, K), clamped at zero.
-
-    Clamping is rare at realistic noise levels; when it happens a
-    RangeClampWarning reports how many entries were affected.
-    """
-    world = np.asarray(world_nodes, dtype=float)[None]
-    return simulate_batch(anchors.anchors, world, [noise], ("range",))[0][0]
-
-
-def simulate_aoa(anchors: AnchorSet, world_nodes, noise: NoiseModel) -> np.ndarray:
-    """Noisy world-frame bearings (A, K, 2) as (azimuth, elevation).
-
-    Azimuth is atan2(dy, dx) wrapped to (-pi, pi]; elevation is
-    asin(dz / distance). At the poles (node straight above or below an
-    anchor) the azimuth is reported as 0 by convention.
-    """
-    world = np.asarray(world_nodes, dtype=float)[None]
-    return simulate_batch(anchors.anchors, world, [noise], ("aoa",))[1][0]
-
-
 def _draws(noises, name: str, which: int, shape, count: int = 1) -> np.ndarray:
     """`count` zero-mean Gaussian arrays of `shape` per noise model, drawn in
     turn from its stream `which` with its `name` sigma; zeros where that is 0."""
@@ -281,7 +260,9 @@ def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
 
     Returns (ranges (B, A, K), aoa (B, A, K, 2), range rates (B, A, K)),
     each None unless its kind is requested. Negative noisy ranges are
-    clamped at zero with one RangeClampWarning for the batch.
+    clamped at zero with one RangeClampWarning for the batch. The aoa hold
+    (azimuth, elevation) = (atan2(dy, dx) wrapped to (-pi, pi], asin(dz /
+    distance)), with azimuth 0 straight above or below an anchor.
     """
     unknown = set(kinds) - set(MEASUREMENT_KINDS)
     if unknown:
@@ -319,14 +300,6 @@ def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
     return ranges, aoa, rates
 
 
-def simulate_range_rates(
-    anchors: AnchorSet, state: RigidBodyState, noise: NoiseModel
-) -> np.ndarray:
-    """Noisy radial velocities (A, K): projection of node velocity on the line of sight."""
-    world, velocities = state.world_nodes()[None], node_velocities(state)[None]
-    return simulate_batch(anchors.anchors, world, [noise], ("range_rate",), velocities)[2][0]
-
-
 def simulate_measurements(
     anchors: AnchorSet,
     state: RigidBodyState,
@@ -336,29 +309,16 @@ def simulate_measurements(
     """Simulate the requested measurement types with a fully-observed mask."""
     world = state.world_nodes()
     velocities = node_velocities(state)[None] if "range_rate" in kinds else None
-    ranges, aoa, rates = simulate_batch(anchors.anchors, world[None], [noise], kinds, velocities)
-    return MeasurementSet(
-        mask=np.ones((anchors.num_anchors, world.shape[0]), dtype=bool),
-        ranges=None if ranges is None else ranges[0],
-        aoa=None if aoa is None else aoa[0],
-        range_rates=None if rates is None else rates[0],
-    )
+    observed = simulate_batch(anchors.anchors, world[None], [noise], kinds, velocities)
+    mask = np.ones((anchors.num_anchors, len(world)), dtype=bool)
+    return MeasurementSet(mask, *(None if m is None else m[0] for m in observed))
 
 
-@dataclass(frozen=True)
-class BernoulliBlockage:
-    """Each observed entry independently survives with probability 1 - p."""
-
-    p: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= float(self.p) <= 1.0:
-            raise InvalidPolicyError(f"blockage probability must be in [0, 1], got {self.p}")
-
-    def keep_mask(self, shape) -> np.ndarray:
-        rng = _stream(self.seed, _STREAM_BLOCKAGE)
-        return rng.random(shape) >= self.p
+def bernoulli_keep(seeds, p: float, shape) -> np.ndarray:
+    """The (B, *shape) links that survive independent blockage with
+    probability p in [0, 1], one mask per seed drawn from that seed's own
+    blockage stream, so each item is the same in any stack."""
+    return np.array([_stream(s, _STREAM_BLOCKAGE).random(shape) >= p for s in seeds])
 
 
 def hull_facets(nodes) -> np.ndarray:
@@ -437,52 +397,19 @@ def hull_keep(anchor_xyz, world, facets) -> np.ndarray:
     return (lo > hi) | (parallel & (num < 0.0)).any(axis=-1)
 
 
-@dataclass(frozen=True)
-class ConvexHullBlockage:
-    """Self-occlusion: a link is blocked when the anchor-node segment passes
-    through the convex hull of `world_nodes`.
-
-    The hull's facet planes pass through node triples (hull_facets), found
-    from the nodes themselves. Every hull vertex lies on the hull, so the
-    test uses the hull shrunk inward by 1e-9 m (_HULL_MARGIN): a link that
-    only grazes the surface stays visible. A collinear or flat node set has
-    no interior and raises InvalidPolicyError.
-    """
-
-    anchors: AnchorSet
-    world_nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.array(self.world_nodes, dtype=float)
-        object.__setattr__(self, "world_nodes", nodes)
-        object.__setattr__(self, "_facets", hull_facets(nodes))
-
-    def keep_mask(self, shape) -> np.ndarray:
-        anchors = self.anchors.anchors
-        return hull_keep(anchors, self.world_nodes[None], self._facets)[0]
-
-
-@dataclass(frozen=True)
-class ExplicitBlockage:
-    """Keep exactly the entries marked True in the provided mask."""
-
-    mask: np.ndarray
-
-    def keep_mask(self, shape) -> np.ndarray:
-        m = np.asarray(self.mask, dtype=bool)
-        if m.shape != tuple(shape):
-            raise InvalidPolicyError(f"explicit mask shape {m.shape} != {tuple(shape)}")
-        return m
-
-
-def apply_blockage(meas: MeasurementSet, policy) -> MeasurementSet:
-    """Clear mask entries per the policy and drop the affected values.
+def apply_blockage(meas: MeasurementSet, keep) -> MeasurementSet:
+    """Clear the mask entries the boolean (A, K) mask `keep` leaves out and
+    drop the affected values; a mask of another shape raises
+    InvalidPolicyError.
 
     Blockage only ever removes observations. Nodes left with zero observed
     entries are reported with a CoverageWarning (multilateration downstream
     needs at least one observation per node), never silently repaired.
     """
-    keep = meas.mask & policy.keep_mask(meas.mask.shape)
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != meas.shape:
+        raise InvalidPolicyError(f"keep mask shape {keep.shape} != {meas.shape}")
+    keep = meas.mask & keep
     uncovered = ~keep.any(axis=0)
     if uncovered.any():
         nodes = np.flatnonzero(uncovered).tolist()

@@ -200,24 +200,28 @@ class TestMalformedDocuments:
     FLAT = [[0, 0], [1, 0], [0, 1]]
 
     @pytest.mark.parametrize(
-        "section, value, field",
+        "section, value, field, message",
         [
-            ("conformation", {"points": FLAT}, "conformation"),
-            ("anchors", {"body": {"points": FLAT}}, "anchors.body"),
-            ("conformation", {"file": "bad.txt"}, "conformation"),
-            ("anchors", {"points": [["a", 0, 0], [1, 0, 0], [0, 1, 0]]}, "anchors"),
-            ("noise", {"range_sigma": "abc"}, "noise.range_sigma"),
-            ("blockage", {"kind": "bernoulli", "p": "abc"}, "blockage.p"),
+            ("conformation", {"points": FLAT}, "conformation", "expected finite (K, 3) points"),
+            ("anchors", {"body": {"points": FLAT}}, "anchors.body",
+             "expected finite (K, 3) points"),
+            ("conformation", {"file": "bad.txt"}, "conformation", "line 2: expected 3 values"),
+            ("anchors", {"points": [["a", 0, 0], [1, 0, 0], [0, 1, 0]]}, "anchors",
+             "could not convert"),
+            ("noise", {"range_sigma": "abc"}, "noise.range_sigma", "could not convert"),
+            ("blockage", {"kind": "bernoulli", "p": "abc"}, "blockage.p", "could not convert"),
             ("pose_distribution", {"translation_box": [["a", 1]] * 3},
-             "pose_distribution.translation_box"),
-            ("pose", {"rotation": "abc", "translation": [0, 0, 0]}, "pose.rotation"),
+             "pose_distribution.translation_box", "could not convert"),
+            ("pose", {"rotation": "abc", "translation": [0, 0, 0]}, "pose.rotation",
+             "could not convert"),
             ("pose", {"rotation": np.eye(3).tolist(), "translation": ["a", 0, 0]},
-             "pose.translation"),
+             "pose.translation", "could not convert"),
+            ("measurements", "range", "measurements", "refused str 'range'"),
         ],
         ids=["flat-points", "flat-body", "bad-point-line", "text-point", "text-sigma",
-             "text-p", "text-box", "text-rotation", "text-translation"],
+             "text-p", "text-box", "text-rotation", "text-translation", "text-measurements"],
     )
-    def test_scenario_value(self, tiny_configs, tmp_path, capsys, section, value, field):
+    def test_scenario_value(self, tiny_configs, tmp_path, capsys, section, value, field, message):
         s, _ = tiny_configs
         with open(s) as f:
             doc = json.load(f)
@@ -229,17 +233,26 @@ class TestMalformedDocuments:
         bad.write_text(json.dumps(doc))
         argv = ["crlb", "--scenario", str(bad), "--sigma", "0.1", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert f"rblkit: config error: {field}:" in capsys.readouterr().err
+        assert f"rblkit: config error: {field}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("sigma_grid", [0.1, "abc"]), ("sigma_grid", 0.1), ("trials", "abc"),
-         ("master_seed", "x"), ("sigma_grid", "15"), ("trials", 2.7), ("master_seed", 2.5),
-         ("trials", True), ("completion", "no")],
+        "key, value, message",
+        [("sigma_grid", [0.1, "abc"], "refused str 'abc'"),
+         ("sigma_grid", 0.1, "'float' object is not iterable"),
+         ("trials", "abc", "refused str 'abc'"),
+         ("master_seed", "x", "refused str 'x'"),
+         ("sigma_grid", "15", "refused str '15'"),
+         ("trials", 2.7, "'float' object cannot be interpreted as an integer"),
+         ("master_seed", 2.5, "'float' object cannot be interpreted as an integer"),
+         ("trials", True, "refused bool True"),
+         ("completion", "no", "expected a bool"),
+         ("estimators", "nls", "refused str 'nls'"),
+         ("estimators", ["nls", "gabp", "nls"], "repeated estimators in ['nls', 'gabp', 'nls']")],
         ids=["text-sigma", "scalar-grid", "text-trials", "text-seed", "text-grid",
-             "float-trials", "float-seed", "bool-trials", "text-completion"],
+             "float-trials", "float-seed", "bool-trials", "text-completion",
+             "text-estimators", "repeated-estimators"],
     )
-    def test_experiment_value(self, tiny_configs, tmp_path, capsys, key, value):
+    def test_experiment_value(self, tiny_configs, tmp_path, capsys, key, value, message):
         s, e = tiny_configs
         with open(e) as f:
             doc = json.load(f)
@@ -248,7 +261,7 @@ class TestMalformedDocuments:
         bad.write_text(json.dumps(doc))
         argv = ["benchmark", "--scenario", s, "--experiment", str(bad), "--out", str(tmp_path)]
         assert main(argv) == 1
-        assert f"rblkit: config error: {key}:" in capsys.readouterr().err
+        assert f"rblkit: config error: {key}: {message}" in capsys.readouterr().err
 
 
 class TestCrlbCommand:

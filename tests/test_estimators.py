@@ -53,11 +53,11 @@ from rblkit.geometry import (
 from rblkit.harness import _run_trials, derive_seed, draw_trial, preset, run_benchmark
 from rblkit.measurement import (
     AnchorSet,
-    BernoulliBlockage,
     MeasurementSet,
     NoiseModel,
     apply_blockage,
     assemble_edm,
+    bernoulli_keep,
     simulate_measurements,
 )
 
@@ -195,7 +195,7 @@ class TestEstimatePoseMds:
 
     def test_incomplete_edm_rejected(self):
         conf, anchors, meas = simulate_cube_ranges(Pose.identity())
-        blocked = apply_blockage(meas, BernoulliBlockage(p=0.3, seed=2))
+        blocked = apply_blockage(meas, bernoulli_keep([2], 0.3, meas.shape)[0])
         edm = assemble_edm(anchors, conf, blocked)
         with pytest.raises(IncompleteEdmError):
             estimate_pose_mds(edm, anchors, conf)
@@ -233,7 +233,7 @@ class TestEstimatePoseMds:
     def test_chain_completes_or_zero_fills_masked_edm(self):
         truth = random_pose(np.random.default_rng(9))
         conf, anchors, meas = simulate_cube_ranges(truth)
-        blocked = apply_blockage(meas, BernoulliBlockage(p=0.3, seed=2))
+        blocked = apply_blockage(meas, bernoulli_keep([2], 0.3, meas.shape)[0])
         est, report = mds_from_ranges(blocked, anchors, conf)
         assert report is not None and report.converged
         assert np.linalg.norm(est.pose.translation - truth.translation) < 1e-6
@@ -301,7 +301,7 @@ class TestEstimatePoseNls:
         noise = NoiseModel(range_sigma=0.05, angle_sigma=0.02, seed=3)
         state = RigidBodyState(conf, random_pose(rng))
         meas = simulate_measurements(anchors, state, noise, kinds)
-        meas = apply_blockage(meas, BernoulliBlockage(p=0.2, seed=4))
+        meas = apply_blockage(meas, bernoulli_keep([4], 0.2, meas.shape)[0])
         jj, kk = np.nonzero(np.ones_like(meas.mask))
         observed = meas.mask.ravel()[None].astype(float)
         ranges = meas.ranges.ravel()[None]
@@ -451,11 +451,9 @@ class TestEstimatePoseGabp:
 class TestEstimateRelativePose:
     @staticmethod
     def cross_ranges(ego, target_conf, rel_pose, sigma=0.0, seed=0):
-        world = apply_pose(target_conf, rel_pose)
+        state = RigidBodyState(target_conf, rel_pose)
         noise = NoiseModel(range_sigma=sigma, seed=seed)
-        from rblkit.measurement import simulate_ranges
-
-        return simulate_ranges(AnchorSet(ego.nodes), world, noise)
+        return simulate_measurements(AnchorSet(ego.nodes), state, noise).ranges
 
     def test_truck_car_zero_noise_exact(self):
         rng = np.random.default_rng(23)

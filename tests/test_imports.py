@@ -4,6 +4,9 @@ none imports a name it never uses, no function or class is left without a
 caller, and every class of errors.py is raised or warned somewhere."""
 
 import ast
+import importlib
+import re
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -103,3 +106,34 @@ def test_every_error_class_is_raised():
         if name not in (warned if issubclass(getattr(errors, name), Warning) else constructed)
     ]
     assert classes and not unused, "never raised or warned: " + ", ".join(unused)
+
+
+# Backticked names of README's "Library layout" table that are no attribute
+# of an rblkit module: the package, the CLI's `crlb` command and a field.
+NOT_API = {"rblkit", "crlb", "angle_sigma"}
+
+
+def resolves(name, namespaces):
+    """Whether a dotted name is an attribute path of one of the namespaces."""
+    head, *rest = name.split(".")
+    for namespace in namespaces:
+        try:
+            reduce(getattr, rest, getattr(namespace, head))
+            return True
+        except AttributeError:
+            pass
+    return False
+
+
+def test_library_layout_names_exist():
+    # Every name the table quotes, `Class.method` and `rblkit.module` too, is
+    # an attribute of rblkit or one of its modules, so deleted API cannot
+    # linger in the docs.
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    names = ["rblkit"] + [f"rblkit.{m.removesuffix('.py')}" for m in MODULES]
+    namespaces = [importlib.import_module(name) for name in names]
+    words = re.findall(r"\w+(?:\.\w+)*", " ".join(re.findall(r"`([^`]+)`", table)))
+    quoted = {w.removeprefix("rblkit.") for w in words}
+    missing = sorted(w for w in quoted - NOT_API if not resolves(w, namespaces))
+    assert quoted and not missing, "README names missing API: " + ", ".join(missing)

@@ -28,24 +28,46 @@ from rblkit.geometry import (
 from rblkit.harness import BlockageSpec, preset
 from rblkit.measurement import (
     AnchorSet,
-    BernoulliBlockage,
-    ConvexHullBlockage,
     Edm,
-    ExplicitBlockage,
     MeasurementSet,
     NoiseModel,
     apply_blockage,
     assemble_edm,
+    bernoulli_keep,
     hull_facets,
     hull_keep,
-    simulate_aoa,
+    simulate_batch,
     simulate_measurements,
-    simulate_range_rates,
-    simulate_ranges,
     wrap_angle,
 )
 
 QUIET = NoiseModel()
+
+
+def simulate_ranges(anchors: AnchorSet, nodes, noise: NoiseModel) -> np.ndarray:
+    """Noisy ranges (A, K) from the anchors to world points (K, 3)."""
+    world = np.asarray(nodes, dtype=float)[None]
+    return simulate_batch(anchors.anchors, world, [noise], ("range",))[0][0]
+
+
+def simulate_aoa(anchors: AnchorSet, nodes, noise: NoiseModel) -> np.ndarray:
+    """Noisy (azimuth, elevation) bearings (A, K, 2) to world points (K, 3)."""
+    world = np.asarray(nodes, dtype=float)[None]
+    return simulate_batch(anchors.anchors, world, [noise], ("aoa",))[1][0]
+
+
+def simulate_range_rates(anchors: AnchorSet, state: RigidBodyState, noise) -> np.ndarray:
+    """Noisy radial velocities (A, K) of the body's nodes."""
+    return simulate_measurements(anchors, state, noise, ("range_rate",)).range_rates
+
+
+def hull_mask(anchors: AnchorSet, nodes) -> np.ndarray:
+    """The (A, K) links the hull of world points `nodes` leaves visible."""
+    return BlockageSpec(kind="hull").policy(0, anchors, nodes)
+
+
+def bernoulli_mask(p: float, seed: int, shape) -> np.ndarray:
+    return bernoulli_keep([seed], p, shape)[0]
 
 
 def unit_cube(center=(0.0, 0.0, 0.0)) -> Conformation:
@@ -88,13 +110,9 @@ class TestSimulateRanges:
 
     def test_noise_std_monte_carlo(self):
         anchors = AnchorSet([[0.0, 0.0, 0.0]])
-        node = [[10.0, 0.0, 0.0]]
-        draws = np.array(
-            [
-                simulate_ranges(anchors, node, NoiseModel(range_sigma=0.1, seed=s))[0, 0]
-                for s in range(100_000)
-            ]
-        )
+        noises = [NoiseModel(range_sigma=0.1, seed=s) for s in range(100_000)]
+        world = np.tile([10.0, 0.0, 0.0], (len(noises), 1, 1))
+        draws = simulate_batch(anchors.anchors, world, noises, ("range",))[0][:, 0, 0]
         assert 0.098 <= draws.std() <= 0.102
         assert draws.mean() == pytest.approx(10.0, abs=0.005)
 
@@ -179,27 +197,30 @@ class TestBlockage:
 
     def test_p_zero_unchanged(self):
         meas = self.full_measurements()
-        out = apply_blockage(meas, BernoulliBlockage(p=0.0, seed=5))
+        out = apply_blockage(meas, bernoulli_mask(0.0, 5, meas.shape))
         assert np.array_equal(out.mask, meas.mask)
         assert np.array_equal(out.ranges, meas.ranges)
 
     def test_p_one_all_absent_with_warning(self):
         meas = self.full_measurements()
         with pytest.warns(CoverageWarning):
-            out = apply_blockage(meas, BernoulliBlockage(p=1.0, seed=5))
+            out = apply_blockage(meas, bernoulli_mask(1.0, 5, meas.shape))
         assert not out.mask.any()
         assert np.all(np.isnan(out.ranges))
 
-    def test_invalid_probability(self):
-        with pytest.raises(InvalidPolicyError):
-            BernoulliBlockage(p=1.5)
+    def test_wrong_shape_mask_rejected(self):
+        meas = self.full_measurements()
+        with pytest.raises(InvalidPolicyError, match="shape"):
+            apply_blockage(meas, np.ones((meas.shape[0], meas.shape[1] - 1), dtype=bool))
+        with pytest.raises(InvalidPolicyError, match="shape"):
+            apply_blockage(meas, np.ones((1,) + meas.shape, dtype=bool))
 
     def test_never_resurrects_absent(self):
         meas = self.full_measurements()
         half = np.ones(meas.shape, dtype=bool)
         half[::2, :] = False
-        masked = apply_blockage(meas, ExplicitBlockage(half))
-        out = apply_blockage(masked, BernoulliBlockage(p=0.0, seed=3))
+        masked = apply_blockage(meas, half)
+        out = apply_blockage(masked, np.ones(meas.shape, dtype=bool))
         assert not (out.mask & ~masked.mask).any()
 
     def test_hull_occlusion_matches_sampling_oracle(self):
@@ -208,7 +229,7 @@ class TestBlockage:
         anchors = AnchorSet([[-3.0, 0.1, 0.2]])
         state = RigidBodyState(unit_cube(), Pose.identity())
         meas = simulate_measurements(anchors, state, QUIET)
-        out = apply_blockage(meas, ConvexHullBlockage(anchors, nodes))
+        out = apply_blockage(meas, hull_mask(anchors, nodes))
 
         tri = Delaunay(nodes)
         for k in range(nodes.shape[0]):
@@ -234,7 +255,7 @@ class TestBlockage:
                 nodes = unit_cube().nodes * rng.uniform(0.5, 4.0, 3) @ pose.rotation.T
                 nodes = nodes + pose.translation
             anchors = AnchorSet(rng.normal(size=(rng.integers(1, 9), 3)) * 6.0)
-            keep = ConvexHullBlockage(anchors, nodes).keep_mask((anchors.num_anchors, len(nodes)))
+            keep = hull_mask(anchors, nodes)
             assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
             blocked, visible = blocked + (~keep).sum(), visible + keep.sum()
         assert blocked > 100 and visible > 100
@@ -249,14 +270,14 @@ class TestBlockage:
         assert np.any(equations[:, :3] @ (nodes[1] - anchors.anchors[0]) == 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            keep = ConvexHullBlockage(anchors, nodes).keep_mask((3, 8))
+            keep = hull_mask(anchors, nodes)
         assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
         top = nodes[:, 2] > 0
         assert keep[:, top].all() and not keep[2, ~top].any()
 
 
 def hull_oracle_keep(anchors, nodes, margin):
-    """Per-link reference for ConvexHullBlockage.keep_mask: the scalar
+    """Per-link reference for the hull clip of hull_keep: the scalar
     interval clipping the vectorised test replaced."""
     equations = ConvexHull(nodes).equations
     normals, offsets = equations[:, :3], equations[:, 3]
@@ -310,7 +331,7 @@ class TestHullFacets:
         world = transform_points(scenario.conformation.nodes, rot, trans)
         blocked = 0
         for nodes in world:
-            keep = ConvexHullBlockage(scenario.anchors, nodes).keep_mask(None)
+            keep = hull_mask(scenario.anchors, nodes)
             assert np.array_equal(keep, hull_oracle_keep(scenario.anchors.anchors, nodes, 1e-9))
             blocked += (~keep).sum()
         assert 0.05 < blocked / (~keep).size / len(world) < 0.5
@@ -323,7 +344,7 @@ class TestHullFacets:
             inner = rng.uniform(-0.2, 0.2, size=(rng.integers(1, 5), 3)) + shell.mean(axis=0)
             nodes = random_placement(rng, np.vstack([shell, inner]), 3.0)
             anchors = AnchorSet(rng.normal(size=(rng.integers(1, 9), 3)) * 6.0)
-            keep = ConvexHullBlockage(anchors, nodes).keep_mask(None)
+            keep = hull_mask(anchors, nodes)
             assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
             interior += len(nodes) - len(ConvexHull(nodes).vertices)
             blocked += (~keep).sum()
@@ -345,29 +366,35 @@ class TestHullFacets:
             if affine_rank(nodes) < 3:
                 continue
             anchors = AnchorSet(rng.normal(size=(6, 3)) * 2 * size + nodes.mean(axis=0))
-            keep = ConvexHullBlockage(anchors, nodes).keep_mask(None)
+            keep = hull_mask(anchors, nodes)
             assert np.array_equal(keep, hull_oracle_keep(anchors.anchors, nodes, 1e-9))
             blocked += (~keep).sum()
         assert blocked > 100
 
+    @pytest.mark.parametrize(
+        "spec", [BlockageSpec(kind="bernoulli", p=0.2), BlockageSpec(kind="hull")],
+        ids=["bernoulli", "hull"],
+    )
     @pytest.mark.parametrize("name", ["fig4", "fig5"])
-    def test_stacked_clip_equals_single_policies(self, name):
-        # _observe clips a stack with the body-frame facets; the bench replay
-        # builds one ConvexHullBlockage per frame from its world nodes. Both
-        # must find the same triples, hence the same planes and bits.
+    def test_stacked_clip_equals_single_policies(self, name, spec):
+        # _observe masks a stack, clipping the hull with the body-frame facets;
+        # the bench replay asks policy for one placement at a time, whose hull
+        # facets come from its world nodes. Both must keep the same links; for
+        # the hull they find the same triples, hence the same planes and bits.
         scenario, _ = preset(name)
         nodes = scenario.conformation.nodes
         rng = np.random.default_rng(31)
         rot, trans = scenario.sample_poses([rng] * 200)
         world = transform_points(nodes, rot, trans)
-        spec = BlockageSpec(kind="hull")
         stacked = spec.keep_batch(range(len(world)), scenario.anchors, nodes, world)
-        facets = hull_facets(nodes)
+        assert stacked.shape == (len(world), scenario.anchors.num_anchors, len(nodes))
+        assert 0.05 < 1.0 - stacked.mean() < 0.5
         for i, w in enumerate(world):
-            policy = spec.policy(i, scenario.anchors, w)
-            assert np.array_equal(hull_facets(w), facets)
-            assert np.array_equal(stacked[i], policy.keep_mask(None))
-        assert np.array_equal(stacked, hull_keep(scenario.anchors.anchors, world, facets))
+            assert np.array_equal(stacked[i], spec.policy(i, scenario.anchors, w))
+        if spec.kind == "hull":
+            facets = hull_facets(nodes)
+            assert all(np.array_equal(hull_facets(w), facets) for w in world)
+            assert np.array_equal(stacked, hull_keep(scenario.anchors.anchors, world, facets))
 
     @pytest.mark.parametrize(
         "nodes, cause",
@@ -379,7 +406,7 @@ class TestHullFacets:
     def test_flat_node_set_rejected(self, nodes, cause):
         nodes = random_placement(np.random.default_rng(3), np.asarray(nodes, dtype=float), 1.0)
         with pytest.raises(InvalidPolicyError, match=cause):
-            ConvexHullBlockage(cube_anchors(), nodes)
+            hull_facets(nodes)
 
 
 class TestAssembleEdm:
@@ -406,7 +433,7 @@ class TestAssembleEdm:
         state = RigidBodyState(conf, Pose.identity())
         meas = simulate_measurements(anchors, state, QUIET)
         with pytest.warns(CoverageWarning):
-            meas = apply_blockage(meas, BernoulliBlockage(p=1.0, seed=2))
+            meas = apply_blockage(meas, bernoulli_mask(1.0, 2, meas.shape))
         edm = assemble_edm(anchors, conf, meas)
         a = anchors.num_anchors
         assert not edm.known_mask[:a, a:].any()
@@ -428,7 +455,7 @@ class TestAssembleEdm:
         anchors = cube_anchors()
         state = RigidBodyState(conf, Pose.identity())
         meas = simulate_measurements(anchors, state, NoiseModel(range_sigma=0.2, seed=8))
-        meas = apply_blockage(meas, BernoulliBlockage(p=0.3, seed=8))
+        meas = apply_blockage(meas, bernoulli_mask(0.3, 8, meas.shape))
         edm = assemble_edm(anchors, conf, meas)
         d, known = edm.squared_distances, edm.known_mask
         assert np.array_equal(known, known.T)
@@ -455,7 +482,7 @@ class TestDeterminismAndJson:
         state = RigidBodyState(unit_cube(), Pose.identity(), Twist([0.1, 0, 0], [1, 0, 0]))
         noise = NoiseModel(range_sigma=0.1, angle_sigma=0.01, range_rate_sigma=0.05, seed=5)
         meas = simulate_measurements(anchors, state, noise, ("range", "aoa", "range_rate"))
-        meas = apply_blockage(meas, BernoulliBlockage(p=0.25, seed=5))
+        meas = apply_blockage(meas, bernoulli_mask(0.25, 5, meas.shape))
         back = MeasurementSet.from_json_dict(meas.to_json_dict())
         assert np.array_equal(back.mask, meas.mask)
         assert np.array_equal(back.ranges[back.mask], meas.ranges[meas.mask])
@@ -466,7 +493,7 @@ class TestDeterminismAndJson:
         conf = unit_cube()
         anchors = cube_anchors()
         meas = simulate_measurements(anchors, RigidBodyState(conf, Pose.identity()), QUIET)
-        meas = apply_blockage(meas, BernoulliBlockage(p=0.4, seed=11))
+        meas = apply_blockage(meas, bernoulli_mask(0.4, 11, meas.shape))
         edm = assemble_edm(anchors, conf, meas)
         back = Edm.from_json_dict(edm.to_json_dict())
         assert np.array_equal(back.known_mask, edm.known_mask)
