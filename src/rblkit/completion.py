@@ -22,9 +22,8 @@ from .geometry import (
     fit_alignment,
     link_grid,
     pose_gauss_newton,
-    range_curvature,
     range_links,
-    range_residuals,
+    range_terms,
     transform_points,
 )
 from .measurement import Edm
@@ -197,10 +196,8 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
     ranges = np.sqrt(d[:, :a, a:]).reshape(b, a * k)
     links = range_links(nodes, kk, anchors[:, jj], ranges, observed)
 
-    def residuals(r, t, nodes, nodes_k, anchor_xyz, ranges, weight, levers, jacobian):
-        grid = (nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers)
-        res, rows, _, dist = range_residuals(r, t, grid, jacobian)
-        return res, rows, None if rows is None else range_curvature(r, grid, res, rows, dist)
+    def residuals(r, t, nodes, nodes_k, anchor_xyz, ranges, weight, levers, *terms):
+        return range_terms(r, t, (nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers), *terms)
 
     rot, trans, iterations, converged, messages = pose_gauss_newton(
         residuals, q, trans, max_iters, args=links[:1] + links[2:]

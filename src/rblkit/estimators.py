@@ -36,9 +36,9 @@ from .geometry import (
     link_grid,
     pose_gauss_newton,
     project_batch,
-    range_curvature,
     range_links,
     range_residuals,
+    range_terms,
 )
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch
 
@@ -273,15 +273,19 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
     return mds_batch(d, known, anchors.anchors, conf.nodes).estimate(0)
 
 
-def _observed_rms(anchor_xyz, nodes, rot, trans, ranges, mask) -> np.ndarray:
-    """RMS of the observed-range residuals at poses (B, 3, 3), (B, 3), for
-    ranges and masks (B, A, K); 0 where nothing was observed."""
+def _grid_links(anchor_xyz, nodes, ranges, mask):
+    """range_links of every anchor-node pair of stacked (B, A, K) ranges and
+    masks, the unobserved links weighted zero."""
     b, a, k = mask.shape
     jj, kk = link_grid(a, k)
-    observed = mask.reshape(b, -1)
-    links = range_links(nodes, kk, anchor_xyz[jj], ranges.reshape(b, -1), observed)
+    return range_links(nodes, kk, anchor_xyz[jj], ranges.reshape(b, -1), mask.reshape(b, -1))
+
+
+def _observed_rms(rot, trans, links) -> np.ndarray:
+    """RMS of the observed-range residuals of _grid_links `links` at poses
+    (B, 3, 3), (B, 3); 0 where nothing was observed."""
     res = range_residuals(rot, trans, links, jacobian=False)[0]
-    return np.sqrt(np.add.reduce(res**2, axis=-1) / np.maximum(observed.sum(axis=-1), 1))
+    return np.sqrt(np.add.reduce(res**2, axis=-1) / np.maximum(links[5].sum(axis=-1), 1))
 
 
 def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
@@ -293,7 +297,8 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
     q, shift, _, _, _ = fit_alignment(points[:, :a], anchor_xyz, None, proper=False)
     node_positions = points[:, a:] @ q.mT + shift[:, None, :]
     rot, trans, collinear = _procrustes(nodes, node_positions, None)
-    residual = _observed_rms(anchor_xyz, nodes, rot, trans, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
+    links = _grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
+    residual = _observed_rms(rot, trans, links)
     degenerate = eigvals[:, 2] <= 1e-9 * np.maximum(eigvals[:, 0], 1e-300)
     errors = [None] * len(d) if errors is None else list(errors)
     for i, error in enumerate(errors):
@@ -365,29 +370,28 @@ def nls_weights(sigma) -> np.ndarray:
     return 1.0 / np.where(sigma > 0.0, sigma, 1.0) ** 2
 
 
-def _nls_residuals(rot, trans, links, w_range, aoa, w_angle, jacobian=True):
-    """Stacked weighted residuals, Jacobian rows and curvature of poses (B, 3, 3), (B, 3).
+def _nls_residuals(rot, trans, links, sw_range, w_range, aoa, sw_angle, jacobian, geometry):
+    """pose_gauss_newton's callback values for NLS fits of poses (B, 3, 3), (B, 3).
 
     `links` are the geometry.range_links of every anchor-node pair; aoa
     (B, M, 2) holds the links' (azimuth, elevation) or is None. The
-    residuals and rows are geometry's range_residuals then angle_residuals,
-    each scaled by the square root of its type weight (B,); the curvature is
-    the ranges' range_curvature.
-    jacobian=False gives None for both.
+    residuals and rows are geometry's range_terms then angle_residuals, each
+    scaled by the square root of its type weight, sw_range and sw_angle
+    (B, 1); the curvature is the ranges', times their weight w_range
+    (B, 1, 1). jacobian=False gives None for both; `geometry` is
+    range_terms'.
     """
-    range_res, range_rows, delta, dist = range_residuals(rot, trans, links, jacobian)
-    sw = np.sqrt(w_range)[:, None]
-    res, rows, curv = sw * range_res, None, None
+    range_res, range_rows, curv, geometry = range_terms(rot, trans, links, jacobian, geometry)
+    res, rows = sw_range * range_res, None
     if jacobian:
-        rows = sw[..., None] * range_rows
-        curv = w_range[:, None, None] * range_curvature(rot, links, range_res, range_rows, dist)
+        rows, curv = sw_range[..., None] * range_rows, w_range * curv
     if aoa is not None:
+        _, _, delta, dist = geometry
         angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, jacobian)
-        sa = np.sqrt(w_angle)[:, None]
-        res = np.concatenate([res, sa * angle_res], axis=-1)
+        res = np.concatenate([res, sw_angle * angle_res], axis=-1)
         if jacobian:
-            rows = np.concatenate([rows, sa[..., None] * angle_rows], axis=-2)
-    return res, rows, curv
+            rows = np.concatenate([rows, sw_angle[..., None] * angle_rows], axis=-2)
+    return res, rows, curv, geometry
 
 
 def estimate_pose_nls(
@@ -429,10 +433,8 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
     estimate. Each item solves on the full anchor x node link grid with its
     unobserved links weighted zero, and is scored on its observed ranges.
     """
-    b, a, k = mask.shape
-    jj, kk = link_grid(a, k)
-    observed = mask.reshape(b, -1)
-    n_res = observed.sum(axis=-1) * (1 if aoa is None else 3)
+    b = len(mask)
+    n_res = mask.sum(axis=(-2, -1)) * (1 if aoa is None else 3)
     errors = [
         UnderdeterminedError(f"pose has 6 degrees of freedom; got {n} residuals") if n < 6 else None
         for n in n_res.tolist()
@@ -448,24 +450,22 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
     if items:
         # Every item fits in the common case; the slice then copies nothing.
         fit = slice(None) if len(items) == b else np.array(items)
-        weight = observed[fit].astype(float)
-        links = range_links(nodes, kk, anchor_xyz[jj], ranges.reshape(b, -1)[fit], weight)
+        links = _grid_links(anchor_xyz, nodes, ranges[fit], mask[fit])
         aoa_f = None if aoa is None else np.where(mask[..., None], aoa, 0.0).reshape(b, -1, 2)[fit]
+        # Per-fit constants, once per fit: the weights' square roots and the curvature's weight.
+        w_r, w_a = w_range[fit], w_angle[fit]
+        constants = (np.sqrt(w_r)[:, None], w_r[:, None, None], aoa_f, np.sqrt(w_a)[:, None])
 
-        def residuals(r, t, ranges, weight, w_r, aoa, w_a, jacobian):
-            grid = links[:4] + (ranges, weight, links[6])
-            return _nls_residuals(r, t, grid, w_r, aoa, w_a, jacobian)
+        def residuals(r, t, ranges, weight, *rest):
+            return _nls_residuals(r, t, links[:4] + (ranges, weight, links[6]), *rest)
 
         r_fit, t_fit, iterations[fit], converged[fit], fit_messages = pose_gauss_newton(
-            residuals, rot[fit], trans[fit], NLS_MAX_ITERS,
-            args=(links[4], weight, w_range[fit], aoa_f, w_angle[fit]),
+            residuals, rot[fit], trans[fit], NLS_MAX_ITERS, args=links[4:6] + constants
         )
         projected, projection_errors = project_batch(r_fit)
         diff = (projected - r_fit).reshape(-1, 9)
         projection[fit] = np.sqrt(np.vecdot(diff, diff))  # np.linalg.norm of each difference
-        residual_rms[fit] = _observed_rms(
-            anchor_xyz, nodes, projected, t_fit, ranges[fit], mask[fit]
-        )
+        residual_rms[fit] = _observed_rms(projected, t_fit, links)
         rot[fit], trans[fit] = projected, t_fit
         for i, message, error in zip(items, fit_messages, projection_errors):
             messages[i], errors[i] = message, error
@@ -551,8 +551,9 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
         if n < 3 else AmbiguousAlignmentError(_COLLINEAR) if bad else None
         for n, bad in zip(n_usable, collinear)
     ]
+    links = _grid_links(anchor_xyz, nodes, ranges, mask)
     return PoseBatch(
-        "gabp", rot, trans, _observed_rms(anchor_xyz, nodes, rot, trans, ranges, mask), errors,
+        "gabp", rot, trans, _observed_rms(rot, trans, links), errors,
         per_node_positions=means, node_variances=variances,
     )
 

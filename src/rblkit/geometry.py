@@ -12,6 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # np.linalg's LAPACK gufuncs, called without its raise
 
 from .errors import (
     DegenerateConformationError,
@@ -415,16 +416,19 @@ def range_residuals(rot, trans, links, jacobian=True):
     coincides with an anchor. The residuals are None without ranges, the
     rows without `jacobian`.
     """
-    nodes, kk, nodes_k, anchor_xyz, ranges, weight, _ = links
+    nodes, kk, _, anchor_xyz, ranges, weight, _ = links
     # The pose is applied before the gather: a matmul on gathered rows can round differently.
     delta = transform_points(nodes, rot, trans).take(kk, axis=-2) - anchor_xyz
     dist = np.sqrt(np.add.reduce(delta * delta, axis=-1))  # what np.linalg.norm(axis=-1) computes
     res = None if ranges is None else (dist - ranges) * weight
-    if not jacobian:
-        return res, None, delta, dist
+    return res, range_rows(rot, links, delta, dist) if jacobian else None, delta, dist
+
+
+def range_rows(rot, links, delta, dist):
+    """range_residuals' rows, from its offsets and distances at the rotations rot."""
     # A nonzero dist is at least 1e-162, so the floor only turns 0 / 0 into 0.
-    units = delta / np.maximum(dist, 1e-300)[..., None] * weight[..., None]
-    return res, pose_jacobian_rows(nodes_k, units, rot), delta, dist
+    units = delta / np.maximum(dist, 1e-300)[..., None] * links[5][..., None]
+    return pose_jacobian_rows(links[2], units, rot)
 
 
 def range_curvature(rot, links, res, rows, dist):
@@ -451,6 +455,17 @@ def range_curvature(rot, links, res, rows, dist):
     rotation_block = curv[..., :3, :3]  # a view: += writes curv
     rotation_block += 0.5 * (gc + gc.mT) - trace * _EYE3
     return curv - (rows * alpha[..., None]).mT @ rows
+
+
+def range_terms(rot, trans, links, jacobian, geometry):
+    """pose_gauss_newton's callback values for a range fit, with `geometry`
+    None or, reused, range_residuals(rot, trans, links, False)."""
+    geometry = geometry or range_residuals(rot, trans, links, False)
+    res, _, delta, dist = geometry
+    if not jacobian:
+        return res, None, None, geometry
+    rows = range_rows(rot, links, delta, dist)
+    return res, rows, range_curvature(rot, links, res, rows, dist), geometry
 
 
 def angle_residuals(rot, links, delta, dist, aoa, jacobian=True):
@@ -482,46 +497,41 @@ def angle_residuals(rot, links, delta, dist, aoa, jacobian=True):
     return res, rows
 
 
-def _stacked(solver, *stacks):
-    """solver on stacks of matrices at once; only when the stacked LAPACK call
-    raises is each item retried on its own. Returns the results, zero for
-    items that raised, and which items succeeded (None when all did)."""
-    try:
-        return solver(*stacks), None
-    except np.linalg.LinAlgError:
-        out, ok = np.zeros(stacks[-1].shape), np.ones(len(stacks[0]), dtype=bool)
-        for i, item in enumerate(zip(*stacks)):
-            try:
-                out[i] = solver(*item)
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return out, ok
+@np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
+def _lapack(gufunc, *stacks) -> np.ndarray:
+    """A np.linalg gufunc on whole stacks of matrices in one call that never
+    raises: LAPACK decides each item as np.linalg would alone, and an item
+    it fails on comes back all NaN."""
+    return gufunc(*stacks)
 
 
-def _take(args, idx):
-    return tuple(None if a is None else a[idx] for a in args)
+def _take(stacks, idx):
+    return None if stacks is None else tuple(None if a is None else a[idx] for a in stacks)
 
 
 def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     """Damped Newton least-squares fits of B poses (rot, trans), (B, 3, 3)
     and (B, 3), run in lockstep.
 
-    `residuals(rot, trans, *args, jacobian)` returns (res, rows, curvature)
-    for a stack of poses: the residuals (b, M) and, when `jacobian` is true
-    (once per iteration, at its starting poses), their rows (b, M, 6) for a
-    right perturbation (rot expm([d_theta]x), trans + d_t) and sum_i res_i
-    Hess(res_i) (b, 6, 6) in that chart, or None; the same residuals give
-    the iteration's starting cost, so a fit started at its minimum makes one
-    Jacobian and one trial evaluation. Every entry of `args` is None or
-    holds one item per pose along its first axis; the kernel hands the
-    callback the items of the poses it passes. A step solves with
-    rows^T rows + curvature where that is positive definite (quadratic
-    convergence on large residuals), else with rows^T rows (Gauss-Newton),
-    damped on diag(rows^T rows). It is accepted when it raises the cost by
-    at most the band cost * 1e-12 + 1e-18. A fit has converged when a step
-    accepted on the first damping try moves the cost by no more than that
-    band: a relative test, the same at any noise level and in any units,
-    that a step damping had to shrink never passes.
+    `residuals(rot, trans, *args, jacobian, geometry)` returns (res, rows,
+    curvature, geometry) for a stack of poses: the residuals (b, M) and,
+    when `jacobian` is true (once per iteration, at its starting poses),
+    their rows (b, M, 6) for a right perturbation (rot expm([d_theta]x),
+    trans + d_t) and sum_i res_i Hess(res_i) (b, 6, 6) in that chart, or
+    None. `geometry` holds per-pose stacks, or Nones, that the callback
+    computed on the way; a trial's comes back with `jacobian` when its poses
+    are the next linearization point, else None is passed. The same
+    residuals give the iteration's starting cost, so a fit started at its
+    minimum makes one Jacobian and one trial evaluation. Every entry of
+    `args` is None or holds one item per pose along its first axis; the
+    kernel hands the callback the items of the poses it passes. A step
+    solves with rows^T rows + curvature where that is positive definite
+    (quadratic convergence on large residuals), else with rows^T rows
+    (Gauss-Newton), damped on diag(rows^T rows). It is accepted when it
+    raises the cost by at most the band cost * 1e-12 + 1e-18. A fit has
+    converged when a step accepted on the first damping try moves the cost
+    by no more than that band: a relative test, the same at any noise level
+    and in any units, that a step damping had to shrink never passes.
 
     Damping, cost and band are per fit, and finished fits leave the stack,
     so each fit's numbers are those it gets alone. Returns (rot, trans,
@@ -534,26 +544,26 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     messages = [f"cost change above relative 1e-12 after {max_iters} iterations"] * n
 
     def attempt(r, t, hess, descent, lam, scale, ceiling, a):
-        """One damping try: (accepted, tried poses, their costs)."""
+        """One damping try: (accepted, tried poses, their costs, their geometry)."""
         damped = hess.copy()
         diagonal = damped.reshape(-1, 36)[:, ::7]  # a view: += writes damped's diagonal
         diagonal += lam[:, None] * scale
-        step, solved = _stacked(np.linalg.solve, damped, descent)
+        step = _lapack(_umath_linalg.solve, damped, descent)
         r_try, t_try = r @ so3_exp(step[:, :3, 0]), t + step[:, 3:, 0]
-        res = residuals(r_try, t_try, *a, False)[0]
+        res, _, _, geometry = residuals(r_try, t_try, *a, False, None)
         c_try = np.vecdot(res, res)  # rounds as res @ res
         # Accept non-increase up to float resolution of the cost itself:
         # near the minimum no step can beat the ulp-level plateau.
-        ok = c_try <= ceiling
-        return ok if solved is None else ok & solved, r_try, t_try, c_try
+        ok = (c_try <= ceiling) & (step[:, 0, 0] == step[:, 0, 0])  # not where the solve failed
+        return ok, r_try, t_try, c_try, geometry
 
     live = np.arange(n)
-    r, t = rot, trans
+    r, t, geometry = rot, trans, None
     lam = np.full(n, 1e-6)
     for it in range(1, max_iters + 1):
         if not live.size:
             break
-        res, jac, curv = residuals(r, t, *args, True)
+        res, jac, curv, _ = residuals(r, t, *args, True, geometry)
         cost = np.vecdot(res, res)  # bit for bit the cost its accepted trial had
         descent = -(jac.mT @ res[..., None])  # minus the gradient, (b, 6, 1)
         hess = jac.mT @ jac
@@ -564,21 +574,23 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
         scale = np.maximum(diag, 1e-12 * largest)
         if curv is not None:  # Newton where positive definite, else Gauss-Newton
             newton = hess + curv
-            definite = _stacked(np.linalg.cholesky, newton)[1]
-            hess = newton if definite is None else np.where(definite[:, None, None], newton, hess)
+            corner = _lapack(_umath_linalg.cholesky_lo, newton)[:, 0, 0]
+            hess = np.where((corner == corner)[:, None, None], newton, hess)  # NaN: indefinite
         band = cost * 1e-12 + 1e-18
         ceiling = cost + band
-        first, r_new, t_new, c_new = attempt(r, t, hess, descent, lam, scale, ceiling, args)
+        first, r_new, t_new, c_new, geometry = attempt(
+            r, t, hess, descent, lam, scale, ceiling, args
+        )
         conv = np.abs(cost - c_new) <= band
         accepted = first
         # Fast path: every fit accepts its current damping on the first try.
         if np.count_nonzero(first) < len(first):
             conv &= first  # a step that damping had to shrink never converges
-            accepted = first.copy()
+            accepted, geometry = first.copy(), None
             lam[~first] *= 10.0
             todo = np.flatnonzero(~first & (lam <= 1e8))
             while todo.size:
-                ok, r_try, t_try, _ = attempt(
+                ok, r_try, t_try, _, _ = attempt(
                     r[todo], t[todo], hess[todo], descent[todo], lam[todo], scale[todo],
                     ceiling[todo], _take(args, todo),
                 )
@@ -603,7 +615,7 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
                 return rot, trans, iterations, converged, messages
             keep = ~done
             live, r, t, lam = live[keep], r[keep], t[keep], lam[keep]
-            args = _take(args, keep)
+            args, geometry = _take(args, keep), _take(geometry, keep)
     rot[live], trans[live] = r, t
     return rot, trans, iterations, converged, messages
 

@@ -195,7 +195,9 @@ class ScenarioConfig:
             raise ConfigError(
                 "exactly one of pose and pose_distribution must be set", field="pose"
             )
-        unknown = set(self.measurement_kinds) - set(MEASUREMENT_KINDS)
+        kinds = converted(_tuple, self.measurement_kinds, "measurements")
+        object.__setattr__(self, "measurement_kinds", kinds)
+        unknown = set(kinds) - set(MEASUREMENT_KINDS)
         if unknown:
             raise ConfigError(
                 f"unknown kinds {sorted(unknown)}; known: {', '.join(MEASUREMENT_KINDS)}",
@@ -615,7 +617,7 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
             dist[box[0]], dist[box[1]] = zip(*rows)
         settings["pose_distribution"] = PoseDistribution(**dist)
     if "measurements" in doc:
-        settings["measurement_kinds"] = converted(_tuple, doc["measurements"], "measurements")
+        settings["measurement_kinds"] = doc["measurements"]
     return ScenarioConfig(**settings)
 
 

@@ -387,14 +387,16 @@ def hull_keep(anchor_xyz, world, facets) -> np.ndarray:
     # facet) tuples at once. Right operands of shape (3, 1) keep each product a
     # matrix-vector one, which rounds as normals @ vector does.
     num = -((normals[:, None] @ anchor_xyz[:, :, None])[..., 0] + offsets[:, None] + _HULL_MARGIN)
-    num = num[:, :, None, :]
     den = (normals[:, None, None] @ (world[:, None] - anchor_xyz[:, None])[..., None])[..., 0]
+    # Facets first, (F, B, A, K): a masked min or max over contiguous rows is fast.
+    num = np.moveaxis(num, -1, 0)[..., None]
+    den = np.ascontiguousarray(np.moveaxis(den, -1, 0))
     # A facet parallel to the link bounds no t, unless the link lies outside it (num < 0).
     parallel = np.abs(den) < 1e-300
     bound = num / np.where(parallel, 1.0, den)
-    hi = np.where(den > 0.0, bound, np.inf).min(axis=-1, where=~parallel, initial=1.0)
-    lo = np.where(den < 0.0, bound, -np.inf).max(axis=-1, where=~parallel, initial=0.0)
-    return (lo > hi) | (parallel & (num < 0.0)).any(axis=-1)
+    hi = np.where(den > 0.0, bound, np.inf).min(axis=0, where=~parallel, initial=1.0)
+    lo = np.where(den < 0.0, bound, -np.inf).max(axis=0, where=~parallel, initial=0.0)
+    return (lo > hi) | (parallel & (num < 0.0)).any(axis=0)
 
 
 def apply_blockage(meas: MeasurementSet, keep) -> MeasurementSet:

@@ -39,6 +39,7 @@ from .geometry import (
 from .measurement import AnchorSet, MeasurementSet, NoiseModel
 
 _RANK_RCOND = 1e-10
+_EYE3 = np.eye(3)
 
 
 def estimate_twist(
@@ -64,7 +65,7 @@ def estimate_twist(
         raise UnderdeterminedError(f"twist has 6 degrees of freedom; got {jj.size} rates")
     links = range_links(conf.nodes, kk, anchors.anchors[jj], None)
     _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
-    rows = pose_jacobian_rows(links[2] @ pose.rotation.T, delta / dist[:, None], np.eye(3))
+    rows = pose_jacobian_rows(links[2] @ pose.rotation.T, delta / dist[:, None], _EYE3)
     obs = rates[jj, kk]
     if weights is not None:
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])

@@ -312,11 +312,14 @@ class TestEstimatePoseNls:
         for _ in range(5):
             pose = random_pose(rng)
             args = (
-                pose.rotation[None], pose.translation[None], links, np.array([4.0]),
-                aoa, np.array([9.0]),
+                pose.rotation[None], pose.translation[None], links, np.array([[2.0]]),
+                np.array([[[4.0]]]), aoa, np.array([[3.0]]),
             )
-            res, jac, _ = _nls_residuals(*args)
-            res_only, no_jac, _ = _nls_residuals(*args, jacobian=False)
+            res, jac, _, _ = _nls_residuals(*args, True, None)
+            res_only, no_jac, _, geometry = _nls_residuals(*args, False, None)
+            # The trial's geometry, handed back, gives the same rows bit for bit.
+            again, reused, _, _ = _nls_residuals(*args, True, geometry)
+            assert np.array_equal(again, res) and np.array_equal(reused, jac)
             assert no_jac is None and jac.shape == res.shape + (6,)
             assert np.array_equal(res_only, res)
             assert float(np.vecdot(res_only, res_only)[0]) == float(res[0] @ res[0])

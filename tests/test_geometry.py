@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,6 +19,7 @@ from rblkit.geometry import (
     Pose,
     RigidBodyState,
     Twist,
+    _lapack,
     apply_pose,
     compose_poses,
     inverse_pose,
@@ -29,6 +33,7 @@ from rblkit.geometry import (
     range_curvature,
     range_links,
     range_residuals,
+    range_terms,
     rotation_error_deg,
     so3_exp,
     so3_log,
@@ -190,21 +195,19 @@ def cube_range_links(pose):
     return range_links(nodes, kk, anchors[jj], dist)
 
 
-def range_fit(rot, trans, ranges, jacobian):
+def range_fit(rot, trans, ranges, jacobian, geometry):
     """pose_gauss_newton's callback for cube range fits, one range row per item."""
     links = cube_range_links(Pose.identity())
-    grid = links[:4] + (ranges,) + links[5:]
-    res, rows, _, dist = range_residuals(rot, trans, grid, jacobian)
-    return res, rows, None if rows is None else range_curvature(rot, grid, res, rows, dist)
+    return range_terms(rot, trans, links[:4] + (ranges,) + links[5:], jacobian, geometry)
 
 
-def flipped_range_fit(rot, trans, ranges, flip, jacobian):
+def flipped_range_fit(rot, trans, ranges, flip, jacobian, geometry):
     """range_fit whose rows are negated where flip is -1: every step such an
     item tries goes uphill, so its damping schedule runs out."""
-    res, rows, curv = range_fit(rot, trans, ranges, jacobian)
+    res, rows, curv, geometry = range_fit(rot, trans, ranges, jacobian, geometry)
     if not jacobian:
-        return res, None, None
-    return res, rows * flip[:, None, None], curv * (flip > 0)[:, None, None]
+        return res, None, None, geometry
+    return res, rows * flip[:, None, None], curv * (flip > 0)[:, None, None], geometry
 
 
 class TestPoseGaussNewton:
@@ -225,15 +228,45 @@ class TestPoseGaussNewton:
         links = cube_range_links(pose)
         calls = []
 
-        def counting(rot, trans, ranges, jacobian):
+        def counting(rot, trans, ranges, jacobian, geometry):
             calls.append(jacobian)
-            return range_fit(rot, trans, ranges, jacobian)
+            return range_fit(rot, trans, ranges, jacobian, geometry)
 
         *_, iterations, converged, _ = pose_gauss_newton(
             counting, pose.rotation[None], pose.translation[None], 50, args=(links[4][None],)
         )
         assert (iterations[0], converged[0]) == (1, True)
         assert calls == [True, False]
+
+    def test_accepted_trial_geometry_is_the_next_linearization(self):
+        # A fit that accepts every first damping try hands each trial's
+        # geometry back to the next iteration's rows: I iterations evaluate
+        # the geometry I + 1 times, not 2 I.
+        pose = random_pose(np.random.default_rng(46))
+        links = cube_range_links(pose)
+        trials, evaluations = [], []
+
+        def counting(rot, trans, ranges, jacobian, geometry):
+            trials.append(not jacobian)
+            evaluations.append(geometry is None)
+            return range_fit(rot, trans, ranges, jacobian, geometry)
+
+        start = pose.rotation @ so3_exp([0.2, -0.1, 0.15])
+        rot, trans, iterations, converged, _ = pose_gauss_newton(
+            counting, start[None], (pose.translation + 0.1)[None], 50, args=(links[4][None],)
+        )
+        assert converged[0] and iterations[0] >= 3
+        assert sum(trials) == iterations[0]  # one damping try per iteration
+        assert sum(evaluations) == iterations[0] + 1
+
+        def recomputing(rot, trans, ranges, jacobian, geometry):
+            return range_fit(rot, trans, ranges, jacobian, None)
+
+        # The reused geometry is the recomputed one, bit for bit.
+        fresh = pose_gauss_newton(
+            recomputing, start[None], (pose.translation + 0.1)[None], 50, args=(links[4][None],)
+        )
+        assert np.array_equal(fresh[0], rot) and np.array_equal(fresh[1], trans)
 
     def test_step_accepted_after_a_rejection_never_converges(self):
         # The cost callback rejects the first try of every iteration, then
@@ -242,10 +275,10 @@ class TestPoseGaussNewton:
         costs = iter([4.0, 1.0] * 3)
         jac = np.eye(6)[None]
 
-        def residuals(rot, trans, jacobian):
+        def residuals(rot, trans, jacobian, geometry):
             if jacobian:
-                return np.full((1, 6), 1.0 / np.sqrt(6.0)), jac, None
-            return np.full((1, 6), np.sqrt(next(costs) / 6.0)), None, None
+                return np.full((1, 6), 1.0 / np.sqrt(6.0)), jac, None, None
+            return np.full((1, 6), np.sqrt(next(costs) / 6.0)), None, None, None
 
         *_, iterations, converged, messages = pose_gauss_newton(
             residuals, np.eye(3)[None], np.zeros((1, 3)), 3
@@ -274,9 +307,10 @@ class TestPoseGaussNewton:
         b = rng.uniform(-0.3, 0.3, 6)
         gn = a.T @ a
 
-        def residuals(rot, trans, jacobian):
+        def residuals(rot, trans, jacobian, geometry):
             res = (a @ np.concatenate([so3_log(rot[0]), trans[0]]) - b)[None]
-            return (res, a[None], curvature_sign * gn[None]) if jacobian else (res, None, None)
+            curv = curvature_sign * gn[None] if jacobian else None
+            return res, a[None] if jacobian else None, curv, None
 
         rot, trans, *_ = pose_gauss_newton(residuals, np.eye(3)[None], np.zeros((1, 3)), 1)
         hess = gn + curvature_sign * gn if newton else gn
@@ -303,6 +337,14 @@ class TestPoseGaussNewton:
         stacked = pose_gauss_newton(
             flipped_range_fit, np.array(starts_rot), np.array(starts_trans), 4, args=args
         )
+        # Handing a trial's geometry back changes no bit against recomputing
+        # it, across rejected tries and fits that leave the stack too.
+        fresh = pose_gauss_newton(
+            lambda *fit: flipped_range_fit(*fit[:-1], None),
+            np.array(starts_rot), np.array(starts_trans), 4, args=args,
+        )
+        for fresh_out, stack_out in zip(fresh, stacked):
+            assert np.array_equal(fresh_out, stack_out)
         messages = stacked[4]
         assert "" in messages
         assert "cost change above relative 1e-12 after 4 iterations" in messages
@@ -315,6 +357,120 @@ class TestPoseGaussNewton:
             for stack_out, single_out in zip(stacked[:4], single[:4]):
                 assert np.array_equal(stack_out[i], single_out[0])
             assert single[4][0] == messages[i]
+
+
+def lapack_stack(rng, b):
+    """(B, 6, 6) matrices of mixed kinds: positive definite, symmetric
+    indefinite, positive semidefinite of rank 4 (LAPACK may factor it or
+    not), with two equal rows, or with a zero row."""
+    stack = []
+    for kind in rng.integers(0, 5, b):
+        a = rng.standard_normal((6, 6))
+        m = [a @ a.T + 0.1 * np.eye(6), a + a.T, a[:, :4] @ a[:, :4].T, a, a][kind]
+        if kind == 3:
+            m[4] = m[1]
+        elif kind == 4:
+            m[2] = 0.0
+        stack.append(m)
+    return np.array(stack)
+
+
+class TestLapackDecisions:
+    # The kernel calls numpy.linalg's private LAPACK gufuncs on whole stacks
+    # and reads a failed item as NaN; these tests pin that to np.linalg's own
+    # per-item behaviour, so a numpy upgrade that changes it shows here.
+
+    def test_stacked_flags_equal_per_item_numpy_linalg(self):
+        rng = np.random.default_rng(47)
+        outcomes = set()
+        for b in (1, 2, 5, 24):
+            for _ in range(10):
+                stack = lapack_stack(rng, b)
+                rhs = rng.standard_normal((b, 6, 1))
+                factors = _lapack(_umath_linalg.cholesky_lo, stack)
+                steps = _lapack(_umath_linalg.solve, stack, rhs)
+                for i in range(b):
+                    try:
+                        np.linalg.cholesky(stack[i])
+                        factored = True
+                    except np.linalg.LinAlgError:
+                        factored = False
+                    # The kernel reads a NaN corner as "not positive definite".
+                    assert np.isnan(factors[i, 0, 0]) == (not factored)
+                    assert np.isnan(factors[i]).all() or factored
+                    try:
+                        expected = np.linalg.solve(stack[i], rhs[i])
+                    except np.linalg.LinAlgError:
+                        assert np.isnan(steps[i]).all()
+                        outcomes.add(("singular", factored))
+                    else:
+                        assert np.array_equal(steps[i], expected)
+                        outcomes.add(("solved", factored))
+        assert {o[0] for o in outcomes} == {"solved", "singular"}
+        assert {o[1] for o in outcomes} == {True, False}
+
+    def test_an_indefinite_item_keeps_the_stack_in_one_call(self, monkeypatch):
+        # Items A [so3_log(rot), trans] - b, the middle one with an indefinite
+        # Newton matrix: one stacked Cholesky and one stacked solve serve the
+        # iteration, and np.linalg is never called item by item.
+        rng = np.random.default_rng(48)
+        a = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+        b = rng.uniform(-0.3, 0.3, (3, 6))
+        signs = np.array([1.0, -2.0, 1.0])[:, None, None]
+        newton = a.T @ a * (1.0 + signs)  # rows^T rows + curvature
+        assert [bool(np.linalg.eigvalsh(m).min() > 0.0) for m in newton] == [True, False, True]
+        calls = []
+
+        def counted(name):
+            gufunc = getattr(_umath_linalg, name)
+            return lambda *stacks: calls.append((name, len(stacks[0]))) or gufunc(*stacks)
+
+        def refuse(*_):
+            raise AssertionError("per-item np.linalg call")
+
+        monkeypatch.setattr(
+            "rblkit.geometry._umath_linalg",
+            SimpleNamespace(cholesky_lo=counted("cholesky_lo"), solve=counted("solve")),
+        )
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+
+        def residuals(rot, trans, b, signs, jacobian, geometry):
+            x = np.array([np.concatenate([so3_log(r), t]) for r, t in zip(rot, trans)])
+            res = x @ a.T - b
+            if not jacobian:
+                return res, None, None, None
+            return res, np.broadcast_to(a, (len(b), 6, 6)), signs * (a.T @ a), None
+
+        pose_gauss_newton(residuals, np.tile(np.eye(3), (3, 1, 1)), np.zeros((3, 3)), 1, (b, signs))
+        assert calls == [("cholesky_lo", 3), ("solve", 3)]
+
+    def test_a_failed_solve_is_never_accepted(self, monkeypatch):
+        # The solve fails (comes back NaN) on the item whose residuals are 2;
+        # the callback's cost ignores the pose, so only the failure flag can
+        # reject that step, and that fit's damping schedule runs out.
+        def failing(a, b):
+            out = _umath_linalg.solve(a, b)
+            out[b[:, 0, 0] == -2.0] = np.nan
+            return out
+
+        monkeypatch.setattr(
+            "rblkit.geometry._umath_linalg",
+            SimpleNamespace(cholesky_lo=_umath_linalg.cholesky_lo, solve=failing),
+        )
+
+        def residuals(rot, trans, level, jacobian, geometry):
+            res = np.repeat(level, 6, axis=1)
+            rows = np.broadcast_to(np.eye(6), (len(res), 6, 6)) if jacobian else None
+            return res, rows, None, None
+
+        levels = np.array([[1.0], [2.0]])
+        rot, trans, _, converged, messages = pose_gauss_newton(
+            residuals, np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 3)), 5, (levels,)
+        )
+        assert converged.tolist() == [True, False]
+        assert messages[1] == "damping schedule exhausted without cost decrease"
+        assert np.array_equal(rot[1], np.eye(3)) and np.array_equal(trans[1], np.zeros(3))
 
 
 def masked_preset_links(name, seed, p_keep, sigma):

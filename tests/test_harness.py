@@ -117,6 +117,14 @@ class TestConfigs:
         small_scenario(measurement_kinds=aoa, noise=NoiseModel(angle_sigma=0.01))
         small_scenario(noise=NoiseModel())
 
+    def test_measurement_kinds_refuse_a_string(self):
+        # A string is one kind's name, not a list of kinds: it is refused by
+        # name, not read as its characters.
+        with pytest.raises(ConfigError, match="'range'") as caught:
+            small_scenario(measurement_kinds="range")
+        assert caught.value.field == "measurements"
+        assert small_scenario(measurement_kinds=["range"]).measurement_kinds == ("range",)
+
     def test_blockage_spec_validation(self):
         with pytest.raises(ConfigError):
             BlockageSpec(kind="bernoulli", p=1.5)
