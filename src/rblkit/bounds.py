@@ -20,8 +20,7 @@ from .geometry import (
     Pose,
     angle_residuals,
     apply_pose,
-    link_grid,
-    range_links,
+    grid_links,
     range_residuals,
 )
 from .measurement import AnchorSet
@@ -68,10 +67,8 @@ def _unit_rows(anchor_xyz, nodes, rot, trans, mask, angles: bool):
     """The unit-weight rows NLS fits at poses (..., 3, 3), (..., 3) with masks
     (..., A, K): range rows (..., A K, 6) and, with `angles`, azimuth and
     elevation rows (..., 2 A K, 6), else None; zero on unobserved links."""
-    a, k = mask.shape[-2:]
-    jj, kk = link_grid(a, k)
-    observed = mask.reshape(mask.shape[:-2] + (a * k,))
-    links = range_links(nodes, kk, anchor_xyz[jj], None, observed)
+    links = grid_links(anchor_xyz, nodes, None, mask)
+    observed = mask.reshape(mask.shape[:-2] + (-1,))
     _, rows, delta, dist = range_residuals(rot, trans, links)
     if np.any(observed & (dist <= 0.0)):
         raise RblError("anchor coincides with a node; range gradient undefined")

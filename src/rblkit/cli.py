@@ -64,6 +64,15 @@ def _default_sigma(args, scenario, experiment):
     return scenario.noise.range_sigma if scenario.noise.range_sigma > 0 else 0.1
 
 
+def _positive(args, name: str):
+    """args.name, None when unset; refused on its flag unless finite and > 0."""
+    value = getattr(args, name)
+    if value is not None and not 0 < value < float("inf"):
+        flag = "--" + name.replace("_", "-")
+        raise ConfigError(f"must be finite and > 0, got {value}", field=flag)
+    return value
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -99,6 +108,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     scenario, experiment, seed = _resolve_configs(args)
+    _positive(args, "sigma")  # the trace bounds its trial, which needs noise
     sigma = _default_sigma(args, scenario, experiment)
     completion = not args.no_completion and (experiment is None or experiment.completion)
     trace = run_scenario_once(
@@ -122,7 +132,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_crlb(args) -> int:
     scenario, experiment, seed = _resolve_configs(args)
     if args.sigma is not None:
-        grid = (args.sigma,)
+        grid = (_positive(args, "sigma"),)
     elif experiment is not None:
         grid = experiment.sigma_grid
     else:
@@ -161,9 +171,8 @@ def _cmd_track(args) -> int:
         frames = [MeasurementFrame.from_json_dict(f) for f in doc]
     else:
         twist = _parse_twist(args.twist)
-        frames, truth = generate_trajectory(
-            scenario, twist, args.frames, args.dt, noise.range_sigma, seed
-        )
+        n_frames, dt = _positive(args, "frames"), _positive(args, "dt")
+        frames, truth = generate_trajectory(scenario, twist, n_frames, dt, noise.range_sigma, seed)
     config = TrackConfig(estimator=args.estimator, noise=noise)
     track = track_sequence(scenario.anchors, scenario.conformation, frames, config)
     out = _outdir(args)
@@ -194,7 +203,7 @@ def _cmd_complete(args) -> int:
     if "edm" in doc and doc["edm"] is not None:
         doc = doc["edm"]
     edm = Edm.from_json_dict(doc)
-    report = complete_edm(edm, max_iters=args.max_iters)
+    report = complete_edm(edm, max_iters=_positive(args, "max_iters"))
     _write_json(_outdir(args) / "completion.json", report.to_json_dict())
     return 0
 

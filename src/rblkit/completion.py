@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletionInfeasibleError, IncompleteEdmError
-from .geometry import (
-    fit_alignment,
-    link_grid,
-    pose_gauss_newton,
-    range_links,
-    range_terms,
-    transform_points,
-)
+from .geometry import fit_alignment, fit_ranges, grid_links, transform_points
 from .measurement import Edm
 
 
@@ -111,7 +104,7 @@ def complete_edm(edm: Edm, max_iters: int = 500) -> CompletionReport:
     Both diagonal blocks embed exactly by classical MDS (a planar block with
     a zero third coordinate). The linear least-squares fit of the observed
     squared cross distances fills the others; the MDS of that EDM, aligned
-    to both blocks, starts geometry.pose_gauss_newton's Newton steps on the
+    to both blocks, starts geometry.fit_ranges' Newton steps on the
     observed distances until a step accepted on the first damping try moves
     the cost by at most 1e-12 relative (`converged`), or for `max_iters`.
     Known entries of the output are identical to the input.
@@ -156,13 +149,27 @@ class CompletionBatch:
         )
 
 
+def anchored_embedding(d, anchor_xyz):
+    """The classical MDS of squared EDMs (B, n, n), anchors first, mapped
+    into the frame of the anchors (A, 3) by aligning their embedded copies
+    to them, reflections allowed (an embedding's chirality is arbitrary).
+    Returns the mapped node points (B, n - A, 3) and the eigenvalues."""
+    a = len(anchor_xyz)
+    points, eigvals = embed_from_gram(centered_gram(d))
+    q, shift, _, _, _ = fit_alignment(points[:, :a], anchor_xyz, None, proper=False)
+    return points[:, a:] @ q.mT + shift[:, None, :], eigvals
+
+
 def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> CompletionBatch:
     """complete_edm of a stack of incomplete EDMs: squared distances
     (B, n, n), NaN where unknown, their known masks, and n_anchors anchors
     first in each.
 
-    Every item fits on the full anchor x node link grid, its unknown entries
-    weighted zero, so its numbers never depend on the rest of the stack.
+    The items share their anchor block and their node block (one scenario
+    stacked, as chain_batch's and complete_edm's calls are), so both embed
+    once, from the first item. Every item fits on the full anchor x node
+    link grid, its unknown entries weighted zero, so its numbers never
+    depend on the rest of the stack.
     """
     a, b = n_anchors, len(d)
     k = d.shape[-1] - a
@@ -171,38 +178,31 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
     errors = [CompletionInfeasibleError(np.flatnonzero(o)) if o.any() else None for o in orphaned]
     observed = cross_known.reshape(b, a * k)
 
-    anchors, _ = embed_from_gram(centered_gram(d[:, :a, :a]))
-    nodes, _ = embed_from_gram(centered_gram(d[:, a:, a:]))
-    ah = np.concatenate([anchors, np.ones((b, a, 1))], axis=-1)
-    bh = np.concatenate([nodes, np.ones((b, k, 1))], axis=-1)
-    norms = (anchors * anchors).sum(axis=-1)[:, :, None] + (nodes * nodes).sum(axis=-1)[:, None, :]
+    anchors, _ = embed_from_gram(centered_gram(d[0, :a, :a]))
+    nodes, _ = embed_from_gram(centered_gram(d[0, a:, a:]))
+    ah = np.concatenate([anchors, np.ones((a, 1))], axis=-1)
+    bh = np.concatenate([nodes, np.ones((k, 1))], axis=-1)
+    norms = (anchors * anchors).sum(axis=-1)[:, None] + (nodes * nodes).sum(axis=-1)
     # |a - (Q b + t)|^2 - |a|^2 - |b|^2 = [a 1] M [b 1]^T, M = [[-2Q, -2t], [2 t^T Q, |t|^2]];
     # unknown entries are zero rows of the least-squares problem.
-    lifted = (ah[:, :, None, :, None] * bh[:, None, :, None, :]).reshape(b, a * k, 16)
+    lifted = (ah[:, None, :, None] * bh[None, :, None, :]).reshape(a * k, 16)
     lifted = np.where(observed[..., None], lifted, 0.0)
     rhs = np.where(observed, (d[:, :a, a:] - norms).reshape(b, a * k), 0.0)
     rcond = np.finfo(float).eps * max(a * k, 16)  # np.linalg.lstsq's default cutoff
     m = (np.linalg.pinv(lifted, rcond=rcond) @ rhs[..., None]).reshape(b, 4, 4)
-    fill = np.where(cross_known, d[:, :a, a:], norms + ah @ m @ bh.mT)
+    fill = np.where(cross_known, d[:, :a, a:], norms + ah @ m @ bh.T)
     top = np.concatenate([d[:, :a, :a], fill], axis=-1)
     joint = np.concatenate([top, np.concatenate([fill.mT, d[:, a:, a:]], axis=-1)], axis=-2)
-    points, _ = embed_from_gram(centered_gram(joint))
-    q, shift, _, _, _ = fit_alignment(points[:, :a], anchors, None, proper=False)
+    aligned, _ = anchored_embedding(joint, anchors)
     # q is a reflection when the node embedding has the other chirality; the fit keeps it one.
-    aligned = points[:, a:] @ q.mT + shift[:, None, :]
     q, trans, _, _, _ = fit_alignment(nodes, aligned, None, proper=False)
 
-    jj, kk = link_grid(a, k)
-    ranges = np.sqrt(d[:, :a, a:]).reshape(b, a * k)
-    links = range_links(nodes, kk, anchors[:, jj], ranges, observed)
-
-    def residuals(r, t, nodes, nodes_k, anchor_xyz, ranges, weight, levers, *terms):
-        return range_terms(r, t, (nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers), *terms)
-
-    rot, trans, iterations, converged, messages = pose_gauss_newton(
-        residuals, q, trans, max_iters, args=links[:1] + links[2:]
+    links = grid_links(anchors, nodes, np.sqrt(d[:, :a, a:]), cross_known)
+    rot, trans, iterations, converged, messages = fit_ranges(
+        links, q, trans, max_iters, np.ones(b), None, None
     )
-    fit = edm_from_points(np.concatenate([anchors, transform_points(nodes, rot, trans)], axis=-2))
+    fitted = transform_points(nodes, rot, trans)
+    fit = edm_from_points(np.concatenate([np.broadcast_to(anchors, (b, a, 3)), fitted], axis=-2))
     mismatch = np.where(known, np.abs(fit - d), 0.0).max(axis=(-2, -1))
     d = np.where(known, d, fit)
     return CompletionBatch(d, iterations, mismatch, converged, errors, a, messages)

@@ -113,6 +113,14 @@ def converted(kind, value, field: str):
         raise ConfigError(str(exc), field=field) from None
 
 
+def exact(kind, value):
+    """kind(value) of anything but a bool or a string: int() and float()
+    would read those as numbers, and tuple() a string as its characters."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"refused {type(value).__name__} {value!r}")
+    return kind(value)
+
+
 class RangeClampWarning(UserWarning):
     """Noisy ranges went negative and were clamped to zero."""
 

@@ -14,13 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .completion import (
-    CompletionBatch,
-    CompletionReport,
-    centered_gram,
-    complete_batch,
-    embed_from_gram,
-)
+from .completion import CompletionBatch, CompletionReport, anchored_embedding, complete_batch
 from .errors import (
     AmbiguousAlignmentError,
     DegenerateEmbeddingError,
@@ -31,14 +25,12 @@ from .errors import (
 from .geometry import (
     Conformation,
     Pose,
-    angle_residuals,
     fit_alignment,
-    link_grid,
-    pose_gauss_newton,
+    fit_ranges,
+    grid_links,
     project_batch,
     range_links,
     range_residuals,
-    range_terms,
 )
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch
 
@@ -273,16 +265,8 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
     return mds_batch(d, known, anchors.anchors, conf.nodes).estimate(0)
 
 
-def _grid_links(anchor_xyz, nodes, ranges, mask):
-    """range_links of every anchor-node pair of stacked (B, A, K) ranges and
-    masks, the unobserved links weighted zero."""
-    b, a, k = mask.shape
-    jj, kk = link_grid(a, k)
-    return range_links(nodes, kk, anchor_xyz[jj], ranges.reshape(b, -1), mask.reshape(b, -1))
-
-
 def _observed_rms(rot, trans, links) -> np.ndarray:
-    """RMS of the observed-range residuals of _grid_links `links` at poses
+    """RMS of the observed-range residuals of grid_links `links` at poses
     (B, 3, 3), (B, 3); 0 where nothing was observed."""
     res = range_residuals(rot, trans, links, jacobian=False)[0]
     return np.sqrt(np.add.reduce(res**2, axis=-1) / np.maximum(links[5].sum(axis=-1), 1))
@@ -293,11 +277,9 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
     anchors first, scored on the cross entries their masks `known` mark as
     measured; items failed upstream (`errors`) keep their error."""
     a = len(anchor_xyz)
-    points, eigvals = embed_from_gram(centered_gram(d), dim=3)
-    q, shift, _, _, _ = fit_alignment(points[:, :a], anchor_xyz, None, proper=False)
-    node_positions = points[:, a:] @ q.mT + shift[:, None, :]
+    node_positions, eigvals = anchored_embedding(d, anchor_xyz)
     rot, trans, collinear = _procrustes(nodes, node_positions, None)
-    links = _grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
+    links = grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
     residual = _observed_rms(rot, trans, links)
     degenerate = eigvals[:, 2] <= 1e-9 * np.maximum(eigvals[:, 0], 1e-300)
     errors = [None] * len(d) if errors is None else list(errors)
@@ -370,30 +352,6 @@ def nls_weights(sigma) -> np.ndarray:
     return 1.0 / np.where(sigma > 0.0, sigma, 1.0) ** 2
 
 
-def _nls_residuals(rot, trans, links, sw_range, w_range, aoa, sw_angle, jacobian, geometry):
-    """pose_gauss_newton's callback values for NLS fits of poses (B, 3, 3), (B, 3).
-
-    `links` are the geometry.range_links of every anchor-node pair; aoa
-    (B, M, 2) holds the links' (azimuth, elevation) or is None. The
-    residuals and rows are geometry's range_terms then angle_residuals, each
-    scaled by the square root of its type weight, sw_range and sw_angle
-    (B, 1); the curvature is the ranges', times their weight w_range
-    (B, 1, 1). jacobian=False gives None for both; `geometry` is
-    range_terms'.
-    """
-    range_res, range_rows, curv, geometry = range_terms(rot, trans, links, jacobian, geometry)
-    res, rows = sw_range * range_res, None
-    if jacobian:
-        rows, curv = sw_range[..., None] * range_rows, w_range * curv
-    if aoa is not None:
-        _, _, delta, dist = geometry
-        angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, jacobian)
-        res = np.concatenate([res, sw_angle * angle_res], axis=-1)
-        if jacobian:
-            rows = np.concatenate([rows, sw_angle[..., None] * angle_rows], axis=-2)
-    return res, rows, curv, geometry
-
-
 def estimate_pose_nls(
     meas: MeasurementSet,
     anchors: AnchorSet,
@@ -406,7 +364,7 @@ def estimate_pose_nls(
     Residual types are weighted by their inverse noise variances (weight 1
     where the noise level is zero or unknown); angle residuals are wrapped
     before squaring. The default starting point is the MDS estimate on the
-    (completed, if necessary) EDM. The solver is geometry.pose_gauss_newton,
+    (completed, if necessary) EDM. The solver is geometry.fit_ranges,
     Newton on the range terms, converged once a step accepted on the first
     damping try moves the cost by at most 1e-12 relative; missing that in
     NLS_MAX_ITERS iterations, or an exhausted damping schedule, is reported
@@ -426,7 +384,7 @@ def estimate_pose_nls(
 def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None) -> PoseBatch:
     """estimate_pose_nls of stacked observations: masks and ranges (B, A, K),
     aoa (B, A, K, 2) (None when not measured) and range and angle weights
-    (B,), fitted in lockstep by geometry.pose_gauss_newton.
+    (B,), fitted in lockstep by geometry.fit_ranges.
 
     init = (rotations, translations, errors) starts each item, and an item
     whose start failed keeps that error; by default the start is the MDS
@@ -450,17 +408,10 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
     if items:
         # Every item fits in the common case; the slice then copies nothing.
         fit = slice(None) if len(items) == b else np.array(items)
-        links = _grid_links(anchor_xyz, nodes, ranges[fit], mask[fit])
+        links = grid_links(anchor_xyz, nodes, ranges[fit], mask[fit])
         aoa_f = None if aoa is None else np.where(mask[..., None], aoa, 0.0).reshape(b, -1, 2)[fit]
-        # Per-fit constants, once per fit: the weights' square roots and the curvature's weight.
-        w_r, w_a = w_range[fit], w_angle[fit]
-        constants = (np.sqrt(w_r)[:, None], w_r[:, None, None], aoa_f, np.sqrt(w_a)[:, None])
-
-        def residuals(r, t, ranges, weight, *rest):
-            return _nls_residuals(r, t, links[:4] + (ranges, weight, links[6]), *rest)
-
-        r_fit, t_fit, iterations[fit], converged[fit], fit_messages = pose_gauss_newton(
-            residuals, rot[fit], trans[fit], NLS_MAX_ITERS, args=links[4:6] + constants
+        r_fit, t_fit, iterations[fit], converged[fit], fit_messages = fit_ranges(
+            links, rot[fit], trans[fit], NLS_MAX_ITERS, w_range[fit], aoa_f, w_angle[fit]
         )
         projected, projection_errors = project_batch(r_fit)
         diff = (projected - r_fit).reshape(-1, 9)
@@ -551,7 +502,7 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
         if n < 3 else AmbiguousAlignmentError(_COLLINEAR) if bad else None
         for n, bad in zip(n_usable, collinear)
     ]
-    links = _grid_links(anchor_xyz, nodes, ranges, mask)
+    links = grid_links(anchor_xyz, nodes, ranges, mask)
     return PoseBatch(
         "gabp", rot, trans, _observed_rms(rot, trans, links), errors,
         per_node_positions=means, node_variances=variances,

@@ -407,6 +407,17 @@ def range_links(nodes, kk, anchor_xyz, ranges, observed=None):
     return nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers.reshape(nodes_k.shape + (6,))
 
 
+def grid_links(anchor_xyz, nodes, ranges, mask):
+    """range_links of every anchor (A, 3) and body node (K, 3) pair, anchor-major, for
+    ranges (or None) and masks (..., A, K): leading axes stack problems that share the
+    geometry, their unobserved links weighted zero."""
+    a, k = mask.shape[-2:]
+    jj, kk = link_grid(a, k)
+    flat = mask.shape[:-2] + (a * k,)
+    ranges = None if ranges is None else ranges.reshape(flat)
+    return range_links(nodes, kk, anchor_xyz[jj], ranges, mask.reshape(flat))
+
+
 def range_residuals(rot, trans, links, jacobian=True):
     """Range residuals of the range_links `links` at the poses (rot, trans),
     (..., 3, 3) and (..., 3).
@@ -457,17 +468,6 @@ def range_curvature(rot, links, res, rows, dist):
     return curv - (rows * alpha[..., None]).mT @ rows
 
 
-def range_terms(rot, trans, links, jacobian, geometry):
-    """pose_gauss_newton's callback values for a range fit, with `geometry`
-    None or, reused, range_residuals(rot, trans, links, False)."""
-    geometry = geometry or range_residuals(rot, trans, links, False)
-    res, _, delta, dist = geometry
-    if not jacobian:
-        return res, None, None, geometry
-    rows = range_rows(rot, links, delta, dist)
-    return res, rows, range_curvature(rot, links, res, rows, dist), geometry
-
-
 def angle_residuals(rot, links, delta, dist, aoa, jacobian=True):
     """Azimuth and elevation residuals (..., 2M) of the range_links `links`
     and their pose_jacobian_rows (..., 2M, 6), from range_residuals'
@@ -495,6 +495,31 @@ def angle_residuals(rot, links, delta, dist, aoa, jacobian=True):
         jac = [pose_jacobian_rows(nodes_k, u, rot) * weight[..., None] for u in (az_rows, el_rows)]
         rows = np.concatenate(jac, axis=-2)
     return res, rows
+
+
+def fit_terms(rot, trans, links, sw_range, w_range, aoa, sw_angle, jacobian, geometry):
+    """pose_gauss_newton's callback values for range fits of poses (B, 3, 3), (B, 3).
+
+    `links` are range_links; aoa (B, M, 2) holds the links' (azimuth,
+    elevation) or is None. The residuals and rows are range_residuals' then
+    angle_residuals', each scaled by the square root of its type weight,
+    sw_range and sw_angle (B, 1); the curvature is range_curvature's, times
+    the range weight w_range (B, 1, 1). jacobian=False gives None for both.
+    `geometry` is None or, reused, range_residuals(rot, trans, links, False).
+    """
+    geometry = geometry or range_residuals(rot, trans, links, False)
+    range_res, _, delta, dist = geometry
+    res, rows, curv = sw_range * range_res, None, None
+    if jacobian:
+        unit_rows = range_rows(rot, links, delta, dist)
+        rows = sw_range[..., None] * unit_rows
+        curv = w_range * range_curvature(rot, links, range_res, unit_rows, dist)
+    if aoa is not None:
+        angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, jacobian)
+        res = np.concatenate([res, sw_angle * angle_res], axis=-1)
+        if jacobian:
+            rows = np.concatenate([rows, sw_angle[..., None] * angle_rows], axis=-2)
+    return res, rows, curv, geometry
 
 
 @np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
@@ -618,6 +643,20 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
             args, geometry = _take(args, keep), _take(geometry, keep)
     rot[live], trans[live] = r, t
     return rot, trans, iterations, converged, messages
+
+
+def fit_ranges(links, rot, trans, max_iters: int, w_range, aoa, w_angle):
+    """pose_gauss_newton's fits, started at poses (B, 3, 3), (B, 3), to the grid_links
+    `links` (shared geometry, per-fit ranges and weights (B, M)) and, unless aoa is None,
+    to the links' angles aoa (B, M, 2); w_range and w_angle (B,) weight each fit's range
+    and angle residuals, with w_angle read only with aoa. Returns its outcomes."""
+    sw_angle = None if aoa is None else np.sqrt(w_angle)[:, None]
+    constants = (np.sqrt(w_range)[:, None], w_range[:, None, None], aoa, sw_angle)
+
+    def residuals(r, t, ranges, weight, *rest):
+        return fit_terms(r, t, links[:4] + (ranges, weight, links[6]), *rest)
+
+    return pose_gauss_newton(residuals, rot, trans, max_iters, args=links[4:6] + constants)
 
 
 def node_velocities(state: RigidBodyState) -> np.ndarray:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import CrlbBatch, fim_batch
-from .errors import ConfigError, RangeClampWarning, converted
+from .errors import ConfigError, RangeClampWarning, converted, exact
 from .estimators import (
     ESTIMATOR_TAGS,
     ChainBatch,
@@ -61,15 +61,7 @@ _MASK64 = (1 << 64) - 1
 _float_array = partial(np.asarray, dtype=float)
 
 
-def _exact(kind, value):
-    """kind(value) of anything but a bool or a string: int() and float()
-    would read those as numbers, and tuple() a string as its characters."""
-    if isinstance(value, (bool, str)):
-        raise TypeError(f"refused {type(value).__name__} {value!r}")
-    return kind(value)
-
-
-_tuple = partial(_exact, tuple)
+_tuple = partial(exact, tuple)
 
 
 def splitmix64(x: int) -> int:
@@ -242,9 +234,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kinds = {
-            "sigma_grid": lambda grid: tuple(_exact(float, s) for s in _tuple(grid)),
-            "trials": partial(_exact, operator.index),
-            "master_seed": partial(_exact, operator.index),
+            "sigma_grid": lambda grid: tuple(exact(float, s) for s in _tuple(grid)),
+            "trials": partial(exact, operator.index),
+            "master_seed": partial(exact, operator.index),
             "estimators": _tuple,
         }
         for name, kind in kinds.items():

@@ -10,8 +10,10 @@ anchor and poisons every downstream solver.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .errors import (
     UndefinedDirectionError,
     UnderdeterminedError,
     converted,
+    exact,
 )
 from .geometry import (
     Conformation,
@@ -89,7 +92,7 @@ class NoiseModel:
             if not np.isfinite(v) or v < 0.0:
                 raise ConfigError(f"must be finite and >= 0, got {v}", field=f"noise.{name}")
             object.__setattr__(self, name, v)
-        seed = int(self.seed)
+        seed = converted(partial(exact, operator.index), self.seed, "noise.seed")
         if not 0 <= seed < 2**64:
             raise ConfigError(f"must be an unsigned 64-bit integer, got {seed}", field="noise.seed")
         object.__setattr__(self, "seed", seed)

@@ -417,6 +417,43 @@ class TestCompleteCommand:
         assert "error" in capsys.readouterr().err
 
 
+class TestNumericFlags:
+    """A numeric flag outside its domain is a config error on that flag,
+    not a traceback or a silent result."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        [
+            (["track", "--dt", "0"], "--dt", "0.0"),
+            (["track", "--dt", "-0.1"], "--dt", "-0.1"),
+            (["track", "--frames", "0"], "--frames", "0"),
+            (["track", "--frames", "-3"], "--frames", "-3"),
+            (["crlb", "--sigma", "0"], "--sigma", "0.0"),
+            (["crlb", "--sigma", "nan"], "--sigma", "nan"),
+            (["estimate", "--sigma", "0"], "--sigma", "0.0"),
+        ],
+        ids=["zero-dt", "negative-dt", "zero-frames", "negative-frames", "zero-sigma",
+             "nan-sigma", "estimate-zero-sigma"],
+    )
+    def test_refused(self, tiny_configs, tmp_path, capsys, argv, flag, value):
+        out = tmp_path / "out"
+        assert main(argv + ["--scenario", tiny_configs[0], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"rblkit: config error: {flag}: must be finite and > 0, got {value}\n"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_negative_max_iters_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        edm = tmp_path / "edm.json"
+        assert main(["simulate", "--preset", "fig5", "--out", str(out)]) == 0
+        (out / "measurements.json").rename(edm)
+        capsys.readouterr()
+        assert main(["complete", "--edm", str(edm), "--max-iters", "-5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "rblkit: config error: --max-iters: must be finite and > 0, got -5\n"
+        assert not (out / "completion.json").exists()
+
+
 class TestUsage:
     def test_no_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rblkit.completion import (
     centered_gram,
+    complete_batch,
     complete_edm,
     edm_from_points,
     embed_from_gram,
@@ -266,6 +267,32 @@ class TestCompletionRecovery:
             reports.append(complete_edm(edm))
         assert sum(not r.converged for r in reports) == 0
         assert np.mean([r.iterations for r in reports]) < 10
+
+
+class TestCompleteBatch:
+    @pytest.mark.parametrize("sigma, max_iters", [(0.01, 500), (1.0, 500), (1.0, 3)])
+    def test_stack_items_equal_complete_edm(self, sigma, max_iters):
+        # The stack shares its anchor and node blocks, which embed once per
+        # call; every item still completes as complete_edm completes it
+        # alone, bit for bit, capped fits included.
+        scenario, _ = preset("fig5")
+        anchors, conf = scenario.anchors, scenario.conformation
+        edms = []
+        for trial in range(40):
+            _, meas = draw_trial(scenario, sigma, derive_seed(607, 1, 0, trial))
+            edms.append(assemble_edm(anchors, conf, meas))
+        edms = [edm for edm in edms if not edm.is_complete()]
+        d = np.array([edm.squared_distances for edm in edms])
+        known = np.array([edm.known_mask for edm in edms])
+        batch = complete_batch(d, known, anchors.num_anchors, max_iters)
+        assert len(edms) > 20 and (max_iters == 500) == batch.converged.all()
+        for i, edm in enumerate(edms):
+            alone, stacked = complete_edm(edm, max_iters), batch.report(i)
+            assert np.array_equal(
+                stacked.completed.squared_distances, alone.completed.squared_distances
+            )
+            assert stacked.final_mismatch == alone.final_mismatch
+            assert (stacked.iterations, stacked.converged) == (alone.iterations, alone.converged)
 
 
 class TestZeroImputed:

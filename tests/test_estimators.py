@@ -25,7 +25,6 @@ from rblkit.estimators import (
     PoseEstimate,
     SemanticHeading,
     _gabp_node_beliefs,
-    _nls_residuals,
     chain_batch,
     gabp_batch,
     nls_batch,
@@ -45,6 +44,7 @@ from rblkit.geometry import (
     Pose,
     RigidBodyState,
     apply_pose,
+    fit_terms,
     random_rotation,
     range_links,
     rotation_error_deg,
@@ -315,10 +315,10 @@ class TestEstimatePoseNls:
                 pose.rotation[None], pose.translation[None], links, np.array([[2.0]]),
                 np.array([[[4.0]]]), aoa, np.array([[3.0]]),
             )
-            res, jac, _, _ = _nls_residuals(*args, True, None)
-            res_only, no_jac, _, geometry = _nls_residuals(*args, False, None)
+            res, jac, _, _ = fit_terms(*args, True, None)
+            res_only, no_jac, _, geometry = fit_terms(*args, False, None)
             # The trial's geometry, handed back, gives the same rows bit for bit.
-            again, reused, _, _ = _nls_residuals(*args, True, geometry)
+            again, reused, _, _ = fit_terms(*args, True, geometry)
             assert np.array_equal(again, res) and np.array_equal(reused, jac)
             assert no_jac is None and jac.shape == res.shape + (6,)
             assert np.array_equal(res_only, res)

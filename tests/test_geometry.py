@@ -22,6 +22,7 @@ from rblkit.geometry import (
     _lapack,
     apply_pose,
     compose_poses,
+    fit_terms,
     inverse_pose,
     node_velocities,
     pairwise_distances,
@@ -33,7 +34,6 @@ from rblkit.geometry import (
     range_curvature,
     range_links,
     range_residuals,
-    range_terms,
     rotation_error_deg,
     so3_exp,
     so3_log,
@@ -198,7 +198,9 @@ def cube_range_links(pose):
 def range_fit(rot, trans, ranges, jacobian, geometry):
     """pose_gauss_newton's callback for cube range fits, one range row per item."""
     links = cube_range_links(Pose.identity())
-    return range_terms(rot, trans, links[:4] + (ranges,) + links[5:], jacobian, geometry)
+    ones = np.ones((len(ranges), 1))  # unit weights: the unweighted range terms, bit for bit
+    links = links[:4] + (ranges,) + links[5:]
+    return fit_terms(rot, trans, links, ones, ones[..., None], None, None, jacobian, geometry)
 
 
 def flipped_range_fit(rot, trans, ranges, flip, jacobian, geometry):

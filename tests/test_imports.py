@@ -107,6 +107,25 @@ def called_name(call):
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def callers(name):
+    """(module, top-level definition) of every call of `name` in src/rblkit."""
+    found = set()
+    for module in MODULES:
+        for top in ast.parse((PACKAGE / module).read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and called_name(node) == name:
+                    found.add((module, getattr(top, "name", None)))
+    return found
+
+
+def test_one_range_fit():
+    # geometry alone knows the links layout and the kernel's callback
+    # protocol: fit_ranges is the kernel's one caller, and only geometry
+    # builds a link grid.
+    assert callers("pose_gauss_newton") == {("geometry.py", "fit_ranges")}
+    assert {module for module, _ in callers("link_grid")} == {"geometry.py"}
+
+
 def test_every_error_class_is_raised():
     # Each exception class of errors.py is constructed, and each warning
     # class is the category of a warnings.warn call, in some other module.

@@ -9,6 +9,7 @@ from scipy.spatial import ConvexHull, Delaunay
 
 import rblkit
 from rblkit.errors import (
+    ConfigError,
     CoverageWarning,
     InvalidPolicyError,
     RangeClampWarning,
@@ -90,6 +91,28 @@ class TestAnchorSet:
 
     def test_single_anchor_ok(self):
         assert AnchorSet([[1, 2, 3]]).num_anchors == 1
+
+
+class TestNoiseModel:
+    @pytest.mark.parametrize(
+        "seed, message",
+        [(2.7, "'float' object cannot be interpreted as an integer"),
+         (True, "refused bool True"),
+         ("abc", "refused str 'abc'"),
+         (-1, "must be an unsigned 64-bit integer, got -1")],
+        ids=["float", "bool", "text", "negative"],
+    )
+    def test_seed_is_converted_strictly(self, seed, message):
+        # As ExperimentConfig.master_seed: no float is truncated and no bool
+        # read as a number.
+        with pytest.raises(ConfigError) as caught:
+            NoiseModel(seed=seed)
+        assert caught.value.field == "noise.seed"
+        assert str(caught.value) == f"noise.seed: {message}"
+
+    def test_numpy_integer_seed(self):
+        seed = NoiseModel(seed=np.uint64(2**63)).seed
+        assert seed == 2**63 and type(seed) is int
 
 
 class TestSimulateRanges:
