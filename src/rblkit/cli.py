@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import crlb_sweep, sweep_to_csv
 from .completion import complete_edm
-from .errors import ConfigError, RblError, converted
+from .errors import ConfigError, RblError, converted, u64
 from .geometry import Twist
 from .harness import (
     ExperimentConfig,
@@ -49,6 +49,8 @@ def _resolve_configs(args, need_experiment=False):
         raise ConfigError("a --scenario file or --preset is required")
     if need_experiment and experiment is None:
         raise ConfigError("an --experiment file or --preset is required")
+    if args.seed is not None:
+        converted(u64, args.seed, "--seed")
     if experiment is not None and args.seed is not None:
         experiment = replace(experiment, master_seed=args.seed)
     # --seed, else the experiment's master seed, else the field default.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -119,6 +121,15 @@ def exact(kind, value):
     if isinstance(value, (bool, str)):
         raise TypeError(f"refused {type(value).__name__} {value!r}")
     return kind(value)
+
+
+def u64(value) -> int:
+    """A seed as an exact int in [0, 2**64), every other integer refused:
+    the seeds are folded modulo 2**64, where 2**64 + 5 and 5 would alias."""
+    seed = exact(operator.index, value)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"must be an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 class RangeClampWarning(UserWarning):

@@ -13,7 +13,7 @@ import importlib.resources
 import json
 import operator
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial, reduce
 from itertools import compress
 from pathlib import Path
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import CrlbBatch, fim_batch
-from .errors import ConfigError, RangeClampWarning, converted, exact
+from .errors import ConfigError, RangeClampWarning, converted, exact, u64
 from .estimators import (
     ESTIMATOR_TAGS,
     ChainBatch,
@@ -64,8 +64,8 @@ _float_array = partial(np.asarray, dtype=float)
 _tuple = partial(exact, tuple)
 
 
-def splitmix64(x: int) -> int:
-    """One step of the splitmix64 mixer (public-domain constants)."""
+def splitmix64(x):
+    """One splitmix64 step (public-domain constants) of an int or each uint64 array element."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = x
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -73,11 +73,17 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def derive_seed(master: int, *indices: int) -> int:
-    """Fold indices into the master seed, one splitmix64 step per index."""
-    seed = splitmix64(master & _MASK64)
+def _operand(v):
+    """A derive_seed operand: a numpy array as uint64, anything else as an int."""
+    return v.astype(np.uint64, copy=False) if isinstance(v, np.ndarray) else int(v)
+
+
+def derive_seed(master, *indices):
+    """Fold indices into the master seed, one splitmix64 step per index: an
+    int of ints, and with numpy arrays (cast to uint64) each broadcast element's."""
+    seed = splitmix64(_operand(master) & _MASK64)
     for ix in indices:
-        seed = splitmix64(seed ^ ((int(ix) + 0x9E3779B9) & _MASK64))
+        seed = splitmix64(seed ^ ((_operand(ix) + 0x9E3779B9) & _MASK64))
     return seed
 
 
@@ -110,21 +116,22 @@ class PoseDistribution:
         return Pose(rot[0], trans[0])
 
     def sample_batch(self, rngs) -> tuple[np.ndarray, np.ndarray]:
-        """One pose per generator, as (B, 3, 3) rotations and (B, 3) translations."""
-        draws, trans = [], []
-        for rng in rngs:
-            if self.rotation == "uniform":
-                draws.append(rng.standard_normal(4))
-            elif self.rotation == "yaw":
-                draws.append([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
-            trans.append(rng.uniform(self.translation_low, self.translation_high))
+        """One pose per generator, as (B, 3, 3) rotations and (B, 3) translations:
+        each generator's raw variates in turn, rotation first, mapped as
+        Generator.uniform maps one draw (low + (high - low) * u)."""
         if self.rotation == "uniform":
-            rot = haar_rotations(np.array(draws))
+            draws = [(rng.standard_normal(4), rng.random(3)) for rng in rngs]
+            rot = haar_rotations(np.reshape([q for q, _ in draws], (-1, 4)))
         elif self.rotation == "yaw":
-            rot = so3_exp(np.array(draws))
+            draws = [(rng.random(), rng.random(3)) for rng in rngs]
+            axis = np.zeros((len(draws), 3))
+            axis[:, 2] = [-np.pi + 2.0 * np.pi * u for u, _ in draws]  # uniform(-pi, pi)
+            rot = so3_exp(axis)
         else:
-            rot = np.tile(np.eye(3), (len(trans), 1, 1))
-        return rot, np.array(trans)
+            draws = [(None, rng.random(3)) for rng in rngs]
+            rot = np.tile(np.eye(3), (len(draws), 1, 1))
+        low, high = np.array(self.translation_low), np.array(self.translation_high)
+        return rot, low + (high - low) * np.reshape([u for _, u in draws], (-1, 3))
 
 
 @dataclass(frozen=True)
@@ -236,7 +243,7 @@ class ExperimentConfig:
         kinds = {
             "sigma_grid": lambda grid: tuple(exact(float, s) for s in _tuple(grid)),
             "trials": partial(exact, operator.index),
-            "master_seed": partial(exact, operator.index),
+            "master_seed": u64,
             "estimators": _tuple,
         }
         for name, kind in kinds.items():
@@ -289,36 +296,39 @@ def rows_to_json(rows) -> list[dict]:
     return [asdict(r) for r in rows]
 
 
-def _noise(scenario: ScenarioConfig, sigma: float, seed: int) -> NoiseModel:
-    return replace(scenario.noise, range_sigma=sigma, seed=seed)
-
-
-def _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds):
-    """Simulate the measurements of the scenario's body at B poses (rot,
-    trans), each with its own noise model and blockage seed, and apply the
-    scenario's blockage; range-clamp warnings are silenced and no node left
-    unobserved is warned about. Returns the (B, A, K) mask and the ranges,
-    aoa and range rates (None when not simulated), unfilled: the stacked
-    stages read them through the mask, and MeasurementSet stores NaN."""
-    anchors, nodes = scenario.anchors, scenario.conformation.nodes
+def _observe(scenario, rot, trans, twist, sigmas, seeds, blockage_seeds, kinds):
+    """The measurements of the scenario's body at B poses (rot, trans), each
+    with its own range sigma (other levels: the scenario's), noise seed and
+    blockage seed, under the scenario's blockage; range-clamp warnings are
+    silenced and uncovered nodes not warned about. Returns the (B, A, K) mask
+    and the ranges, aoa and range rates (None when not simulated), unfilled:
+    the stacked stages read them through the mask, MeasurementSet stores NaN."""
+    anchors, nodes, noise = scenario.anchors, scenario.conformation.nodes, scenario.noise
+    sigmas = np.asarray(sigmas, dtype=float)
+    valid = (sigmas >= 0.0) & (sigmas < np.inf)
+    if not valid.all():  # as NoiseModel refuses it
+        raise ConfigError(f"must be finite and >= 0, got {sigmas[~valid][0]}", "noise.range_sigma")
+    levels = np.full((len(sigmas), 3), noise.sigmas)
+    levels[:, 0] = sigmas
     world = transform_points(nodes, rot, trans)
     velocities = twist_velocities(nodes, rot, twist) if "range_rate" in kinds else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RangeClampWarning)
-        observed = simulate_batch(anchors.anchors, world, noises, kinds, velocities)
+        observed = simulate_batch(anchors.anchors, world, levels, seeds, kinds, velocities)
     return (scenario.blockage.keep_batch(blockage_seeds, anchors, nodes, world), *observed)
 
 
 def _draw(scenario: ScenarioConfig, sigmas, seeds):
-    """The seeded draws of B trials: true rotations (B, 3, 3) and
-    translations (B, 3), and _observe's measurement stacks."""
-    rot, trans = scenario.sample_poses([np.random.default_rng(derive_seed(s, 1)) for s in seeds])
+    """The seeded draws of B trials at range sigmas (B,) and seeds (B,):
+    true rotations (B, 3, 3) and translations (B, 3), and _observe's
+    measurement stacks."""
+    # Each trial's pose generator, noise and blockage seeds: indices 1, 2, 3.
+    seeds = derive_seed(np.asarray(seeds, dtype=np.uint64)[:, None], np.arange(1, 4))
+    rot, trans = scenario.sample_poses([np.random.default_rng(s) for s in seeds[:, 0].tolist()])
     # Static draws have no motion; rates are simulated about zero velocity.
     kinds = scenario.measurement_kinds
     twist = Twist.zero() if "range_rate" in kinds else None
-    noises = [_noise(scenario, sigma, derive_seed(seed, 2)) for sigma, seed in zip(sigmas, seeds)]
-    blockage_seeds = [derive_seed(seed, 3) for seed in seeds]
-    return rot, trans, _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds)
+    return rot, trans, _observe(scenario, rot, trans, twist, sigmas, *seeds[:, 1:].T, kinds)
 
 
 def _measurement_set(observed, i: int) -> MeasurementSet:
@@ -411,20 +421,15 @@ def run_benchmark(scenario: ScenarioConfig, experiment: ExperimentConfig) -> lis
     alone, and each cell is reduced once, in trial order.
     """
     grid, tags, n = experiment.sigma_grid, experiment.estimators, experiment.trials
-    cells = [(si, trial) for si in range(len(grid)) for trial in range(n)]
+    si, trial = np.divmod(np.arange(len(grid) * n, dtype=np.uint64), n)
+    sigmas, seeds = np.array(grid)[si], derive_seed(experiment.master_seed, 11, si, trial)
     # The sweep's columns in trial order: which bounds count, the bounds, and
     # each tag's scored flags and errors.
     bounded, t_bound, r_bound = [], [], []
     scores = {tag: ([], [], []) for tag in tags}
-    for start in range(0, len(cells), TRIAL_CHUNK):
-        chunk = cells[start : start + TRIAL_CHUNK]
-        trials = _run_trials(
-            scenario,
-            [grid[si] for si, _ in chunk],
-            [derive_seed(experiment.master_seed, 11, si, trial) for si, trial in chunk],
-            tags,
-            experiment.completion,
-        )
+    for start in range(0, len(seeds), TRIAL_CHUNK):
+        chunk = slice(start, start + TRIAL_CHUNK)
+        trials = _run_trials(scenario, sigmas[chunk], seeds[chunk], tags, experiment.completion)
         bounded += (~trials.crlb.singular).tolist()
         t_bound += trials.crlb.translation_bound.tolist()
         r_bound += trials.crlb.rotation_bound.tolist()
@@ -511,9 +516,8 @@ def generate_trajectory(
     kinds = tuple(dict.fromkeys(scenario.measurement_kinds + ("range_rate",)))
     times = (np.arange(n_frames) + 1) * dt
     rot, trans = propagate_poses(start, twist, times)
-    noises = [_noise(scenario, sigma, derive_seed(seed, 4, i)) for i in range(n_frames)]
-    blockage_seeds = [derive_seed(seed, 5, i) for i in range(n_frames)]
-    observed = _observe(scenario, rot, trans, twist, noises, kinds, blockage_seeds)
+    seeds = derive_seed(seed, np.array([[4], [5]]), np.arange(n_frames))
+    observed = _observe(scenario, rot, trans, twist, np.full(n_frames, sigma), *seeds, kinds)
     frames = [MeasurementFrame(float(t), _measurement_set(observed, i))
               for i, t in enumerate(times)]
     return frames, [(Pose(r, t), twist) for r, t in zip(rot, trans)]

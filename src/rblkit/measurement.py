@@ -10,10 +10,8 @@ anchor and poisons every downstream solver.
 from __future__ import annotations
 
 import itertools
-import operator
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from .errors import (
     UndefinedDirectionError,
     UnderdeterminedError,
     converted,
-    exact,
+    u64,
 )
 from .geometry import (
     Conformation,
@@ -92,10 +90,12 @@ class NoiseModel:
             if not np.isfinite(v) or v < 0.0:
                 raise ConfigError(f"must be finite and >= 0, got {v}", field=f"noise.{name}")
             object.__setattr__(self, name, v)
-        seed = converted(partial(exact, operator.index), self.seed, "noise.seed")
-        if not 0 <= seed < 2**64:
-            raise ConfigError(f"must be an unsigned 64-bit integer, got {seed}", field="noise.seed")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", converted(u64, self.seed, "noise.seed"))
+
+    @property
+    def sigmas(self) -> tuple[float, float, float]:
+        """(range, angle, range-rate) standard deviations, as simulate_batch takes them."""
+        return self.range_sigma, self.angle_sigma, self.range_rate_sigma
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,15 @@ class MeasurementSet:
             m = getattr(self, name)
             if m is None:
                 continue
-            m = np.asarray(m, dtype=float)
+            m = np.array(m, dtype=float)  # the one copy: NaN fills it, then it is frozen
             expect = mask.shape if depth == 2 else mask.shape + (2,)
             if m.shape != expect:
                 raise ValueError(f"{name} must have shape {expect}, got {m.shape}")
-            m = m.copy()
             m[~mask] = np.nan
             if name == "ranges" and np.any(m[mask] < 0.0):
                 raise ValueError("observed ranges must be nonnegative")
-            object.__setattr__(self, name, readonly(m))
+            m.setflags(write=False)
+            object.__setattr__(self, name, m)
         if self.ranges is None and self.aoa is None and self.range_rates is None:
             raise ValueError("measurement set is empty")
 
@@ -197,18 +197,20 @@ class Edm:
             raise ValueError(f"n_anchors {a} out of range for size {n}")
         if not np.array_equal(known, known.T):
             raise ValueError("known_mask must be symmetric")
-        d = d.copy()
+        d = d.copy()  # the one copy: NaN fills it, then it is frozen
         d[~known] = np.nan
         sym_err = np.nanmax(np.abs(d - d.T)) if known.any() else 0.0
         if sym_err > 0.0:
             raise ValueError(f"known entries must be symmetric (max asymmetry {sym_err:.3e})")
-        if not (np.all(np.diag(known)) and np.allclose(np.diag(d), 0.0)):
+        # np.allclose(diagonal, 0.0) is |diagonal| <= 1e-8, NaN failing it.
+        if not (known.diagonal().all() and (np.abs(d.diagonal()) <= 1e-8).all()):
             raise ValueError("EDM must be hollow with a known diagonal")
         if np.any(d[known] < 0.0):
             raise ValueError("known squared distances must be nonnegative")
         if not known[:a, :a].all() or not known[a:, a:].all():
             raise ValueError("anchor-anchor and node-node blocks must be fully known")
-        object.__setattr__(self, "squared_distances", readonly(d))
+        d.setflags(write=False)
+        object.__setattr__(self, "squared_distances", d)
         object.__setattr__(self, "known_mask", readonly(known))
         object.__setattr__(self, "n_anchors", a)
 
@@ -242,24 +244,22 @@ class Edm:
         return cls(vals, np.asarray(doc["known_mask"], dtype=bool), int(doc["n_anchors"]))
 
 
-def _draws(noises, name: str, which: int, shape, count: int = 1) -> np.ndarray:
-    """`count` zero-mean Gaussian arrays of `shape` per noise model, drawn in
-    turn from its stream `which` with its `name` sigma; zeros where that is 0."""
-    out = np.zeros((count, len(noises)) + tuple(shape))
-    for i, noise in enumerate(noises):
-        sigma = getattr(noise, name)
-        if sigma > 0.0:
-            rng = _stream(noise.seed, which)
-            for c in range(count):
-                out[c, i] = rng.normal(0.0, sigma, size=shape)
-    return out
+def _draws(sigmas, seeds, which: int, shape, count: int = 1) -> np.ndarray:
+    """`count` zero-mean Gaussian (A, K) arrays per item, stacked (count, B, A, K),
+    all of item i's from one call on stream `which` of seeds[i] and scaled by
+    sigmas[i] as Generator.normal scales (0.0 + sigma * z); zeros where it is 0."""
+    z = np.zeros((len(sigmas), count) + shape)
+    for i in np.flatnonzero(sigmas > 0.0):
+        _stream(seeds[i], which).standard_normal(out=z[i])
+    return np.moveaxis(0.0 + sigmas[:, None, None, None] * z, 1, 0)
 
 
-def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
+def simulate_batch(anchor_xyz, world, sigmas, seeds, kinds, velocities=None):
     """Noisy observations of B bodies at once: world node positions (B, K, 3)
-    and, for range rates, node velocities (B, K, 3), with one NoiseModel per
-    body whose seed drives that body's own streams, so each item is exactly
-    what the body gets alone.
+    and, for range rates, node velocities (B, K, 3). Body i has the noise
+    levels sigmas[i] (range, angle and range-rate standard deviations, as
+    NoiseModel.sigmas) and the seed seeds[i], which drives its own streams,
+    so each item is exactly what the body gets alone.
 
     Returns (ranges (B, A, K), aoa (B, A, K, 2), range rates (B, A, K)),
     each None unless its kind is requested. Negative noisy ranges are
@@ -273,13 +273,11 @@ def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
     delta = world[:, None, :, :] - anchor_xyz[:, None, :]
     dist = np.linalg.norm(delta, axis=-1)
     ranges = aoa = rates = None
-
-    def noisy(name):
-        return np.array([getattr(n, name) > 0.0 for n in noises])[:, None, None]
-
+    sigmas = np.asarray(sigmas, dtype=float).reshape(-1, 3).T  # range, angle, rate
+    noisy = sigmas[:, :, None, None] > 0.0
     if "range" in kinds:
-        noise = _draws(noises, "range_sigma", _STREAM_RANGE, dist.shape[1:])[0]
-        ranges = np.where(noisy("range_sigma"), dist + noise, dist)
+        noise = _draws(sigmas[0], seeds, _STREAM_RANGE, dist.shape[1:])[0]
+        ranges = np.where(noisy[0], dist + noise, dist)
         clamped = int(np.sum(ranges < 0.0))
         if clamped:
             warnings.warn(f"clamped {clamped} negative noisy ranges to 0", RangeClampWarning)
@@ -289,17 +287,16 @@ def simulate_batch(anchor_xyz, world, noises, kinds, velocities=None):
             raise UndefinedBearingError("node coincides with an anchor; bearing undefined")
         azimuth = np.arctan2(delta[..., 1], delta[..., 0])
         elevation = np.arcsin(np.clip(delta[..., 2] / dist, -1.0, 1.0))
-        az_noise, el_noise = _draws(noises, "angle_sigma", _STREAM_AOA, dist.shape[1:], 2)
-        with_noise = noisy("angle_sigma")
-        azimuth = np.where(with_noise, wrap_angle(azimuth + az_noise), azimuth)
-        elevation = np.where(with_noise, elevation + el_noise, elevation)
+        az_noise, el_noise = _draws(sigmas[1], seeds, _STREAM_AOA, dist.shape[1:], 2)
+        azimuth = np.where(noisy[1], wrap_angle(azimuth + az_noise), azimuth)
+        elevation = np.where(noisy[1], elevation + el_noise, elevation)
         aoa = np.stack([azimuth, elevation], axis=-1)
     if "range_rate" in kinds:
         if np.any(dist <= 0.0):
             raise UndefinedDirectionError("node coincides with an anchor; direction undefined")
         rates = np.einsum("...akd,...kd->...ak", delta / dist[..., None], velocities)
-        noise = _draws(noises, "range_rate_sigma", _STREAM_RATE, dist.shape[1:])[0]
-        rates = np.where(noisy("range_rate_sigma"), rates + noise, rates)
+        noise = _draws(sigmas[2], seeds, _STREAM_RATE, dist.shape[1:])[0]
+        rates = np.where(noisy[2], rates + noise, rates)
     return ranges, aoa, rates
 
 
@@ -312,7 +309,8 @@ def simulate_measurements(
     """Simulate the requested measurement types with a fully-observed mask."""
     world = state.world_nodes()
     velocities = node_velocities(state)[None] if "range_rate" in kinds else None
-    observed = simulate_batch(anchors.anchors, world[None], [noise], kinds, velocities)
+    sigmas, seeds = [noise.sigmas], [noise.seed]
+    observed = simulate_batch(anchors.anchors, world[None], sigmas, seeds, kinds, velocities)
     mask = np.ones((anchors.num_anchors, len(world)), dtype=bool)
     return MeasurementSet(mask, *(None if m is None else m[0] for m in observed))
 
@@ -321,7 +319,7 @@ def bernoulli_keep(seeds, p: float, shape) -> np.ndarray:
     """The (B, *shape) links that survive independent blockage with
     probability p in [0, 1], one mask per seed drawn from that seed's own
     blockage stream, so each item is the same in any stack."""
-    return np.array([_stream(s, _STREAM_BLOCKAGE).random(shape) >= p for s in seeds])
+    return np.array([_stream(s, _STREAM_BLOCKAGE).random(shape) for s in seeds]) >= p
 
 
 def hull_facets(nodes) -> np.ndarray:

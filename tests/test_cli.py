@@ -244,12 +244,16 @@ class TestMalformedDocuments:
          ("sigma_grid", "15", "refused str '15'"),
          ("trials", 2.7, "'float' object cannot be interpreted as an integer"),
          ("master_seed", 2.5, "'float' object cannot be interpreted as an integer"),
+         ("master_seed", -1, "must be an unsigned 64-bit integer, got -1"),
+         ("master_seed", 2**64 + 5,
+          "must be an unsigned 64-bit integer, got 18446744073709551621"),
          ("trials", True, "refused bool True"),
          ("completion", "no", "expected a bool"),
          ("estimators", "nls", "refused str 'nls'"),
          ("estimators", ["nls", "gabp", "nls"], "repeated estimators in ['nls', 'gabp', 'nls']")],
         ids=["text-sigma", "scalar-grid", "text-trials", "text-seed", "text-grid",
-             "float-trials", "float-seed", "bool-trials", "text-completion",
+             "float-trials", "float-seed", "negative-seed", "aliasing-seed", "bool-trials",
+             "text-completion",
              "text-estimators", "repeated-estimators"],
     )
     def test_experiment_value(self, tiny_configs, tmp_path, capsys, key, value, message):
@@ -478,3 +482,25 @@ class TestUsage:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
         assert not any(tmp_path.iterdir())
+
+
+class TestSeedRange:
+    """A seed outside [0, 2**64) is refused: seeds fold modulo 2**64, so
+    -1 and 2**64 - 1, or 5 and 2**64 + 5, would run the same trials."""
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark", "track", "crlb"])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_flag(self, tiny_configs, tmp_path, capsys, command, seed):
+        s, e = tiny_configs
+        out = tmp_path / "out"
+        argv = [command, "--scenario", s, "--experiment", e, "--seed", str(seed)]
+        assert main(argv + ["--out", str(out)]) == 1
+        message = f"--seed: must be an unsigned 64-bit integer, got {seed}"
+        assert capsys.readouterr().err == f"rblkit: config error: {message}\n"
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tiny_configs, tmp_path):
+        s, e = tiny_configs
+        argv = ["simulate", "--scenario", s, "--seed", str(2**64 - 1), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "measurements.json").read_text())["seed"] == 2**64 - 1

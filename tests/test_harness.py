@@ -8,7 +8,7 @@ import pytest
 
 import rblkit.estimators
 from rblkit.errors import ConfigError
-from rblkit.geometry import Conformation, Pose, Twist
+from rblkit.geometry import Conformation, Pose, Twist, haar_rotations, so3_exp, transform_points
 from rblkit.measurement import NoiseModel
 from rblkit.harness import (
     ESTIMATOR_TAGS,
@@ -27,7 +27,8 @@ from rblkit.harness import (
     scenario_from_dict,
     splitmix64,
 )
-from rblkit.harness import _run_trials
+from rblkit.harness import _draw, _measurement_set, _run_trials, draw_trial
+from rblkit.measurement import _draws, _stream
 
 
 def small_scenario(**overrides):
@@ -71,6 +72,32 @@ class TestSeeds:
     def test_derive_seed_in_u64(self):
         s = derive_seed(2**63 + 11, 5)
         assert 0 <= s < 2**64
+
+    @pytest.mark.parametrize("master", [0, 2**64 - 1, 2**63 + 11])
+    def test_array_seeds_equal_int_seeds(self, master):
+        # A uint64 array wraps modulo 2**64 as the int path masks: each
+        # element equals the int derivation, and the index shapes broadcast.
+        si = np.array([[0], [1], [2**64 - 1]], dtype=np.uint64)
+        trial = np.array([0, 7, 2**63 + 11, 2**64 - 1], dtype=np.uint64)
+        seeds = derive_seed(master, 11, si, trial)
+        assert seeds.dtype == np.uint64 and seeds.shape == (3, 4)
+        for (i, j), seed in np.ndenumerate(seeds):
+            assert int(seed) == derive_seed(master, 11, int(si[i, 0]), int(trial[j]))
+        stacked = derive_seed(np.full(4, master, dtype=np.uint64), 5, trial)
+        assert stacked.tolist() == [derive_seed(master, 5, int(t)) for t in trial]
+        words = np.array([0, master, 2**64 - 1], dtype=np.uint64)
+        assert splitmix64(words).tolist() == [splitmix64(int(w)) for w in words]
+        assert type(derive_seed(master, 11, 0, 3)) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_master_seed_outside_u64_refused(self, seed):
+        # derive_seed folds master seeds modulo 2**64: 2**64 + 5 would
+        # alias 5, and -1 would alias 2**64 - 1.
+        with pytest.raises(ConfigError) as caught:
+            small_experiment(master_seed=seed)
+        assert caught.value.field == "master_seed"
+        assert str(caught.value) == f"master_seed: must be an unsigned 64-bit integer, got {seed}"
+        assert small_experiment(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 class TestConfigs:
@@ -486,6 +513,93 @@ class TestBatchedTrials:
             batch = _run_trials(scenario, sigmas, seeds, ESTIMATOR_TAGS, True)
             assert outcome_bits(batch, at) == reference
             assert any(f for failures in batch.failures.values() for f in failures)
+
+
+def draw_scenario(rotation, kinds, blockage):
+    """The fig4 body and anchors under a pose law ("fixed" for a set pose),
+    with every noise level of `kinds` set and `blockage` applied."""
+    scenario, _ = preset("fig4")
+    if rotation == "fixed":
+        laws = {"pose": Pose(so3_exp([0.3, -0.2, 0.9]), [0.1, -0.2, 0.05])}
+    else:
+        laws = {"pose_distribution": PoseDistribution(rotation, (-0.4, -0.3, 0), (0.4, 0.3, 0.2))}
+    noise = NoiseModel(
+        angle_sigma=0.02 if "aoa" in kinds else 0.0,
+        range_rate_sigma=0.05 if "range_rate" in kinds else 0.0,
+    )
+    return ScenarioConfig(
+        conformation=scenario.conformation, anchors=scenario.anchors, noise=noise,
+        blockage=blockage, measurement_kinds=kinds, **laws,
+    )
+
+
+def draw_bits(pose, meas):
+    fields = (meas.mask, meas.ranges, meas.aoa, meas.range_rates)
+    return [pose.rotation.tobytes(), pose.translation.tobytes()] + [
+        None if m is None else m.tobytes() for m in fields
+    ]
+
+
+class TestStackedDraw:
+    @pytest.mark.parametrize("rotation", ["uniform", "yaw", "none", "fixed"])
+    @pytest.mark.parametrize(
+        "kinds", [("range",), ("range", "aoa", "range_rate")], ids=["range", "all-kinds"]
+    )
+    @pytest.mark.parametrize(
+        "blockage",
+        [BlockageSpec(), BlockageSpec(kind="bernoulli", p=0.3), BlockageSpec(kind="hull")],
+        ids=["none", "bernoulli", "hull"],
+    )
+    def test_stack_equals_items_drawn_alone(self, rotation, kinds, blockage):
+        # One stacked draw gives each trial the bits draw_trial gives it
+        # alone, with noiseless (sigma 0) trials mixed into the stack and
+        # seeds at both ends of the uint64 range.
+        scenario = draw_scenario(rotation, kinds, blockage)
+        seeds = [0, 2**64 - 1, 2**63 + 11] + [derive_seed(4, 11, 0, t) for t in range(9)]
+        sigmas = [0.0 if t % 3 == 0 else 0.05 * (t % 4 + 1) for t in range(len(seeds))]
+        rot, trans, observed = _draw(scenario, sigmas, np.array(seeds, dtype=np.uint64))
+        for i, (sigma, seed) in enumerate(zip(sigmas, seeds)):
+            stacked = draw_bits(Pose(rot[i], trans[i]), _measurement_set(observed, i))
+            assert stacked == draw_bits(*draw_trial(scenario, sigma, seed))
+        # The sigma-0 trials, and only they, observe the exact distances.
+        mask, ranges = observed[:2]
+        world = transform_points(scenario.conformation.nodes, rot, trans)
+        exact = np.linalg.norm(world[:, None] - scenario.anchors.anchors[:, None], axis=-1)
+        same = [np.array_equal(ranges[i][m], exact[i][m]) for i, m in enumerate(mask)]
+        assert same == [sigma == 0.0 for sigma in sigmas]
+
+    @pytest.mark.parametrize("rotation", ["uniform", "yaw", "none"])
+    def test_pose_maps_equal_generator_calls(self, rotation):
+        # sample_poses maps the raw variates as Generator.uniform maps them,
+        # drawing from one repeated generator in turn, rotation first: equal
+        # to uniform(-pi, pi) for the yaw and uniform(low, high) for the
+        # translation, over 10**4 poses.
+        low, high = (-3.0, 0.25, -1e-3), (5.0, 0.5, 7.0)
+        dist = PoseDistribution(rotation, low, high)
+        rot, trans = dist.sample_batch([np.random.default_rng(12)] * 10_000)
+        rng = np.random.default_rng(12)
+        for r, t in zip(rot, trans):
+            if rotation == "uniform":
+                expect = haar_rotations(rng.standard_normal(4))
+            elif rotation == "yaw":
+                expect = so3_exp([0.0, 0.0, rng.uniform(-np.pi, np.pi)])
+            else:
+                expect = np.eye(3)
+            assert r.tobytes() == expect.tobytes()
+            assert t.tobytes() == rng.uniform(low, high).tobytes()
+
+    def test_scaled_normals_equal_generator_normal(self):
+        # One standard_normal call per item, scaled as Generator.normal
+        # scales, gives the bits of `count` normal(0, sigma) calls, over
+        # 2 * 59 * 8 * 12 draws; a sigma-0 item draws nothing.
+        sigmas = np.append(np.geomspace(1e-4, 3.0, 59), 0.0)
+        seeds = np.array([derive_seed(6, t) for t in range(60)], dtype=np.uint64)
+        az, el = _draws(sigmas, seeds, 1, (8, 12), count=2)
+        for i, (sigma, seed) in enumerate(zip(sigmas[:-1], seeds)):
+            rng = _stream(seed, 1)
+            assert az[i].tobytes() == rng.normal(0.0, sigma, (8, 12)).tobytes()
+            assert el[i].tobytes() == rng.normal(0.0, sigma, (8, 12)).tobytes()
+        assert not az[-1].any() and not el[-1].any()
 
 
 class TestRunScenarioOnce:

@@ -126,6 +126,27 @@ def test_one_range_fit():
     assert {module for module, _ in callers("link_grid")} == {"geometry.py"}
 
 
+def test_one_stacked_draw():
+    # The draw builds no NoiseModel per trial or per frame: harness._noise is
+    # gone, the only NoiseModel call is ScenarioConfig's default, and one
+    # simulate_batch (fed by one splitmix64) draws B = 1 and stacks alike.
+    from rblkit import harness
+
+    assert not hasattr(harness, "_noise")
+    assert callers("NoiseModel") == {("harness.py", "ScenarioConfig")}
+    assert callers("simulate_batch") == {
+        ("measurement.py", "simulate_measurements"), ("harness.py", "_observe"),
+    }
+    definitions = [
+        (module, node.name)
+        for module in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in ("splitmix64", "simulate_batch")
+    ]
+    expect = [("harness.py", "splitmix64"), ("measurement.py", "simulate_batch")]
+    assert sorted(definitions) == expect
+
+
 def test_every_error_class_is_raised():
     # Each exception class of errors.py is constructed, and each warning
     # class is the category of a warnings.warn call, in some other module.

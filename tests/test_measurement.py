@@ -48,13 +48,13 @@ QUIET = NoiseModel()
 def simulate_ranges(anchors: AnchorSet, nodes, noise: NoiseModel) -> np.ndarray:
     """Noisy ranges (A, K) from the anchors to world points (K, 3)."""
     world = np.asarray(nodes, dtype=float)[None]
-    return simulate_batch(anchors.anchors, world, [noise], ("range",))[0][0]
+    return simulate_batch(anchors.anchors, world, [noise.sigmas], [noise.seed], ("range",))[0][0]
 
 
 def simulate_aoa(anchors: AnchorSet, nodes, noise: NoiseModel) -> np.ndarray:
     """Noisy (azimuth, elevation) bearings (A, K, 2) to world points (K, 3)."""
     world = np.asarray(nodes, dtype=float)[None]
-    return simulate_batch(anchors.anchors, world, [noise], ("aoa",))[1][0]
+    return simulate_batch(anchors.anchors, world, [noise.sigmas], [noise.seed], ("aoa",))[1][0]
 
 
 def simulate_range_rates(anchors: AnchorSet, state: RigidBodyState, noise) -> np.ndarray:
@@ -133,9 +133,10 @@ class TestSimulateRanges:
 
     def test_noise_std_monte_carlo(self):
         anchors = AnchorSet([[0.0, 0.0, 0.0]])
-        noises = [NoiseModel(range_sigma=0.1, seed=s) for s in range(100_000)]
-        world = np.tile([10.0, 0.0, 0.0], (len(noises), 1, 1))
-        draws = simulate_batch(anchors.anchors, world, noises, ("range",))[0][:, 0, 0]
+        seeds = np.arange(100_000)
+        world = np.tile([10.0, 0.0, 0.0], (len(seeds), 1, 1))
+        sigmas = np.tile(NoiseModel(range_sigma=0.1).sigmas, (len(seeds), 1))
+        draws = simulate_batch(anchors.anchors, world, sigmas, seeds, ("range",))[0][:, 0, 0]
         assert 0.098 <= draws.std() <= 0.102
         assert draws.mean() == pytest.approx(10.0, abs=0.005)
 
@@ -486,6 +487,44 @@ class TestAssembleEdm:
         assert np.all(d[known] >= 0.0)
         sym = np.where(known, d, 0.0)
         assert np.abs(sym - sym.T).max() == 0.0
+
+
+class TestFrozenCopies:
+    def test_measurement_set_copies_once_and_freezes(self):
+        mask = np.array([[True, False], [True, True]])
+        ranges, rates = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.5, -0.5], [0.0, 1.0]])
+        meas = MeasurementSet(mask, ranges, range_rates=rates)
+        assert ranges[0, 1] == 2.0 and rates[0, 1] == -0.5  # the inputs are left as they were
+        for m in (meas.mask, meas.ranges, meas.range_rates):
+            assert not m.flags.writeable and m.flags.owndata
+        assert np.isnan(meas.ranges[0, 1]) and np.isnan(meas.range_rates[0, 1])
+        with pytest.raises(ValueError, match="observed ranges must be nonnegative"):
+            MeasurementSet(mask, -ranges)
+        with pytest.raises(ValueError, match=r"aoa must have shape \(2, 2, 2\), got \(2, 2\)"):
+            MeasurementSet(mask, aoa=ranges)
+
+    @pytest.mark.parametrize("diagonal, hollow", [
+        (1e-8, True), (-0.0, True), (1.5e-8, False), (-1.5e-8, False), (np.nan, False),
+    ])
+    def test_edm_hollow_diagonal_as_allclose(self, diagonal, hollow):
+        # The diagonal test reads as np.allclose(diagonal, 0.0) read it.
+        d = pairwise_distances(unit_cube().nodes) ** 2
+        known = np.ones(d.shape, dtype=bool)
+        d[3, 3] = diagonal
+        assert hollow == np.allclose(np.diag(d), 0.0)
+        if hollow:
+            source = d.copy()
+            edm = Edm(source, known, 2)
+            source[0, 1] = 99.0
+            assert edm.squared_distances[0, 1] == 1.0  # a copy, not a view of the input
+            assert not edm.squared_distances.flags.writeable
+            assert edm.squared_distances.flags.owndata
+        else:
+            with pytest.raises(ValueError, match="EDM must be hollow with a known diagonal"):
+                Edm(d, known, 2)
+        known[3, 3] = False
+        with pytest.raises(ValueError, match="EDM must be hollow with a known diagonal"):
+            Edm(np.where(known, d, 0.0), known, 2)
 
 
 class TestDeterminismAndJson:
