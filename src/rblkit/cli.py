@@ -204,7 +204,7 @@ def _cmd_complete(args) -> int:
     doc = json.loads(Path(args.edm).read_text())
     if "edm" in doc and doc["edm"] is not None:
         doc = doc["edm"]
-    edm = Edm.from_json_dict(doc)
+    edm = converted(Edm.from_json_dict, doc, "--edm")
     report = complete_edm(edm, max_iters=_positive(args, "max_iters"))
     _write_json(_outdir(args) / "completion.json", report.to_json_dict())
     return 0

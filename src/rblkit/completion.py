@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletionInfeasibleError, IncompleteEdmError
-from .geometry import fit_alignment, fit_ranges, grid_links, transform_points
+from .geometry import by_value, fit_alignment, fit_ranges, grid_links, transform_points
 from .measurement import Edm
 
 
@@ -160,6 +160,12 @@ def anchored_embedding(d, anchor_xyz):
     return points[:, a:] @ q.mT + shift[:, None, :], eigvals
 
 
+@by_value
+def block_embedding(block) -> np.ndarray:
+    """Classical MDS points of a scenario's anchor or node block (n, n), memoized by value."""
+    return embed_from_gram(centered_gram(block))[0]
+
+
 def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> CompletionBatch:
     """complete_edm of a stack of incomplete EDMs: squared distances
     (B, n, n), NaN where unknown, their known masks, and n_anchors anchors
@@ -178,8 +184,7 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
     errors = [CompletionInfeasibleError(np.flatnonzero(o)) if o.any() else None for o in orphaned]
     observed = cross_known.reshape(b, a * k)
 
-    anchors, _ = embed_from_gram(centered_gram(d[0, :a, :a]))
-    nodes, _ = embed_from_gram(centered_gram(d[0, a:, a:]))
+    anchors, nodes = block_embedding(d[0, :a, :a]), block_embedding(d[0, a:, a:])
     ah = np.concatenate([anchors, np.ones((a, 1))], axis=-1)
     bh = np.concatenate([nodes, np.ones((k, 1))], axis=-1)
     norms = (anchors * anchors).sum(axis=-1)[:, None] + (nodes * nodes).sum(axis=-1)

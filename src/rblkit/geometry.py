@@ -8,7 +8,7 @@ velocity w and translational velocity tdot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,21 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def by_value(fn):
+    """fn of a float array, memoized on its bytes and shape (bounded LRU); results read-only."""
+
+    @lru_cache(maxsize=32)
+    def cached(data: bytes, shape: tuple) -> np.ndarray:
+        return readonly(fn(np.frombuffer(data).reshape(shape)))
+
+    @wraps(fn)
+    def memoized(a):
+        a = np.asarray(a, dtype=float)
+        return cached(a.tobytes(), a.shape)
+
+    return memoized
+
+
 _SKEW = -np.cross(np.eye(3)[:, None], np.eye(3)).reshape(3, 9)  # v @ _SKEW is [v]x, flattened
 
 
@@ -61,32 +76,32 @@ def so3_exp(axis_angle) -> np.ndarray:
     return _EYE3 + a * k + b * (k @ k)
 
 
-# Shepperd's candidates per pivot: q[i] = values[..., _QUAT_PICK[pivot, i]] for the values
-# (s / 4, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s, (m01 + m10) / s,
-# (m02 + m20) / s, (m12 + m21) / s).
-_QUAT_PICK = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+# Shepperd's method on rows e = (trace, 0, 0, 0, m00, m01, ..., m22), pivots e[::4]. Row p of
+# _QUAT_TERMS is pivot p's (x, y, z, l0..l3, r0..r3): s = 2 sqrt(((1 + e[x]) - e[y]) - e[z])
+# (trace + 1, 1 + m00 - m11 - m22, ...), q[p] = s / 4 and the other q[i] = (e[li] + sign *
+# e[ri]) / s, such as (m21 + -1 * m12) / s, which rounds as (m21 - m12) / s.
+_QUAT_TERMS = np.array([[0, 1, 1, 1, 11, 6, 7, 1, 9, 10, 5], [4, 8, 12, 11, 1, 5, 6, 9, 1, 7, 10],
+                        [8, 4, 12, 6, 5, 1, 9, 10, 7, 1, 11], [12, 4, 8, 7, 6, 9, 1, 5, 10, 11, 1]])
+_QUAT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0]] + [[-1.0, 1.0, 1.0, 1.0]] * 3)
 
 
 def _quat_from_matrix(r: np.ndarray) -> np.ndarray:
     # Shepperd's method: pick the largest of the four candidate pivots, per matrix of a stack.
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = np.moveaxis(r.reshape(r.shape[:-2] + (9,)), -1, 0)
-    t = np.trace(r, axis1=-2, axis2=-1)
-    pivot = np.where(
-        (t > m00) & (t > m11) & (t > m22), 0,
-        np.where((m00 > m11) & (m00 > m22), 1, np.where(m11 > m22, 2, 3)),
-    )
-    candidates = np.stack(
-        [t + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11], axis=-1
-    )
-    s = np.sqrt(np.take_along_axis(candidates, pivot[..., None], axis=-1)[..., 0]) * 2.0
-    values = np.stack(
-        [0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s,
-         (m01 + m10) / s, (m02 + m20) / s, (m12 + m21) / s],
-        axis=-1,
-    )
-    q = np.take_along_axis(values, _QUAT_PICK[pivot], axis=-1)
-    q = np.where(q[..., :1] < 0.0, -q, q)
-    return q / np.sqrt(np.vecdot(q, q))[..., None]
+    b = r.size // 9
+    e = np.zeros((b, 13))
+    e[:, 4:] = r.reshape(b, 9)
+    np.add.reduce(e[:, 4::4], axis=1, out=e[:, 0])  # the sum np.trace makes
+    # The first pivot above all later ones, else the last: Shepperd's tie order.
+    pivots, first = e[:, ::4], np.ones((b, 4), dtype=bool)
+    later = np.maximum.accumulate(pivots[:, :0:-1], axis=1)[:, ::-1]
+    np.greater(pivots[:, :3], later, out=first[:, :3])
+    pivot, row = first.argmax(axis=1), np.arange(b)
+    terms = e.ravel()[_QUAT_TERMS[pivot] + 13 * row[:, None]]
+    s = np.sqrt(((1.0 + terms[:, 0]) - terms[:, 1]) - terms[:, 2]) * 2.0
+    q = (terms[:, 3:7] + terms[:, 7:] * _QUAT_SIGN[pivot]) / s[:, None]
+    q[row, pivot] = 0.25 * s
+    np.negative(q, out=q, where=q[:, :1] < 0.0)
+    return (q / np.sqrt(np.vecdot(q, q))[:, None]).reshape(r.shape[:-2] + (4,))
 
 
 def matrix_from_quat(q) -> np.ndarray:
@@ -544,16 +559,18 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     their rows (b, M, 6) for a right perturbation (rot expm([d_theta]x),
     trans + d_t) and sum_i res_i Hess(res_i) (b, 6, 6) in that chart, or
     None. `geometry` holds per-pose stacks, or Nones, that the callback
-    computed on the way; a trial's comes back with `jacobian` when its poses
-    are the next linearization point, else None is passed. The same
-    residuals give the iteration's starting cost, so a fit started at its
-    minimum makes one Jacobian and one trial evaluation. Every entry of
-    `args` is None or holds one item per pose along its first axis; the
-    kernel hands the callback the items of the poses it passes. A step
-    solves with rows^T rows + curvature where that is positive definite
-    (quadratic convergence on large residuals), else with rows^T rows
-    (Gauss-Newton), damped on diag(rows^T rows). It is accepted when it
-    raises the cost by at most the band cost * 1e-12 + 1e-18. A fit has
+    computed on the way; the kernel writes each fit's accepted try's rows
+    into them and hands them back with `jacobian`, so only a call's first
+    iteration gets None. The same residuals give the iteration's starting
+    cost, so a fit started at its minimum makes one Jacobian and one trial
+    evaluation. Every entry of `args` is None or holds one item per pose
+    along its first axis; the kernel hands the callback the items of the
+    poses it passes. A step solves with rows^T rows + curvature where that
+    is positive definite (quadratic convergence on large residuals), else
+    with rows^T rows (Gauss-Newton), damped on diag(rows^T rows). It is
+    accepted when it raises the cost by at most the band cost * 1e-12 +
+    1e-18; a rejected first damping try is followed by one stacked try of
+    every higher level, and the lowest accepted is taken. A fit has
     converged when a step accepted on the first damping try moves the cost
     by no more than that band: a relative test, the same at any noise level
     and in any units, that a step damping had to shrink never passes.
@@ -611,20 +628,29 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
         # Fast path: every fit accepts its current damping on the first try.
         if np.count_nonzero(first) < len(first):
             conv &= first  # a step that damping had to shrink never converges
-            accepted, geometry = first.copy(), None
-            lam[~first] *= 10.0
-            todo = np.flatnonzero(~first & (lam <= 1e8))
-            while todo.size:
-                ok, r_try, t_try, _, _ = attempt(
-                    r[todo], t[todo], hess[todo], descent[todo], lam[todo], scale[todo],
-                    ceiling[todo], _take(args, todo),
+            accepted = first.copy()
+            # A rejected fit tries every level of its schedule above lam (x10 while <= 1e8: at
+            # most 20 from lam >= 1e-12) in one stacked try, and takes the lowest accepted.
+            rej = np.flatnonzero(~first)
+            ladder = np.column_stack([lam[rej], np.full((rej.size, 20), 10.0)])
+            levels = np.multiply.accumulate(ladder, axis=1)[:, 1:]  # each rounds as lam *= 10
+            tried = levels <= 1e8
+            pairs = rej[np.nonzero(tried)[0]]  # fit-major, each fit's levels climbing
+            if pairs.size:
+                won = np.zeros(tried.shape, dtype=bool)
+                won[tried], r_try, t_try, _, tried_geometry = attempt(
+                    r[pairs], t[pairs], hess[pairs], descent[pairs], levels[tried],
+                    scale[pairs], ceiling[pairs], _take(args, pairs),
                 )
-                win, lose = todo[ok], todo[~ok]
-                r_new[win], t_new[win] = r_try[ok], t_try[ok]
-                accepted[win] = True
-                lam[lose] *= 10.0
-                todo = lose[lam[lose] <= 1e8]
-            # A fit whose damping schedule ran out keeps its pose.
+                wins = won.any(axis=1)
+                win, pick = rej[wins], won[wins].argmax(axis=1)
+                pair = (np.cumsum(tried) - 1).reshape(tried.shape)[wins, pick]
+                lam[win], accepted[win] = levels[wins, pick], True
+                r_new[win], t_new[win] = r_try[pair], t_try[pair]
+                for kept, tried_rows in zip(geometry or (), tried_geometry or ()):
+                    if kept is not None:  # the accepted try's geometry, for the next rows
+                        kept[win] = tried_rows[pair]
+            # A fit whose damping schedule ran out keeps its pose and leaves the stack.
             r_new[~accepted], t_new[~accepted] = r[~accepted], t[~accepted]
         r, t = r_new, t_new
         lam = np.maximum(lam / 3.0, 1e-12)

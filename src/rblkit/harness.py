@@ -250,8 +250,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, converted(kind, getattr(self, name), name))
         if not isinstance(self.completion, bool):
             raise ConfigError(f"expected a bool, got {self.completion!r}", field="completion")
-        if len(self.sigma_grid) == 0 or any(s <= 0 for s in self.sigma_grid):
-            raise ConfigError("sigma grid must be nonempty and positive", field="sigma_grid")
+        if len(self.sigma_grid) == 0 or not all(0 < s < np.inf for s in self.sigma_grid):
+            raise ConfigError("sigma grid must be nonempty, finite and positive", field="sigma_grid")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1", field="trials")
         unknown = set(self.estimators) - set(ESTIMATOR_TAGS)
@@ -382,7 +382,7 @@ def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion:
     chain = None
     if {"mds", "nls"} & set(estimators):
         chain = chain_batch(anchors, nodes, ranges, mask, completion)
-    estimates, failures, rot_err, trans_err = {}, {}, {}, {}
+    estimates, failures = {}, {}
     for tag in estimators:
         if tag == "gabp":
             batch = gabp_batch(anchors, nodes, mask, ranges, sigmas)
@@ -394,11 +394,17 @@ def _run_trials(scenario: ScenarioConfig, sigmas, seeds, estimators, completion:
             batch = nls_batch(anchors, nodes, mask, ranges, aoa, w_range, w_angle, start)
         estimates[tag] = batch
         failures[tag] = [batch.failure(i) for i in range(len(sigmas))]
-        scored = np.flatnonzero([f is None for f in failures[tag]])
-        rot_err[tag], trans_err[tag] = np.full(len(sigmas), np.nan), np.full(len(sigmas), np.nan)
-        rot_err[tag][scored] = rotation_error_deg(batch.rotation[scored], rot[scored])
-        offset = batch.translation[scored] - trans[scored]
-        trans_err[tag][scored] = np.sqrt(np.vecdot(offset, offset))  # np.linalg.norm of each
+    # All tags' scored items in one error call and one norm; each item's are those it gets alone.
+    n = len(sigmas)
+    scored = np.array([[f is None for f in failures[t]] for t in estimators], bool).reshape(-1, n)
+    which, item = np.nonzero(scored)
+    errors = np.full((2,) + scored.shape, np.nan)
+    fit_rot = np.reshape([estimates[t].rotation for t in estimators], (-1, n, 3, 3))[which, item]
+    offset = np.reshape([estimates[t].translation for t in estimators], (-1, n, 3))[which, item]
+    errors[0][scored] = rotation_error_deg(fit_rot, rot[item])
+    offset -= trans[item]
+    errors[1][scored] = np.sqrt(np.vecdot(offset, offset))  # each offset's length
+    rot_err, trans_err = (dict(zip(estimators, e)) for e in errors)
     return _Trials((rot, trans), observed, crlb, chain, estimates, failures, rot_err, trans_err)
 
 

@@ -30,6 +30,7 @@ from .geometry import (
     Conformation,
     RigidBodyState,
     affine_rank,
+    by_value,
     cross,
     node_velocities,
     pairwise_distances,
@@ -199,12 +200,14 @@ class Edm:
             raise ValueError("known_mask must be symmetric")
         d = d.copy()  # the one copy: NaN fills it, then it is frozen
         d[~known] = np.nan
-        sym_err = np.nanmax(np.abs(d - d.T)) if known.any() else 0.0
-        if sym_err > 0.0:
-            raise ValueError(f"known entries must be symmetric (max asymmetry {sym_err:.3e})")
         # np.allclose(diagonal, 0.0) is |diagonal| <= 1e-8, NaN failing it.
         if not (known.diagonal().all() and (np.abs(d.diagonal()) <= 1e-8).all()):
             raise ValueError("EDM must be hollow with a known diagonal")
+        if not np.isfinite(d[known]).all():
+            raise ValueError("known squared distances must be finite")
+        sym_err = np.nanmax(np.abs(d - d.T)) if known.any() else 0.0
+        if sym_err > 0.0:
+            raise ValueError(f"known entries must be symmetric (max asymmetry {sym_err:.3e})")
         if np.any(d[known] < 0.0):
             raise ValueError("known squared distances must be nonnegative")
         if not known[:a, :a].all() or not known[a:, a:].all():
@@ -322,6 +325,7 @@ def bernoulli_keep(seeds, p: float, shape) -> np.ndarray:
     return np.array([_stream(s, _STREAM_BLOCKAGE).random(shape) for s in seeds]) >= p
 
 
+@by_value
 def hull_facets(nodes) -> np.ndarray:
     """Node-index triples (F, 3) spanning the distinct facet planes of the
     convex hull of `nodes` (K, 3), each ordered so that
@@ -334,9 +338,8 @@ def hull_facets(nodes) -> np.ndarray:
     the plane. A rotation keeps both which triples qualify and their
     handedness, so a body's facets found in its own frame hold at every
     pose. A collinear or flat node set (by the rank test) has no interior
-    and raises InvalidPolicyError.
+    and raises InvalidPolicyError. Memoized by value, read-only.
     """
-    nodes = np.asarray(nodes, dtype=float)
     rank = affine_rank(nodes)
     if rank < 3:
         cause = "collinear" if rank < 2 else "coplanar"

@@ -242,6 +242,8 @@ class TestMalformedDocuments:
          ("trials", "abc", "refused str 'abc'"),
          ("master_seed", "x", "refused str 'x'"),
          ("sigma_grid", "15", "refused str '15'"),
+         ("sigma_grid", [0.1, float("nan")], "sigma grid must be nonempty, finite and positive"),
+         ("sigma_grid", [float("inf")], "sigma grid must be nonempty, finite and positive"),
          ("trials", 2.7, "'float' object cannot be interpreted as an integer"),
          ("master_seed", 2.5, "'float' object cannot be interpreted as an integer"),
          ("master_seed", -1, "must be an unsigned 64-bit integer, got -1"),
@@ -251,7 +253,8 @@ class TestMalformedDocuments:
          ("completion", "no", "expected a bool"),
          ("estimators", "nls", "refused str 'nls'"),
          ("estimators", ["nls", "gabp", "nls"], "repeated estimators in ['nls', 'gabp', 'nls']")],
-        ids=["text-sigma", "scalar-grid", "text-trials", "text-seed", "text-grid",
+        ids=["text-sigma", "scalar-grid", "text-trials", "text-seed", "text-grid", "nan-grid",
+             "infinite-grid",
              "float-trials", "float-seed", "negative-seed", "aliasing-seed", "bool-trials",
              "text-completion",
              "text-estimators", "repeated-estimators"],
@@ -414,6 +417,18 @@ class TestCompleteCommand:
         assert doc["converged"] is True
         mask = np.asarray(doc["completed"]["known_mask"])
         assert mask.all()
+
+    def test_non_finite_entry_refused(self, tmp_path, capsys):
+        # A document's Infinity is a known squared distance no EDM can hold.
+        d = (np.arange(4.0)[:, None] - np.arange(4.0)) ** 2
+        d[0, 3] = d[3, 0] = np.inf
+        doc = {"n_anchors": 2, "known_mask": [[True] * 4] * 4, "squared_distances": d.tolist()}
+        (tmp_path / "edm.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["complete", "--edm", str(tmp_path / "edm.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "rblkit: config error: --edm: known squared distances must be finite\n"
+        assert not out.exists()
 
     def test_bad_file_errors(self, tmp_path, capsys):
         code = main(["complete", "--edm", str(tmp_path / "missing.json"), "--out", str(tmp_path)])

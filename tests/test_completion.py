@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rblkit.completion import (
+    block_embedding,
     centered_gram,
     complete_batch,
     complete_edm,
@@ -293,6 +294,31 @@ class TestCompleteBatch:
             )
             assert stacked.final_mismatch == alone.final_mismatch
             assert (stacked.iterations, stacked.converged) == (alone.iterations, alone.converged)
+
+
+class TestBlockEmbedding:
+    @pytest.mark.parametrize("name", ["fig4", "fig5"])
+    def test_memoized_block_equals_uncached(self, name):
+        # A scenario's anchor and node blocks embed once: the cached points are
+        # read-only and have the uncached points' bits and layout, and the two
+        # blocks, or two bodies, never share an entry.
+        scenario, _ = preset(name)
+        anchors, nodes = scenario.anchors.anchors, scenario.conformation.nodes
+        a, n = len(anchors), len(anchors) + len(nodes)
+        d = np.zeros((2, n, n))  # a stack, as complete_batch slices it
+        d[0, :a, :a], d[0, a:, a:] = edm_from_points(anchors), edm_from_points(nodes)
+        for block in (d[0, :a, :a], d[0, a:, a:]):
+            points = block_embedding(block)
+            uncached = embed_from_gram(centered_gram(block))[0]
+            assert not points.flags.writeable
+            assert points.strides == uncached.strides
+            assert points.tobytes() == uncached.tobytes()
+            assert block_embedding(block.copy()) is points
+        assert block_embedding(d[0, :a, :a]) is not block_embedding(d[0, a:, a:])
+        cube = unit_cube().nodes
+        assert block_embedding(edm_from_points(2.0 * cube)) is not block_embedding(
+            edm_from_points(cube)
+        )
 
 
 class TestZeroImputed:

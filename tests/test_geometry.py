@@ -20,9 +20,13 @@ from rblkit.geometry import (
     RigidBodyState,
     Twist,
     _lapack,
+    _quat_from_matrix,
+    _take,
     apply_pose,
+    by_value,
     compose_poses,
     fit_terms,
+    haar_rotations,
     inverse_pose,
     node_velocities,
     pairwise_distances,
@@ -361,6 +365,158 @@ class TestPoseGaussNewton:
             assert single[4][0] == messages[i]
 
 
+def serial_damping_kernel(residuals, rot, trans, max_iters, args=()):
+    """pose_gauss_newton as it was with a serial damping schedule: a fit whose
+    first try is rejected climbs one stacked try per level, and one rejecting
+    fit makes the whole stack recompute its geometry. The oracle of the ladder."""
+    rot, trans = np.array(rot, dtype=float), np.array(trans, dtype=float)
+    n = len(rot)
+    iterations, converged = np.full(n, max_iters), np.zeros(n, dtype=bool)
+    messages = [f"cost change above relative 1e-12 after {max_iters} iterations"] * n
+
+    def attempt(r, t, hess, descent, lam, scale, ceiling, a):
+        damped = hess.copy()
+        diagonal = damped.reshape(-1, 36)[:, ::7]
+        diagonal += lam[:, None] * scale
+        step = _lapack(_umath_linalg.solve, damped, descent)
+        r_try, t_try = r @ so3_exp(step[:, :3, 0]), t + step[:, 3:, 0]
+        res, _, _, geometry = residuals(r_try, t_try, *a, False, None)
+        c_try = np.vecdot(res, res)
+        ok = (c_try <= ceiling) & (step[:, 0, 0] == step[:, 0, 0])
+        return ok, r_try, t_try, c_try, geometry
+
+    live = np.arange(n)
+    r, t, geometry = rot, trans, None
+    lam = np.full(n, 1e-6)
+    for it in range(1, max_iters + 1):
+        if not live.size:
+            break
+        res, jac, curv, _ = residuals(r, t, *args, True, geometry)
+        cost = np.vecdot(res, res)
+        descent = -(jac.mT @ res[..., None])
+        hess = jac.mT @ jac
+        diag = hess.diagonal(axis1=-2, axis2=-1)
+        largest = np.maximum.reduce(diag, axis=-1, keepdims=True, initial=1e-300)
+        scale = np.maximum(diag, 1e-12 * largest)
+        if curv is not None:
+            newton = hess + curv
+            corner = _lapack(_umath_linalg.cholesky_lo, newton)[:, 0, 0]
+            hess = np.where((corner == corner)[:, None, None], newton, hess)
+        band = cost * 1e-12 + 1e-18
+        ceiling = cost + band
+        first, r_new, t_new, c_new, geometry = attempt(
+            r, t, hess, descent, lam, scale, ceiling, args
+        )
+        conv = np.abs(cost - c_new) <= band
+        accepted = first
+        if np.count_nonzero(first) < len(first):
+            conv &= first
+            accepted, geometry = first.copy(), None
+            lam[~first] *= 10.0
+            todo = np.flatnonzero(~first & (lam <= 1e8))
+            while todo.size:
+                ok, r_try, t_try, _, _ = attempt(
+                    r[todo], t[todo], hess[todo], descent[todo], lam[todo], scale[todo],
+                    ceiling[todo], _take(args, todo),
+                )
+                win, lose = todo[ok], todo[~ok]
+                r_new[win], t_new[win] = r_try[ok], t_try[ok]
+                accepted[win] = True
+                lam[lose] *= 10.0
+                todo = lose[lam[lose] <= 1e8]
+            r_new[~accepted], t_new[~accepted] = r[~accepted], t[~accepted]
+        r, t = r_new, t_new
+        lam = np.maximum(lam / 3.0, 1e-12)
+        done = conv if accepted is first else conv | ~accepted
+        finished = np.count_nonzero(done)
+        if finished:
+            last = finished == len(live)
+            ids, sel = (live, slice(None)) if last else (live[done], done)
+            rot[ids], trans[ids], iterations[ids], converged[ids] = r[sel], t[sel], it, conv[sel]
+            for i, ok in zip(ids.tolist(), accepted[sel].tolist()):
+                messages[i] = "" if ok else "damping schedule exhausted without cost decrease"
+            if last:
+                return rot, trans, iterations, converged, messages
+            keep = ~done
+            live, r, t, lam = live[keep], r[keep], t[keep], lam[keep]
+            args, geometry = _take(args, keep), _take(geometry, keep)
+    rot[live], trans[live] = r, t
+    return rot, trans, iterations, converged, messages
+
+
+def damped_range_fit(rot, trans, ranges, flip, shrink, jacobian, geometry):
+    """flipped_range_fit with the rows also scaled by shrink and, where shrink
+    is not 1, no curvature: such an item's undamped step is 1 / shrink times
+    too long, so its first tries are rejected and a higher level accepted."""
+    res, rows, curv, geometry = flipped_range_fit(rot, trans, ranges, flip, jacobian, geometry)
+    if not jacobian:
+        return res, None, None, geometry
+    return res, rows * shrink[:, None, None], curv * (shrink == 1.0)[:, None, None], geometry
+
+
+def damped_stack(rng):
+    """Starts and args of damped_range_fit fits: converging ones, two whose
+    damping must grow and one whose schedule runs out."""
+    starts_rot, starts_trans, ranges = [], [], []
+    cases = [(0.01, 0.1), (0.3, 0.6), (0.01, 0.3), (0.05, 0.2), (0.02, 0.4), (0.0, 0.1)]
+    for sigma, spread in cases:
+        pose = random_pose(rng)
+        exact = cube_range_links(pose)[4]
+        ranges.append(exact + sigma * rng.standard_normal(exact.size))
+        starts_rot.append(pose.rotation @ so3_exp(rng.normal(0.0, spread, 3)))
+        starts_trans.append(pose.translation + rng.normal(0.0, spread, 3))
+    flip = np.array([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
+    shrink = np.array([1.0, 1.0, 0.05, 1.0, 0.02, 1.0])
+    return np.array(starts_rot), np.array(starts_trans), (np.array(ranges), flip, shrink)
+
+
+class TestDampingLadder:
+    def test_ladder_equals_serial_schedule(self):
+        # Each rejected fit tries its whole schedule in one stacked try; the
+        # outcome is the serial climb's bit for bit, on a stack mixing first-try
+        # accepts, accepts at later levels and an exhausted schedule.
+        rot, trans, args = damped_stack(np.random.default_rng(49))
+        tries = []
+
+        def counting(*fit):
+            tries.append(None if fit[-2] else len(fit[0]))
+            return damped_range_fit(*fit)
+
+        ladder = pose_gauss_newton(counting, rot, trans, 40, args=args)
+        serial = serial_damping_kernel(damped_range_fit, rot, trans, 40, args=args)
+        for ladder_out, serial_out in zip(ladder[:4], serial[:4]):
+            assert np.array_equal(ladder_out, serial_out)
+        assert ladder[4] == serial[4]
+        assert ladder[4][5] == "damping schedule exhausted without cost decrease"
+        assert ladder[4][2] == ladder[4][4] == "" and ladder[3][[0, 2, 4]].all()
+        # A first try that is rejected is followed by one stacked try of every level.
+        retries = [b for a, b in zip(tries, tries[1:]) if a is not None and b is not None]
+        assert retries and max(retries) > len(rot)
+
+    def test_one_retry_and_kept_geometry_per_iteration(self):
+        # At most one retry per iteration, and after the first iteration every
+        # Jacobian evaluation is handed the geometry of its poses: the one its
+        # accepted try computed or, for an exhausted fit, its own.
+        rot, trans, args = damped_stack(np.random.default_rng(51))
+        calls = []
+
+        def counting(*fit):
+            calls.append((fit[-2], fit[-1] is None))
+            return damped_range_fit(*fit)
+
+        kept = pose_gauss_newton(counting, rot, trans, 40, args=args)
+        jacobians = [i for i, (jacobian, _) in enumerate(calls) if jacobian]
+        assert [calls[i][1] for i in jacobians] == [True] + [False] * (len(jacobians) - 1)
+        for start, end in zip(jacobians, jacobians[1:] + [len(calls)]):
+            assert 1 <= end - start - 1 <= 2
+        assert any(end - start == 3 for start, end in zip(jacobians, jacobians[1:]))
+        fresh = pose_gauss_newton(
+            lambda *fit: damped_range_fit(*fit[:-1], None), rot, trans, 40, args=args
+        )
+        for kept_out, fresh_out in zip(kept, fresh):
+            assert np.array_equal(kept_out, fresh_out)
+
+
 def lapack_stack(rng, b):
     """(B, 6, 6) matrices of mixed kinds: positive definite, symmetric
     indefinite, positive semidefinite of rank 4 (LAPACK may factor it or
@@ -640,6 +796,70 @@ class TestRotationError:
         rng = np.random.default_rng(45)
         r = random_rotation(rng)
         assert rotation_error_deg(r, r.copy()) < 1e-9
+
+
+def shepperd_oracle(r):
+    """_quat_from_matrix as it was, through np.stack and take_along_axis, and
+    each matrix's pivot: the oracle of the lean form."""
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = np.moveaxis(r.reshape(r.shape[:-2] + (9,)), -1, 0)
+    t = np.trace(r, axis1=-2, axis2=-1)
+    pivot = np.where(
+        (t > m00) & (t > m11) & (t > m22), 0,
+        np.where((m00 > m11) & (m00 > m22), 1, np.where(m11 > m22, 2, 3)),
+    )
+    candidates = np.stack(
+        [t + 1.0, 1.0 + m00 - m11 - m22, 1.0 + m11 - m00 - m22, 1.0 + m22 - m00 - m11], axis=-1
+    )
+    s = np.sqrt(np.take_along_axis(candidates, pivot[..., None], axis=-1)[..., 0]) * 2.0
+    values = np.stack(
+        [0.25 * s, (m21 - m12) / s, (m02 - m20) / s, (m10 - m01) / s,
+         (m01 + m10) / s, (m02 + m20) / s, (m12 + m21) / s],
+        axis=-1,
+    )
+    pick = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+    q = np.take_along_axis(values, pick[pivot], axis=-1)
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    return q / np.sqrt(np.vecdot(q, q))[..., None], pivot
+
+
+class TestQuatFromMatrix:
+    def test_equals_oracle_on_every_pivot(self):
+        # Random rotations, angles near 0 and 180 degrees (every axis), exact
+        # half turns and ties between pivots: the same bits as the oracle.
+        rng = np.random.default_rng(52)
+        axes = rng.standard_normal((600, 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        tiny = 10.0 ** rng.uniform(-12, -2, (600, 1))
+        half_turns = np.pi * np.vstack([np.eye(3), axes[:20]])
+        stack = np.concatenate([
+            haar_rotations(rng.standard_normal((2000, 4))),
+            so3_exp(axes * tiny), so3_exp(axes * (np.pi - tiny)), so3_exp(half_turns),
+            so3_exp(np.pi / 2 * np.eye(3)), np.eye(3)[None],
+        ])
+        expected, pivot = shepperd_oracle(stack)
+        assert set(pivot.tolist()) == {0, 1, 2, 3}
+        assert _quat_from_matrix(stack).tobytes() == expected.tobytes()
+        for r in stack[::50]:
+            assert _quat_from_matrix(r).tobytes() == shepperd_oracle(r)[0].tobytes()
+        assert _quat_from_matrix(stack[:0]).shape == (0, 4)
+
+
+def test_by_value_keys_on_bytes_and_shape():
+    # One entry per value and shape: the same bytes in another shape, or
+    # another value, never reads an entry; a result is read-only.
+    calls = []
+
+    @by_value
+    def column_sums(a):
+        calls.append(a.shape)
+        return a.sum(axis=0)
+
+    a = np.arange(6.0)
+    assert column_sums(a.reshape(2, 3)).tolist() == [3.0, 5.0, 7.0]
+    assert column_sums(a.reshape(3, 2)).tolist() == [6.0, 9.0]
+    assert column_sums(a.reshape(2, 3) + 1.0).tolist() == [5.0, 7.0, 9.0]
+    again = column_sums(a.reshape(2, 3).copy())
+    assert calls == [(2, 3), (3, 2), (2, 3)] and not again.flags.writeable
 
 
 class TestPropagateState:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rblkit.estimators
+import rblkit.harness
 from rblkit.errors import ConfigError
 from rblkit.geometry import Conformation, Pose, Twist, haar_rotations, so3_exp, transform_points
 from rblkit.measurement import NoiseModel
@@ -124,6 +125,13 @@ class TestConfigs:
             small_experiment(trials=0)
         with pytest.raises(ConfigError):
             small_experiment(estimators=("mds", "bogus"))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_refused(self, value):
+        # NaN and inf pass a `<= 0` test; the grid refuses them itself instead
+        # of leaving the draw to fail on a noise field the document lacks.
+        with pytest.raises(ConfigError, match="^sigma_grid: sigma grid must be nonempty, finite"):
+            small_experiment(sigma_grid=(0.1, value))
 
     def test_planar_body_rejects_hull_blockage(self):
         # A planar body's hull has no interior to occlude with, so the
@@ -513,6 +521,31 @@ class TestBatchedTrials:
             batch = _run_trials(scenario, sigmas, seeds, ESTIMATOR_TAGS, True)
             assert outcome_bits(batch, at) == reference
             assert any(f for failures in batch.failures.values() for f in failures)
+
+
+def test_errors_scored_in_one_call(monkeypatch):
+    # Every tag's scored items go through one rotation_error_deg call and one
+    # norm; each error is the per-tag one of its item, and a failed item is NaN.
+    scenario, grid = stacked_scenario("fig5", BlockageSpec(kind="bernoulli", p=0.7))
+    sigmas = [grid[i % len(grid)] for i in range(10)]
+    seeds = [derive_seed(13, i) for i in range(10)]
+    score, calls = rblkit.harness.rotation_error_deg, []
+    monkeypatch.setattr(
+        rblkit.harness, "rotation_error_deg", lambda a, b: calls.append(len(a)) or score(a, b)
+    )
+    trials = _run_trials(scenario, sigmas, seeds, ESTIMATOR_TAGS, True)
+    rot, trans = trials.truth
+    mixed = 0
+    for tag, batch in trials.estimates.items():
+        scored = np.array([f is None for f in trials.failures[tag]])
+        mixed += 0 < scored.sum() < len(scored)
+        rot_err, trans_err = trials.rotation_errors[tag], trials.translation_errors[tag]
+        assert np.isnan(rot_err[~scored]).all() and np.isnan(trans_err[~scored]).all()
+        expected = score(batch.rotation[scored], rot[scored])
+        assert rot_err[scored].tobytes() == expected.tobytes()
+        offset = batch.translation[scored] - trans[scored]
+        assert trans_err[scored].tobytes() == np.sqrt(np.vecdot(offset, offset)).tobytes()
+    assert mixed and calls == [sum(f is None for v in trials.failures.values() for f in v)]
 
 
 def draw_scenario(rotation, kinds, blockage):

@@ -420,6 +420,20 @@ class TestHullFacets:
             assert all(np.array_equal(hull_facets(w), facets) for w in world)
             assert np.array_equal(stacked, hull_keep(scenario.anchors.anchors, world, facets))
 
+    def test_facets_memoized_by_value(self):
+        # One entry per body, read-only, and equal bit for bit to the facets
+        # found without the cache; another body, or the body at another
+        # placement, never reads the entry.
+        cube, car = unit_cube().nodes, preset("fig5")[0].conformation.nodes
+        placed = transform_points(cube, random_rotation(np.random.default_rng(9)), np.ones(3))
+        for nodes in (cube, car, placed, cube[::-1]):
+            facets = hull_facets(nodes)
+            assert not facets.flags.writeable
+            assert hull_facets(np.array(nodes)) is facets
+            uncached = hull_facets.__wrapped__(np.asarray(nodes, dtype=float))
+            assert facets.dtype == uncached.dtype and facets.tobytes() == uncached.tobytes()
+        assert len({id(hull_facets(n)) for n in (cube, car, placed, cube[::-1])}) == 4
+
     @pytest.mark.parametrize(
         "nodes, cause",
         [
@@ -525,6 +539,21 @@ class TestFrozenCopies:
         known[3, 3] = False
         with pytest.raises(ValueError, match="EDM must be hollow with a known diagonal"):
             Edm(np.where(known, d, 0.0), known, 2)
+
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_edm_refuses_non_finite_known_entries(self, value):
+        # A symmetric inf or a NaN off the diagonal is refused by name, before
+        # the symmetry test could subtract it (inf - inf warns).
+        d = pairwise_distances(unit_cube().nodes) ** 2
+        d[1, 5] = d[5, 1] = value
+        known = np.ones(d.shape, dtype=bool)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^known squared distances must be finite$"):
+                Edm(d, known, 2)
+            known[1, 5] = known[5, 1] = False
+            assert np.isnan(Edm(d, known, 2).squared_distances[1, 5])  # unknown: any value
 
 
 class TestDeterminismAndJson:
