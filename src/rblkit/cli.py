@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import crlb_sweep, sweep_to_csv
 from .completion import complete_edm
 from .errors import ConfigError, RblError, converted, u64
@@ -33,7 +31,7 @@ from .harness import (
     run_benchmark,
     run_scenario_once,
 )
-from .measurement import Edm, assemble_edm
+from .measurement import Edm, assemble_edm, streams
 from .tracking import MeasurementFrame, TrackConfig, track_sequence, track_to_csv
 
 
@@ -139,7 +137,7 @@ def _cmd_crlb(args) -> int:
         grid = experiment.sigma_grid
     else:
         raise ConfigError("need --sigma or an --experiment/--preset sigma grid")
-    pose = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
+    pose = scenario.sample_pose(streams([derive_seed(seed, 1)])[0])
     angle_sigma = scenario.noise.angle_sigma if "aoa" in scenario.measurement_kinds else None
     reports = crlb_sweep(scenario.anchors, scenario.conformation, pose, grid, None, angle_sigma)
     out = _outdir(args)
@@ -164,13 +162,19 @@ def _parse_twist(text: str) -> Twist:
     return converted(lambda p: Twist(p[:3], p[3:]), parts, "twist")
 
 
+def _frames(doc) -> list[MeasurementFrame]:
+    """The frames of a --trajectory document, each refused on its index."""
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a list of frames, got {type(doc).__name__}")
+    return [converted(MeasurementFrame.from_json_dict, f, f"frame {i}") for i, f in enumerate(doc)]
+
+
 def _cmd_track(args) -> int:
     scenario, experiment, seed = _resolve_configs(args)
     noise = replace(scenario.noise, range_sigma=_default_sigma(args, scenario, experiment))
     truth = None
     if args.trajectory:
-        doc = json.loads(Path(args.trajectory).read_text())
-        frames = [MeasurementFrame.from_json_dict(f) for f in doc]
+        frames = converted(_frames, json.loads(Path(args.trajectory).read_text()), "--trajectory")
     else:
         twist = _parse_twist(args.twist)
         n_frames, dt = _positive(args, "frames"), _positive(args, "dt")
@@ -200,11 +204,15 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _cmd_complete(args) -> int:
-    doc = json.loads(Path(args.edm).read_text())
-    if "edm" in doc and doc["edm"] is not None:
+def _edm(doc) -> Edm:
+    """The Edm of an --edm document, or of a simulate output's "edm" entry."""
+    if isinstance(doc, dict) and doc.get("edm") is not None:
         doc = doc["edm"]
-    edm = converted(Edm.from_json_dict, doc, "--edm")
+    return Edm.from_json_dict(doc)
+
+
+def _cmd_complete(args) -> int:
+    edm = converted(_edm, json.loads(Path(args.edm).read_text()), "--edm")
     report = complete_edm(edm, max_iters=_positive(args, "max_iters"))
     _write_json(_outdir(args) / "completion.json", report.to_json_dict())
     return 0

@@ -115,6 +115,17 @@ def converted(kind, value, field: str):
         raise ConfigError(str(exc), field=field) from None
 
 
+def entries(doc, *keys) -> list:
+    """doc[key] for each key of the JSON object `doc`: a TypeError when doc
+    is not an object, a ValueError naming the first missing key."""
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected an object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"missing key {missing[0]!r}")
+    return [doc[key] for key in keys]
+
+
 def exact(kind, value):
     """kind(value) of anything but a bool or a string: int() and float()
     would read those as numbers, and tuple() a string as its characters."""

@@ -54,6 +54,7 @@ from .measurement import (
     hull_facets,
     hull_keep,
     simulate_batch,
+    streams,
 )
 from .tracking import MeasurementFrame
 
@@ -324,7 +325,7 @@ def _draw(scenario: ScenarioConfig, sigmas, seeds):
     measurement stacks."""
     # Each trial's pose generator, noise and blockage seeds: indices 1, 2, 3.
     seeds = derive_seed(np.asarray(seeds, dtype=np.uint64)[:, None], np.arange(1, 4))
-    rot, trans = scenario.sample_poses([np.random.default_rng(s) for s in seeds[:, 0].tolist()])
+    rot, trans = scenario.sample_poses(streams(seeds[:, 0]))
     # Static draws have no motion; rates are simulated about zero velocity.
     kinds = scenario.measurement_kinds
     twist = Twist.zero() if "range_rate" in kinds else None
@@ -518,7 +519,7 @@ def generate_trajectory(
 ) -> tuple[list[MeasurementFrame], list[tuple[Pose, Twist]]]:
     """Constant-twist measurement frames (ranges + range rates) with truth,
     all frames drawn as one stacked batch."""
-    start = scenario.sample_pose(np.random.default_rng(derive_seed(seed, 1)))
+    start = scenario.sample_pose(streams([derive_seed(seed, 1)])[0])
     kinds = tuple(dict.fromkeys(scenario.measurement_kinds + ("range_rate",)))
     times = (np.arange(n_frames) + 1) * dt
     rot, trans = propagate_poses(start, twist, times)

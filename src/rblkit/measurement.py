@@ -24,6 +24,7 @@ from .errors import (
     UndefinedDirectionError,
     UnderdeterminedError,
     converted,
+    entries,
     u64,
 )
 from .geometry import (
@@ -48,8 +49,97 @@ _STREAM_BLOCKAGE = 3
 MEASUREMENT_KINDS = ("range", "aoa", "range_rate")
 
 
-def _stream(seed: int, which: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(which,)))
+# numpy's SeedSequence recipe (numpy/random/bit_generator.pyx), which NEP 19
+# freezes: step i of the pool hash xors with INIT_A * MULT_A**i and multiplies
+# by the next power, step i of the output hash likewise from INIT_B and MULT_B,
+# and mix(x, y) is MIX_MULT_L * x - MIX_MULT_R * y; every step ends in x ^ x >> 16.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)[:, None]
+
+
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, i, 1 << 32) & _MASK32 for i in range(21)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, i, 1 << 32) & _MASK32 for i in range(9)]
+_SHIFT, _HIGH = np.uint32(16), np.uint64(32)
+# (xor, multiplier) columns of the pool's first 4 hash steps and of the 8 output steps.
+_POOL_HASH = _column(_HASH_A[0:4]), _column(_HASH_A[1:5])
+_OUTPUT_HASH = _column(_HASH_B[0:8]), _column(_HASH_B[1:9])
+# Cross mix src: the pool rows it mixes into, and its 3 hash steps' constants.
+_CROSS = [
+    (src, dst, _column(_HASH_A[k : k + 3]), _column(_HASH_A[k + 1 : k + 4]))
+    for src, dst, k in [
+        (0, slice(1, 4), 4), (1, np.array([0, 2, 3]), 7), (2, np.array([0, 1, 3]), 10),
+        (3, slice(0, 3), 13),
+    ]
+]
+
+
+def _hashed(word: int, step: int) -> int:
+    word = (word ^ _HASH_A[step]) * _HASH_A[step + 1] & _MASK32
+    return word ^ word >> 16
+
+
+# MIX_MULT_R times the hash of each stream's spawn word, as each pool word takes it.
+_SPAWN = {
+    which: _column([int(_MIX_R) * _hashed(which, 16 + i) & _MASK32 for i in range(4)])
+    for which in (_STREAM_RANGE, _STREAM_AOA, _STREAM_RATE, _STREAM_BLOCKAGE)
+}
+
+
+class _SeedWords(np.random.bit_generator.ISeedSequence):
+    """A SeedSequence's generate_state(4, uint64) words, already hashed:
+    all that PCG64 asks of its seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"only the 4 uint64 words of PCG64 are hashed, not {n_words} {dtype}")
+        return self.words
+
+
+def streams(seeds, which: int | None = None) -> list[np.random.Generator]:
+    """The generator of each uint64 seed, bit for bit
+    default_rng(SeedSequence(seed, spawn_key=(which,) or ())), where `which`
+    is None or a stream kind (_STREAM_*). One uint32 array computation hashes
+    the whole stack: the seed's two entropy words into a 4-word pool (a
+    spawn key pads the entropy with zeros, which is what an absent word
+    hashes as), the 12 cross mixes, the spawn word's mix, and the 8 output
+    words paired into PCG64's 4."""
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds
+    pool[1] = seeds >> _HIGH
+    pool ^= _POOL_HASH[0]
+    pool *= _POOL_HASH[1]
+    pool ^= pool >> _SHIFT
+    for src, dst, xor, mult in _CROSS:
+        h = pool[src] ^ xor
+        h *= mult
+        h ^= h >> _SHIFT
+        h *= _MIX_R
+        mixed = pool[dst]
+        mixed *= _MIX_L
+        mixed -= h
+        mixed ^= mixed >> _SHIFT
+        pool[dst] = mixed
+    if which is not None:
+        pool *= _MIX_L
+        pool -= _SPAWN[which]
+        pool ^= pool >> _SHIFT
+    state = np.concatenate([pool, pool])
+    state ^= _OUTPUT_HASH[0]
+    state *= _OUTPUT_HASH[1]
+    state ^= state >> _SHIFT
+    words = np.empty((len(seeds), 4), dtype=np.uint64)  # native and C-contiguous rows
+    words[:] = state[1::2].T
+    words <<= _HIGH
+    words |= state[0::2].T
+    return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
 
 
 @dataclass(frozen=True)
@@ -156,7 +246,7 @@ class MeasurementSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementSet":
-        mask = np.asarray(doc["mask"], dtype=bool)
+        (mask,) = entries(doc, "mask")
 
         def grid(values, depth):
             if values is None:
@@ -167,7 +257,7 @@ class MeasurementSet:
             )
 
         return cls(
-            mask=mask,
+            mask=np.asarray(mask, dtype=bool),
             ranges=grid(doc.get("ranges"), 2),
             aoa=grid(doc.get("aoa"), 3),
             range_rates=grid(doc.get("range_rates"), 2),
@@ -240,11 +330,9 @@ class Edm:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Edm":
-        vals = np.array(
-            [[np.nan if v is None else v for v in row] for row in doc["squared_distances"]],
-            dtype=float,
-        )
-        return cls(vals, np.asarray(doc["known_mask"], dtype=bool), int(doc["n_anchors"]))
+        d, known, a = entries(doc, "squared_distances", "known_mask", "n_anchors")
+        vals = np.array([[np.nan if v is None else v for v in row] for row in d], dtype=float)
+        return cls(vals, np.asarray(known, dtype=bool), int(a))
 
 
 def _draws(sigmas, seeds, which: int, shape, count: int = 1) -> np.ndarray:
@@ -252,8 +340,10 @@ def _draws(sigmas, seeds, which: int, shape, count: int = 1) -> np.ndarray:
     all of item i's from one call on stream `which` of seeds[i] and scaled by
     sigmas[i] as Generator.normal scales (0.0 + sigma * z); zeros where it is 0."""
     z = np.zeros((len(sigmas), count) + shape)
-    for i in np.flatnonzero(sigmas > 0.0):
-        _stream(seeds[i], which).standard_normal(out=z[i])
+    noisy = np.flatnonzero(sigmas > 0.0)
+    if noisy.size:  # a noiseless stack (range rates at sigma 0) seeds nothing
+        for i, rng in zip(noisy, streams(np.asarray(seeds, dtype=np.uint64)[noisy], which)):
+            rng.standard_normal(out=z[i])
     return np.moveaxis(0.0 + sigmas[:, None, None, None] * z, 1, 0)
 
 
@@ -322,7 +412,7 @@ def bernoulli_keep(seeds, p: float, shape) -> np.ndarray:
     """The (B, *shape) links that survive independent blockage with
     probability p in [0, 1], one mask per seed drawn from that seed's own
     blockage stream, so each item is the same in any stack."""
-    return np.array([_stream(s, _STREAM_BLOCKAGE).random(shape) for s in seeds]) >= p
+    return np.array([rng.random(shape) for rng in streams(seeds, _STREAM_BLOCKAGE)]) >= p
 
 
 @by_value

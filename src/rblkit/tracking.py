@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RblError, UnderdeterminedError, UnobservableTwistError
+from .errors import ConfigError, RblError, UnderdeterminedError, UnobservableTwistError, entries
 from .estimators import (
     ESTIMATOR_TAGS,
     PoseEstimate,
@@ -93,7 +93,8 @@ class MeasurementFrame:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementFrame":
-        return cls(float(doc["timestamp"]), MeasurementSet.from_json_dict(doc["measurements"]))
+        timestamp, measurements = entries(doc, "timestamp", "measurements")
+        return cls(float(timestamp), MeasurementSet.from_json_dict(measurements))
 
 
 @dataclass(frozen=True)

@@ -385,6 +385,26 @@ class TestTrackCommand:
         assert len(doc) == 3
         assert doc[0]["error"] is None
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [([{"timestamp": 0.1}], "frame 0: missing key 'measurements'"),
+         ({"a": 1}, "expected a list of frames, got dict"),
+         ([{"timestamp": 0.0, "measurements": {"mask": [[True]], "ranges": [[1.0]]}}, 5],
+          "frame 1: expected an object, got int"),
+         ([{"timestamp": 0.1, "measurements": {"mask": [[True]], "ranges": [[-1.0]]}}],
+          "frame 0: observed ranges must be nonnegative"),
+         ([{"timestamp": 0.1, "measurements": {"ranges": [[1.0]]}}],
+          "frame 0: missing key 'mask'")],
+        ids=["no-measurements", "object", "number-frame", "negative-range", "no-mask"],
+    )
+    def test_malformed_trajectory(self, tiny_configs, tmp_path, capsys, doc, message):
+        traj = tmp_path / "traj.json"
+        traj.write_text(json.dumps(doc))
+        argv = ["track", "--scenario", tiny_configs[0], "--trajectory", str(traj),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"rblkit: config error: --trajectory: {message}\n"
+
 
 class TestCompleteCommand:
     def test_completes_simulated_edm(self, tmp_path):
@@ -428,6 +448,21 @@ class TestCompleteCommand:
         assert main(["complete", "--edm", str(tmp_path / "edm.json"), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == "rblkit: config error: --edm: known squared distances must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({"n_anchors": 1, "squared_distances": [[0, 1], [1, 0]]}, "missing key 'known_mask'"),
+         ({"known_mask": [[True]], "squared_distances": [[0]]}, "missing key 'n_anchors'"),
+         (5, "expected an object, got int"),
+         ({"edm": [1, 2]}, "expected an object, got list")],
+        ids=["no-mask", "no-anchors", "number", "list-edm"],
+    )
+    def test_malformed_document(self, tmp_path, capsys, doc, message):
+        (tmp_path / "edm.json").write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["complete", "--edm", str(tmp_path / "edm.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"rblkit: config error: --edm: {message}\n"
         assert not out.exists()
 
     def test_bad_file_errors(self, tmp_path, capsys):

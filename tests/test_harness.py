@@ -29,7 +29,7 @@ from rblkit.harness import (
     splitmix64,
 )
 from rblkit.harness import _draw, _measurement_set, _run_trials, draw_trial
-from rblkit.measurement import _draws, _stream
+from rblkit.measurement import _draws
 
 
 def small_scenario(**overrides):
@@ -629,7 +629,7 @@ class TestStackedDraw:
         seeds = np.array([derive_seed(6, t) for t in range(60)], dtype=np.uint64)
         az, el = _draws(sigmas, seeds, 1, (8, 12), count=2)
         for i, (sigma, seed) in enumerate(zip(sigmas[:-1], seeds)):
-            rng = _stream(seed, 1)
+            rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(1,)))
             assert az[i].tobytes() == rng.normal(0.0, sigma, (8, 12)).tobytes()
             assert el[i].tobytes() == rng.normal(0.0, sigma, (8, 12)).tobytes()
         assert not az[-1].any() and not el[-1].any()

@@ -147,6 +147,13 @@ def test_one_stacked_draw():
     assert sorted(definitions) == expect
 
 
+def test_one_seeding_definition():
+    # Every generator in src/rblkit is seeded by measurement.streams, the one
+    # copy of numpy's SeedSequence recipe: nothing else hashes or builds one.
+    assert callers("default_rng") == callers("SeedSequence") == set()
+    assert callers("PCG64") == callers("Generator") == {("measurement.py", "streams")}
+
+
 def test_every_error_class_is_raised():
     # Each exception class of errors.py is constructed, and each warning
     # class is the category of a warnings.warn call, in some other module.

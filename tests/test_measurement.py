@@ -39,6 +39,7 @@ from rblkit.measurement import (
     hull_keep,
     simulate_batch,
     simulate_measurements,
+    streams,
     wrap_angle,
 )
 
@@ -554,6 +555,48 @@ class TestFrozenCopies:
                 Edm(d, known, 2)
             known[1, 5] = known[5, 1] = False
             assert np.isnan(Edm(d, known, 2).squared_distances[1, 5])  # unknown: any value
+
+
+class TestStreams:
+    """streams hashes a whole stack of seeds as numpy's SeedSequence hashes
+    each one, so every generator is the one default_rng builds."""
+
+    EDGE = [0, 1, 2**32 - 1, 2**32, 2**63 + 11, 2**64 - 1]
+
+    @staticmethod
+    def reference(seed, which):
+        key = () if which is None else (which,)
+        return np.random.SeedSequence(int(seed), spawn_key=key)
+
+    @pytest.mark.parametrize("which", [None, 0, 1, 2, 3])
+    def test_words_equal_seed_sequence(self, which):
+        rand = np.random.default_rng(23).integers(0, 2**64 - 1, 200, np.uint64, endpoint=True)
+        seeds = np.concatenate([np.array(self.EDGE, dtype=np.uint64), rand])
+        got = [g.bit_generator.seed_seq.generate_state(4, np.uint64) for g in streams(seeds, which)]
+        want = [self.reference(s, which).generate_state(4, np.uint64) for s in seeds]
+        np.testing.assert_array_equal(got, want)
+        assert all(w.dtype.isnative and w.flags.c_contiguous for w in got)
+
+    @pytest.mark.parametrize("which", [None, 3])
+    @pytest.mark.parametrize("b", [1, 5, 24])
+    def test_draws_equal_default_rng(self, b, which):
+        seeds = np.random.default_rng(b).integers(0, 2**64 - 1, b, np.uint64, endpoint=True)
+        for rng, seed in zip(streams(seeds, which), seeds, strict=True):
+            ref = np.random.default_rng(self.reference(seed, which))
+            np.testing.assert_array_equal(rng.standard_normal((3, 4)), ref.standard_normal((3, 4)))
+            np.testing.assert_array_equal(rng.random(7), ref.random(7))
+
+    def test_python_int_seeds(self):
+        words = [g.bit_generator.seed_seq.generate_state(4, np.uint64) for g in streams(self.EDGE)]
+        want = [np.random.SeedSequence(s).generate_state(4, np.uint64) for s in self.EDGE]
+        np.testing.assert_array_equal(words, want)
+        assert streams(np.array([], dtype=np.uint64), 0) == []
+
+    @pytest.mark.parametrize("n_words, dtype", [(8, np.uint32), (4, np.uint32), (2, np.uint64)])
+    def test_other_state_requests_refused(self, n_words, dtype):
+        seq = streams([7], 1)[0].bit_generator.seed_seq
+        with pytest.raises(ValueError, match="only the 4 uint64 words"):
+            seq.generate_state(n_words, dtype)
 
 
 class TestDeterminismAndJson:
