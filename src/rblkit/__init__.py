@@ -15,17 +15,14 @@ from .bounds import (
     frame_potential,
     placement_score,
 )
-from .completion import CompletionReport, complete_edm, gram_from_edm, zero_imputed
+from .completion import CompletionReport, complete_edm, zero_imputed
 from .estimators import (
-    NodeFix,
     PoseEstimate,
     SemanticHeading,
     estimate_pose_gabp,
     estimate_pose_mds,
     estimate_pose_nls,
-    estimate_relative_pose,
     mds_from_ranges,
-    multilaterate_node,
     procrustes,
     semantic_error,
     semantic_transform,
@@ -36,14 +33,11 @@ from .geometry import (
     RigidBodyState,
     Twist,
     apply_pose,
-    compose_poses,
-    inverse_pose,
     node_velocities,
     propagate_state,
     rotation_error_deg,
     so3_exp,
     so3_log,
-    so3_project,
 )
 from .harness import (
     BlockageSpec,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -162,11 +163,22 @@ def _parse_twist(text: str) -> Twist:
     return converted(lambda p: Twist(p[:3], p[3:]), parts, "twist")
 
 
-def _frames(doc) -> list[MeasurementFrame]:
-    """The frames of a --trajectory document, each refused on its index."""
+def _frames(doc, grid) -> list[MeasurementFrame]:
+    """The frames of a --trajectory document, each refused on its index
+    unless it measures the (anchors, nodes) `grid` at a finite timestamp
+    after the previous frame's."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of frames, got {type(doc).__name__}")
-    return [converted(MeasurementFrame.from_json_dict, f, f"frame {i}") for i, f in enumerate(doc)]
+    frames = [converted(MeasurementFrame.from_json_dict, f, f"frame {i}") for i, f in enumerate(doc)]
+    for i, frame in enumerate(frames):
+        t, shape, where = frame.timestamp, frame.measurements.shape, f"frame {i}"
+        if shape != grid:
+            raise ConfigError(f"measurements are {shape}, not (anchors, nodes) {grid}", where)
+        if not math.isfinite(t):
+            raise ConfigError(f"timestamp must be finite, got {t}", where)
+        if i and t <= frames[i - 1].timestamp:
+            raise ConfigError(f"timestamp {t} is not after frame {i - 1}'s", where)
+    return frames
 
 
 def _cmd_track(args) -> int:
@@ -174,7 +186,9 @@ def _cmd_track(args) -> int:
     noise = replace(scenario.noise, range_sigma=_default_sigma(args, scenario, experiment))
     truth = None
     if args.trajectory:
-        frames = converted(_frames, json.loads(Path(args.trajectory).read_text()), "--trajectory")
+        doc = json.loads(Path(args.trajectory).read_text())
+        grid = (scenario.anchors.num_anchors, scenario.conformation.num_nodes)
+        frames = converted(lambda d: _frames(d, grid), doc, "--trajectory")
     else:
         twist = _parse_twist(args.twist)
         n_frames, dt = _positive(args, "frames"), _positive(args, "dt")

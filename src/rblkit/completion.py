@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompletionInfeasibleError, IncompleteEdmError
+from .errors import CompletionInfeasibleError
 from .geometry import by_value, fit_alignment, fit_ranges, grid_links, transform_points
 from .measurement import Edm
 
@@ -51,14 +51,6 @@ def centered_gram(squared_distances: np.ndarray) -> np.ndarray:
     n = d.shape[-1]
     j = np.eye(n) - np.ones((n, n)) / n
     return -0.5 * (j @ d @ j)
-
-
-def gram_from_edm(edm: Edm) -> np.ndarray:
-    """Centered Gram matrix of a fully known EDM."""
-    if not edm.is_complete():
-        missing = int((~edm.known_mask).sum())
-        raise IncompleteEdmError(f"EDM has {missing} unknown entries; complete it first")
-    return centered_gram(edm.squared_distances)
 
 
 def embed_from_gram(gram: np.ndarray, dim: int = 3) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Pose estimators: algebraic (MDS), iterative least squares, and Gaussian
-belief propagation, plus anchorless relative localization and semantic
-heading transforms.
+belief propagation, plus semantic heading transforms. The pose of a target
+relative to an ego body is the anchored case with the ego's body-frame nodes
+as the anchors.
 
 All estimators return a PoseEstimate whose rotation satisfies the Pose
 invariants; iterative methods report convergence honestly instead of
@@ -29,7 +30,6 @@ from .geometry import (
     fit_ranges,
     grid_links,
     project_batch,
-    range_links,
     range_residuals,
 )
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch
@@ -126,21 +126,6 @@ def _item(stack, i):
 
 
 @dataclass(frozen=True)
-class NodeFix:
-    """Single-node multilateration result.
-
-    covariance is the unit-noise proxy inv(J^T J) of the range Jacobian at
-    the solution; `ambiguous` flags mirror solutions (three anchors, or
-    coplanar anchor geometry).
-    """
-
-    position: np.ndarray
-    covariance: np.ndarray
-    residual_rms: float
-    ambiguous: bool
-
-
-@dataclass(frozen=True)
 class SemanticHeading:
     """Unit heading vector of a body plus its anchor point.
 
@@ -166,82 +151,19 @@ class SemanticHeading:
         object.__setattr__(self, "anchor_point", anchor)
 
 
-def procrustes(source, target, weights=None) -> Pose:
-    """Best-fit rigid transform mapping `source` points onto `target` points.
+def procrustes(source, target, weights=None):
+    """Best-fit rigid transforms mapping `source` points onto `target` points.
 
     Minimizes the weighted sum of squared distances over rotations and
-    translations; closed form via the SVD of the weighted cross-covariance.
-    Raises AmbiguousAlignmentError for collinear (or smaller) source sets,
-    where the rotation about the line is unobservable.
+    translations, in closed form (geometry.fit_alignment, kept proper).
+    Broadcasts over leading axes: source and target (..., K, 3), weights
+    (..., K) or None. Returns (rotations, translations, flags): a flag marks
+    a collinear (or smaller) weighted source, whose rotation about the line
+    is unobservable.
     """
-    s = np.asarray(source, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if s.shape != y.shape or s.ndim != 2 or s.shape[1] != 3:
-        raise ValueError(f"source and target must both be (K, 3), got {s.shape} vs {y.shape}")
-    if s.shape[0] < 3:
-        raise AmbiguousAlignmentError("alignment needs at least 3 corresponded points")
-    q, t, collinear = _procrustes(s, y, weights)
-    if collinear:
-        raise AmbiguousAlignmentError(_COLLINEAR)
-    return Pose(q, t)
-
-
-_COLLINEAR = "source points are collinear; rotation ambiguous"
-
-
-def _procrustes(source, target, weights):
-    """procrustes over leading axes: (rotations, translations, flags of
-    collinear weighted sources, whose rotation is ambiguous)."""
     q, t, _, s_c, w = fit_alignment(source, target, weights, proper=True)
     spread = np.linalg.svd(s_c * np.sqrt(w)[..., None], compute_uv=False)
     return q, t, spread[..., 1] <= 1e-12 * np.maximum(spread[..., 0], 1e-300)
-
-
-def _differenced_rows(ref_a, ref_r, a_j, r_j):
-    """The squared-range equations of one node differenced against a
-    reference anchor, exactly linear in the position x: rows @ x = rhs.
-
-    Broadcasts over leading axes: a_j is (..., M, 3), r_j is (..., M), and
-    ref_a, ref_r broadcast against them.
-    """
-    rows = 2.0 * (a_j - ref_a)
-    rhs = (ref_r**2 - r_j**2) + (a_j**2).sum(axis=-1) - (ref_a**2).sum(axis=-1)
-    return rows, rhs
-
-
-def multilaterate_node(anchors: AnchorSet, ranges, mask=None) -> NodeFix:
-    """Locate a single node from ranges to known anchors.
-
-    Solves the reference-differenced squared-range system (exactly linear
-    in the position), then applies one Gauss-Newton correction on the true
-    range residuals. Three observed anchors, or coplanar anchor geometry,
-    leave a mirror solution; the fix is then flagged ambiguous.
-    """
-    r = np.asarray(ranges, dtype=float).reshape(-1)
-    pts = anchors.anchors
-    if r.shape[0] != pts.shape[0]:
-        raise ValueError("one range per anchor expected")
-    obs = np.isfinite(r) if mask is None else (np.asarray(mask, bool) & np.isfinite(r))
-    idx = np.flatnonzero(obs)
-    if idx.size < 3:
-        raise UnderdeterminedError(
-            f"multilateration needs >= 3 observed anchors, got {idx.size}"
-        )
-    a_obs, r_obs = pts[idx], r[idx]
-    rows, rhs = _differenced_rows(a_obs[0], r_obs[0], a_obs[1:], r_obs[1:])
-    x, _, rank, _ = np.linalg.lstsq(rows, rhs, rcond=None)
-    # The node is a one-point body at translation x; its range rows' last
-    # three columns are the position Jacobian (the unit lines of sight).
-    links = range_links(np.zeros((1, 3)), np.zeros(idx.size, dtype=int), a_obs, r_obs)
-    resid, rows = range_residuals(np.eye(3), x, links)[:2]
-    x = x + np.linalg.lstsq(rows[:, 3:], -resid, rcond=None)[0]  # one Gauss-Newton step
-    resid, rows = range_residuals(np.eye(3), x, links)[:2]
-    return NodeFix(
-        position=x,
-        covariance=np.linalg.pinv(rows[:, 3:].T @ rows[:, 3:]),
-        residual_rms=float(np.sqrt(np.mean(resid**2))),
-        ambiguous=bool(idx.size == 3 or rank < 3),
-    )
 
 
 def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseEstimate:
@@ -278,7 +200,8 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
     measured; items failed upstream (`errors`) keep their error."""
     a = len(anchor_xyz)
     node_positions, eigvals = anchored_embedding(d, anchor_xyz)
-    rot, trans, collinear = _procrustes(nodes, node_positions, None)
+    # Nodes of a Conformation span a plane (affine_rank), so the flag is never set.
+    rot, trans, _ = procrustes(nodes, node_positions)
     links = grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
     residual = _observed_rms(rot, trans, links)
     degenerate = eigvals[:, 2] <= 1e-9 * np.maximum(eigvals[:, 0], 1e-300)
@@ -289,8 +212,6 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
                 "Gram matrix has fewer than 3 significantly positive eigenvalues:"
                 f" {eigvals[i, :4]}"
             )
-        elif error is None and collinear:
-            errors[i] = AmbiguousAlignmentError(_COLLINEAR)
     return PoseBatch("mds", rot, trans, residual, errors, per_node_positions=node_positions)
 
 
@@ -447,8 +368,11 @@ def _gabp_node_beliefs(anchor_xyz, ranges, mask, sigma):
     r = np.where(obs, ranges.swapaxes(-1, -2), 0.0)
     ref = obs.argmax(axis=-1)
     ref_r = np.take_along_axis(r, ref[..., None], axis=-1)
+    # Differenced, the equations are exactly linear in the position: rows @ x = rhs.
     # The reference's own row is identically zero; unobserved rows get weight 0.
-    rows, rhs = _differenced_rows(anchor_xyz[ref][..., None, :], ref_r, anchor_xyz, r)
+    ref_a = anchor_xyz[ref][..., None, :]
+    rows = 2.0 * (anchor_xyz - ref_a)
+    rhs = (ref_r**2 - r**2) + (anchor_xyz**2).sum(axis=-1) - (ref_a**2).sum(axis=-1)
     sigma = np.asarray(sigma, dtype=float)[..., None, None]
     spread = np.maximum(4.0 * sigma**2 * (r**2 + ref_r**2), 1e-12)
     weight = obs / np.where(sigma > 0.0, spread, 1.0)
@@ -496,10 +420,11 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
     weights = np.where(usable, (1.0 / variances).min(axis=-1), 0.0)
     # Items with too few usable nodes fail; unit weights keep their placeholder fit defined.
     weights[n_usable < 3] = 1.0
-    rot, trans, collinear = _procrustes(nodes, np.where(usable[..., None], means, 0.0), weights)
+    rot, trans, collinear = procrustes(nodes, np.where(usable[..., None], means, 0.0), weights)
     errors = [
         UnderdeterminedError(f"only {int(n)} nodes have >= 3 observed anchors; need 3")
-        if n < 3 else AmbiguousAlignmentError(_COLLINEAR) if bad else None
+        if n < 3 else AmbiguousAlignmentError("source points are collinear; rotation ambiguous")
+        if bad else None
         for n, bad in zip(n_usable, collinear)
     ]
     links = grid_links(anchor_xyz, nodes, ranges, mask)
@@ -507,34 +432,6 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
         "gabp", rot, trans, _observed_rms(rot, trans, links), errors,
         per_node_positions=means, node_variances=variances,
     )
-
-
-def estimate_relative_pose(
-    ego_conf: Conformation,
-    cross_distances,
-    target_conf: Conformation,
-    mask=None,
-    noise: NoiseModel | None = None,
-    refine: bool = False,
-) -> PoseEstimate:
-    """Pose of a target body relative to an ego body, from cross distances.
-
-    The ego nodes play the anchor role (their body-frame coordinates are
-    the anchor positions), so the anchored pipeline applies unchanged:
-    assemble the joint EDM, complete it when links are missing, embed via
-    MDS, and optionally refine with the iterative estimator.
-    """
-    cross = np.asarray(cross_distances, dtype=float)
-    ego = AnchorSet(ego_conf.nodes)
-    if mask is None:
-        mask = np.isfinite(cross)
-    meas = MeasurementSet(mask=np.asarray(mask, bool), ranges=cross)
-    estimate, _ = mds_from_ranges(meas, ego, target_conf)
-    tag = "relative-mds"
-    if refine:
-        estimate = estimate_pose_nls(meas, ego, target_conf, init=estimate.pose, noise=noise)
-        tag = "relative-nls"
-    return replace(estimate, method_tag=tag)
 
 
 def semantic_transform(heading: SemanticHeading, pose: Pose) -> SemanticHeading:

@@ -131,24 +131,12 @@ def so3_log(rotation) -> np.ndarray:
     return vec * (angle / n)
 
 
-def so3_project(m) -> np.ndarray:
-    """Nearest rotation (Frobenius sense) to an arbitrary full-rank 3x3 matrix.
-
-    The sign correction flips the direction of the smallest singular value
-    when the orthogonal factor would have determinant -1.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError(f"expected 3x3 matrix, got {a.shape}")
-    projected, error = project_batch(a[None])
-    if error[0] is not None:
-        raise error[0]
-    return projected[0]
-
-
 def project_batch(m) -> tuple[np.ndarray, list]:
-    """so3_project of each matrix of a (B, 3, 3) stack: the rotations and,
-    per item, the DegenerateProjectionError of a rank-deficient one or None."""
+    """Nearest rotation (Frobenius sense) to each matrix of a (B, 3, 3) stack:
+    the rotations and, per item, the DegenerateProjectionError of a
+    rank-deficient one or None. The sign correction flips the direction of
+    the smallest singular value where the orthogonal factor would have
+    determinant -1."""
     u, s, vt = np.linalg.svd(m)
     errors = [None] * len(m)
     for i in np.flatnonzero(s[:, 2] <= 1e-13 * np.maximum(s[:, 0], 1e-300)):
@@ -695,18 +683,6 @@ def node_velocities(state: RigidBodyState) -> np.ndarray:
 def twist_velocities(nodes, rot, twist: Twist) -> np.ndarray:
     """Node velocities [w]x R c_k + tdot of body points (K, 3) at rotations (..., 3, 3)."""
     return np.cross(twist.angular, nodes @ rot.mT) + twist.linear
-
-
-def compose_poses(outer: Pose, inner: Pose) -> Pose:
-    """Pose of applying `inner` first, then `outer`."""
-    return Pose(
-        outer.rotation @ inner.rotation,
-        outer.rotation @ inner.translation + outer.translation,
-    )
-
-
-def inverse_pose(pose: Pose) -> Pose:
-    return Pose(pose.rotation.T, -(pose.rotation.T @ pose.translation))
 
 
 def propagate_state(state: RigidBodyState, dt: float) -> RigidBodyState:

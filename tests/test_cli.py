@@ -334,6 +334,12 @@ class TestAngleScenarios:
         assert not (tmp_path / "benchmark.csv").exists()
 
 
+def cube_frame(timestamp, anchors=8):
+    """A --trajectory frame document: every range 1 m on an anchors x 8 grid."""
+    mask, ranges = [[True] * 8] * anchors, [[1.0] * 8] * anchors
+    return {"timestamp": timestamp, "measurements": {"mask": mask, "ranges": ranges}}
+
+
 class TestTrackCommand:
     @pytest.mark.parametrize("twist", ["a,b", "nan,0,0,0,0,0"], ids=["text", "nan"])
     def test_malformed_twist(self, tiny_configs, tmp_path, capsys, twist):
@@ -394,8 +400,13 @@ class TestTrackCommand:
          ([{"timestamp": 0.1, "measurements": {"mask": [[True]], "ranges": [[-1.0]]}}],
           "frame 0: observed ranges must be nonnegative"),
          ([{"timestamp": 0.1, "measurements": {"ranges": [[1.0]]}}],
-          "frame 0: missing key 'mask'")],
-        ids=["no-measurements", "object", "number-frame", "negative-range", "no-mask"],
+          "frame 0: missing key 'mask'"),
+         ([cube_frame(0.2), cube_frame(0.1)], "frame 1: timestamp 0.1 is not after frame 0's"),
+         ([cube_frame(0.1), cube_frame(0.2, anchors=1)],
+          "frame 1: measurements are (1, 8), not (anchors, nodes) (8, 8)"),
+         ([cube_frame(float("nan"))], "frame 0: timestamp must be finite, got nan")],
+        ids=["no-measurements", "object", "number-frame", "negative-range", "no-mask",
+             "stale-timestamp", "wrong-grid", "nan-timestamp"],
     )
     def test_malformed_trajectory(self, tiny_configs, tmp_path, capsys, doc, message):
         traj = tmp_path / "traj.json"

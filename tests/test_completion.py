@@ -10,10 +10,9 @@ from rblkit.completion import (
     complete_edm,
     edm_from_points,
     embed_from_gram,
-    gram_from_edm,
     zero_imputed,
 )
-from rblkit.errors import CompletionInfeasibleError, IncompleteEdmError
+from rblkit.errors import CompletionInfeasibleError
 from rblkit.estimators import mds_from_ranges
 from rblkit.geometry import Conformation, Pose, RigidBodyState, random_rotation, so3_exp
 from rblkit.harness import derive_seed, draw_trial, preset
@@ -71,20 +70,12 @@ def mask_cross_entries(edm: Edm, keep: np.ndarray) -> Edm:
 class TestGram:
     def test_two_points_analytic_eigenvalues(self):
         d = 2.5
-        edm = Edm(np.array([[0.0, d * d], [d * d, 0.0]]), np.ones((2, 2), bool), n_anchors=1)
-        eig = np.sort(np.linalg.eigvalsh(gram_from_edm(edm)))[::-1]
-        assert eig[0] == pytest.approx(d * d / 2.0, abs=1e-12)
-        assert eig[1] == pytest.approx(0.0, abs=1e-12)
+        eig = np.sort(np.linalg.eigvalsh(centered_gram(np.array([[0.0, d * d], [d * d, 0.0]]))))
+        assert eig[1] == pytest.approx(d * d / 2.0, abs=1e-12)
+        assert eig[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_coincident_points_zero_gram(self):
-        edm = Edm(np.zeros((4, 4)), np.ones((4, 4), bool), n_anchors=2)
-        assert np.allclose(gram_from_edm(edm), 0.0)
-
-    def test_incomplete_input_raises(self):
-        edm, _ = cube_edm()
-        masked = drop_cross_entries(edm, 0.3, seed=1)
-        with pytest.raises(IncompleteEdmError):
-            gram_from_edm(masked)
+        assert np.allclose(centered_gram(np.zeros((4, 4))), 0.0)
 
     def test_embedding_round_trip(self):
         rng = np.random.default_rng(4)

@@ -32,9 +32,7 @@ from rblkit.estimators import (
     estimate_pose_gabp,
     estimate_pose_mds,
     estimate_pose_nls,
-    estimate_relative_pose,
     mds_from_ranges,
-    multilaterate_node,
     procrustes,
     semantic_error,
     semantic_transform,
@@ -74,27 +72,30 @@ def pose_errors(estimate: PoseEstimate, truth: Pose) -> tuple[float, float]:
 class TestProcrustes:
     def test_identity_for_equal_sets(self):
         pts = unit_cube().nodes
-        pose = procrustes(pts, pts)
-        assert np.abs(pose.rotation - np.eye(3)).max() < 1e-12
-        assert np.abs(pose.translation).max() < 1e-12
+        rot, trans, collinear = procrustes(pts, pts)
+        assert np.abs(rot - np.eye(3)).max() < 1e-12
+        assert np.abs(trans).max() < 1e-12
+        assert not collinear
 
     def test_recovers_synthetic_pose(self):
+        # One stacked call fits 20 poses.
         rng = np.random.default_rng(1)
         src = unit_cube().nodes
-        for _ in range(20):
-            truth = random_pose(rng, translation_scale=2.0)
-            tgt = apply_pose(unit_cube(), truth)
-            got = procrustes(src, tgt)
-            assert rotation_error_deg(got.rotation, truth.rotation) < 1e-9
-            assert np.linalg.norm(got.translation - truth.translation) < 1e-9
+        truths = [random_pose(rng, translation_scale=2.0) for _ in range(20)]
+        tgt = np.array([apply_pose(unit_cube(), truth) for truth in truths])
+        rot, trans, collinear = procrustes(src, tgt)
+        assert rot.shape == (20, 3, 3) and not collinear.any()
+        for i, truth in enumerate(truths):
+            assert rotation_error_deg(rot[i], truth.rotation) < 1e-9
+            assert np.linalg.norm(trans[i] - truth.translation) < 1e-9
 
     def test_planar_reflection_trap(self):
         rng = np.random.default_rng(2)
         src = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.3, 0.7, 0]])
         tgt = src @ np.diag([1.0, -1.0, 1.0])  # mirrored copy
-        pose = procrustes(src, tgt)
-        assert np.linalg.det(pose.rotation) == pytest.approx(1.0, abs=1e-12)
-        best = np.sum((src @ pose.rotation.T + pose.translation - tgt) ** 2)
+        rot, trans, _ = procrustes(src, tgt)
+        assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+        best = np.sum((src @ rot.T + trans - tgt) ** 2)
         for _ in range(100_000):
             r = random_rotation(rng)
             centered_cost_t = tgt.mean(0) - r @ src.mean(0)
@@ -111,53 +112,64 @@ class TestProcrustes:
             t = np.average(tgt, axis=0, weights=w) - r @ np.average(src, axis=0, weights=w)
             return np.sum(w[:, None] * (src @ r.T + t - tgt) ** 2)
 
-        best = cost(procrustes(src, tgt, weights=w).rotation)
+        best = cost(procrustes(src, tgt, weights=w)[0])
         for _ in range(100_000):
             assert best <= cost(random_rotation(rng)) + 1e-9
 
-    def test_collinear_source_raises(self):
-        src = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3.0, 0, 0]])
-        with pytest.raises(AmbiguousAlignmentError):
-            procrustes(src, src)
+    def test_collinear_source_flagged(self):
+        # A collinear source, or one whose weights leave only collinear
+        # points, is flagged item by item.
+        line = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [3.0, 0, 0]])
+        assert procrustes(line, line)[2]
+        src = np.vstack([line, [[0, 1, 0], [0, 0, 1.0]]])
+        weights = np.array([[1.0] * 6, [1.0] * 4 + [0.0] * 2])
+        assert procrustes(src, np.array([src, src]), weights)[2].tolist() == [False, True]
 
 
 class TestMultilaterateNode:
-    ANCHORS = AnchorSet([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0]])
+    """Per-node multilateration is GaBP's stage 1: each node's belief mean
+    solves its differenced squared-range equations, and a direction they
+    leave unobserved keeps the weak prior's variance."""
+
+    ANCHORS = np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0]])
+
+    @staticmethod
+    def beliefs(anchors, targets, mask=None):
+        ranges = np.linalg.norm(anchors[:, None, :] - targets[None, :, :], axis=-1)
+        mask = np.ones(ranges.shape, dtype=bool) if mask is None else mask
+        return _gabp_node_beliefs(anchors, ranges, mask, sigma=0.0)
 
     def test_exact_recovery_at_centroid(self):
-        target = self.ANCHORS.anchors.mean(axis=0)
-        ranges = np.linalg.norm(self.ANCHORS.anchors - target, axis=1)
-        fix = multilaterate_node(self.ANCHORS, ranges)
-        assert np.linalg.norm(fix.position - target) < 1e-9
-        assert not fix.ambiguous
+        target = self.ANCHORS.mean(axis=0, keepdims=True)
+        mu, var, usable = self.beliefs(self.ANCHORS, target)
+        assert usable[0] and np.linalg.norm(mu[0] - target[0]) < 1e-9
+        assert var[0].max() < 1.0
 
     def test_zero_noise_generic_residual(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            target = rng.uniform(-1, 3, 3)
-            ranges = np.linalg.norm(self.ANCHORS.anchors - target, axis=1)
-            fix = multilaterate_node(self.ANCHORS, ranges)
-            assert fix.residual_rms < 1e-9
-            assert np.linalg.norm(fix.position - target) < 1e-8
+        targets = np.random.default_rng(5).uniform(-1, 3, (20, 3))
+        mu, _, usable = self.beliefs(self.ANCHORS, targets)
+        assert usable.all()
+        assert np.abs(mu - targets).max() < 1e-8
+        ranges = np.linalg.norm(self.ANCHORS[:, None, :] - targets[None, :, :], axis=-1)
+        fitted = np.linalg.norm(self.ANCHORS[:, None, :] - mu[None, :, :], axis=-1)
+        assert np.abs(fitted - ranges).max() < 1e-9
 
     def test_coplanar_anchors_flag_mirror_ambiguity(self):
-        anchors = AnchorSet([[0, 0, 0], [4, 0, 0], [0, 4, 0], [4, 4, 0.0]])
-        target = np.array([1.0, 1.5, 2.0])
-        ranges = np.linalg.norm(anchors.anchors - target, axis=1)
-        fix = multilaterate_node(anchors, ranges)
-        assert fix.ambiguous
+        # The mirror image through the anchors' plane fits as well: the
+        # plane's normal keeps the prior's variance 1e12, and its mean 0.
+        anchors = np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [4, 4, 0.0]])
+        target = np.array([[1.0, 1.5, 2.0]])
+        mu, var, usable = self.beliefs(anchors, target)
+        assert usable[0]
+        assert np.abs(mu[0] - [1.0, 1.5, 0.0]).max() < 1e-9
+        assert var[0, 2] == pytest.approx(1e12) and var[0, :2].max() < 1.0
 
     def test_three_anchors_flagged(self):
-        target = np.array([1.0, 1.0, 1.0])
-        ranges = np.linalg.norm(self.ANCHORS.anchors - target, axis=1)
-        ranges[3] = np.nan
-        fix = multilaterate_node(self.ANCHORS, ranges)
-        assert fix.ambiguous
-
-    def test_underdetermined_raises(self):
-        ranges = np.array([1.0, 2.0, np.nan, np.nan])
-        with pytest.raises(UnderdeterminedError):
-            multilaterate_node(self.ANCHORS, ranges)
+        target = np.array([[1.0, 1.0, 1.0]])
+        mask = np.array([[True], [True], [True], [False]])
+        mu, var, usable = self.beliefs(self.ANCHORS, target, mask)
+        assert usable[0]
+        assert var[0, 2] == pytest.approx(1e12) and var[0, :2].max() < 1.0
 
 
 class TestEstimatePoseMds:
@@ -450,13 +462,28 @@ class TestEstimatePoseGabp:
         with pytest.raises(UnderdeterminedError):
             estimate_pose_gabp(sparse, anchors, conf)
 
+    def test_collinear_usable_nodes_are_ambiguous(self):
+        # Only the three nodes on the x axis see >= 3 anchors, so the
+        # precision-weighted fit cannot see the rotation about that axis.
+        nodes = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 1, 0], [0, 0, 1.0]])
+        anchors = cube_anchors().anchors
+        ranges = np.linalg.norm(anchors[:, None, :] - nodes[None, :, :], axis=-1)
+        mask = np.ones(ranges.shape, dtype=bool)
+        mask[2:, 3:] = False
+        batch = gabp_batch(anchors, nodes, mask[None], ranges[None], [0.1])
+        with pytest.raises(AmbiguousAlignmentError, match="collinear"):
+            batch.estimate(0)
+
 
 class TestEstimateRelativePose:
+    """The pose of a target body relative to an ego body, as fig5 runs it:
+    the anchored pipeline with the ego's body-frame nodes as the anchors."""
+
     @staticmethod
     def cross_ranges(ego, target_conf, rel_pose, sigma=0.0, seed=0):
         state = RigidBodyState(target_conf, rel_pose)
         noise = NoiseModel(range_sigma=sigma, seed=seed)
-        return simulate_measurements(AnchorSet(ego.nodes), state, noise).ranges
+        return simulate_measurements(AnchorSet(ego.nodes), state, noise)
 
     def test_truck_car_zero_noise_exact(self):
         rng = np.random.default_rng(23)
@@ -472,16 +499,18 @@ class TestEstimateRelativePose:
             ),
             [12.0, 3.0, 0.2],
         )
-        cross = self.cross_ranges(ego, target, rel)
-        est = estimate_relative_pose(ego, cross, target)
-        assert rotation_error_deg(est.pose.rotation, rel.rotation) < 1e-7
-        assert np.linalg.norm(est.pose.translation - rel.translation) < 1e-8
-        assert est.method_tag == "relative-mds"
+        meas = self.cross_ranges(ego, target, rel)
+        mds, report = mds_from_ranges(meas, AnchorSet(ego.nodes), target)
+        nls = estimate_pose_nls(meas, AnchorSet(ego.nodes), target, init=mds.pose)
+        assert report is None and nls.converged
+        for est in (mds, nls):
+            assert rotation_error_deg(est.pose.rotation, rel.rotation) < 1e-7
+            assert np.linalg.norm(est.pose.translation - rel.translation) < 1e-8
 
     def test_identity_relative_pose(self):
         ego = truck_body()
-        cross = self.cross_ranges(ego, ego, Pose.identity())
-        est = estimate_relative_pose(ego, cross, ego)
+        meas = self.cross_ranges(ego, ego, Pose.identity())
+        est, _ = mds_from_ranges(meas, AnchorSet(ego.nodes), ego)
         assert np.abs(est.pose.rotation - np.eye(3)).max() < 1e-7
         assert np.abs(est.pose.translation).max() < 1e-8
 
@@ -489,17 +518,12 @@ class TestEstimateRelativePose:
         rng = np.random.default_rng(29)
         ego, target = truck_body(), car_body()
         rel = Pose(random_rotation(rng), [10.0, -2.0, 0.5])
-        cross = self.cross_ranges(ego, target, rel, sigma=0.05, seed=3)
-        mask = np.random.default_rng(4).random(cross.shape) >= 0.2
-        est = estimate_relative_pose(ego, cross, target, mask=mask)
+        meas = self.cross_ranges(ego, target, rel, sigma=0.05, seed=3)
+        mask = np.random.default_rng(4).random(meas.shape) >= 0.2
+        blocked = MeasurementSet(mask=mask, ranges=meas.ranges)
+        est, report = mds_from_ranges(blocked, AnchorSet(ego.nodes), target)
+        assert report is not None
         assert np.linalg.norm(est.pose.translation - rel.translation) < 0.5
-
-    def test_refine_tag(self):
-        ego, target = truck_body(), car_body()
-        rel = Pose.identity()
-        cross = self.cross_ranges(ego, target, rel)
-        est = estimate_relative_pose(ego, cross, target, refine=True)
-        assert est.method_tag == "relative-nls"
 
 
 class TestSemantic:

@@ -24,15 +24,14 @@ from rblkit.geometry import (
     _take,
     apply_pose,
     by_value,
-    compose_poses,
     fit_terms,
     haar_rotations,
-    inverse_pose,
     node_velocities,
     pairwise_distances,
     parse_points,
     pose_gauss_newton,
     pose_jacobian_rows,
+    project_batch,
     propagate_state,
     random_rotation,
     range_curvature,
@@ -41,7 +40,6 @@ from rblkit.geometry import (
     rotation_error_deg,
     so3_exp,
     so3_log,
-    so3_project,
 )
 from rblkit.harness import preset
 
@@ -149,22 +147,6 @@ class TestApplyPose:
             assert np.abs(
                 pairwise_distances(out) - pairwise_distances(conf.nodes)
             ).max() < 1e-9
-
-    def test_group_composition(self):
-        rng = np.random.default_rng(13)
-        conf = unit_cube()
-        for _ in range(10):
-            p1, p2 = random_pose(rng), random_pose(rng)
-            via_two = apply_pose(Conformation(apply_pose(conf, p1)), p2)
-            via_composed = apply_pose(conf, compose_poses(p2, p1))
-            assert np.abs(via_two - via_composed).max() < 1e-9
-
-    def test_inverse_pose(self):
-        rng = np.random.default_rng(14)
-        p = random_pose(rng)
-        ident = compose_poses(inverse_pose(p), p)
-        assert np.allclose(ident.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(ident.translation, 0.0, atol=1e-12)
 
 
 # (M, 6) blocks of finite reals: body points, then gradients or lines of sight.
@@ -745,20 +727,22 @@ class TestSo3:
     def test_project_fixed_point(self):
         rng = np.random.default_rng(33)
         r = random_rotation(rng)
-        assert np.abs(so3_project(r) - r).max() < 1e-12
+        projected, errors = project_batch(r[None])
+        assert errors == [None] and np.abs(projected[0] - r).max() < 1e-12
 
     def test_project_removes_scaling(self):
-        assert np.allclose(so3_project(1.1 * np.eye(3)), np.eye(3), atol=1e-12)
+        assert np.allclose(project_batch(1.1 * np.eye(3)[None])[0], np.eye(3), atol=1e-12)
 
     def test_project_rank_deficient_raises(self):
+        # The rank-deficient item gets the error it raises; the other item none.
         m = np.outer([1.0, 0, 0], [1.0, 0, 0]) + np.outer([0, 1.0, 0], [0, 1.0, 0])
-        with pytest.raises(DegenerateProjectionError):
-            so3_project(m)
+        _, errors = project_batch(np.array([m, np.eye(3)]))
+        assert isinstance(errors[0], DegenerateProjectionError) and errors[1] is None
 
     def test_project_beats_random_search(self):
         rng = np.random.default_rng(34)
         m = random_rotation(rng) + 0.2 * rng.standard_normal((3, 3))
-        best = so3_project(m)
+        best = project_batch(m[None])[0][0]
         best_cost = np.linalg.norm(best - m)
         samples = [random_rotation(rng) for _ in range(10_000)]
         costs = np.array([np.linalg.norm(s - m) for s in samples])

@@ -1,7 +1,8 @@
 """Import hygiene of the rblkit modules (the package __init__ re-exports and
 is left out): no module imports a private name of another rblkit module,
 none imports a name it never uses, no function or class is left without a
-caller, and every class of errors.py is raised or warned somewhere."""
+caller, every re-export has a caller beyond the unit tests, and every class
+of errors.py is raised or warned somewhere."""
 
 import ast
 import importlib
@@ -78,16 +79,29 @@ def references(path):
             yield node.name.split(".")[-1], node.lineno
 
 
-def test_every_definition_is_referenced():
-    # A function or class counts as used when some name, attribute or import
-    # in src/rblkit, tests/ or bench/ refers to it from outside its own
-    # definition; the package __init__'s re-exports do not count.
-    files = [p for d in ("src/rblkit", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+def references_in(files):
+    """name -> [(file, line)] of the references in `files`; the package
+    __init__'s re-exports do not count."""
     used = {}
     for path in files:
         if path != PACKAGE / "__init__.py":
             for name, line in references(path):
                 used.setdefault(name, []).append((path, line))
+    return used
+
+
+def used_outside(uses, path, node) -> bool:
+    """Whether some use (file, line) lies outside `node`'s definition in `path`."""
+    inside = range(node.lineno, node.end_lineno + 1)
+    return any(p != path or line not in inside for p, line in uses)
+
+
+def test_every_definition_is_referenced():
+    # A function or class counts as used when some name, attribute or import
+    # in src/rblkit, tests/ or bench/ refers to it from outside its own
+    # definition.
+    files = [p for d in ("src/rblkit", "tests", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    used = references_in(files)
     orphans = []
     for module in MODULES:
         path = PACKAGE / module
@@ -95,10 +109,39 @@ def test_every_definition_is_referenced():
             kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
             if not isinstance(node, kinds) or node.name.startswith("__"):
                 continue
-            inside = range(node.lineno, node.end_lineno + 1)
-            if not any(p != path or ln not in inside for p, ln in used.get(node.name, [])):
+            if not used_outside(used.get(node.name, []), path, node):
                 orphans.append(f"{module}:{node.lineno} {node.name}")
     assert not orphans, "defined but never referenced: " + ", ".join(orphans)
+
+
+# Re-exports that neither the program, the acceptance suite nor bench/ calls,
+# each kept as a README capability of its own, with its reason.
+EXPORTS_WITHOUT_CALLER = {
+    "placement_score": "README's anchor-placement scoring: a design aid, not a program path",
+    "semantic_error": "README's semantic heading comparison: the error of a carried heading",
+}
+
+
+def test_every_export_has_a_caller():
+    # Every name the package re-exports is referenced, outside its own
+    # definition, from src/rblkit, the acceptance criteria or bench/, so API
+    # that only unit tests call cannot build up again. An exception whose
+    # name gained such a caller, or is no longer exported, is stale.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names}
+    files = [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py", *ROOT.glob("bench/*.py")]
+    used = references_in(files)
+    called = {
+        node.name
+        for module in MODULES
+        for node in ast.parse((PACKAGE / module).read_text()).body
+        if getattr(node, "name", None) in exported
+        and used_outside(used.get(node.name, []), PACKAGE / module, node)
+    }
+    uncalled = sorted(exported - called - set(EXPORTS_WITHOUT_CALLER))
+    stale = sorted(set(EXPORTS_WITHOUT_CALLER) - (exported - called))
+    assert not uncalled, "re-exported, but only unit tests call: " + ", ".join(uncalled)
+    assert not stale, "stale EXPORTS_WITHOUT_CALLER entries: " + ", ".join(stale)
 
 
 def called_name(call):
