@@ -26,11 +26,13 @@ from .errors import (
 from .geometry import (
     Conformation,
     Pose,
+    eigh,
     fit_alignment,
     fit_ranges,
     grid_links,
     project_batch,
     range_residuals,
+    svd,
 )
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch
 
@@ -162,7 +164,7 @@ def procrustes(source, target, weights=None):
     is unobservable.
     """
     q, t, _, s_c, w = fit_alignment(source, target, weights, proper=True)
-    spread = np.linalg.svd(s_c * np.sqrt(w)[..., None], compute_uv=False)
+    spread = svd(s_c * np.sqrt(w)[..., None], compute_uv=False)
     return q, t, spread[..., 1] <= 1e-12 * np.maximum(spread[..., 0], 1e-300)
 
 
@@ -191,7 +193,9 @@ def _observed_rms(rot, trans, links) -> np.ndarray:
     """RMS of the observed-range residuals of grid_links `links` at poses
     (B, 3, 3), (B, 3); 0 where nothing was observed."""
     res = range_residuals(rot, trans, links, jacobian=False)[0]
-    return np.sqrt(np.add.reduce(res**2, axis=-1) / np.maximum(links[5].sum(axis=-1), 1))
+    observed = np.add.reduce(links[5], axis=-1)
+    # res**2 computes res * res.
+    return np.sqrt(np.add.reduce(res * res, axis=-1) / np.maximum(observed, 1))
 
 
 def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
@@ -294,7 +298,7 @@ def estimate_pose_nls(
     if meas.ranges is None:
         raise UnderdeterminedError("the least-squares estimator needs range measurements")
     sigmas = (0.0, 0.0) if noise is None else (noise.range_sigma, noise.angle_sigma)
-    w_range, w_angle = nls_weights([[sigmas[0]], [sigmas[1]]])
+    w_range, w_angle = nls_weights(sigmas)[:, None]
     start = None if init is None else (init.rotation[None], init.translation[None], [None])
     stacks = [None if m is None else m[None] for m in (meas.ranges, meas.aoa)]
     return nls_batch(
@@ -347,6 +351,7 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
 
 
 _GABP_PRIOR_PRECISION = 1e-12
+_GABP_PRIOR = _GABP_PRIOR_PRECISION * np.eye(3)
 
 
 def _gabp_node_beliefs(anchor_xyz, ranges, mask, sigma):
@@ -370,17 +375,17 @@ def _gabp_node_beliefs(anchor_xyz, ranges, mask, sigma):
     ref_r = np.take_along_axis(r, ref[..., None], axis=-1)
     # Differenced, the equations are exactly linear in the position: rows @ x = rhs.
     # The reference's own row is identically zero; unobserved rows get weight 0.
-    ref_a = anchor_xyz[ref][..., None, :]
-    rows = 2.0 * (anchor_xyz - ref_a)
-    rhs = (ref_r**2 - r**2) + (anchor_xyz**2).sum(axis=-1) - (ref_a**2).sum(axis=-1)
+    rows = 2.0 * (anchor_xyz - anchor_xyz[ref][..., None, :])
+    r2, ref_r2, a2 = r**2, ref_r**2, (anchor_xyz**2).sum(axis=-1)  # a2[ref]: ref_a**2 summed
+    rhs = (ref_r2 - r2) + a2 - a2[ref][..., None]
     sigma = np.asarray(sigma, dtype=float)[..., None, None]
-    spread = np.maximum(4.0 * sigma**2 * (r**2 + ref_r**2), 1e-12)
+    spread = np.maximum(4.0 * sigma**2 * (r2 + ref_r2), 1e-12)
     weight = obs / np.where(sigma > 0.0, spread, 1.0)
     weighted = rows * weight[..., None]
-    info = _GABP_PRIOR_PRECISION * np.eye(3) + weighted.mT @ rows
+    info = _GABP_PRIOR + weighted.mT @ rows
     # The prior bounds every eigenvalue of J below; clipping there only
     # undoes rounding on nodes whose equations leave a direction unobserved.
-    lam, basis = np.linalg.eigh(info)
+    lam, basis = eigh(info)
     cov = (basis / np.maximum(lam, _GABP_PRIOR_PRECISION)[..., None, :]) @ basis.mT
     means = np.einsum("...kij,...kaj,...ka->...ki", cov, weighted, rhs)
     variances = np.diagonal(cov, axis1=-2, axis2=-1)

@@ -7,8 +7,10 @@ velocity w and translational velocity tdot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ _EYE3.flags.writeable = False
 
 
 def _all_finite(*arrays) -> bool:
-    return all(np.count_nonzero(np.isfinite(a)) == a.size for a in arrays)
+    return all(map(math.isfinite, chain.from_iterable(a.ravel().tolist() for a in arrays)))
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -39,16 +41,18 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 
 def by_value(fn):
-    """fn of a float array, memoized on its bytes and shape (bounded LRU); results read-only."""
+    """fn of float arrays, memoized on their bytes and shapes (bounded LRU); its
+    array, or each array of its tuple, read-only."""
 
     @lru_cache(maxsize=32)
-    def cached(data: bytes, shape: tuple) -> np.ndarray:
-        return readonly(fn(np.frombuffer(data).reshape(shape)))
+    def cached(*key):
+        out = fn(*(np.frombuffer(data).reshape(shape) for data, shape in zip(key[::2], key[1::2])))
+        return tuple(map(readonly, out)) if isinstance(out, tuple) else readonly(out)
 
     @wraps(fn)
-    def memoized(a):
-        a = np.asarray(a, dtype=float)
-        return cached(a.tobytes(), a.shape)
+    def memoized(*arrays):
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        return cached(*chain.from_iterable((a.tobytes(), a.shape) for a in arrays))
 
     return memoized
 
@@ -67,7 +71,10 @@ def so3_exp(axis_angle) -> np.ndarray:
     k = (v @ _SKEW).reshape(v.shape + (3,))  # [v]x: each entry is one signed component of v
     small = theta < 1e-6
     square = theta * theta  # what theta**2 computes
-    if np.logical_or.reduce(small, axis=None):
+    n_small = np.count_nonzero(small)
+    if n_small == small.size:  # a converging fit's last steps: the series alone
+        a, b = 1.0 - square / 6.0, 0.5 - square / 24.0
+    elif n_small:
         safe = np.where(small, 1.0, theta)
         a = np.where(small, 1.0 - square / 6.0, np.sin(safe) / safe)
         b = np.where(small, 0.5 - square / 24.0, (1.0 - np.cos(safe)) / safe**2)
@@ -92,9 +99,10 @@ def _quat_from_matrix(r: np.ndarray) -> np.ndarray:
     e[:, 4:] = r.reshape(b, 9)
     np.add.reduce(e[:, 4::4], axis=1, out=e[:, 0])  # the sum np.trace makes
     # The first pivot above all later ones, else the last: Shepperd's tie order.
-    pivots, first = e[:, ::4], np.ones((b, 4), dtype=bool)
+    pivots, first = e[:, ::4], np.empty((b, 4), dtype=bool)
     later = np.maximum.accumulate(pivots[:, :0:-1], axis=1)[:, ::-1]
     np.greater(pivots[:, :3], later, out=first[:, :3])
+    first[:, 3] = True
     pivot, row = first.argmax(axis=1), np.arange(b)
     terms = e.ravel()[_QUAT_TERMS[pivot] + 13 * row[:, None]]
     s = np.sqrt(((1.0 + terms[:, 0]) - terms[:, 1]) - terms[:, 2]) * 2.0
@@ -137,7 +145,7 @@ def project_batch(m) -> tuple[np.ndarray, list]:
     rank-deficient one or None. The sign correction flips the direction of
     the smallest singular value where the orthogonal factor would have
     determinant -1."""
-    u, s, vt = np.linalg.svd(m)
+    u, s, vt = svd(m)
     errors = [None] * len(m)
     for i in np.flatnonzero(s[:, 2] <= 1e-13 * np.maximum(s[:, 0], 1e-300)):
         errors[i] = DegenerateProjectionError(
@@ -149,8 +157,32 @@ def project_batch(m) -> tuple[np.ndarray, list]:
 def _proper(u, vt):
     # u diag(1, 1, sign det(u vt)) vt with the sign put into u's last column (u is overwritten):
     # the same products, without building the diagonal matrices.
-    u[..., 2] *= np.sign(np.linalg.det(u @ vt))[..., None]
+    u[..., 2] *= np.sign(_umath_linalg.det(u @ vt))[..., None]  # np.linalg.det's gufunc
     return u @ vt
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def _eigh_failed(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+@np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+def svd(a, full_matrices=True, compute_uv=True):
+    """np.linalg.svd(a, full_matrices, compute_uv) of a float64 stack, bit for
+    bit and with its LinAlgError when LAPACK fails: its gufunc under its error
+    state, without the wrapper's per-call checks."""
+    if not compute_uv:
+        return _umath_linalg.svd(a)
+    return (_umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s)(a)
+
+
+@np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
+def eigh(a):
+    """np.linalg.eigh(a) of a float64 stack, in the same way as svd."""
+    return _umath_linalg.eigh_lo(a)
 
 
 def wrap_angle(theta):
@@ -323,6 +355,9 @@ def transform_points(points, rot, trans) -> np.ndarray:
 
 
 _NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
+# a[..., _NEXT_PREV] is (a_next, a_prev) and b[..., _PREV_NEXT] is (b_prev, b_next): their
+# product's halves are the two products of each component of a x b, as cross forms them.
+_NEXT_PREV, _PREV_NEXT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 
 
 def cross(a, b) -> np.ndarray:
@@ -341,9 +376,20 @@ def pose_jacobian_rows(nodes, grads, rotation) -> np.ndarray:
     with respect to a right perturbation (R -> R expm([d_theta]x),
     t -> t + d_t). With g_k the unit line of sight it is the range row; at
     the identity rotation, for the world points R c_k, it is the range-rate
-    row in the twist (w, v). Broadcasts over leading axes.
+    row in the twist (w, v). Broadcasts over leading axes; range_rows fills
+    the same rows from the links' gathered body pairs.
     """
-    return np.concatenate([cross(nodes, grads @ rotation), grads], axis=-1)
+    rows = np.empty(grads.shape[:-1] + (6,))
+    rows[..., 3:] = grads
+    return _rotation_rows(rows, nodes.take(_NEXT_PREV, axis=-1), rotation)
+
+
+def _rotation_rows(rows, pairs, rotation) -> np.ndarray:
+    """pose_jacobian_rows filled in: rows[..., :3] = c x (g R) for the gradients
+    g in rows[..., 3:] and the body points' (c_next, c_prev) `pairs`."""
+    prod = pairs * (rows[..., 3:] @ rotation)[..., _PREV_NEXT]
+    np.subtract(prod[..., :3], prod[..., 3:], out=rows[..., :3])
+    return rows
 
 
 def fit_alignment(source, target, weights, proper):
@@ -361,10 +407,11 @@ def fit_alignment(source, target, weights, proper):
         w = np.full(s.shape[-2], 1.0 / s.shape[-2])
     else:
         w = np.asarray(weights, dtype=float)
-        if w.shape[-1] != s.shape[-2] or np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        if (w.shape[-1] != s.shape[-2] or np.count_nonzero(w < 0.0)
+                or np.count_nonzero(np.isfinite(w)) < w.size):
             raise ValueError("weights must be nonnegative finite, one per node")
         total = w.sum(axis=-1, keepdims=True)
-        if np.any(total <= 0.0):
+        if np.count_nonzero(total <= 0.0):
             raise ValueError("weights must not all be zero")
         w = w / total
     # Row vector times matrix: each product rounds as w @ s does.
@@ -373,7 +420,7 @@ def fit_alignment(source, target, weights, proper):
     s_c = s - s_bar[..., None, :]
     y_c = y - y_bar[..., None, :]
     cross = (y_c * w[..., None]).mT @ s_c
-    u, sv, vt = np.linalg.svd(cross)
+    u, sv, vt = svd(cross)
     q = _proper(u, vt) if proper else u @ vt
     return q, y_bar - (q @ s_bar[..., None])[..., 0], sv, s_c, w
 
@@ -393,8 +440,10 @@ _LEVERS = _LEVERS.reshape(4, 18)
 
 def range_links(nodes, kk, anchor_xyz, ranges, observed=None):
     """range_residuals' links (nodes, kk, nodes[..., kk, :], anchor_xyz, ranges, weight,
-    levers) of body node kk[i] to anchor_xyz[..., i, :]; levers[..., i, :, :] is
-    [-[c]x, I] for the link's body point c, None without ranges.
+    levers, pairs) of body node kk[i] to anchor_xyz[..., i, :]: the per-solve constants,
+    gathered once. levers[..., i, :, :] is [-[c]x, I] for the link's body point c, None
+    without ranges, and pairs[..., i, :] is c's (c_next, c_prev) that the rows' cross
+    products take.
 
     Leading axes stack independent problems. `observed` (..., M) marks the
     links that were measured (weight 1), all by default; the others pad a
@@ -402,23 +451,44 @@ def range_links(nodes, kk, anchor_xyz, ranges, observed=None):
     depend on the rest of the stack.
     """
     nodes_k = nodes[..., kk, :]
+    levers = None if ranges is None else _levers(nodes_k)
+    pairs = nodes_k.take(_NEXT_PREV, axis=-1)
+    return _links(nodes, kk, nodes_k, anchor_xyz, ranges, observed, levers, pairs)
+
+
+def _levers(nodes_k):
+    return (nodes_k @ _LEVERS[:3] + _LEVERS[3]).reshape(nodes_k.shape + (6,))
+
+
+def _links(nodes, kk, nodes_k, anchor_xyz, ranges, observed, levers, pairs):
+    """range_links' tuple, its ranges zeroed where unobserved."""
     weight = np.asarray(np.ones(kk.shape) if observed is None else observed, dtype=float)
     if ranges is None:
-        return nodes, kk, nodes_k, anchor_xyz, None, weight, None
+        return nodes, kk, nodes_k, anchor_xyz, None, weight, None, pairs
     ranges = np.where(weight > 0.0, ranges, 0.0)
-    levers = nodes_k @ _LEVERS[:3] + _LEVERS[3]
-    return nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers.reshape(nodes_k.shape + (6,))
+    return nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers, pairs
+
+
+@by_value
+def _grid_geometry(anchor_xyz, nodes):
+    """grid_links' constants of one anchor set and body: the links' anchors, body
+    points, lever rows and cross pairs, computed once per geometry (by value)."""
+    jj, kk = link_grid(len(anchor_xyz), len(nodes))
+    nodes_k = nodes[kk]
+    return anchor_xyz[jj], nodes_k, _levers(nodes_k), nodes_k.take(_NEXT_PREV, axis=-1)
 
 
 def grid_links(anchor_xyz, nodes, ranges, mask):
     """range_links of every anchor (A, 3) and body node (K, 3) pair, anchor-major, for
     ranges (or None) and masks (..., A, K): leading axes stack problems that share the
-    geometry, their unobserved links weighted zero."""
+    geometry, their unobserved links weighted zero. The geometry's constants are
+    computed once per anchor set and body."""
     a, k = mask.shape[-2:]
-    jj, kk = link_grid(a, k)
     flat = mask.shape[:-2] + (a * k,)
     ranges = None if ranges is None else ranges.reshape(flat)
-    return range_links(nodes, kk, anchor_xyz[jj], ranges, mask.reshape(flat))
+    anchors, nodes_k, levers, pairs = _grid_geometry(anchor_xyz, nodes)
+    kk = link_grid(a, k)[1]
+    return _links(nodes, kk, nodes_k, anchors, ranges, mask.reshape(flat), levers, pairs)
 
 
 def range_residuals(rot, trans, links, jacobian=True):
@@ -430,19 +500,21 @@ def range_residuals(rot, trans, links, jacobian=True):
     coincides with an anchor. The residuals are None without ranges, the
     rows without `jacobian`.
     """
-    nodes, kk, _, anchor_xyz, ranges, weight, _ = links
+    nodes, kk, _, anchor_xyz, ranges, weight = links[:6]
     # The pose is applied before the gather: a matmul on gathered rows can round differently.
-    delta = transform_points(nodes, rot, trans).take(kk, axis=-2) - anchor_xyz
-    dist = np.sqrt(np.add.reduce(delta * delta, axis=-1))  # what np.linalg.norm(axis=-1) computes
+    delta = (nodes @ rot.mT + trans[..., None, :]).take(kk, axis=-2) - anchor_xyz
+    sq = delta * delta
+    dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])  # np.linalg.norm(axis=-1)'s sum and order
     res = None if ranges is None else (dist - ranges) * weight
     return res, range_rows(rot, links, delta, dist) if jacobian else None, delta, dist
 
 
 def range_rows(rot, links, delta, dist):
     """range_residuals' rows, from its offsets and distances at the rotations rot."""
+    rows = np.empty(delta.shape[:-1] + (6,))
     # A nonzero dist is at least 1e-162, so the floor only turns 0 / 0 into 0.
-    units = delta / np.maximum(dist, 1e-300)[..., None] * links[5][..., None]
-    return pose_jacobian_rows(links[2], units, rot)
+    np.multiply(delta / np.maximum(dist, 1e-300)[..., None], links[5][..., None], out=rows[..., 3:])
+    return _rotation_rows(rows, links[7], rot)
 
 
 def range_curvature(rot, links, res, rows, dist):
@@ -508,19 +580,25 @@ def fit_terms(rot, trans, links, sw_range, w_range, aoa, sw_angle, jacobian, geo
     angle_residuals', each scaled by the square root of its type weight,
     sw_range and sw_angle (B, 1); the curvature is range_curvature's, times
     the range weight w_range (B, 1, 1). jacobian=False gives None for both.
-    `geometry` is None or, reused, range_residuals(rot, trans, links, False).
+    `geometry` is None or, reused, the geometry a call at the same poses returned:
+    range_residuals(rot, trans, links, False) with the residuals in place of its rows,
+    so a call handed it computes only the rows and the curvature.
     """
-    geometry = geometry or range_residuals(rot, trans, links, False)
-    range_res, _, delta, dist = geometry
-    res, rows, curv = sw_range * range_res, None, None
+    if geometry is None:
+        range_res, _, delta, dist = range_residuals(rot, trans, links, False)
+        res = sw_range * range_res
+        if aoa is not None:
+            angle_res = angle_residuals(rot, links, delta, dist, aoa, False)[0]
+            res = np.concatenate([res, sw_angle * angle_res], axis=-1)
+        geometry = range_res, res, delta, dist
+    range_res, res, delta, dist = geometry
+    rows = curv = None
     if jacobian:
         unit_rows = range_rows(rot, links, delta, dist)
         rows = sw_range[..., None] * unit_rows
         curv = w_range * range_curvature(rot, links, range_res, unit_rows, dist)
-    if aoa is not None:
-        angle_res, angle_rows = angle_residuals(rot, links, delta, dist, aoa, jacobian)
-        res = np.concatenate([res, sw_angle * angle_res], axis=-1)
-        if jacobian:
+        if aoa is not None:
+            angle_rows = angle_residuals(rot, links, delta, dist, None)[1]
             rows = np.concatenate([rows, sw_angle[..., None] * angle_rows], axis=-2)
     return res, rows, curv, geometry
 
@@ -549,9 +627,10 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
     None. `geometry` holds per-pose stacks, or Nones, that the callback
     computed on the way; the kernel writes each fit's accepted try's rows
     into them and hands them back with `jacobian`, so only a call's first
-    iteration gets None. The same residuals give the iteration's starting
-    cost, so a fit started at its minimum makes one Jacobian and one trial
-    evaluation. Every entry of `args` is None or holds one item per pose
+    iteration gets None. An iteration handed geometry starts from the cost
+    of the try that computed it; otherwise the same residuals give its
+    starting cost, so a fit started at its minimum makes one Jacobian and
+    one trial evaluation. Every entry of `args` is None or holds one item per pose
     along its first axis; the kernel hands the callback the items of the
     poses it passes. A step solves with rows^T rows + curvature where that
     is positive definite (quadratic convergence on large residuals), else
@@ -594,7 +673,8 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
         if not live.size:
             break
         res, jac, curv, _ = residuals(r, t, *args, True, geometry)
-        cost = np.vecdot(res, res)  # bit for bit the cost its accepted trial had
+        if geometry is None:
+            cost = np.vecdot(res, res)  # rounds as res @ res
         descent = -(jac.mT @ res[..., None])  # minus the gradient, (b, 6, 1)
         hess = jac.mT @ jac
         # Marquardt scaling: damp relative to the curvature so the schedule
@@ -626,7 +706,7 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
             pairs = rej[np.nonzero(tried)[0]]  # fit-major, each fit's levels climbing
             if pairs.size:
                 won = np.zeros(tried.shape, dtype=bool)
-                won[tried], r_try, t_try, _, tried_geometry = attempt(
+                won[tried], r_try, t_try, c_try, tried_geometry = attempt(
                     r[pairs], t[pairs], hess[pairs], descent[pairs], levels[tried],
                     scale[pairs], ceiling[pairs], _take(args, pairs),
                 )
@@ -634,26 +714,27 @@ def pose_gauss_newton(residuals, rot, trans, max_iters: int, args=()):
                 win, pick = rej[wins], won[wins].argmax(axis=1)
                 pair = (np.cumsum(tried) - 1).reshape(tried.shape)[wins, pick]
                 lam[win], accepted[win] = levels[wins, pick], True
-                r_new[win], t_new[win] = r_try[pair], t_try[pair]
+                r_new[win], t_new[win], c_new[win] = r_try[pair], t_try[pair], c_try[pair]
                 for kept, tried_rows in zip(geometry or (), tried_geometry or ()):
                     if kept is not None:  # the accepted try's geometry, for the next rows
                         kept[win] = tried_rows[pair]
             # A fit whose damping schedule ran out keeps its pose and leaves the stack.
             r_new[~accepted], t_new[~accepted] = r[~accepted], t[~accepted]
-        r, t = r_new, t_new
+        r, t, cost = r_new, t_new, c_new
         lam = np.maximum(lam / 3.0, 1e-12)
         done = conv if accepted is first else conv | ~accepted
         finished = np.count_nonzero(done)
         if finished:
             last = finished == len(live)  # then nothing is left to compact
             ids, sel = (live, slice(None)) if last else (live[done], done)
-            rot[ids], trans[ids], iterations[ids], converged[ids] = r[sel], t[sel], it, conv[sel]
+            put = slice(None) if finished == n else ids  # every fit finishes now: no gather
+            rot[put], trans[put], iterations[put], converged[put] = r[sel], t[sel], it, conv[sel]
             for i, ok in zip(ids.tolist(), accepted[sel].tolist()):
                 messages[i] = "" if ok else "damping schedule exhausted without cost decrease"
             if last:
                 return rot, trans, iterations, converged, messages
             keep = ~done
-            live, r, t, lam = live[keep], r[keep], t[keep], lam[keep]
+            live, r, t, lam, cost = live[keep], r[keep], t[keep], lam[keep], cost[keep]
             args, geometry = _take(args, keep), _take(geometry, keep)
     rot[live], trans[live] = r, t
     return rot, trans, iterations, converged, messages
@@ -668,7 +749,7 @@ def fit_ranges(links, rot, trans, max_iters: int, w_range, aoa, w_angle):
     constants = (np.sqrt(w_range)[:, None], w_range[:, None, None], aoa, sw_angle)
 
     def residuals(r, t, ranges, weight, *rest):
-        return fit_terms(r, t, links[:4] + (ranges, weight, links[6]), *rest)
+        return fit_terms(r, t, links[:4] + (ranges, weight) + links[6:], *rest)
 
     return pose_gauss_newton(residuals, rot, trans, max_iters, args=links[4:6] + constants)
 

@@ -35,6 +35,7 @@ from .geometry import (
     range_links,
     range_residuals,
     rotation_error_deg,
+    svd,
 )
 from .measurement import AnchorSet, MeasurementSet, NoiseModel
 
@@ -71,7 +72,7 @@ def estimate_twist(
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])
         rows = rows * w[:, None]
         obs = obs * w
-    u, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    u, sv, vt = svd(rows, full_matrices=False)
     null = sv <= _RANK_RCOND * max(sv[0], 1e-300)
     if null[-1]:
         raise UnobservableTwistError(vt[null].T)

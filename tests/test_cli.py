@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -565,3 +566,37 @@ class TestSeedRange:
         argv = ["simulate", "--scenario", s, "--seed", str(2**64 - 1), "--out", str(tmp_path)]
         assert main(argv) == 0
         assert json.loads((tmp_path / "measurements.json").read_text())["seed"] == 2**64 - 1
+
+
+# sha256 of the five preset outputs: a change that moves one bit of a sweep or
+# of a track, at any BLAS thread count, shows here.
+TRACK = ["track", "--preset", "fig4", "--seed", "7", "--format", "json", "--estimator"]
+PRESET_DIGESTS = {
+    "fig4": (
+        ["benchmark", "--preset", "fig4", "--seed", "7"], "benchmark.csv",
+        "4e7c139b4a062a26438b232a8b288335d1f61470dfeb0884fcad4287abed98aa",
+    ),
+    "fig5": (
+        ["benchmark", "--preset", "fig5", "--seed", "7"], "benchmark.csv",
+        "479b3db2f1a664681bd6e97767301c76801b0e1a35390e1669d011787ac84dd6",
+    ),
+    "track-nls": (
+        TRACK + ["nls"], "track.json",
+        "b03e3a3932ec8377769d4a0f9e857ccb8f0c91ee306a1e7ca0a57793b754767a",
+    ),
+    "track-mds": (
+        TRACK + ["mds"], "track.json",
+        "acc15693e0940991771dd3c323e17bec2096ab8850e7e175cc2f6bab238af2ec",
+    ),
+    "track-gabp": (
+        TRACK + ["gabp"], "track.json",
+        "7db278100c774132233ded039e4de8b8fef352bb99365ae8e1f8ff0d2101db7d",
+    ),
+}
+
+
+@pytest.mark.parametrize("run", PRESET_DIGESTS)
+def test_preset_output_digest(run, tmp_path):
+    args, name, digest = PRESET_DIGESTS[run]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest

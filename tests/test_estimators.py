@@ -43,10 +43,12 @@ from rblkit.geometry import (
     RigidBodyState,
     apply_pose,
     fit_terms,
+    haar_rotations,
     random_rotation,
     range_links,
     rotation_error_deg,
     so3_exp,
+    transform_points,
 )
 from rblkit.harness import _run_trials, derive_seed, draw_trial, preset, run_benchmark
 from rblkit.measurement import (
@@ -56,6 +58,7 @@ from rblkit.measurement import (
     apply_blockage,
     assemble_edm,
     bernoulli_keep,
+    simulate_batch,
     simulate_measurements,
 )
 
@@ -96,11 +99,11 @@ class TestProcrustes:
         rot, trans, _ = procrustes(src, tgt)
         assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
         best = np.sum((src @ rot.T + trans - tgt) ** 2)
-        for _ in range(100_000):
-            r = random_rotation(rng)
-            centered_cost_t = tgt.mean(0) - r @ src.mean(0)
-            cost = np.sum((src @ r.T + centered_cost_t - tgt) ** 2)
-            assert best <= cost + 1e-9
+        # 100,000 random_rotation(rng) draws, as one stack from the same stream.
+        r = haar_rotations(rng.standard_normal((100_000, 4)))
+        centered_cost_t = tgt.mean(0) - r @ src.mean(0)
+        cost = np.sum((src @ r.mT + centered_cost_t[:, None] - tgt) ** 2, axis=(1, 2))
+        assert np.all(best <= cost + 1e-9)
 
     def test_weighted_optimality_random_search(self):
         rng = np.random.default_rng(3)
@@ -109,12 +112,13 @@ class TestProcrustes:
         w = rng.uniform(0.1, 2.0, 5)
 
         def cost(r):
+            """The weighted cost of each rotation of a (N, 3, 3) stack."""
             t = np.average(tgt, axis=0, weights=w) - r @ np.average(src, axis=0, weights=w)
-            return np.sum(w[:, None] * (src @ r.T + t - tgt) ** 2)
+            return np.sum(w[:, None] * (src @ r.mT + t[:, None] - tgt) ** 2, axis=(1, 2))
 
-        best = cost(procrustes(src, tgt, weights=w)[0])
-        for _ in range(100_000):
-            assert best <= cost(random_rotation(rng)) + 1e-9
+        best = cost(procrustes(src, tgt, weights=w)[0][None])[0]
+        # 100,000 random_rotation(rng) draws, as one stack from the same stream.
+        assert np.all(best <= cost(haar_rotations(rng.standard_normal((100_000, 4)))) + 1e-9)
 
     def test_collinear_source_flagged(self):
         # A collinear source, or one whose weights leave only collinear
@@ -190,18 +194,24 @@ class TestEstimatePoseMds:
         assert np.abs(est.pose.translation).max() < 1e-9
 
     def test_rmse_increases_with_sigma(self):
+        # Each level's 1,000 simulate_cube_ranges trials as one stack with the
+        # same seeds: every item gets the numbers estimate_pose_mds gets alone,
+        # and the squares add in trial order.
+        trials = 1000
+        conf, anchors = unit_cube(), cube_anchors()
+        truths = [random_pose(np.random.default_rng(10_000 + trial)) for trial in range(trials)]
+        rot = np.array([truth.rotation for truth in truths])
+        world = transform_points(conf.nodes, rot, np.array([truth.translation for truth in truths]))
+        seeds, mask = 5_000_000 + np.arange(trials), np.ones((trials, 8, 8), dtype=bool)
         rmse = []
         for sigma in (0.01, 0.1, 0.5):
+            sigmas = [(sigma, 0.0, 0.0)] * trials
+            ranges = simulate_batch(anchors.anchors, world, sigmas, seeds, ("range",))[0]
+            batch = chain_batch(anchors.anchors, conf.nodes, ranges, mask).mds
             sq_sum = 0.0
-            trials = 1000
-            for trial in range(trials):
-                rng = np.random.default_rng(10_000 + trial)
-                truth = random_pose(rng)
-                conf, anchors, meas = simulate_cube_ranges(
-                    truth, sigma=sigma, seed=5_000_000 + trial
-                )
-                est = estimate_pose_mds(assemble_edm(anchors, conf, meas), anchors, conf)
-                sq_sum += np.linalg.norm(est.pose.translation - truth.translation) ** 2
+            for i, truth in enumerate(truths):
+                offset = batch.estimate(i).pose.translation - truth.translation
+                sq_sum += np.linalg.norm(offset) ** 2
             rmse.append(np.sqrt(sq_sum / trials))
         assert rmse[0] < rmse[1] < rmse[2]
 
@@ -283,25 +293,30 @@ class TestEstimatePoseNls:
         assert est.converged
 
     def test_angles_reduce_rotation_rmse(self):
+        # 1,000 trials as one stack with the seeds of 1,000 simulate_measurements
+        # calls: every item gets the numbers estimate_pose_nls gets alone, with
+        # and without its angles, and the squares add in trial order.
         trials = 1000
-        sq_range_only, sq_with_aoa = 0.0, 0.0
         noise = NoiseModel(range_sigma=0.3, angle_sigma=np.radians(1.0))
         conf, anchors = unit_cube(), cube_anchors()
-        for trial in range(trials):
-            rng = np.random.default_rng(40_000 + trial)
-            truth = random_pose(rng)
-            state = RigidBodyState(conf, truth)
-            trial_noise = NoiseModel(
-                range_sigma=noise.range_sigma,
-                angle_sigma=noise.angle_sigma,
-                seed=7_000_000 + trial,
-            )
-            meas = simulate_measurements(anchors, state, trial_noise, ("range", "aoa"))
-            range_only = MeasurementSet(mask=meas.mask, ranges=meas.ranges)
-            est_r = estimate_pose_nls(range_only, anchors, conf, noise=trial_noise)
-            est_ra = estimate_pose_nls(meas, anchors, conf, noise=trial_noise)
-            sq_range_only += rotation_error_deg(est_r.pose.rotation, truth.rotation) ** 2
-            sq_with_aoa += rotation_error_deg(est_ra.pose.rotation, truth.rotation) ** 2
+        truths = [random_pose(np.random.default_rng(40_000 + trial)) for trial in range(trials)]
+        rot = np.array([truth.rotation for truth in truths])
+        world = transform_points(conf.nodes, rot, np.array([truth.translation for truth in truths]))
+        seeds = 7_000_000 + np.arange(trials)
+        ranges, aoa, _ = simulate_batch(
+            anchors.anchors, world, [noise.sigmas] * trials, seeds, ("range", "aoa")
+        )
+        mask = np.ones((trials, 8, 8), dtype=bool)
+        w_range, w_angle = nls_weights([[noise.range_sigma] * trials, [noise.angle_sigma] * trials])
+        fits = [
+            nls_batch(anchors.anchors, conf.nodes, mask, ranges, angles, w_range, w_angle)
+            for angles in (None, aoa)
+        ]
+        sq_range_only, sq_with_aoa = 0.0, 0.0
+        for i, truth in enumerate(truths):
+            range_only, with_aoa = (fit.estimate(i).pose.rotation for fit in fits)
+            sq_range_only += rotation_error_deg(range_only, truth.rotation) ** 2
+            sq_with_aoa += rotation_error_deg(with_aoa, truth.rotation) ** 2
         assert np.sqrt(sq_with_aoa / trials) < np.sqrt(sq_range_only / trials)
 
     @pytest.mark.parametrize("kinds", [("range",), ("range", "aoa")], ids=["ranges", "aoa"])
