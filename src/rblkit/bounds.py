@@ -20,6 +20,7 @@ from .geometry import (
     Pose,
     angle_residuals,
     apply_pose,
+    eigh,
     grid_links,
     range_residuals,
 )
@@ -160,7 +161,7 @@ def fim_batch(anchor_xyz, nodes, rot, trans, mask, sigma, angle_sigma=None) -> C
     fim = (rows.mT @ rows) / sigma[:, None, None] ** 2
     if angle_rows is not None:
         fim += (angle_rows.mT @ angle_rows) / angle_sigma[:, None, None] ** 2
-    eigval, eigvec = np.linalg.eigh(fim)
+    eigval, eigvec = eigh(fim)
     largest = np.maximum(eigval[:, -1], 0.0)
     near_zero = eigval <= _SINGULAR_RCOND * np.maximum(largest, 1e-300)[:, None]
     singular = near_zero.any(axis=-1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompletionInfeasibleError
-from .geometry import by_value, fit_alignment, fit_ranges, grid_links, transform_points
+from .geometry import by_value, eigh, fit_alignment, fit_ranges, grid_links, svd, transform_points
 from .measurement import Edm
 
 
@@ -60,7 +60,7 @@ def embed_from_gram(gram: np.ndarray, dim: int = 3) -> tuple[np.ndarray, np.ndar
     Eigenvalues at most 1e-9 of the largest count as zero before taking
     square roots, so a planar point set gets an exactly zero third coordinate.
     """
-    eigval, eigvec = np.linalg.eigh(gram)
+    eigval, eigvec = eigh(gram)
     eigval = eigval[..., ::-1]  # eigh sorts ascending
     top = eigval[..., :dim]
     top = np.where(top > 1e-9 * np.maximum(top[..., :1], 0.0), top, 0.0)
@@ -185,8 +185,13 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
     lifted = (ah[:, None, :, None] * bh[None, :, None, :]).reshape(a * k, 16)
     lifted = np.where(observed[..., None], lifted, 0.0)
     rhs = np.where(observed, (d[:, :a, a:] - norms).reshape(b, a * k), 0.0)
-    rcond = np.finfo(float).eps * max(a * k, 16)  # np.linalg.lstsq's default cutoff
-    m = (np.linalg.pinv(lifted, rcond=rcond) @ rhs[..., None]).reshape(b, 4, 4)
+    # np.linalg.pinv(lifted, rcond) @ rhs, its formula: 1 / s above rcond * max(s), else 0,
+    # then vt^T (s u^T), with np.linalg.lstsq's default cutoff for rcond.
+    u, s, vt = svd(lifted, full_matrices=False)
+    large = s > np.finfo(float).eps * max(a * k, 16) * s.max(axis=-1, keepdims=True)
+    s = np.divide(1.0, s, where=large, out=s)
+    s[~large] = 0.0
+    m = ((vt.mT @ (s[..., None] * u.mT)) @ rhs[..., None]).reshape(b, 4, 4)
     fill = np.where(cross_known, d[:, :a, a:], norms + ah @ m @ bh.T)
     top = np.concatenate([d[:, :a, :a], fill], axis=-1)
     joint = np.concatenate([top, np.concatenate([fill.mT, d[:, a:, a:]], axis=-1)], axis=-2)

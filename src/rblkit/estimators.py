@@ -104,12 +104,12 @@ class PoseBatch:
         return PoseEstimate(
             pose=Pose(self.rotation[i], self.translation[i]),
             method_tag=self.method_tag,
-            residual_rms=float(self.residual_rms[i]),
-            iterations=int(self.iterations[i]) if iterative else 0,
+            residual_rms=self.residual_rms.item(i),  # .item: the Python float, int or bool
+            iterations=self.iterations.item(i) if iterative else 0,
             per_node_positions=_item(self.per_node_positions, i),
             node_variances=_item(self.node_variances, i),
-            converged=True if self.converged is None else bool(self.converged[i]),
-            projection_distance=float(self.projection_distance[i]) if iterative else 0.0,
+            converged=True if self.converged is None else self.converged.item(i),
+            projection_distance=self.projection_distance.item(i) if iterative else 0.0,
             message="" if self.messages is None else self.messages[i],
         )
 
@@ -297,8 +297,10 @@ def estimate_pose_nls(
     """
     if meas.ranges is None:
         raise UnderdeterminedError("the least-squares estimator needs range measurements")
-    sigmas = (0.0, 0.0) if noise is None else (noise.range_sigma, noise.angle_sigma)
-    w_range, w_angle = nls_weights(sigmas)[:, None]
+    if noise is None:  # weight 1, as nls_weights gives an unknown level
+        w_range = w_angle = np.ones(1)
+    else:
+        w_range, w_angle = nls_weights([[noise.range_sigma], [noise.angle_sigma]])
     start = None if init is None else (init.rotation[None], init.translation[None], [None])
     stacks = [None if m is None else m[None] for m in (meas.ranges, meas.aoa)]
     return nls_batch(
@@ -317,10 +319,10 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
     unobserved links weighted zero, and is scored on its observed ranges.
     """
     b = len(mask)
-    n_res = mask.sum(axis=(-2, -1)) * (1 if aoa is None else 3)
+    per_link = 1 if aoa is None else 3  # a range, or a range and two angles
     errors = [
         UnderdeterminedError(f"pose has 6 degrees of freedom; got {n} residuals") if n < 6 else None
-        for n in n_res.tolist()
+        for n in (per_link * m for m in mask.sum(axis=(-2, -1)).tolist())
     ]
     if init is None:
         mds = chain_batch(anchor_xyz, nodes, ranges, mask).mds

@@ -29,10 +29,6 @@ _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 
 
-def _all_finite(*arrays) -> bool:
-    return all(map(math.isfinite, chain.from_iterable(a.ravel().tolist() for a in arrays)))
-
-
 def readonly(a: np.ndarray) -> np.ndarray:
     """A write-protected copy of `a`, with its dtype kept."""
     out = np.array(a)
@@ -51,8 +47,11 @@ def by_value(fn):
 
     @wraps(fn)
     def memoized(*arrays):
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        return cached(*chain.from_iterable((a.tobytes(), a.shape) for a in arrays))
+        key = []
+        for a in arrays:
+            a = np.asarray(a, dtype=float)
+            key += a.tobytes(), a.shape
+        return cached(*key)
 
     return memoized
 
@@ -146,19 +145,25 @@ def project_batch(m) -> tuple[np.ndarray, list]:
     the smallest singular value where the orthogonal factor would have
     determinant -1."""
     u, s, vt = svd(m)
-    errors = [None] * len(m)
-    for i in np.flatnonzero(s[:, 2] <= 1e-13 * np.maximum(s[:, 0], 1e-300)):
-        errors[i] = DegenerateProjectionError(
+    errors = [
+        DegenerateProjectionError(
             f"matrix is rank deficient (singular values {s[i]}); nearest rotation not unique"
-        )
+        ) if low <= 1e-13 * max(high, 1e-300) else None
+        for i, (high, _, low) in enumerate(s.tolist())
+    ]
     return _proper(u, vt), errors
 
 
 def _proper(u, vt):
     # u diag(1, 1, sign det(u vt)) vt with the sign put into u's last column (u is overwritten):
-    # the same products, without building the diagonal matrices.
-    u[..., 2] *= np.sign(_umath_linalg.det(u @ vt))[..., None]  # np.linalg.det's gufunc
-    return u @ vt
+    # the same products, without building the diagonal matrices. Where every sign is +1, u vt
+    # is already that product.
+    q = u @ vt
+    det = _umath_linalg.det(q)  # np.linalg.det's gufunc
+    if np.count_nonzero(det > 0.0) < det.size:
+        u[..., 2] *= np.sign(det)[..., None]
+        q = u @ vt
+    return q
 
 
 def _svd_failed(err, flag):
@@ -290,12 +295,14 @@ class Pose:
             raise InvalidPoseError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
             raise InvalidPoseError(f"translation must be length 3, got {t.shape}")
-        if not _all_finite(r, t):
+        # One pass over the entries as Python floats: finiteness, then the deviation of
+        # r^T r (numpy's product, which rounds as BLAS does) and the determinant.
+        (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+        if not all(map(math.isfinite, (a, b, c, d, e, f, g, h, i, *t.tolist()))):
             raise InvalidPoseError("pose entries must be finite")
-        err = np.maximum.reduce(np.abs(r.T @ r - _EYE3), axis=None)
+        err = max(map(abs, chain.from_iterable((r.T @ r - _EYE3).tolist())))
         if err > ORTHONORMALITY_TOL:
             raise InvalidPoseError(f"rotation is not orthonormal (max deviation {err:.3e})")
-        (a, b, c), (d, e, f), (g, h, i) = r.tolist()  # a fraction of np.linalg.det's call cost
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
         if abs(det - 1.0) > ORTHONORMALITY_TOL:
             raise InvalidPoseError(f"rotation determinant is {det:.12f}, expected +1")
@@ -322,7 +329,7 @@ class Twist:
         v = np.asarray(self.linear, dtype=float)
         if w.shape != (3,) or v.shape != (3,):
             raise ValueError("angular and linear velocities must be length-3 vectors")
-        if not _all_finite(w, v):
+        if not all(map(math.isfinite, w.tolist() + v.tolist())):
             raise ValueError("twist components must be finite")
         object.__setattr__(self, "angular", readonly(w))
         object.__setattr__(self, "linear", readonly(v))
@@ -381,15 +388,17 @@ def pose_jacobian_rows(nodes, grads, rotation) -> np.ndarray:
     """
     rows = np.empty(grads.shape[:-1] + (6,))
     rows[..., 3:] = grads
-    return _rotation_rows(rows, nodes.take(_NEXT_PREV, axis=-1), rotation)
+    return _rotation_rows(rows, nodes.take(_NEXT_PREV, axis=-1), rotation)[0]
 
 
-def _rotation_rows(rows, pairs, rotation) -> np.ndarray:
+def _rotation_rows(rows, pairs, rotation):
     """pose_jacobian_rows filled in: rows[..., :3] = c x (g R) for the gradients
-    g in rows[..., 3:] and the body points' (c_next, c_prev) `pairs`."""
-    prod = pairs * (rows[..., 3:] @ rotation)[..., _PREV_NEXT]
+    g in rows[..., 3:] and the body points' (c_next, c_prev) `pairs`. Returns the
+    rows and the body-frame gradients g R."""
+    body = rows[..., 3:] @ rotation
+    prod = pairs * body[..., _PREV_NEXT]
     np.subtract(prod[..., :3], prod[..., 3:], out=rows[..., :3])
-    return rows
+    return rows, body
 
 
 def fit_alignment(source, target, weights, proper):
@@ -465,7 +474,7 @@ def _links(nodes, kk, nodes_k, anchor_xyz, ranges, observed, levers, pairs):
     weight = np.asarray(np.ones(kk.shape) if observed is None else observed, dtype=float)
     if ranges is None:
         return nodes, kk, nodes_k, anchor_xyz, None, weight, None, pairs
-    ranges = np.where(weight > 0.0, ranges, 0.0)
+    ranges = np.where(True if observed is None else observed, ranges, 0.0)
     return nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers, pairs
 
 
@@ -501,25 +510,33 @@ def range_residuals(rot, trans, links, jacobian=True):
     rows without `jacobian`.
     """
     nodes, kk, _, anchor_xyz, ranges, weight = links[:6]
+    delta, dist = link_offsets(nodes, kk, anchor_xyz, rot, trans)
+    res = None if ranges is None else (dist - ranges) * weight
+    return res, range_rows(rot, links, delta, dist)[0] if jacobian else None, delta, dist
+
+
+def link_offsets(nodes, kk, anchor_xyz, rot, trans):
+    """The offsets R c_k + t - a_j of body nodes kk[i] to anchor_xyz[..., i, :] at the
+    poses (rot, trans), (..., M, 3), and their lengths (..., M)."""
     # The pose is applied before the gather: a matmul on gathered rows can round differently.
     delta = (nodes @ rot.mT + trans[..., None, :]).take(kk, axis=-2) - anchor_xyz
     sq = delta * delta
-    dist = np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])  # np.linalg.norm(axis=-1)'s sum and order
-    res = None if ranges is None else (dist - ranges) * weight
-    return res, range_rows(rot, links, delta, dist) if jacobian else None, delta, dist
+    return delta, np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])  # np.linalg.norm(axis=-1)'s sum
 
 
 def range_rows(rot, links, delta, dist):
-    """range_residuals' rows, from its offsets and distances at the rotations rot."""
+    """range_residuals' rows, from its offsets and distances at the rotations rot, and
+    their gradients in the body frame, the g of range_curvature."""
     rows = np.empty(delta.shape[:-1] + (6,))
     # A nonzero dist is at least 1e-162, so the floor only turns 0 / 0 into 0.
     np.multiply(delta / np.maximum(dist, 1e-300)[..., None], links[5][..., None], out=rows[..., 3:])
     return _rotation_rows(rows, links[7], rot)
 
 
-def range_curvature(rot, links, res, rows, dist):
-    """sum_i r_i Hess(r_i) of range_residuals' residuals `res`, rows and
-    distances at the rotations rot: the Hessian term Gauss-Newton drops.
+def range_curvature(rot, links, res, rows, g, dist):
+    """sum_i r_i Hess(r_i) of range_residuals' residuals `res`, range_rows' rows
+    and body-frame gradients g, and the distances at the rotations rot: the
+    Hessian term Gauss-Newton drops.
 
     In the rows' chart, with L_i = [-[c_i]x, R^T], g_i = R^T u_i for the
     unit line of sight u_i, row_i = g_i L_i and alpha_i = r_i / d_i, link i
@@ -528,7 +545,6 @@ def range_curvature(rot, links, res, rows, dist):
     nothing.
     """
     nodes_k, levers = links[2], links[6]
-    g = rows[..., 3:] @ rot  # the rows' u_i, back in the body frame
     alpha = res / dist
     # sum_i alpha_i L_i^T L_i, with L_i = [-[c_i]x, I] blockdiag(I, R^T).
     rows3 = 3 * levers.shape[-3]
@@ -594,9 +610,9 @@ def fit_terms(rot, trans, links, sw_range, w_range, aoa, sw_angle, jacobian, geo
     range_res, res, delta, dist = geometry
     rows = curv = None
     if jacobian:
-        unit_rows = range_rows(rot, links, delta, dist)
+        unit_rows, g = range_rows(rot, links, delta, dist)
         rows = sw_range[..., None] * unit_rows
-        curv = w_range * range_curvature(rot, links, range_res, unit_rows, dist)
+        curv = w_range * range_curvature(rot, links, range_res, unit_rows, g, dist)
         if aoa is not None:
             angle_rows = angle_residuals(rot, links, delta, dist, None)[1]
             rows = np.concatenate([rows, sw_angle[..., None] * angle_rows], axis=-2)
@@ -763,7 +779,7 @@ def node_velocities(state: RigidBodyState) -> np.ndarray:
 
 def twist_velocities(nodes, rot, twist: Twist) -> np.ndarray:
     """Node velocities [w]x R c_k + tdot of body points (K, 3) at rotations (..., 3, 3)."""
-    return np.cross(twist.angular, nodes @ rot.mT) + twist.linear
+    return cross(twist.angular, nodes @ rot.mT) + twist.linear
 
 
 def propagate_state(state: RigidBodyState, dt: float) -> RigidBodyState:

@@ -212,12 +212,13 @@ class MeasurementSet:
             m = getattr(self, name)
             if m is None:
                 continue
-            m = np.array(m, dtype=float)  # the one copy: NaN fills it, then it is frozen
+            m = np.asarray(m, dtype=float)
             expect = mask.shape if depth == 2 else mask.shape + (2,)
             if m.shape != expect:
                 raise ValueError(f"{name} must have shape {expect}, got {m.shape}")
-            m[~mask] = np.nan
-            if name == "ranges" and np.any(m[mask] < 0.0):
+            # The one copy, NaN where unobserved, then frozen; NaN is never below 0.
+            m = np.where(mask if depth == 2 else mask[..., None], m, np.nan)
+            if name == "ranges" and (m < 0.0).any():
                 raise ValueError("observed ranges must be nonnegative")
             m.setflags(write=False)
             object.__setattr__(self, name, m)

@@ -30,10 +30,9 @@ from .geometry import (
     Conformation,
     Pose,
     Twist,
+    link_offsets,
     pose_jacobian_rows,
     propagate_poses,
-    range_links,
-    range_residuals,
     rotation_error_deg,
     svd,
 )
@@ -58,24 +57,22 @@ def estimate_twist(
     the unobservable (angular, linear) directions.
     """
     rates = np.asarray(range_rates, dtype=float)
-    if mask is None:
-        mask = np.isfinite(rates)
-    mask = np.asarray(mask, dtype=bool) & np.isfinite(rates)
-    jj, kk = np.nonzero(mask)
+    finite = np.isfinite(rates)
+    jj, kk = np.nonzero(finite if mask is None else np.asarray(mask, dtype=bool) & finite)
     if jj.size < 6:
         raise UnderdeterminedError(f"twist has 6 degrees of freedom; got {jj.size} rates")
-    links = range_links(conf.nodes, kk, anchors.anchors[jj], None)
-    _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
-    rows = pose_jacobian_rows(links[2] @ pose.rotation.T, delta / dist[:, None], _EYE3)
+    nodes, rot = conf.nodes, pose.rotation
+    delta, dist = link_offsets(nodes, kk, anchors.anchors.take(jj, axis=0), rot, pose.translation)
+    rows = pose_jacobian_rows(nodes.take(kk, axis=0) @ rot.T, delta / dist[:, None], _EYE3)
     obs = rates[jj, kk]
     if weights is not None:
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])
         rows = rows * w[:, None]
         obs = obs * w
     u, sv, vt = svd(rows, full_matrices=False)
-    null = sv <= _RANK_RCOND * max(sv[0], 1e-300)
-    if null[-1]:
-        raise UnobservableTwistError(vt[null].T)
+    cutoff = _RANK_RCOND * max(sv.item(0), 1e-300)
+    if sv.item(-1) <= cutoff:  # the singular values fall, so the last is the smallest
+        raise UnobservableTwistError(vt[sv <= cutoff].T)
     solution = vt.T @ ((u.T @ obs) / sv)  # the least-squares solution, from the same SVD
     residual = rows @ solution - obs
     twist = Twist(solution[:3], solution[3:])

@@ -37,6 +37,7 @@ from rblkit.geometry import (
     range_curvature,
     range_links,
     range_residuals,
+    range_rows,
     rotation_error_deg,
     so3_exp,
     so3_log,
@@ -116,6 +117,81 @@ class TestPose:
         p = Pose.identity()
         assert np.array_equal(p.rotation, np.eye(3))
         assert np.array_equal(p.translation, np.zeros(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["rotation", "translation"])
+    def test_rejects_non_finite_entries(self, entry, value):
+        rot, trans = RZ90.copy(), np.array([0.5, -1.0, 2.0])
+        if entry == "rotation":
+            rot[2, 1] = value
+        else:
+            trans[1] = value
+        with pytest.raises(InvalidPoseError, match="^pose entries must be finite$"):
+            Pose(rot, trans)
+
+    @pytest.mark.parametrize("deviation, refused", [(2e-9, True), (5e-10, False)])
+    def test_orthonormality_tolerance(self, deviation, refused):
+        # sqrt(1 + d) R has (sqrt(1 + d) R)^T (sqrt(1 + d) R) = (1 + d) I, so it is d off
+        # orthonormal, with determinant (1 + d)^1.5 (within 1e-9 of 1 at d = 5e-10).
+        rot = np.sqrt(1.0 + deviation) * RZ90
+        if refused:
+            message = r"^rotation is not orthonormal \(max deviation 2.000e-09\)$"
+            with pytest.raises(InvalidPoseError, match=message):
+                Pose(rot, np.zeros(3))
+        else:
+            pose = Pose(rot, np.zeros(3))
+            assert pose.rotation.tobytes() == rot.tobytes()
+
+    def test_rejects_determinant_minus_one_by_value(self):
+        message = r"^rotation determinant is -1.000000000000, expected \+1$"
+        with pytest.raises(InvalidPoseError, match=message):
+            Pose(RZ90 @ np.diag([1.0, 1.0, -1.0]), np.zeros(3))
+
+    @pytest.mark.parametrize("rot, trans, message", [
+        (np.eye(2), np.zeros(3), r"rotation must be 3x3, got \(2, 2\)"),
+        (np.eye(3)[None], np.zeros(3), r"rotation must be 3x3, got \(1, 3, 3\)"),
+        (np.eye(3), np.zeros(2), r"translation must be length 3, got \(2,\)"),
+        (np.eye(3), np.zeros((1, 3)), r"translation must be length 3, got \(1, 3\)"),
+    ])
+    def test_rejects_wrong_shapes(self, rot, trans, message):
+        with pytest.raises(InvalidPoseError, match=f"^{message}$"):
+            Pose(rot, trans)
+
+    def test_copies_and_freezes_its_arrays(self):
+        rot, trans = RZ90.copy(), np.array([1, 2, 3])  # integer entries are stored as float
+        pose = Pose(rot, trans)
+        rot[0, 0] = 9.0
+        assert pose.rotation.tobytes() == RZ90.tobytes() and pose.translation.dtype == float
+        for a in (pose.rotation, pose.translation):
+            assert not a.flags.writeable and a.flags.owndata
+
+
+class TestTwist:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", ["angular", "linear"])
+    def test_rejects_non_finite_entries(self, entry, value):
+        parts = {"angular": np.array([0.1, 0.2, 0.3]), "linear": np.array([1.0, 2.0, 3.0])}
+        parts[entry][2] = value
+        with pytest.raises(ValueError, match="^twist components must be finite$"):
+            Twist(**parts)
+
+    @pytest.mark.parametrize("angular, linear", [
+        (np.zeros(2), np.zeros(3)),
+        (np.zeros(3), np.zeros((1, 3))),
+        (np.zeros((3, 1)), np.zeros(3)),
+    ])
+    def test_rejects_wrong_shapes(self, angular, linear):
+        message = "^angular and linear velocities must be length-3 vectors$"
+        with pytest.raises(ValueError, match=message):
+            Twist(angular, linear)
+
+    def test_copies_and_freezes_its_arrays(self):
+        angular = np.array([0.1, 0.2, 0.3])
+        twist = Twist(angular, [1, 2, 3])
+        angular[0] = 9.0
+        assert twist.angular[0] == 0.1 and twist.linear.dtype == float
+        for a in (twist.angular, twist.linear):
+            assert not a.flags.writeable and a.flags.owndata
 
 
 class TestApplyPose:
@@ -642,8 +718,9 @@ class TestRangeCurvature:
         # rows^T rows + curvature is the Hessian of |r|^2 / 2 in the kernel's
         # chart (rot expm([d_theta]x), trans + d_t).
         links, rot, trans = masked_preset_links(name, seed, p_keep, sigma)
-        res, rows, _, dist = range_residuals(rot, trans, links, True)
-        curv = range_curvature(rot, links, res, rows, dist)
+        res, _, delta, dist = range_residuals(rot, trans, links, False)
+        rows, g = range_rows(rot, links, delta, dist)
+        curv = range_curvature(rot, links, res, rows, g, dist)
 
         def half_cost(x):
             res = range_residuals(rot @ so3_exp(x[:3]), trans + x[3:], links, False)[0]

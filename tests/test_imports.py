@@ -23,8 +23,9 @@ MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"
 # with its reason.
 ALLOWED_PRIVATE = {
     "numpy.linalg._umath_linalg": (
-        "the LAPACK gufuncs behind np.linalg.cholesky and np.linalg.solve: called on a"
-        " whole stack without np.linalg's exception, they give LAPACK's decision per item"
+        "the LAPACK gufuncs behind np.linalg's cholesky, solve, svd, eigh and det: called"
+        " on a whole stack without np.linalg's exception, they give LAPACK's decision per"
+        " item, and without its wrapper's per-call checks, the same bits"
     ),
 }
 
@@ -188,6 +189,33 @@ def test_one_stacked_draw():
     ]
     expect = [("harness.py", "splitmix64"), ("measurement.py", "simulate_batch")]
     assert sorted(definitions) == expect
+
+
+# np.linalg's LAPACK wrappers, which geometry.svd, geometry.eigh and the kernel's stacked
+# solve replace: only geometry.py may name them. np.linalg.norm is no LAPACK call.
+LAPACK_WRAPPERS = {"eigh", "svd", "pinv", "solve", "det"}
+
+
+def test_lapack_only_through_geometry():
+    # geometry calls np.linalg's gufuncs under np.linalg's error state, with the same bits and
+    # the same LinAlgError and without the wrappers' per-call checks; every other module goes
+    # through it, so that no B = 1 call pays for the wrappers.
+    found = []
+    for module in MODULES:
+        if module == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in LAPACK_WRAPPERS:
+                named = "linalg" in ast.unparse(node.value)
+            elif isinstance(node, ast.ImportFrom):
+                named = "linalg" in (node.module or "") and any(
+                    a.name in LAPACK_WRAPPERS for a in node.names
+                )
+            else:
+                continue
+            if named:
+                found.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    assert not found, "np.linalg LAPACK wrappers outside geometry.py: " + ", ".join(found)
 
 
 def test_one_seeding_definition():

@@ -518,6 +518,40 @@ class TestFrozenCopies:
         with pytest.raises(ValueError, match=r"aoa must have shape \(2, 2, 2\), got \(2, 2\)"):
             MeasurementSet(mask, aoa=ranges)
 
+    def test_measurement_set_refusals_and_fill(self):
+        mask = np.array([[True, False], [True, True]])
+        ranges = np.array([[1.0, -2.0], [3.0, 4.0]])  # the negative one is unobserved
+        rates, aoa = -ranges, np.arange(8.0).reshape(2, 2, 2) - 4.0
+        meas = MeasurementSet(mask, ranges, aoa, rates)
+        for m in (meas.ranges, meas.range_rates, meas.aoa):
+            assert np.isnan(m[0, 1]).all() and np.isfinite(m[mask]).all()
+        assert meas.range_rates[1, 0] == -3.0 and meas.aoa[1, 1].tolist() == [2.0, 3.0]
+        for observed in ([0, 0], [1, 0], [1, 1]):
+            bad = ranges.copy()
+            bad[tuple(observed)] = -1e-300
+            with pytest.raises(ValueError, match="^observed ranges must be nonnegative$"):
+                MeasurementSet(mask, bad)
+        assert MeasurementSet(mask, np.where(mask, -0.0, 1.0)).ranges[0, 0] == 0.0
+        with pytest.raises(ValueError, match=r"^range_rates must have shape \(2, 2\), got \(2,\)$"):
+            MeasurementSet(mask, ranges, range_rates=np.ones(2))
+        with pytest.raises(ValueError, match=r"^mask must be \(A, K\)$"):
+            MeasurementSet(np.ones(4, dtype=bool), np.ones(4))
+        with pytest.raises(ValueError, match="^measurement set is empty$"):
+            MeasurementSet(mask)
+
+    def test_measurement_set_from_read_only_arrays(self):
+        # A set built from another's frozen arrays (as apply_blockage builds one)
+        # gets its own frozen copies.
+        mask = np.array([[True, True], [False, True]])
+        source = MeasurementSet(mask, np.ones((2, 2)), range_rates=np.full((2, 2), 0.5))
+        keep = source.mask & np.array([[True, False], [True, True]])
+        meas = MeasurementSet(keep, source.ranges, range_rates=source.range_rates)
+        for own, src in ((meas.ranges, source.ranges), (meas.range_rates, source.range_rates)):
+            assert not own.flags.writeable and own.flags.owndata
+            assert not np.shares_memory(own, src)
+            assert np.isnan(own[0, 1]) and np.isnan(own[1, 0]) and not np.isnan(src[0, 1])
+        assert not meas.mask.flags.writeable and not np.shares_memory(meas.mask, keep)
+
     @pytest.mark.parametrize("diagonal, hollow", [
         (1e-8, True), (-0.0, True), (1.5e-8, False), (-1.5e-8, False), (np.nan, False),
     ])

@@ -6,6 +6,7 @@ from conftest import cube_anchors, random_pose, unit_cube
 
 import rblkit.tracking
 from rblkit.errors import ConfigError, UnderdeterminedError, UnobservableTwistError
+from rblkit.estimators import estimate_pose_nls
 from rblkit.geometry import (
     Pose,
     RigidBodyState,
@@ -15,10 +16,11 @@ from rblkit.geometry import (
     rotation_error_deg,
 )
 from rblkit.harness import BlockageSpec, generate_trajectory, preset
-from rblkit.measurement import NoiseModel, simulate_measurements
+from rblkit.measurement import MeasurementSet, NoiseModel, simulate_measurements
 from rblkit.tracking import (
     MeasurementFrame,
     TrackConfig,
+    TrackFrame,
     estimate_twist,
     track_sequence,
     track_to_csv,
@@ -188,8 +190,6 @@ class TestTrackSequence:
         ranges = broken.ranges.copy()
         mask = np.zeros_like(broken.mask)
         mask[0, :3] = True
-        from rblkit.measurement import MeasurementSet
-
         frames[1] = MeasurementFrame(
             frames[1].timestamp,
             MeasurementSet(mask=mask, ranges=ranges, range_rates=broken.range_rates),
@@ -200,8 +200,6 @@ class TestTrackSequence:
         assert track[2].error is None
 
     def test_frames_without_ranges_recorded_not_raised(self):
-        from rblkit.measurement import MeasurementSet
-
         conf, anchors, frames, _ = make_trajectory(Twist.zero(), n_frames=2)
         rates_only = [
             MeasurementFrame(
@@ -299,6 +297,61 @@ GOLDEN_TRACK = (
     "0.95,0.277521527611,0.00143826468766,0.00797171801254,0.00261730496083,0.00963730934784,True,\n"
     "1,0.150826596512,0.00230588985421,0.00147928988317,0.00220887821593,0.00958822010134,True,\n"
 )
+
+
+def bits(value):
+    """A key that is equal only for bit-identical outputs."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if hasattr(value, "__dataclass_fields__"):
+        fields = value.__dataclass_fields__
+        return (type(value).__name__,) + tuple(bits(getattr(value, f)) for f in fields)
+    return value
+
+
+def test_track_equals_its_public_single_frame_calls():
+    # track_sequence at B = 1 is the public single-problem calls, frame by frame: NLS from the
+    # previous estimate propagated by its twist (noise=None), then the unweighted twist fit.
+    # Frame 7 observes too few links, fails, and the next frame starts from frame 6.
+    scenario, _ = preset("fig4")
+    scenario = replace(
+        scenario,
+        blockage=BlockageSpec(kind="hull"),
+        measurement_kinds=("range", "range_rate"),
+        noise=NoiseModel(range_rate_sigma=0.01),
+    )
+    anchors, conf = scenario.anchors, scenario.conformation
+    twist = Twist([0.4, -0.1, 0.3], [0.03, 0.04, -0.05])
+    frames, _ = generate_trajectory(scenario, twist, 20, 0.05, 0.01, 8)
+    blocked = frames[7].measurements
+    few = np.zeros_like(blocked.mask)
+    few[0, :2] = True
+    frames[7] = MeasurementFrame(
+        frames[7].timestamp, MeasurementSet(few, blocked.ranges, range_rates=blocked.range_rates)
+    )
+    expected, prev = [], None
+    for frame in frames:
+        meas = frame.measurements
+        init = None if prev is None else propagate_state(
+            RigidBodyState(conf, prev.pose_estimate.pose, prev.twist_estimate),
+            frame.timestamp - prev.timestamp,
+        ).pose
+        try:
+            pose_est = estimate_pose_nls(meas, anchors, conf, init=init, noise=None)
+            rate_fit = estimate_twist(
+                anchors, conf, pose_est.pose, meas.range_rates, mask=meas.mask
+            )
+        except UnderdeterminedError as exc:
+            failed = f"UnderdeterminedError: {exc}"
+            expected.append(TrackFrame(frame.timestamp, None, None, error=failed))
+            continue
+        prev = TrackFrame(frame.timestamp, pose_est, *rate_fit)
+        expected.append(prev)
+    track = track_sequence(anchors, conf, frames, TrackConfig("nls"))
+    assert [f.error is None for f in track] == [i != 7 for i in range(20)]
+    assert [bits(f) for f in track] == [bits(f) for f in expected]
 
 
 def test_golden_track_csv():
