@@ -201,7 +201,7 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
 
     links = grid_links(anchors, nodes, np.sqrt(d[:, :a, a:]), cross_known)
     rot, trans, iterations, converged, messages = fit_ranges(
-        links, q, trans, max_iters, np.ones(b), None, None
+        links, q, trans, max_iters, None, None, None
     )
     fitted = transform_points(nodes, rot, trans)
     fit = edm_from_points(np.concatenate([np.broadcast_to(anchors, (b, a, 3)), fitted], axis=-2))

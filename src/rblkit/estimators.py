@@ -11,7 +11,9 @@ raising on a missed tolerance.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -82,12 +84,14 @@ class PoseBatch:
     numbers are placeholders. Iterative methods fill iterations, converged,
     messages and projection_distance; two-stage methods per_node_positions,
     and GaBP node_variances; the EDM chain's MDS converged and messages.
+    `score` computes residual_rms, which is scored when first read: a sweep
+    that never reads it never scores.
     """
 
     method_tag: str
     rotation: np.ndarray
     translation: np.ndarray
-    residual_rms: np.ndarray
+    score: Callable[[], np.ndarray]
     errors: list
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
@@ -95,6 +99,11 @@ class PoseBatch:
     projection_distance: np.ndarray | None = None
     per_node_positions: np.ndarray | None = None
     node_variances: np.ndarray | None = None
+
+    @cached_property
+    def residual_rms(self) -> np.ndarray:
+        """Each item's RMS residual (see PoseEstimate), scored on first read."""
+        return self.score()
 
     def estimate(self, i: int) -> PoseEstimate:
         """Item i as the single-problem estimator returns it, or its error raised."""
@@ -179,7 +188,8 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
 
     residual_rms is scored over every cross entry the EDM marks known. An
     EDM from complete_edm marks every entry known, so its score includes
-    the filled entries; mds_from_ranges scores only the measured links.
+    the filled entries; mds_from_ranges scores only the measured links. The
+    stacked mds_batch scores residuals only when they are read.
     """
     if not edm.is_complete():
         raise IncompleteEdmError("MDS needs a fully known EDM; run complete_edm first")
@@ -204,10 +214,8 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
     measured; items failed upstream (`errors`) keep their error."""
     a = len(anchor_xyz)
     node_positions, eigvals = anchored_embedding(d, anchor_xyz)
-    # Nodes of a Conformation span a plane (affine_rank), so the flag is never set.
-    rot, trans, _ = procrustes(nodes, node_positions)
-    links = grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
-    residual = _observed_rms(rot, trans, links)
+    # procrustes' fit; nodes of a Conformation span a plane (affine_rank), so no flag is needed.
+    rot, trans = fit_alignment(nodes, node_positions, None, proper=True)[:2]
     degenerate = eigvals[:, 2] <= 1e-9 * np.maximum(eigvals[:, 0], 1e-300)
     errors = [None] * len(d) if errors is None else list(errors)
     for i, error in enumerate(errors):
@@ -216,7 +224,12 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
                 "Gram matrix has fewer than 3 significantly positive eigenvalues:"
                 f" {eigvals[i, :4]}"
             )
-    return PoseBatch("mds", rot, trans, residual, errors, per_node_positions=node_positions)
+
+    def score():
+        links = grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
+        return _observed_rms(rot, trans, links)
+
+    return PoseBatch("mds", rot, trans, score, errors, per_node_positions=node_positions)
 
 
 def mds_from_ranges(
@@ -297,8 +310,8 @@ def estimate_pose_nls(
     """
     if meas.ranges is None:
         raise UnderdeterminedError("the least-squares estimator needs range measurements")
-    if noise is None:  # weight 1, as nls_weights gives an unknown level
-        w_range = w_angle = np.ones(1)
+    if noise is None:  # weight 1, as nls_weights gives an unknown level: an unweighted fit
+        w_range = w_angle = None
     else:
         w_range, w_angle = nls_weights([[noise.range_sigma], [noise.angle_sigma]])
     start = None if init is None else (init.rotation[None], init.translation[None], [None])
@@ -311,7 +324,7 @@ def estimate_pose_nls(
 def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None) -> PoseBatch:
     """estimate_pose_nls of stacked observations: masks and ranges (B, A, K),
     aoa (B, A, K, 2) (None when not measured) and range and angle weights
-    (B,), fitted in lockstep by geometry.fit_ranges.
+    (B,), or None for weight 1, fitted in lockstep by geometry.fit_ranges.
 
     init = (rotations, translations, errors) starts each item, and an item
     whose start failed keeps that error; by default the start is the MDS
@@ -330,25 +343,32 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
     errors = [s or e for e, s in zip(errors, init[2])]
     rot, trans = np.array(init[0], dtype=float), np.array(init[1], dtype=float)
     iterations, converged = np.zeros(b, dtype=int), np.zeros(b, dtype=bool)
-    messages, projection, residual_rms = [""] * b, np.zeros(b), np.full(b, np.nan)
+    messages, projection = [""] * b, np.zeros(b)
     items = [i for i, e in enumerate(errors) if e is None]
     if items:
         # Every item fits in the common case; the slice then copies nothing.
         fit = slice(None) if len(items) == b else np.array(items)
         links = grid_links(anchor_xyz, nodes, ranges[fit], mask[fit])
         aoa_f = None if aoa is None else np.where(mask[..., None], aoa, 0.0).reshape(b, -1, 2)[fit]
+        w_range, w_angle = (None if w is None else w[fit] for w in (w_range, w_angle))
         r_fit, t_fit, iterations[fit], converged[fit], fit_messages = fit_ranges(
-            links, rot[fit], trans[fit], NLS_MAX_ITERS, w_range[fit], aoa_f, w_angle[fit]
+            links, rot[fit], trans[fit], NLS_MAX_ITERS, w_range, aoa_f, w_angle
         )
         projected, projection_errors = project_batch(r_fit)
         diff = (projected - r_fit).reshape(-1, 9)
         projection[fit] = np.sqrt(np.vecdot(diff, diff))  # np.linalg.norm of each difference
-        residual_rms[fit] = _observed_rms(projected, t_fit, links)
         rot[fit], trans[fit] = projected, t_fit
         for i, message, error in zip(items, fit_messages, projection_errors):
             messages[i], errors[i] = message, error
+
+    def score():  # NaN for the items that failed before the fit
+        residual_rms = np.full(b, np.nan)
+        if items:
+            residual_rms[fit] = _observed_rms(projected, t_fit, links)
+        return residual_rms
+
     return PoseBatch(
-        "nls", rot, trans, residual_rms, errors, iterations, converged, messages, projection
+        "nls", rot, trans, score, errors, iterations, converged, messages, projection
     )
 
 
@@ -434,10 +454,12 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
         if bad else None
         for n, bad in zip(n_usable, collinear)
     ]
-    links = grid_links(anchor_xyz, nodes, ranges, mask)
+
+    def score():
+        return _observed_rms(rot, trans, grid_links(anchor_xyz, nodes, ranges, mask))
+
     return PoseBatch(
-        "gabp", rot, trans, _observed_rms(rot, trans, links), errors,
-        per_node_positions=means, node_variances=variances,
+        "gabp", rot, trans, score, errors, per_node_positions=means, node_variances=variances
     )
 
 

@@ -111,16 +111,23 @@ def _quat_from_matrix(r: np.ndarray) -> np.ndarray:
     return (q / np.sqrt(np.vecdot(q, q))[:, None]).reshape(r.shape[:-2] + (4,))
 
 
+# Entry (i, j) of matrix_from_quat is 2 (q_a q_b + sign q_c q_d), with 1 minus it on the
+# diagonal: flat indices a * 4 + b of the products, then c * 4 + d, and the signs, row-major.
+_QUAT_PRODUCTS = np.array([10, 6, 7, 6, 5, 11, 7, 11, 5, 15, 3, 2, 3, 15, 1, 2, 1, 10])
+_QUAT_SIGNS = np.array([1.0, -1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+
 def matrix_from_quat(q) -> np.ndarray:
     """Rotation matrices, (3, 3) or (B, 3, 3), from unit quaternions (w, x, y, z),
-    (4,) or (B, 4)."""
-    w, x, y, z = np.asarray(q, dtype=float).T
-    columns = [
-        [1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)],
-        [2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)],
-        [2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)],
-    ]
-    return np.ascontiguousarray(np.array(columns).T)
+    (4,) or (B, 4): each entry 2 (q_a q_b +- q_c q_d), 1 minus that on the
+    diagonal, such as 1 - 2 (y y + z z) and 2 (x y - w z), rounded as written."""
+    q = np.asarray(q, dtype=float)
+    terms = (q[..., :, None] * q[..., None, :]).reshape(q.shape[:-1] + (16,)).take(
+        _QUAT_PRODUCTS, axis=-1
+    )
+    m = 2 * (terms[..., :9] + _QUAT_SIGNS * terms[..., 9:])
+    m[..., ::4] = 1 - m[..., ::4]
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 def so3_log(rotation) -> np.ndarray:
@@ -594,29 +601,35 @@ def fit_terms(rot, trans, links, sw_range, w_range, aoa, sw_angle, jacobian, geo
     `links` are range_links; aoa (B, M, 2) holds the links' (azimuth,
     elevation) or is None. The residuals and rows are range_residuals' then
     angle_residuals', each scaled by the square root of its type weight,
-    sw_range and sw_angle (B, 1); the curvature is range_curvature's, times
-    the range weight w_range (B, 1, 1). jacobian=False gives None for both.
+    sw_range and sw_angle (B,); the curvature is range_curvature's, times
+    the range weight w_range (B,). A weight of None is 1, and multiplies
+    nothing. jacobian=False gives None for both.
     `geometry` is None or, reused, the geometry a call at the same poses returned:
     range_residuals(rot, trans, links, False) with the residuals in place of its rows,
     so a call handed it computes only the rows and the curvature.
     """
     if geometry is None:
         range_res, _, delta, dist = range_residuals(rot, trans, links, False)
-        res = sw_range * range_res
+        res = _weighted(sw_range, range_res)
         if aoa is not None:
             angle_res = angle_residuals(rot, links, delta, dist, aoa, False)[0]
-            res = np.concatenate([res, sw_angle * angle_res], axis=-1)
+            res = np.concatenate([res, _weighted(sw_angle, angle_res)], axis=-1)
         geometry = range_res, res, delta, dist
     range_res, res, delta, dist = geometry
     rows = curv = None
     if jacobian:
         unit_rows, g = range_rows(rot, links, delta, dist)
-        rows = sw_range[..., None] * unit_rows
-        curv = w_range * range_curvature(rot, links, range_res, unit_rows, g, dist)
+        rows = _weighted(sw_range, unit_rows)
+        curv = _weighted(w_range, range_curvature(rot, links, range_res, unit_rows, g, dist))
         if aoa is not None:
             angle_rows = angle_residuals(rot, links, delta, dist, None)[1]
-            rows = np.concatenate([rows, sw_angle[..., None] * angle_rows], axis=-2)
+            rows = np.concatenate([rows, _weighted(sw_angle, angle_rows)], axis=-2)
     return res, rows, curv, geometry
+
+
+def _weighted(weight, values):
+    """A stack of values times each item's weight (B,); the values themselves for None."""
+    return values if weight is None else weight.reshape((-1,) + (1,) * (values.ndim - 1)) * values
 
 
 @np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore")
@@ -760,9 +773,11 @@ def fit_ranges(links, rot, trans, max_iters: int, w_range, aoa, w_angle):
     """pose_gauss_newton's fits, started at poses (B, 3, 3), (B, 3), to the grid_links
     `links` (shared geometry, per-fit ranges and weights (B, M)) and, unless aoa is None,
     to the links' angles aoa (B, M, 2); w_range and w_angle (B,) weight each fit's range
-    and angle residuals, with w_angle read only with aoa. Returns its outcomes."""
-    sw_angle = None if aoa is None else np.sqrt(w_angle)[:, None]
-    constants = (np.sqrt(w_range)[:, None], w_range[:, None, None], aoa, sw_angle)
+    and angle residuals, with w_angle read only with aoa; None weights 1, unweighted.
+    Returns its outcomes."""
+    sw_range = None if w_range is None else np.sqrt(w_range)
+    sw_angle = None if aoa is None or w_angle is None else np.sqrt(w_angle)
+    constants = (sw_range, w_range, aoa, sw_angle)
 
     def residuals(r, t, ranges, weight, *rest):
         return fit_terms(r, t, links[:4] + (ranges, weight) + links[6:], *rest)

@@ -46,6 +46,8 @@ from .geometry import (
 )
 from .measurement import (
     MEASUREMENT_KINDS,
+    STREAM_BLOCKAGE,
+    UNKEYED,
     AnchorSet,
     MeasurementSet,
     NoiseModel,
@@ -53,6 +55,7 @@ from .measurement import (
     bernoulli_keep,
     hull_facets,
     hull_keep,
+    noise_keys,
     simulate_batch,
     streams,
 )
@@ -156,22 +159,29 @@ class BlockageSpec:
             raise ConfigError(f"p must be in [0, 1], got {self.p}", field="blockage.p")
 
     def policy(self, seed: int, anchors: AnchorSet, world_nodes):
-        """keep_batch of one placement (K, 3), its facets found from it; None for kind "none"."""
+        """keep_batch of one placement (K, 3) and seed, its facets found from it; None for
+        kind "none"."""
         if self.kind == "none":
             return None
         world = np.asarray(world_nodes, dtype=float)
-        return self.keep_batch([seed], anchors, world, world[None])[0]
+        return self.keep_batch(streams(*self.keys([seed])), anchors, world, world[None])[0]
 
-    def keep_batch(self, seeds, anchors: AnchorSet, nodes, world) -> np.ndarray:
+    def keys(self, seeds) -> tuple[np.ndarray, np.ndarray]:
+        """The (seeds, stream kinds) of the generators keep_batch takes for B seeds: each
+        seed's blockage stream for kind "bernoulli", none for the others."""
+        seeds = np.asarray(seeds, dtype=np.uint64)[: None if self.kind == "bernoulli" else 0]
+        return seeds, np.full(len(seeds), STREAM_BLOCKAGE)
+
+    def keep_batch(self, rngs, anchors: AnchorSet, nodes, world) -> np.ndarray:
         """The (B, A, K) keep masks of B placements `world` (B, K, 3) of a
-        body with body-frame `nodes`, one seed each. The hull's facet triples
-        are found once, from `nodes`, and every placement is clipped in one
-        call."""
+        body with body-frame `nodes`, from the generators of `keys` (all that
+        `rngs` yields). The hull's facet triples are found once, from
+        `nodes`, and every placement is clipped in one call."""
         shape = (anchors.num_anchors, len(nodes))
         if self.kind == "hull":
             return hull_keep(anchors.anchors, world, hull_facets(nodes))
         if self.kind == "bernoulli":
-            return bernoulli_keep(seeds, self.p, shape)
+            return bernoulli_keep(rngs, self.p, shape)
         return np.ones((len(world),) + shape, dtype=bool)
 
 
@@ -297,39 +307,54 @@ def rows_to_json(rows) -> list[dict]:
     return [asdict(r) for r in rows]
 
 
-def _observe(scenario, rot, trans, twist, sigmas, seeds, blockage_seeds, kinds):
-    """The measurements of the scenario's body at B poses (rot, trans), each
-    with its own range sigma (other levels: the scenario's), noise seed and
-    blockage seed, under the scenario's blockage; range-clamp warnings are
-    silenced and uncovered nodes not warned about. Returns the (B, A, K) mask
-    and the ranges, aoa and range rates (None when not simulated), unfilled:
-    the stacked stages read them through the mask, MeasurementSet stores NaN."""
-    anchors, nodes, noise = scenario.anchors, scenario.conformation.nodes, scenario.noise
+def _draw_streams(scenario, sigmas, kinds, unkeyed, noise_seeds, blockage_seeds):
+    """The noise levels (B, 3) of B draws at range sigmas (B,), the scenario's
+    others, refused as NoiseModel refuses them, and every generator the draws
+    take, from one streams() hash, as an iterator in the order they are taken:
+    the `unkeyed` seeds' (a pose's), the noise_keys streams, then the blockage's keys."""
     sigmas = np.asarray(sigmas, dtype=float)
     valid = (sigmas >= 0.0) & (sigmas < np.inf)
     if not valid.all():  # as NoiseModel refuses it
         raise ConfigError(f"must be finite and >= 0, got {sigmas[~valid][0]}", "noise.range_sigma")
-    levels = np.full((len(sigmas), 3), noise.sigmas)
+    levels = np.full((len(sigmas), 3), scenario.noise.sigmas)
     levels[:, 0] = sigmas
+    keys = [
+        (np.asarray(unkeyed, dtype=np.uint64), np.full(len(unkeyed), UNKEYED)),
+        noise_keys(levels, noise_seeds, kinds),
+        scenario.blockage.keys(blockage_seeds),
+    ]
+    seeds, which = (np.concatenate(column) for column in zip(*keys))
+    return levels, iter(streams(seeds, which))
+
+
+def _observe(scenario, rot, trans, twist, levels, rngs, kinds):
+    """The measurements of the scenario's body at B poses (rot, trans) at the
+    noise levels (B, 3), under the scenario's blockage, from _draw_streams'
+    generators after the poses'; range-clamp warnings are silenced and
+    uncovered nodes not warned about. Returns the (B, A, K) mask and the
+    ranges, aoa and range rates (None when not simulated), unfilled: the
+    stacked stages read them through the mask, MeasurementSet stores NaN."""
+    anchors, nodes = scenario.anchors, scenario.conformation.nodes
     world = transform_points(nodes, rot, trans)
     velocities = twist_velocities(nodes, rot, twist) if "range_rate" in kinds else None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RangeClampWarning)
-        observed = simulate_batch(anchors.anchors, world, levels, seeds, kinds, velocities)
-    return (scenario.blockage.keep_batch(blockage_seeds, anchors, nodes, world), *observed)
+        observed = simulate_batch(anchors.anchors, world, levels, rngs, kinds, velocities)
+    return (scenario.blockage.keep_batch(rngs, anchors, nodes, world), *observed)
 
 
 def _draw(scenario: ScenarioConfig, sigmas, seeds):
     """The seeded draws of B trials at range sigmas (B,) and seeds (B,):
     true rotations (B, 3, 3) and translations (B, 3), and _observe's
     measurement stacks."""
+    kinds = scenario.measurement_kinds
     # Each trial's pose generator, noise and blockage seeds: indices 1, 2, 3.
     seeds = derive_seed(np.asarray(seeds, dtype=np.uint64)[:, None], np.arange(1, 4))
-    rot, trans = scenario.sample_poses(streams(seeds[:, 0]))
+    levels, rngs = _draw_streams(scenario, sigmas, kinds, *seeds.T)
+    rot, trans = scenario.sample_poses([next(rngs) for _ in seeds])
     # Static draws have no motion; rates are simulated about zero velocity.
-    kinds = scenario.measurement_kinds
     twist = Twist.zero() if "range_rate" in kinds else None
-    return rot, trans, _observe(scenario, rot, trans, twist, sigmas, *seeds[:, 1:].T, kinds)
+    return rot, trans, _observe(scenario, rot, trans, twist, levels, rngs, kinds)
 
 
 def _measurement_set(observed, i: int) -> MeasurementSet:
@@ -519,12 +544,15 @@ def generate_trajectory(
 ) -> tuple[list[MeasurementFrame], list[tuple[Pose, Twist]]]:
     """Constant-twist measurement frames (ranges + range rates) with truth,
     all frames drawn as one stacked batch."""
-    start = scenario.sample_pose(streams([derive_seed(seed, 1)])[0])
     kinds = tuple(dict.fromkeys(scenario.measurement_kinds + ("range_rate",)))
+    # The start pose's seed, and each frame's noise and blockage seeds.
+    seeds = derive_seed(seed, np.array([[4], [5]]), np.arange(n_frames))
+    sigmas = np.full(n_frames, sigma)
+    levels, rngs = _draw_streams(scenario, sigmas, kinds, [derive_seed(seed, 1)], *seeds)
+    start = scenario.sample_pose(next(rngs))
     times = (np.arange(n_frames) + 1) * dt
     rot, trans = propagate_poses(start, twist, times)
-    seeds = derive_seed(seed, np.array([[4], [5]]), np.arange(n_frames))
-    observed = _observe(scenario, rot, trans, twist, np.full(n_frames, sigma), *seeds, kinds)
+    observed = _observe(scenario, rot, trans, twist, levels, rngs, kinds)
     frames = [MeasurementFrame(float(t), _measurement_set(observed, i))
               for i, t in enumerate(times)]
     return frames, [(Pose(r, t), twist) for r, t in zip(rot, trans)]

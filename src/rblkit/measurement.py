@@ -39,11 +39,11 @@ from .geometry import (
     wrap_angle,
 )
 
-# Independent substreams per measurement type, derived from NoiseModel.seed.
-_STREAM_RANGE = 0
-_STREAM_AOA = 1
-_STREAM_RATE = 2
-_STREAM_BLOCKAGE = 3
+# Independent substreams (spawn keys) per measurement type, derived from NoiseModel.seed:
+# kind k of MEASUREMENT_KINDS, column k of NoiseModel.sigmas, draws its noise on stream k,
+# and blockage on STREAM_BLOCKAGE. UNKEYED is the kind of a generator without one (a pose's).
+STREAM_BLOCKAGE = 3
+UNKEYED = -1
 
 # The kinds of observation a scenario can simulate.
 MEASUREMENT_KINDS = ("range", "aoa", "range_rate")
@@ -82,11 +82,12 @@ def _hashed(word: int, step: int) -> int:
     return word ^ word >> 16
 
 
-# MIX_MULT_R times the hash of each stream's spawn word, as each pool word takes it.
-_SPAWN = {
-    which: _column([int(_MIX_R) * _hashed(which, 16 + i) & _MASK32 for i in range(4)])
-    for which in (_STREAM_RANGE, _STREAM_AOA, _STREAM_RATE, _STREAM_BLOCKAGE)
-}
+# MIX_MULT_R times the hash of each stream kind's spawn word (column), as each pool word
+# (row) takes it.
+_SPAWN = np.array(
+    [[int(_MIX_R) * _hashed(which, 16 + i) & _MASK32 for which in range(4)] for i in range(4)],
+    dtype=np.uint32,
+)
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
@@ -102,14 +103,15 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def streams(seeds, which: int | None = None) -> list[np.random.Generator]:
+def streams(seeds, which=None) -> list[np.random.Generator]:
     """The generator of each uint64 seed, bit for bit
     default_rng(SeedSequence(seed, spawn_key=(which,) or ())), where `which`
-    is None or a stream kind (_STREAM_*). One uint32 array computation hashes
-    the whole stack: the seed's two entropy words into a 4-word pool (a
-    spawn key pads the entropy with zeros, which is what an absent word
-    hashes as), the 12 cross mixes, the spawn word's mix, and the 8 output
-    words paired into PCG64's 4."""
+    is None, a stream kind, or one kind per seed with UNKEYED for no spawn
+    key. One uint32 array computation hashes the whole stack, whatever its
+    mix of kinds: the seed's two entropy words into a 4-word pool (a spawn
+    key pads the entropy with zeros, which is what an absent word hashes
+    as), the 12 cross mixes, the spawn word's mix, and the 8 output words
+    paired into PCG64's 4."""
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
     pool[0] = seeds
@@ -128,9 +130,11 @@ def streams(seeds, which: int | None = None) -> list[np.random.Generator]:
         mixed ^= mixed >> _SHIFT
         pool[dst] = mixed
     if which is not None:
-        pool *= _MIX_L
-        pool -= _SPAWN[which]
-        pool ^= pool >> _SHIFT
+        which = np.asarray(which)
+        mixed = pool * _MIX_L
+        mixed -= _SPAWN[:, which].reshape(4, -1)  # UNKEYED takes the last kind's column
+        mixed ^= mixed >> _SHIFT
+        pool = np.where(which != UNKEYED, mixed, pool)  # and keeps its pool
     state = np.concatenate([pool, pool])
     state ^= _OUTPUT_HASH[0]
     state *= _OUTPUT_HASH[1]
@@ -336,24 +340,35 @@ class Edm:
         return cls(vals, np.asarray(known, dtype=bool), int(a))
 
 
-def _draws(sigmas, seeds, which: int, shape, count: int = 1) -> np.ndarray:
+def noise_keys(sigmas, seeds, kinds) -> tuple[np.ndarray, np.ndarray]:
+    """The (seeds, stream kinds) of the generators simulate_batch takes for noise
+    levels sigmas (B, 3) and seeds (B,), in the order it takes them: for each of
+    `kinds`, in MEASUREMENT_KINDS order, the seeds of the items it is noisy on. A
+    noiseless kind (range rates at sigma 0) takes none."""
+    noisy = np.reshape(sigmas, (-1, 3)).T > 0.0  # row k: kind k's sigmas, its stream k
+    noisy[[kind not in kinds for kind in MEASUREMENT_KINDS]] = False
+    which, items = np.nonzero(noisy)
+    return np.asarray(seeds, dtype=np.uint64)[items], which
+
+
+def _draws(sigmas, rngs, shape, count: int = 1) -> np.ndarray:
     """`count` zero-mean Gaussian (A, K) arrays per item, stacked (count, B, A, K),
-    all of item i's from one call on stream `which` of seeds[i] and scaled by
-    sigmas[i] as Generator.normal scales (0.0 + sigma * z); zeros where it is 0."""
+    all of item i's from one call on the next generator of `rngs` and scaled by
+    sigmas[i] as Generator.normal scales (0.0 + sigma * z); zeros, and no
+    generator taken, where it is 0."""
     z = np.zeros((len(sigmas), count) + shape)
-    noisy = np.flatnonzero(sigmas > 0.0)
-    if noisy.size:  # a noiseless stack (range rates at sigma 0) seeds nothing
-        for i, rng in zip(noisy, streams(np.asarray(seeds, dtype=np.uint64)[noisy], which)):
-            rng.standard_normal(out=z[i])
+    for i in np.flatnonzero(sigmas > 0.0):
+        next(rngs).standard_normal(out=z[i])
     return np.moveaxis(0.0 + sigmas[:, None, None, None] * z, 1, 0)
 
 
-def simulate_batch(anchor_xyz, world, sigmas, seeds, kinds, velocities=None):
+def simulate_batch(anchor_xyz, world, sigmas, rngs, kinds, velocities=None):
     """Noisy observations of B bodies at once: world node positions (B, K, 3)
     and, for range rates, node velocities (B, K, 3). Body i has the noise
     levels sigmas[i] (range, angle and range-rate standard deviations, as
-    NoiseModel.sigmas) and the seed seeds[i], which drives its own streams,
-    so each item is exactly what the body gets alone.
+    NoiseModel.sigmas). `rngs` yields the generators of noise_keys(sigmas,
+    seeds, kinds), the streams of each body's seed, and is left at the first
+    generator after them; each item is exactly what the body gets alone.
 
     Returns (ranges (B, A, K), aoa (B, A, K, 2), range rates (B, A, K)),
     each None unless its kind is requested. Negative noisy ranges are
@@ -364,13 +379,14 @@ def simulate_batch(anchor_xyz, world, sigmas, seeds, kinds, velocities=None):
     unknown = set(kinds) - set(MEASUREMENT_KINDS)
     if unknown:
         raise ValueError(f"unknown measurement kinds: {sorted(unknown)}")
+    rngs = iter(rngs)
     delta = world[:, None, :, :] - anchor_xyz[:, None, :]
     dist = np.linalg.norm(delta, axis=-1)
     ranges = aoa = rates = None
     sigmas = np.asarray(sigmas, dtype=float).reshape(-1, 3).T  # range, angle, rate
     noisy = sigmas[:, :, None, None] > 0.0
     if "range" in kinds:
-        noise = _draws(sigmas[0], seeds, _STREAM_RANGE, dist.shape[1:])[0]
+        noise = _draws(sigmas[0], rngs, dist.shape[1:])[0]
         ranges = np.where(noisy[0], dist + noise, dist)
         clamped = int(np.sum(ranges < 0.0))
         if clamped:
@@ -381,7 +397,7 @@ def simulate_batch(anchor_xyz, world, sigmas, seeds, kinds, velocities=None):
             raise UndefinedBearingError("node coincides with an anchor; bearing undefined")
         azimuth = np.arctan2(delta[..., 1], delta[..., 0])
         elevation = np.arcsin(np.clip(delta[..., 2] / dist, -1.0, 1.0))
-        az_noise, el_noise = _draws(sigmas[1], seeds, _STREAM_AOA, dist.shape[1:], 2)
+        az_noise, el_noise = _draws(sigmas[1], rngs, dist.shape[1:], 2)
         azimuth = np.where(noisy[1], wrap_angle(azimuth + az_noise), azimuth)
         elevation = np.where(noisy[1], elevation + el_noise, elevation)
         aoa = np.stack([azimuth, elevation], axis=-1)
@@ -389,7 +405,7 @@ def simulate_batch(anchor_xyz, world, sigmas, seeds, kinds, velocities=None):
         if np.any(dist <= 0.0):
             raise UndefinedDirectionError("node coincides with an anchor; direction undefined")
         rates = np.einsum("...akd,...kd->...ak", delta / dist[..., None], velocities)
-        noise = _draws(sigmas[2], seeds, _STREAM_RATE, dist.shape[1:])[0]
+        noise = _draws(sigmas[2], rngs, dist.shape[1:])[0]
         rates = np.where(noisy[2], rates + noise, rates)
     return ranges, aoa, rates
 
@@ -403,17 +419,17 @@ def simulate_measurements(
     """Simulate the requested measurement types with a fully-observed mask."""
     world = state.world_nodes()
     velocities = node_velocities(state)[None] if "range_rate" in kinds else None
-    sigmas, seeds = [noise.sigmas], [noise.seed]
-    observed = simulate_batch(anchors.anchors, world[None], sigmas, seeds, kinds, velocities)
+    rngs = streams(*noise_keys(noise.sigmas, [noise.seed], kinds))
+    observed = simulate_batch(anchors.anchors, world[None], [noise.sigmas], rngs, kinds, velocities)
     mask = np.ones((anchors.num_anchors, len(world)), dtype=bool)
     return MeasurementSet(mask, *(None if m is None else m[0] for m in observed))
 
 
-def bernoulli_keep(seeds, p: float, shape) -> np.ndarray:
+def bernoulli_keep(rngs, p: float, shape) -> np.ndarray:
     """The (B, *shape) links that survive independent blockage with
-    probability p in [0, 1], one mask per seed drawn from that seed's own
-    blockage stream, so each item is the same in any stack."""
-    return np.array([rng.random(shape) for rng in streams(seeds, _STREAM_BLOCKAGE)]) >= p
+    probability p in [0, 1], one mask from each of the B generators `rngs`,
+    each item's seed's STREAM_BLOCKAGE, so each item is the same in any stack."""
+    return np.array([rng.random(shape) for rng in rngs]) >= p
 
 
 @by_value
@@ -529,6 +545,12 @@ def assemble_edm(anchors: AnchorSet, conf: Conformation, meas: MeasurementSet) -
     return Edm(d[0], known[0], n_anchors=anchors.num_anchors)
 
 
+@by_value
+def _squared_blocks(anchor_xyz, nodes):
+    """The anchor-anchor and node-node squared distances of a scenario, memoized by value."""
+    return pairwise_distances(anchor_xyz) ** 2, pairwise_distances(nodes) ** 2
+
+
 def assemble_batch(anchor_xyz, nodes, ranges, mask) -> tuple[np.ndarray, np.ndarray]:
     """assemble_edm of stacked (B, A, K) ranges and masks: the joint squared
     distances (B, n, n), NaN where unknown, and their known masks."""
@@ -543,8 +565,7 @@ def assemble_batch(anchor_xyz, nodes, ranges, mask) -> tuple[np.ndarray, np.ndar
     n = a + k
     d = np.empty((b, n, n))
     known = np.ones((b, n, n), dtype=bool)
-    d[:, :a, :a] = pairwise_distances(anchor_xyz) ** 2
-    d[:, a:, a:] = pairwise_distances(nodes) ** 2
+    d[:, :a, :a], d[:, a:, a:] = _squared_blocks(anchor_xyz, nodes)
     d[:, :a, a:] = np.where(mask, ranges**2, np.nan)
     d[:, a:, :a] = d[:, :a, a:].mT
     known[:, :a, a:] = mask

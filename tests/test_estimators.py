@@ -41,6 +41,7 @@ from rblkit.geometry import (
     Conformation,
     Pose,
     RigidBodyState,
+    Twist,
     apply_pose,
     fit_terms,
     haar_rotations,
@@ -50,19 +51,34 @@ from rblkit.geometry import (
     so3_exp,
     transform_points,
 )
-from rblkit.harness import _run_trials, derive_seed, draw_trial, preset, run_benchmark
+from rblkit.harness import (
+    BlockageSpec,
+    _run_trials,
+    derive_seed,
+    draw_trial,
+    generate_trajectory,
+    preset,
+    run_benchmark,
+)
 from rblkit.measurement import (
+    STREAM_BLOCKAGE,
     AnchorSet,
     MeasurementSet,
     NoiseModel,
     apply_blockage,
     assemble_edm,
     bernoulli_keep,
+    noise_keys,
     simulate_batch,
     simulate_measurements,
+    streams,
 )
 
 RZ90_EXACT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def bernoulli_mask(p: float, seed: int, shape) -> np.ndarray:
+    return bernoulli_keep(streams([seed], STREAM_BLOCKAGE), p, shape)[0]
 
 
 def pose_errors(estimate: PoseEstimate, truth: Pose) -> tuple[float, float]:
@@ -206,7 +222,8 @@ class TestEstimatePoseMds:
         rmse = []
         for sigma in (0.01, 0.1, 0.5):
             sigmas = [(sigma, 0.0, 0.0)] * trials
-            ranges = simulate_batch(anchors.anchors, world, sigmas, seeds, ("range",))[0]
+            rngs = streams(*noise_keys(sigmas, seeds, ("range",)))
+            ranges = simulate_batch(anchors.anchors, world, sigmas, rngs, ("range",))[0]
             batch = chain_batch(anchors.anchors, conf.nodes, ranges, mask).mds
             sq_sum = 0.0
             for i, truth in enumerate(truths):
@@ -217,7 +234,7 @@ class TestEstimatePoseMds:
 
     def test_incomplete_edm_rejected(self):
         conf, anchors, meas = simulate_cube_ranges(Pose.identity())
-        blocked = apply_blockage(meas, bernoulli_keep([2], 0.3, meas.shape)[0])
+        blocked = apply_blockage(meas, bernoulli_mask(0.3, 2, meas.shape))
         edm = assemble_edm(anchors, conf, blocked)
         with pytest.raises(IncompleteEdmError):
             estimate_pose_mds(edm, anchors, conf)
@@ -255,7 +272,7 @@ class TestEstimatePoseMds:
     def test_chain_completes_or_zero_fills_masked_edm(self):
         truth = random_pose(np.random.default_rng(9))
         conf, anchors, meas = simulate_cube_ranges(truth)
-        blocked = apply_blockage(meas, bernoulli_keep([2], 0.3, meas.shape)[0])
+        blocked = apply_blockage(meas, bernoulli_mask(0.3, 2, meas.shape))
         est, report = mds_from_ranges(blocked, anchors, conf)
         assert report is not None and report.converged
         assert np.linalg.norm(est.pose.translation - truth.translation) < 1e-6
@@ -273,6 +290,34 @@ class TestEstimatePoseMds:
 
 
 class TestEstimatePoseNls:
+    @pytest.mark.parametrize("kinds", [("range",), ("range", "aoa")], ids=["ranges", "aoa"])
+    def test_unweighted_equals_unit_weights_on_hull_frames(self, kinds):
+        # Without a noise model the fit is unweighted, as the tracker runs it;
+        # the unit-weight stack it stands for gives the same bits, cold and
+        # warm started, on hull-occluded frames.
+        scenario, _ = preset("fig4")
+        scenario = replace(
+            scenario, blockage=BlockageSpec(kind="hull"), measurement_kinds=kinds,
+            noise=NoiseModel(angle_sigma=0.01 if "aoa" in kinds else 0.0),
+        )
+        twist = Twist([0.4, -0.2, 0.3], [0.02, 0.01, -0.03])
+        frames, truth = generate_trajectory(scenario, twist, 12, 0.05, 0.05, 5)
+        anchors, conf, ones = scenario.anchors, scenario.conformation, np.ones(1)
+        for frame, (pose, _) in zip(frames, truth):
+            meas = frame.measurements
+            assert not meas.mask.all()
+            for init in (None, pose):
+                got = estimate_pose_nls(meas, anchors, conf, init=init, noise=None)
+                start = init and (init.rotation[None], init.translation[None], [None])
+                aoa = None if meas.aoa is None else meas.aoa[None]
+                want = nls_batch(
+                    anchors.anchors, conf.nodes, meas.mask[None], meas.ranges[None], aoa,
+                    ones, ones, start,
+                ).estimate(0)
+                assert got.pose.rotation.tobytes() == want.pose.rotation.tobytes()
+                assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+                assert got.to_json_dict() == want.to_json_dict()
+
     def test_zero_noise_recovery(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
@@ -303,9 +348,9 @@ class TestEstimatePoseNls:
         rot = np.array([truth.rotation for truth in truths])
         world = transform_points(conf.nodes, rot, np.array([truth.translation for truth in truths]))
         seeds = 7_000_000 + np.arange(trials)
-        ranges, aoa, _ = simulate_batch(
-            anchors.anchors, world, [noise.sigmas] * trials, seeds, ("range", "aoa")
-        )
+        sigmas, kinds = [noise.sigmas] * trials, ("range", "aoa")
+        rngs = streams(*noise_keys(sigmas, seeds, kinds))
+        ranges, aoa, _ = simulate_batch(anchors.anchors, world, sigmas, rngs, kinds)
         mask = np.ones((trials, 8, 8), dtype=bool)
         w_range, w_angle = nls_weights([[noise.range_sigma] * trials, [noise.angle_sigma] * trials])
         fits = [
@@ -328,7 +373,7 @@ class TestEstimatePoseNls:
         noise = NoiseModel(range_sigma=0.05, angle_sigma=0.02, seed=3)
         state = RigidBodyState(conf, random_pose(rng))
         meas = simulate_measurements(anchors, state, noise, kinds)
-        meas = apply_blockage(meas, bernoulli_keep([4], 0.2, meas.shape)[0])
+        meas = apply_blockage(meas, bernoulli_mask(0.2, 4, meas.shape))
         jj, kk = np.nonzero(np.ones_like(meas.mask))
         observed = meas.mask.ravel()[None].astype(float)
         ranges = meas.ranges.ravel()[None]
@@ -721,6 +766,18 @@ class TestResidualRms:
         mds = chain_batch(anchors, nodes, ranges, mask, completion).mds
         expected = self.observed_rms(mds, anchors, nodes, mask, ranges)
         assert np.allclose(mds.residual_rms, expected, rtol=1e-12, atol=0.0)
+
+    def test_nls_scores_nan_where_failed(self):
+        # Scored when read, NLS still gives an item that failed before its fit NaN.
+        anchors, nodes, mask, ranges = self.draws(n=4)
+        mask = mask.copy()
+        mask[1, :, 2:] = mask[1, 1:] = False  # under 6 observed ranges for 6 unknowns
+        ones = np.ones(len(mask))
+        batch = nls_batch(anchors, nodes, mask, ranges, None, ones, ones)
+        assert isinstance(batch.errors[1], UnderdeterminedError)
+        assert all(e is None for e in batch.errors[::2] + batch.errors[3:])
+        rms = batch.residual_rms
+        assert np.isnan(rms[1]) and np.isfinite(rms[[0, 2, 3]]).all()
 
     def test_gabp_and_nls_score_observed_links(self):
         anchors, nodes, mask, ranges = self.draws()

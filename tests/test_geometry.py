@@ -1,3 +1,4 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import rblkit.completion
+import rblkit.geometry
 from rblkit.errors import (
     DegenerateConformationError,
     DegenerateProjectionError,
@@ -24,8 +27,10 @@ from rblkit.geometry import (
     _take,
     apply_pose,
     by_value,
+    fit_ranges,
     fit_terms,
     haar_rotations,
+    matrix_from_quat,
     node_velocities,
     pairwise_distances,
     parse_points,
@@ -42,7 +47,8 @@ from rblkit.geometry import (
     so3_exp,
     so3_log,
 )
-from rblkit.harness import preset
+from rblkit.estimators import chain_batch
+from rblkit.harness import _draw, preset
 
 RZ90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -575,6 +581,38 @@ class TestDampingLadder:
             assert np.array_equal(kept_out, fresh_out)
 
 
+class TestUnweightedFit:
+    @pytest.mark.parametrize("b", [1, 5, 24])
+    def test_equals_unit_weights(self, b, monkeypatch):
+        # fit_ranges without weights multiplies by nothing, and with np.ones weights every
+        # product is by 1.0: the same bits, on fig5's completion fits at sigma = 1, whose
+        # damping ladders reject first tries.
+        scenario, _ = preset("fig5")
+        captured, tries = [], []
+        monkeypatch.setattr(
+            rblkit.completion, "fit_ranges", lambda *fit: captured.append(fit) or fit_ranges(*fit)
+        )
+        terms = rblkit.geometry.fit_terms
+
+        def counting(rot, trans, links, *rest):
+            tries.append(None if rest[-2] else len(rot))
+            return terms(rot, trans, links, *rest)
+
+        monkeypatch.setattr(rblkit.geometry, "fit_terms", counting)
+        _, _, (mask, ranges, _, _) = _draw(scenario, np.full(b, 1.0), np.arange(b) + 300)
+        chain_batch(scenario.anchors.anchors, scenario.conformation.nodes, ranges, mask)
+        [(links, rot, trans, max_iters, w_range, aoa, w_angle)] = captured
+        assert w_range is None and aoa is None and w_angle is None
+        tries.clear()
+        unweighted = fit_ranges(links, rot, trans, max_iters, None, None, None)
+        retries = [n for m, n in zip(tries, tries[1:]) if m is not None and n is not None]
+        weighted = fit_ranges(links, rot, trans, max_iters, np.ones(b), None, None)
+        assert retries
+        for plain, unit in zip(unweighted[:4], weighted[:4]):
+            assert plain.tobytes() == unit.tobytes()
+        assert unweighted[4] == weighted[4]
+
+
 def lapack_stack(rng, b):
     """(B, 6, 6) matrices of mixed kinds: positive definite, symmetric
     indefinite, positive semidefinite of rank 4 (LAPACK may factor it or
@@ -857,6 +895,36 @@ class TestRotationError:
         rng = np.random.default_rng(45)
         r = random_rotation(rng)
         assert rotation_error_deg(r, r.copy()) < 1e-9
+
+
+def written_out_rotation(q):
+    """matrix_from_quat as the written-out formula, column by column: the
+    oracle of the gathered form."""
+    w, x, y, z = np.asarray(q, dtype=float).T
+    columns = [
+        [1 - 2 * (y * y + z * z), 2 * (x * y + w * z), 2 * (x * z - w * y)],
+        [2 * (x * y - w * z), 1 - 2 * (x * x + z * z), 2 * (y * z + w * x)],
+        [2 * (x * z + w * y), 2 * (y * z - w * x), 1 - 2 * (x * x + y * y)],
+    ]
+    return np.ascontiguousarray(np.array(columns).T)
+
+
+class TestMatrixFromQuat:
+    def test_equals_written_out_formula(self):
+        # Random and unit quaternions, and every quaternion of zeros of both
+        # signs, +-1 and 1/2: the formula's bits, stacked, in two stack
+        # dimensions and one at a time.
+        rng = np.random.default_rng(54)
+        q = rng.standard_normal((20_000, 4))
+        unit = q / np.sqrt(np.vecdot(q, q))[:, None]
+        edges = np.array(list(itertools.product([0.0, -0.0, 1.0, -1.0, 0.5], repeat=4)))
+        for stack in (q, unit, edges, unit[:6].reshape(2, 3, 4)):
+            got = matrix_from_quat(stack)
+            assert got.shape == stack.shape[:-1] + (3, 3) and got.flags.c_contiguous
+            assert got.tobytes() == written_out_rotation(stack.reshape(-1, 4)).tobytes()
+        for one in np.concatenate([unit[:20], edges]):
+            got = matrix_from_quat(one)
+            assert got.shape == (3, 3) and got.tobytes() == written_out_rotation(one).tobytes()
 
 
 def shepperd_oracle(r):

@@ -29,7 +29,7 @@ from rblkit.harness import (
     splitmix64,
 )
 from rblkit.harness import _draw, _measurement_set, _run_trials, draw_trial
-from rblkit.measurement import _draws
+from rblkit.measurement import _draws, streams
 
 
 def small_scenario(**overrides):
@@ -392,6 +392,48 @@ class TestRunBenchmark:
         # One completed EDM per trial, every trial of the sweep in one batch.
         assert calls == [len(experiment.sigma_grid) * experiment.trials]
 
+    def test_sweep_scores_no_residuals(self, monkeypatch):
+        # No ResultRow reads residual_rms, so a sweep never scores one;
+        # reading an estimate scores its tag's stack, once.
+        calls = []
+        observed_rms = rblkit.estimators._observed_rms
+
+        def counting(rot, *args):
+            calls.append(len(rot))
+            return observed_rms(rot, *args)
+
+        monkeypatch.setattr(rblkit.estimators, "_observed_rms", counting)
+        scenario = small_scenario(blockage=BlockageSpec(kind="bernoulli", p=0.2))
+        run_benchmark(scenario, small_experiment(trials=3))
+        assert calls == []
+        seeds = [derive_seed(5, i) for i in range(4)]
+        trials = _run_trials(scenario, [0.1] * 4, seeds, ESTIMATOR_TAGS, True)
+        assert calls == []
+        for batch in trials.estimates.values():
+            for i in range(4):
+                batch.estimate(i)
+        assert calls == [4, 4, 4]
+
+    def test_one_seed_hash_per_draw(self, monkeypatch):
+        # A stack's pose, noise and Bernoulli blockage generators come from
+        # one streams() call, and so do a trajectory's start pose and its
+        # range and range-rate noise.
+        calls = []
+
+        def counting(seeds, which=None):
+            calls.append(len(seeds))
+            return streams(seeds, which)
+
+        monkeypatch.setattr(rblkit.harness, "streams", counting)
+        scenario = small_scenario(blockage=BlockageSpec(kind="bernoulli", p=0.2))
+        _draw(scenario, [0.1, 0.2, 0.3], [1, 2, 3])
+        assert calls == [9]
+        tracked = small_scenario(
+            measurement_kinds=("range", "range_rate"), noise=NoiseModel(range_rate_sigma=0.01)
+        )
+        generate_trajectory(tracked, Twist.zero(), 20, 0.05, 0.01, 7)
+        assert calls == [9, 41]
+
     def test_unconverged_completion_fails_mds(self, monkeypatch):
         # MDS embeds the completed EDM, so a completion that missed its
         # convergence test leaves the MDS estimate unconverged too; NLS still
@@ -627,7 +669,9 @@ class TestStackedDraw:
         # 2 * 59 * 8 * 12 draws; a sigma-0 item draws nothing.
         sigmas = np.append(np.geomspace(1e-4, 3.0, 59), 0.0)
         seeds = np.array([derive_seed(6, t) for t in range(60)], dtype=np.uint64)
-        az, el = _draws(sigmas, seeds, 1, (8, 12), count=2)
+        rngs = iter(streams(seeds[:-1], 1))  # the noisy items' aoa streams
+        az, el = _draws(sigmas, rngs, (8, 12), count=2)
+        assert next(rngs, None) is None
         for i, (sigma, seed) in enumerate(zip(sigmas[:-1], seeds)):
             rng = np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(1,)))
             assert az[i].tobytes() == rng.normal(0.0, sigma, (8, 12)).tobytes()

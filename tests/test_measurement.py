@@ -28,6 +28,8 @@ from rblkit.geometry import (
 )
 from rblkit.harness import BlockageSpec, preset
 from rblkit.measurement import (
+    STREAM_BLOCKAGE,
+    UNKEYED,
     AnchorSet,
     Edm,
     MeasurementSet,
@@ -37,6 +39,7 @@ from rblkit.measurement import (
     bernoulli_keep,
     hull_facets,
     hull_keep,
+    noise_keys,
     simulate_batch,
     simulate_measurements,
     streams,
@@ -49,13 +52,15 @@ QUIET = NoiseModel()
 def simulate_ranges(anchors: AnchorSet, nodes, noise: NoiseModel) -> np.ndarray:
     """Noisy ranges (A, K) from the anchors to world points (K, 3)."""
     world = np.asarray(nodes, dtype=float)[None]
-    return simulate_batch(anchors.anchors, world, [noise.sigmas], [noise.seed], ("range",))[0][0]
+    rngs = streams(*noise_keys(noise.sigmas, [noise.seed], ("range",)))
+    return simulate_batch(anchors.anchors, world, [noise.sigmas], rngs, ("range",))[0][0]
 
 
 def simulate_aoa(anchors: AnchorSet, nodes, noise: NoiseModel) -> np.ndarray:
     """Noisy (azimuth, elevation) bearings (A, K, 2) to world points (K, 3)."""
     world = np.asarray(nodes, dtype=float)[None]
-    return simulate_batch(anchors.anchors, world, [noise.sigmas], [noise.seed], ("aoa",))[1][0]
+    rngs = streams(*noise_keys(noise.sigmas, [noise.seed], ("aoa",)))
+    return simulate_batch(anchors.anchors, world, [noise.sigmas], rngs, ("aoa",))[1][0]
 
 
 def simulate_range_rates(anchors: AnchorSet, state: RigidBodyState, noise) -> np.ndarray:
@@ -69,7 +74,7 @@ def hull_mask(anchors: AnchorSet, nodes) -> np.ndarray:
 
 
 def bernoulli_mask(p: float, seed: int, shape) -> np.ndarray:
-    return bernoulli_keep([seed], p, shape)[0]
+    return bernoulli_keep(streams([seed], STREAM_BLOCKAGE), p, shape)[0]
 
 
 def unit_cube(center=(0.0, 0.0, 0.0)) -> Conformation:
@@ -137,7 +142,8 @@ class TestSimulateRanges:
         seeds = np.arange(100_000)
         world = np.tile([10.0, 0.0, 0.0], (len(seeds), 1, 1))
         sigmas = np.tile(NoiseModel(range_sigma=0.1).sigmas, (len(seeds), 1))
-        draws = simulate_batch(anchors.anchors, world, sigmas, seeds, ("range",))[0][:, 0, 0]
+        rngs = streams(*noise_keys(sigmas, seeds, ("range",)))
+        draws = simulate_batch(anchors.anchors, world, sigmas, rngs, ("range",))[0][:, 0, 0]
         assert 0.098 <= draws.std() <= 0.102
         assert draws.mean() == pytest.approx(10.0, abs=0.005)
 
@@ -411,7 +417,8 @@ class TestHullFacets:
         rng = np.random.default_rng(31)
         rot, trans = scenario.sample_poses([rng] * 200)
         world = transform_points(nodes, rot, trans)
-        stacked = spec.keep_batch(range(len(world)), scenario.anchors, nodes, world)
+        rngs = streams(*spec.keys(range(len(world))))
+        stacked = spec.keep_batch(rngs, scenario.anchors, nodes, world)
         assert stacked.shape == (len(world), scenario.anchors.num_anchors, len(nodes))
         assert 0.05 < 1.0 - stacked.mean() < 0.5
         for i, w in enumerate(world):
@@ -619,6 +626,25 @@ class TestStreams:
             ref = np.random.default_rng(self.reference(seed, which))
             np.testing.assert_array_equal(rng.standard_normal((3, 4)), ref.standard_normal((3, 4)))
             np.testing.assert_array_equal(rng.random(7), ref.random(7))
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 24, 41])
+    def test_one_hash_of_mixed_pairs(self, n):
+        # A draw hashes its pose (no spawn key), range, aoa, range-rate and
+        # blockage streams together: each pair's words and draws are its own
+        # SeedSequence's, whatever stands beside it in the stack.
+        rng = np.random.default_rng(n + 60)
+        seeds = rng.integers(0, 2**64 - 1, n, np.uint64, endpoint=True)
+        seeds[: len(self.EDGE)] = self.EDGE[:n]
+        which = rng.permutation(np.resize([UNKEYED, 0, 1, 2, STREAM_BLOCKAGE], n))
+        got = streams(seeds, which)
+        assert len(got) == n
+        for g, seed, kind in zip(got, seeds, which.tolist()):
+            ref = self.reference(seed, None if kind == UNKEYED else kind)
+            words = g.bit_generator.seed_seq.generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words, ref.generate_state(4, np.uint64))
+            ref = np.random.default_rng(ref)
+            np.testing.assert_array_equal(g.standard_normal((2, 3)), ref.standard_normal((2, 3)))
+            np.testing.assert_array_equal(g.random(4), ref.random(4))
 
     def test_python_int_seeds(self):
         words = [g.bit_generator.seed_seq.generate_state(4, np.uint64) for g in streams(self.EDGE)]
