@@ -48,10 +48,6 @@ class CrlbReport:
     singular: bool
     null_space: np.ndarray | None = None
 
-    def rotation_bound_deg2(self) -> float:
-        """Rotation bound converted to squared degrees for report tables."""
-        return self.rotation_bound * (180.0 / np.pi) ** 2
-
 
 def range_jacobian(anchors: AnchorSet, conf: Conformation, pose: Pose, mask=None) -> np.ndarray:
     """Rows d range(j,k) / d (d_theta, d_t) for the observed anchor-node pairs.

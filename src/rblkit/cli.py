@@ -18,6 +18,7 @@ from pathlib import Path
 from .bounds import crlb_sweep, sweep_to_csv
 from .completion import complete_edm
 from .errors import ConfigError, RblError, converted, u64
+from .estimators import ESTIMATOR_TAGS
 from .geometry import Twist
 from .harness import (
     ExperimentConfig,
@@ -253,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["csv", "json"], default="csv", help="tabular output format"
     )
     estimator = argparse.ArgumentParser(add_help=False)
-    estimator.add_argument("--estimator", choices=["mds", "nls", "gabp"], default="nls")
+    estimator.add_argument("--estimator", choices=ESTIMATOR_TAGS, default="nls")
 
     p = sub.add_parser(
         "simulate", parents=[configs, sigma], help="draw one trial's measurements"

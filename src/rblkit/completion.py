@@ -53,8 +53,8 @@ def centered_gram(squared_distances: np.ndarray) -> np.ndarray:
     return -0.5 * (j @ d @ j)
 
 
-def embed_from_gram(gram: np.ndarray, dim: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (..., n, dim) from the top eigenpairs of centered Gram matrices.
+def embed_from_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (..., n, 3) from the top three eigenpairs of centered Gram matrices.
 
     Returns (points, eigenvalues) with eigenvalues sorted descending.
     Eigenvalues at most 1e-9 of the largest count as zero before taking
@@ -62,11 +62,11 @@ def embed_from_gram(gram: np.ndarray, dim: int = 3) -> tuple[np.ndarray, np.ndar
     """
     eigval, eigvec = eigh(gram)
     eigval = eigval[..., ::-1]  # eigh sorts ascending
-    top = eigval[..., :dim]
+    top = eigval[..., :3]
     top = np.where(top > 1e-9 * np.maximum(top[..., :1], 0.0), top, 0.0)
     # Each item column-major (a contiguous copy of eigvec.mT's top rows,
     # transposed back): BLAS products of other layouts can round differently.
-    columns = np.ascontiguousarray(eigvec.mT[..., : -dim - 1 : -1, :])
+    columns = np.ascontiguousarray(eigvec.mT[..., :-4:-1, :])
     points = (columns * np.sqrt(top)[..., :, None]).mT
     return points, eigval
 
@@ -148,7 +148,7 @@ def anchored_embedding(d, anchor_xyz):
     Returns the mapped node points (B, n - A, 3) and the eigenvalues."""
     a = len(anchor_xyz)
     points, eigvals = embed_from_gram(centered_gram(d))
-    q, shift, _, _, _ = fit_alignment(points[:, :a], anchor_xyz, None, proper=False)
+    q, shift = fit_alignment(points[:, :a], anchor_xyz, None, proper=False)[:2]
     return points[:, a:] @ q.mT + shift[:, None, :], eigvals
 
 
@@ -197,7 +197,7 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
     joint = np.concatenate([top, np.concatenate([fill.mT, d[:, a:, a:]], axis=-1)], axis=-2)
     aligned, _ = anchored_embedding(joint, anchors)
     # q is a reflection when the node embedding has the other chirality; the fit keeps it one.
-    q, trans, _, _, _ = fit_alignment(nodes, aligned, None, proper=False)
+    q, trans = fit_alignment(nodes, aligned, None, proper=False)[:2]
 
     links = grid_links(anchors, nodes, np.sqrt(d[:, :a, a:]), cross_known)
     rot, trans, iterations, converged, messages = fit_ranges(

@@ -85,12 +85,9 @@ class UnobservableTwistError(RblError):
             stacked as (angular 3, linear 3).
     """
 
-    def __init__(self, null_space: np.ndarray, message: str | None = None):
+    def __init__(self, null_space: np.ndarray):
         self.null_space = np.asarray(null_space, dtype=float)
-        super().__init__(
-            message
-            or f"twist unobservable: {self.null_space.shape[1]}-dimensional null space"
-        )
+        super().__init__(f"twist unobservable: {self.null_space.shape[1]}-dimensional null space")
 
 
 class ConfigError(RblError, ValueError):

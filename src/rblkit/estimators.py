@@ -32,8 +32,8 @@ from .geometry import (
     fit_alignment,
     fit_ranges,
     grid_links,
+    observed_rms,
     project_batch,
-    range_residuals,
     svd,
 )
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch
@@ -172,7 +172,7 @@ def procrustes(source, target, weights=None):
     a collinear (or smaller) weighted source, whose rotation about the line
     is unobservable.
     """
-    q, t, _, s_c, w = fit_alignment(source, target, weights, proper=True)
+    q, t, s_c, w = fit_alignment(source, target, weights, proper=True)
     spread = svd(s_c * np.sqrt(w)[..., None], compute_uv=False)
     return q, t, spread[..., 1] <= 1e-12 * np.maximum(spread[..., 0], 1e-300)
 
@@ -199,15 +199,6 @@ def estimate_pose_mds(edm: Edm, anchors: AnchorSet, conf: Conformation) -> PoseE
     return mds_batch(d, known, anchors.anchors, conf.nodes).estimate(0)
 
 
-def _observed_rms(rot, trans, links) -> np.ndarray:
-    """RMS of the observed-range residuals of grid_links `links` at poses
-    (B, 3, 3), (B, 3); 0 where nothing was observed."""
-    res = range_residuals(rot, trans, links, jacobian=False)[0]
-    observed = np.add.reduce(links[5], axis=-1)
-    # res**2 computes res * res.
-    return np.sqrt(np.add.reduce(res * res, axis=-1) / np.maximum(observed, 1))
-
-
 def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
     """estimate_pose_mds of a stack of complete squared EDMs (B, n, n),
     anchors first, scored on the cross entries their masks `known` mark as
@@ -227,7 +218,7 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
 
     def score():
         links = grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
-        return _observed_rms(rot, trans, links)
+        return observed_rms(rot, trans, links)
 
     return PoseBatch("mds", rot, trans, score, errors, per_node_positions=node_positions)
 
@@ -364,7 +355,7 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
     def score():  # NaN for the items that failed before the fit
         residual_rms = np.full(b, np.nan)
         if items:
-            residual_rms[fit] = _observed_rms(projected, t_fit, links)
+            residual_rms[fit] = observed_rms(projected, t_fit, links)
         return residual_rms
 
     return PoseBatch(
@@ -456,7 +447,7 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
     ]
 
     def score():
-        return _observed_rms(rot, trans, grid_links(anchor_xyz, nodes, ranges, mask))
+        return observed_rms(rot, trans, grid_links(anchor_xyz, nodes, ranges, mask))
 
     return PoseBatch(
         "gabp", rot, trans, score, errors, per_node_positions=means, node_variances=variances

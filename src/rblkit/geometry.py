@@ -280,13 +280,6 @@ class Conformation:
         """True when the node set spans only two dimensions."""
         return self._planar
 
-    def centroid(self) -> np.ndarray:
-        return self.nodes.mean(axis=0)
-
-    def centered(self) -> "Conformation":
-        """Copy with the centroid moved to the body-frame origin."""
-        return Conformation(self.nodes - self.centroid())
-
 
 @dataclass(frozen=True)
 class Pose:
@@ -436,17 +429,9 @@ def fit_alignment(source, target, weights, proper):
     s_c = s - s_bar[..., None, :]
     y_c = y - y_bar[..., None, :]
     cross = (y_c * w[..., None]).mT @ s_c
-    u, sv, vt = svd(cross)
+    u, _, vt = svd(cross)
     q = _proper(u, vt) if proper else u @ vt
-    return q, y_bar - (q @ s_bar[..., None])[..., 0], sv, s_c, w
-
-
-@lru_cache(maxsize=None)
-def link_grid(n_anchors: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(anchor, node) indices of every anchor-node link, anchor-major: the
-    order np.nonzero gives a full (A, K) mask."""
-    jj = readonly(np.repeat(np.arange(n_anchors), n_nodes))
-    return jj, readonly(np.tile(np.arange(n_nodes), n_anchors))
+    return q, y_bar - (q @ s_bar[..., None])[..., 0], s_c, w
 
 
 _LEVERS = np.zeros((4, 3, 6))  # c @ _LEVERS[:3] + _LEVERS[3] is [-[c]x, I], flattened
@@ -454,61 +439,37 @@ _LEVERS[:3, :, :3], _LEVERS[3, :, 3:] = np.cross(_EYE3[:, None], _EYE3), _EYE3
 _LEVERS = _LEVERS.reshape(4, 18)
 
 
-def range_links(nodes, kk, anchor_xyz, ranges, observed=None):
-    """range_residuals' links (nodes, kk, nodes[..., kk, :], anchor_xyz, ranges, weight,
-    levers, pairs) of body node kk[i] to anchor_xyz[..., i, :]: the per-solve constants,
-    gathered once. levers[..., i, :, :] is [-[c]x, I] for the link's body point c, None
-    without ranges, and pairs[..., i, :] is c's (c_next, c_prev) that the rows' cross
-    products take.
-
-    Leading axes stack independent problems. `observed` (..., M) marks the
-    links that were measured (weight 1), all by default; the others pad a
-    stack to a common link grid with weight 0, so each item's numbers never
-    depend on the rest of the stack.
-    """
-    nodes_k = nodes[..., kk, :]
-    levers = None if ranges is None else _levers(nodes_k)
-    pairs = nodes_k.take(_NEXT_PREV, axis=-1)
-    return _links(nodes, kk, nodes_k, anchor_xyz, ranges, observed, levers, pairs)
-
-
-def _levers(nodes_k):
-    return (nodes_k @ _LEVERS[:3] + _LEVERS[3]).reshape(nodes_k.shape + (6,))
-
-
-def _links(nodes, kk, nodes_k, anchor_xyz, ranges, observed, levers, pairs):
-    """range_links' tuple, its ranges zeroed where unobserved."""
-    weight = np.asarray(np.ones(kk.shape) if observed is None else observed, dtype=float)
-    if ranges is None:
-        return nodes, kk, nodes_k, anchor_xyz, None, weight, None, pairs
-    ranges = np.where(True if observed is None else observed, ranges, 0.0)
-    return nodes, kk, nodes_k, anchor_xyz, ranges, weight, levers, pairs
-
-
 @by_value
 def _grid_geometry(anchor_xyz, nodes):
-    """grid_links' constants of one anchor set and body: the links' anchors, body
-    points, lever rows and cross pairs, computed once per geometry (by value)."""
-    jj, kk = link_grid(len(anchor_xyz), len(nodes))
+    """grid_links' constants of one anchor set and body, by value: kk, anchors, nodes[kk],
+    levers and pairs."""
+    a, k = len(anchor_xyz), len(nodes)
+    kk = np.tile(np.arange(k), a)
     nodes_k = nodes[kk]
-    return anchor_xyz[jj], nodes_k, _levers(nodes_k), nodes_k.take(_NEXT_PREV, axis=-1)
+    levers = (nodes_k @ _LEVERS[:3] + _LEVERS[3]).reshape(nodes_k.shape + (6,))
+    return kk, anchor_xyz[np.repeat(np.arange(a), k)], nodes_k, levers, nodes_k.take(_NEXT_PREV, -1)
 
 
 def grid_links(anchor_xyz, nodes, ranges, mask):
-    """range_links of every anchor (A, 3) and body node (K, 3) pair, anchor-major, for
-    ranges (or None) and masks (..., A, K): leading axes stack problems that share the
-    geometry, their unobserved links weighted zero. The geometry's constants are
-    computed once per anchor set and body."""
+    """The one link builder: range links (nodes, kk, nodes[kk], anchors, ranges, weight,
+    levers, pairs) of every anchor (A, 3) and body node (K, 3) pair, anchor-major, link i
+    joining node kk[i] to anchors[i]. levers[i] is [-[c]x, I] for its body point c (None
+    without ranges), pairs[i] c's (c_next, c_prev). Ranges (or None) and masks (..., A, K)
+    stack problems that share the geometry; an unobserved link has weight 0 and range 0,
+    so an item's numbers never depend on the rest of the stack."""
     a, k = mask.shape[-2:]
     flat = mask.shape[:-2] + (a * k,)
-    ranges = None if ranges is None else ranges.reshape(flat)
-    anchors, nodes_k, levers, pairs = _grid_geometry(anchor_xyz, nodes)
-    kk = link_grid(a, k)[1]
-    return _links(nodes, kk, nodes_k, anchors, ranges, mask.reshape(flat), levers, pairs)
+    kk, anchors, nodes_k, levers, pairs = _grid_geometry(anchor_xyz, nodes)
+    observed = mask.reshape(flat)
+    weight = np.asarray(observed, dtype=float)
+    if ranges is None:
+        return nodes, kk, nodes_k, anchors, None, weight, None, pairs
+    ranges = np.where(observed, ranges.reshape(flat), 0.0)
+    return nodes, kk, nodes_k, anchors, ranges, weight, levers, pairs
 
 
 def range_residuals(rot, trans, links, jacobian=True):
-    """Range residuals of the range_links `links` at the poses (rot, trans),
+    """Range residuals of the grid_links `links` at the poses (rot, trans),
     (..., 3, 3) and (..., 3).
 
     Returns (dist - ranges, their pose_jacobian_rows, offsets R c_k + t - a_j,
@@ -520,6 +481,15 @@ def range_residuals(rot, trans, links, jacobian=True):
     delta, dist = link_offsets(nodes, kk, anchor_xyz, rot, trans)
     res = None if ranges is None else (dist - ranges) * weight
     return res, range_rows(rot, links, delta, dist)[0] if jacobian else None, delta, dist
+
+
+def observed_rms(rot, trans, links) -> np.ndarray:
+    """RMS of the observed-range residuals of grid_links `links` at poses
+    (B, 3, 3), (B, 3); 0 where nothing was observed."""
+    res = range_residuals(rot, trans, links, jacobian=False)[0]
+    observed = np.add.reduce(links[5], axis=-1)
+    # res**2 computes res * res.
+    return np.sqrt(np.add.reduce(res * res, axis=-1) / np.maximum(observed, 1))
 
 
 def link_offsets(nodes, kk, anchor_xyz, rot, trans):
@@ -567,7 +537,7 @@ def range_curvature(rot, links, res, rows, g, dist):
 
 
 def angle_residuals(rot, links, delta, dist, aoa, jacobian=True):
-    """Azimuth and elevation residuals (..., 2M) of the range_links `links`
+    """Azimuth and elevation residuals (..., 2M) of the grid_links `links`
     and their pose_jacobian_rows (..., 2M, 6), from range_residuals'
     offsets `delta` and distances `dist` at the rotations rot.
 
@@ -598,7 +568,7 @@ def angle_residuals(rot, links, delta, dist, aoa, jacobian=True):
 def fit_terms(rot, trans, links, sw_range, w_range, aoa, sw_angle, jacobian, geometry):
     """pose_gauss_newton's callback values for range fits of poses (B, 3, 3), (B, 3).
 
-    `links` are range_links; aoa (B, M, 2) holds the links' (azimuth,
+    `links` are grid_links; aoa (B, M, 2) holds the links' (azimuth,
     elevation) or is None. The residuals and rows are range_residuals' then
     angle_residuals', each scaled by the square root of its type weight,
     sw_range and sw_angle (B,); the curvature is range_curvature's, times

@@ -199,7 +199,8 @@ class MeasurementSet:
 
     `ranges` and `range_rates` are (A, K); `aoa` is (A, K, 2) holding
     (azimuth, elevation). Types that were not simulated are None. Entries
-    where `mask` is False are absent and stored as NaN.
+    where `mask` is False are absent and stored as NaN. Observed ranges and
+    angles must be finite; a rate need not be (estimate_twist skips it).
     """
 
     mask: np.ndarray
@@ -212,6 +213,7 @@ class MeasurementSet:
         if mask.ndim != 2:
             raise ValueError("mask must be (A, K)")
         object.__setattr__(self, "mask", readonly(mask))
+        observed = np.count_nonzero(mask)
         for name, depth in (("ranges", 2), ("aoa", 3), ("range_rates", 2)):
             m = getattr(self, name)
             if m is None:
@@ -222,6 +224,8 @@ class MeasurementSet:
                 raise ValueError(f"{name} must have shape {expect}, got {m.shape}")
             # The one copy, NaN where unobserved, then frozen; NaN is never below 0.
             m = np.where(mask if depth == 2 else mask[..., None], m, np.nan)
+            if name != "range_rates" and np.count_nonzero(np.isfinite(m)) < observed * (depth - 1):
+                raise ValueError(f"observed {name} must be finite")
             if name == "ranges" and (m < 0.0).any():
                 raise ValueError("observed ranges must be nonnegative")
             m.setflags(write=False)

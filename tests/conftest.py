@@ -1,10 +1,19 @@
 """Shared scenario builders: the 8-node unit cube target with 8 anchors at
 the corners of a larger cube, and box-shaped car/truck bodies."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from rblkit.geometry import Conformation, Pose, RigidBodyState, random_rotation
 from rblkit.measurement import AnchorSet, NoiseModel, simulate_measurements
+
+# `python -m rblkit.cli` subprocesses import the package from this checkout, as the
+# pytest `pythonpath` setting makes the tests themselves do.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def box_nodes(lx, ly, lz):

@@ -19,8 +19,8 @@ from rblkit.geometry import (
     Conformation,
     Pose,
     angle_residuals,
+    grid_links,
     random_rotation,
-    range_links,
     range_residuals,
     so3_exp,
     wrap_angle,
@@ -192,13 +192,6 @@ class TestPlacementScore:
         clustered /= np.linalg.norm(clustered, axis=1)[:, None]
         assert frame_potential(axes) < frame_potential(clustered)
 
-    def test_rotation_bound_deg2_conversion(self):
-        conf, anchors = unit_cube(), cube_anchors()
-        report = fim_ranges(anchors, conf, Pose.identity(), sigma=0.1)
-        assert report.rotation_bound_deg2() == pytest.approx(
-            report.rotation_bound * (180 / np.pi) ** 2
-        )
-
 
 def explicit_fim(anchors, conf, pose, mask, sigma):
     """sum over the observed links of row^T row / sigma^2, with each range
@@ -272,9 +265,11 @@ class TestAngleBound:
             mask = rng.random((6, 6)) < 0.8
             mask[0, :] = True
             jj, kk = np.nonzero(mask)
-            links = range_links(conf.nodes, kk, anchors[jj], None)
+            links = grid_links(anchors, conf.nodes, None, mask)
             _, _, delta, dist = range_residuals(pose.rotation, pose.translation, links, False)
             rows = angle_residuals(pose.rotation, links, delta, dist, None)[1]
+            # The observed links' azimuth rows, then their elevation rows, as fd_angles orders them.
+            rows = rows.reshape(2, -1, 6)[:, mask.ravel()].reshape(-1, 6)
             fd = fd_angles(anchors, conf, pose, jj, kk)
             worst_fd = max(worst_fd, float(np.abs(rows - fd).max()))
 

@@ -405,9 +405,12 @@ class TestTrackCommand:
          ([cube_frame(0.2), cube_frame(0.1)], "frame 1: timestamp 0.1 is not after frame 0's"),
          ([cube_frame(0.1), cube_frame(0.2, anchors=1)],
           "frame 1: measurements are (1, 8), not (anchors, nodes) (8, 8)"),
-         ([cube_frame(float("nan"))], "frame 0: timestamp must be finite, got nan")],
+         ([cube_frame(float("nan"))], "frame 0: timestamp must be finite, got nan"),
+         ([cube_frame(0.1), {"timestamp": 0.2, "measurements": {
+             "mask": [[True] * 8] * 8, "ranges": [[None] + [1.0] * 7] + [[1.0] * 8] * 7}}],
+          "frame 1: observed ranges must be finite")],
         ids=["no-measurements", "object", "number-frame", "negative-range", "no-mask",
-             "stale-timestamp", "wrong-grid", "nan-timestamp"],
+             "stale-timestamp", "wrong-grid", "nan-timestamp", "null-range"],
     )
     def test_malformed_trajectory(self, tiny_configs, tmp_path, capsys, doc, message):
         traj = tmp_path / "traj.json"

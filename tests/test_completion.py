@@ -82,7 +82,7 @@ class TestGram:
         points = rng.uniform(-2, 2, size=(10, 3))
         d = edm_from_points(points)
         gram = centered_gram(d)
-        embedded, eigvals = embed_from_gram(gram, dim=3)
+        embedded, eigvals = embed_from_gram(gram)
         assert np.abs(edm_from_points(embedded) - d).max() < 1e-9
         assert np.sum(eigvals > 1e-9 * eigvals[0]) == 3
 

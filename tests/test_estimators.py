@@ -44,9 +44,9 @@ from rblkit.geometry import (
     Twist,
     apply_pose,
     fit_terms,
+    grid_links,
     haar_rotations,
     random_rotation,
-    range_links,
     rotation_error_deg,
     so3_exp,
     transform_points,
@@ -375,9 +375,7 @@ class TestEstimatePoseNls:
         meas = simulate_measurements(anchors, state, noise, kinds)
         meas = apply_blockage(meas, bernoulli_mask(0.2, 4, meas.shape))
         jj, kk = np.nonzero(np.ones_like(meas.mask))
-        observed = meas.mask.ravel()[None].astype(float)
-        ranges = meas.ranges.ravel()[None]
-        links = range_links(conf.nodes, kk, anchors.anchors[jj], ranges, observed)
+        links = grid_links(anchors.anchors, conf.nodes, meas.ranges[None], meas.mask[None])
         aoa = None
         if meas.aoa is not None:
             aoa = np.where(meas.mask[..., None], meas.aoa, 0.0).reshape(1, -1, 2)

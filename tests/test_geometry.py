@@ -29,6 +29,7 @@ from rblkit.geometry import (
     by_value,
     fit_ranges,
     fit_terms,
+    grid_links,
     haar_rotations,
     matrix_from_quat,
     node_velocities,
@@ -40,7 +41,6 @@ from rblkit.geometry import (
     propagate_state,
     random_rotation,
     range_curvature,
-    range_links,
     range_residuals,
     range_rows,
     rotation_error_deg,
@@ -101,8 +101,7 @@ class TestConformation:
 
     def test_not_auto_centered(self):
         conf = Conformation([[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2]])
-        assert np.allclose(conf.centroid(), [1.25, 1.25, 1.25])
-        assert np.allclose(conf.centered().centroid(), 0.0)
+        assert np.array_equal(conf.nodes, [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2]])
 
     def test_nodes_are_readonly(self):
         conf = unit_cube()
@@ -256,11 +255,10 @@ class TestJacobianRows:
 def cube_range_links(pose):
     """Range links of the unit cube ranged from the 8 corners of a side-3
     cube, with the exact ranges at `pose`."""
-    nodes, anchors = unit_cube().nodes, 3.0 * unit_cube().nodes
-    jj, kk = np.nonzero(np.ones((8, 8), dtype=bool))
-    links = range_links(nodes, kk, anchors[jj], None)
+    nodes, anchors, mask = unit_cube().nodes, 3.0 * unit_cube().nodes, np.ones((8, 8), dtype=bool)
+    links = grid_links(anchors, nodes, None, mask)
     dist = range_residuals(pose.rotation, pose.translation, links, False)[3]
-    return range_links(nodes, kk, anchors[jj], dist)
+    return grid_links(anchors, nodes, dist, mask)
 
 
 def range_fit(rot, trans, ranges, jacobian, geometry):
@@ -735,11 +733,11 @@ def masked_preset_links(name, seed, p_keep, sigma):
     rng = np.random.default_rng(seed)
     mask = rng.random((len(anchors), len(nodes))) < p_keep
     mask[0, 0] = True
-    jj, kk = np.nonzero(mask)
     truth = scenario.sample_pose(rng)
-    unmeasured = range_links(nodes, kk, anchors[jj], None)
-    exact = range_residuals(truth.rotation, truth.translation, unmeasured, False)[3]
-    links = range_links(nodes, kk, anchors[jj], exact + sigma * rng.standard_normal(exact.size))
+    unmeasured = grid_links(anchors, nodes, None, mask)
+    ranges = range_residuals(truth.rotation, truth.translation, unmeasured, False)[3]
+    ranges[mask.ravel()] += sigma * rng.standard_normal(np.count_nonzero(mask))
+    links = grid_links(anchors, nodes, ranges, mask)
     rot = truth.rotation @ so3_exp(rng.normal(0.0, 0.3, 3))
     return links, rot, truth.translation + rng.normal(0.0, 0.5, 3)
 

@@ -396,13 +396,13 @@ class TestRunBenchmark:
         # No ResultRow reads residual_rms, so a sweep never scores one;
         # reading an estimate scores its tag's stack, once.
         calls = []
-        observed_rms = rblkit.estimators._observed_rms
+        observed_rms = rblkit.estimators.observed_rms
 
         def counting(rot, *args):
             calls.append(len(rot))
             return observed_rms(rot, *args)
 
-        monkeypatch.setattr(rblkit.estimators, "_observed_rms", counting)
+        monkeypatch.setattr(rblkit.estimators, "observed_rms", counting)
         scenario = small_scenario(blockage=BlockageSpec(kind="bernoulli", p=0.2))
         run_benchmark(scenario, small_experiment(trials=3))
         assert calls == []

@@ -164,10 +164,17 @@ def callers(name):
 
 def test_one_range_fit():
     # geometry alone knows the links layout and the kernel's callback
-    # protocol: fit_ranges is the kernel's one caller, and only geometry
-    # builds a link grid.
+    # protocol: fit_ranges is the kernel's one caller, and no other module
+    # indexes a grid_links tuple.
     assert callers("pose_gauss_newton") == {("geometry.py", "fit_ranges")}
-    assert {module for module, _ in callers("link_grid")} == {"geometry.py"}
+    indexing = {
+        module
+        for module in MODULES
+        for node in ast.walk(ast.parse((PACKAGE / module).read_text()))
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+        and node.value.id == "links"
+    }
+    assert indexing == {"geometry.py"}
 
 
 def test_one_stacked_draw():

@@ -546,6 +546,28 @@ class TestFrozenCopies:
         with pytest.raises(ValueError, match="^measurement set is empty$"):
             MeasurementSet(mask)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "name, at", [("ranges", (1, 0)), ("aoa", (1, 0, 1))], ids=["ranges", "aoa"]
+    )
+    def test_non_finite_observed_values_refused(self, name, at, value):
+        # NaN and inf pass the nonnegative check: observed, they are refused;
+        # unobserved, they are absent and stored as NaN like any other entry.
+        mask = np.array([[True, False], [True, True]])
+        values = {"ranges": np.ones((2, 2)), "aoa": np.zeros((2, 2, 2))}
+        values[name][at] = value
+        with pytest.raises(ValueError, match=f"^observed {name} must be finite$"):
+            MeasurementSet(mask, **values)
+        hidden = mask.copy()
+        hidden[1, 0] = False
+        stored = getattr(MeasurementSet(hidden, **values), name)
+        assert np.isnan(stored[1, 0]).all() and np.isfinite(stored[hidden]).all()
+        # Range rates keep theirs: estimate_twist skips a non-finite rate.
+        rates = np.ones((2, 2))
+        rates[at[:2]] = value
+        kept = MeasurementSet(mask, range_rates=rates).range_rates[1, 0]
+        assert np.array_equal(kept, value, equal_nan=True)
+
     def test_measurement_set_from_read_only_arrays(self):
         # A set built from another's frozen arrays (as apply_blockage builds one)
         # gets its own frozen copies.
