@@ -224,7 +224,7 @@ class PlacementScore:
     """Placement quality of an anchor layout against a pose prior.
 
     score is the mean over non-singular prior poses of
-    translation_bound + trade_off * rotation_bound; smaller is better.
+    translation_bound + rotation_bound; smaller is better.
     Poses with a singular FIM are excluded and listed in `excluded`.
     mean_frame_potential is a diagnostic on the anchor-to-centroid
     direction set, for comparison against frame-theoretic placement rules.
@@ -234,22 +234,16 @@ class PlacementScore:
     per_pose: tuple[CrlbReport, ...]
     excluded: tuple[int, ...]
     mean_frame_potential: float
-    trade_off: float
 
 
 def placement_score(
-    anchors: AnchorSet,
-    conf: Conformation,
-    pose_prior,
-    sigma: float,
-    trade_off: float = 1.0,
-    mask=None,
+    anchors: AnchorSet, conf: Conformation, pose_prior, sigma: float
 ) -> PlacementScore:
     """Score an anchor layout by the average CRLB over a prior set of poses."""
     poses = list(pose_prior)
     if not poses:
         raise ValueError("pose prior must contain at least one pose")
-    mask = _problem_mask(anchors, conf, mask)
+    mask = _full_mask(anchors, conf)
     batch = fim_batch(
         anchors.anchors, conf.nodes, np.array([p.rotation for p in poses]),
         np.array([p.translation for p in poses]), np.broadcast_to(mask, (len(poses),) + mask.shape),
@@ -257,7 +251,7 @@ def placement_score(
     )
     reports = [batch.report(i) for i in range(len(poses))]
     excluded = tuple(i for i, r in enumerate(reports) if r.singular)
-    totals = [r.translation_bound + trade_off * r.rotation_bound for r in reports if not r.singular]
+    totals = [r.translation_bound + r.rotation_bound for r in reports if not r.singular]
     score = float(np.mean(totals)) if totals else float("inf")
     diffs = [apply_pose(conf, pose).mean(axis=0) - anchors.anchors for pose in poses]
     potentials = [frame_potential(d / np.linalg.norm(d, axis=1)[:, None]) for d in diffs]
@@ -266,5 +260,4 @@ def placement_score(
         per_pose=tuple(reports),
         excluded=excluded,
         mean_frame_potential=float(np.mean(potentials)),
-        trade_off=trade_off,
     )

@@ -187,7 +187,7 @@ def complete_batch(d, known, n_anchors: int, max_iters: int = 500) -> Completion
     rhs = np.where(observed, (d[:, :a, a:] - norms).reshape(b, a * k), 0.0)
     # np.linalg.pinv(lifted, rcond) @ rhs, its formula: 1 / s above rcond * max(s), else 0,
     # then vt^T (s u^T), with np.linalg.lstsq's default cutoff for rcond.
-    u, s, vt = svd(lifted, full_matrices=False)
+    u, s, vt = svd(lifted)
     large = s > np.finfo(float).eps * max(a * k, 16) * s.max(axis=-1, keepdims=True)
     s = np.divide(1.0, s, where=large, out=s)
     s[~large] = 0.0

@@ -27,10 +27,6 @@ class DegenerateConformationError(RblError):
     """Node set is collinear or otherwise too degenerate to define a body."""
 
 
-class DegenerateProjectionError(RblError):
-    """Matrix is rank deficient; nearest-rotation projection is ambiguous."""
-
-
 class UndefinedBearingError(RblError):
     """Angle of arrival is undefined (node coincides with an anchor)."""
 

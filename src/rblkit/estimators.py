@@ -33,7 +33,6 @@ from .geometry import (
     fit_ranges,
     grid_links,
     observed_rms,
-    project_batch,
     svd,
 )
 from .measurement import AnchorSet, Edm, MeasurementSet, NoiseModel, assemble_batch
@@ -59,7 +58,6 @@ class PoseEstimate:
     per_node_positions: np.ndarray | None = None
     node_variances: np.ndarray | None = None
     converged: bool = True
-    projection_distance: float = 0.0
     message: str = ""
 
     def to_json_dict(self) -> dict:
@@ -71,7 +69,6 @@ class PoseEstimate:
             "residual_rms": float(self.residual_rms),
             "iterations": self.iterations,
             "converged": self.converged,
-            "projection_distance": float(self.projection_distance),
             "message": self.message,
         }
 
@@ -81,8 +78,8 @@ class PoseBatch:
     """One method's pose estimates for a stack of B problems, as arrays.
 
     errors[i] is the RblError item i raised, or None; a failed item's
-    numbers are placeholders. Iterative methods fill iterations, converged,
-    messages and projection_distance; two-stage methods per_node_positions,
+    numbers are placeholders. Iterative methods fill iterations, converged
+    and messages; two-stage methods per_node_positions,
     and GaBP node_variances; the EDM chain's MDS converged and messages.
     `score` computes residual_rms, which is scored when first read: a sweep
     that never reads it never scores.
@@ -96,7 +93,6 @@ class PoseBatch:
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
     messages: list | None = None
-    projection_distance: np.ndarray | None = None
     per_node_positions: np.ndarray | None = None
     node_variances: np.ndarray | None = None
 
@@ -109,16 +105,14 @@ class PoseBatch:
         """Item i as the single-problem estimator returns it, or its error raised."""
         if self.errors[i] is not None:
             raise self.errors[i]
-        iterative = self.iterations is not None
         return PoseEstimate(
             pose=Pose(self.rotation[i], self.translation[i]),
             method_tag=self.method_tag,
             residual_rms=self.residual_rms.item(i),  # .item: the Python float, int or bool
-            iterations=self.iterations.item(i) if iterative else 0,
+            iterations=0 if self.iterations is None else self.iterations.item(i),
             per_node_positions=_item(self.per_node_positions, i),
             node_variances=_item(self.node_variances, i),
             converged=True if self.converged is None else self.converged.item(i),
-            projection_distance=self.projection_distance.item(i) if iterative else 0.0,
             message="" if self.messages is None else self.messages[i],
         )
 
@@ -224,17 +218,17 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
 
 
 def mds_from_ranges(
-    meas: MeasurementSet, anchors: AnchorSet, conf: Conformation, completion: bool = True
+    meas: MeasurementSet, anchors: AnchorSet, conf: Conformation
 ) -> tuple[PoseEstimate, CompletionReport | None]:
     """The EDM pipeline: assemble the joint EDM from the observed ranges,
     complete it when links are missing, and embed it with MDS.
 
-    With completion=False a masked EDM is zero-filled instead (the
-    baseline completion is measured against). Returns the MDS estimate and
-    the completion report, which is None when nothing was completed.
+    Returns the MDS estimate and the completion report, which is None when
+    nothing was completed. chain_batch with completion=False zero-fills a
+    masked EDM instead (the baseline completion is measured against).
     """
     ranges = None if meas.ranges is None else meas.ranges[None]
-    chain = chain_batch(anchors.anchors, conf.nodes, ranges, meas.mask[None], completion)
+    chain = chain_batch(anchors.anchors, conf.nodes, ranges, meas.mask[None])
     return chain.mds.estimate(0), chain.report(0)
 
 
@@ -334,7 +328,7 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
     errors = [s or e for e, s in zip(errors, init[2])]
     rot, trans = np.array(init[0], dtype=float), np.array(init[1], dtype=float)
     iterations, converged = np.zeros(b, dtype=int), np.zeros(b, dtype=bool)
-    messages, projection = [""] * b, np.zeros(b)
+    messages = [""] * b
     items = [i for i, e in enumerate(errors) if e is None]
     if items:
         # Every item fits in the common case; the slice then copies nothing.
@@ -345,22 +339,17 @@ def nls_batch(anchor_xyz, nodes, mask, ranges, aoa, w_range, w_angle, init=None)
         r_fit, t_fit, iterations[fit], converged[fit], fit_messages = fit_ranges(
             links, rot[fit], trans[fit], NLS_MAX_ITERS, w_range, aoa_f, w_angle
         )
-        projected, projection_errors = project_batch(r_fit)
-        diff = (projected - r_fit).reshape(-1, 9)
-        projection[fit] = np.sqrt(np.vecdot(diff, diff))  # np.linalg.norm of each difference
-        rot[fit], trans[fit] = projected, t_fit
-        for i, message, error in zip(items, fit_messages, projection_errors):
-            messages[i], errors[i] = message, error
+        rot[fit], trans[fit] = r_fit, t_fit
+        for i, message in zip(items, fit_messages):
+            messages[i] = message
 
     def score():  # NaN for the items that failed before the fit
         residual_rms = np.full(b, np.nan)
         if items:
-            residual_rms[fit] = observed_rms(projected, t_fit, links)
+            residual_rms[fit] = observed_rms(r_fit, t_fit, links)
         return residual_rms
 
-    return PoseBatch(
-        "nls", rot, trans, score, errors, iterations, converged, messages, projection
-    )
+    return PoseBatch("nls", rot, trans, score, errors, iterations, converged, messages)
 
 
 _GABP_PRIOR_PRECISION = 1e-12

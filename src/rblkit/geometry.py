@@ -18,7 +18,6 @@ from numpy.linalg import _umath_linalg  # np.linalg's LAPACK gufuncs, called wit
 
 from .errors import (
     DegenerateConformationError,
-    DegenerateProjectionError,
     InvalidIntervalError,
     InvalidPoseError,
     MissingTwistError,
@@ -145,34 +144,6 @@ def so3_log(rotation) -> np.ndarray:
     return vec * (angle / n)
 
 
-def project_batch(m) -> tuple[np.ndarray, list]:
-    """Nearest rotation (Frobenius sense) to each matrix of a (B, 3, 3) stack:
-    the rotations and, per item, the DegenerateProjectionError of a
-    rank-deficient one or None. The sign correction flips the direction of
-    the smallest singular value where the orthogonal factor would have
-    determinant -1."""
-    u, s, vt = svd(m)
-    errors = [
-        DegenerateProjectionError(
-            f"matrix is rank deficient (singular values {s[i]}); nearest rotation not unique"
-        ) if low <= 1e-13 * max(high, 1e-300) else None
-        for i, (high, _, low) in enumerate(s.tolist())
-    ]
-    return _proper(u, vt), errors
-
-
-def _proper(u, vt):
-    # u diag(1, 1, sign det(u vt)) vt with the sign put into u's last column (u is overwritten):
-    # the same products, without building the diagonal matrices. Where every sign is +1, u vt
-    # is already that product.
-    q = u @ vt
-    det = _umath_linalg.det(q)  # np.linalg.det's gufunc
-    if np.count_nonzero(det > 0.0) < det.size:
-        u[..., 2] *= np.sign(det)[..., None]
-        q = u @ vt
-    return q
-
-
 def _svd_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
@@ -182,13 +153,11 @@ def _eigh_failed(err, flag):
 
 
 @np.errstate(call=_svd_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
-def svd(a, full_matrices=True, compute_uv=True):
-    """np.linalg.svd(a, full_matrices, compute_uv) of a float64 stack, bit for
-    bit and with its LinAlgError when LAPACK fails: its gufunc under its error
-    state, without the wrapper's per-call checks."""
-    if not compute_uv:
-        return _umath_linalg.svd(a)
-    return (_umath_linalg.svd_f if full_matrices else _umath_linalg.svd_s)(a)
+def svd(a, compute_uv=True):
+    """np.linalg.svd(a, full_matrices=False, compute_uv) of a float64 stack, bit
+    for bit and with its LinAlgError when LAPACK fails: its gufunc under its
+    error state, without the wrapper's per-call checks."""
+    return _umath_linalg.svd_s(a) if compute_uv else _umath_linalg.svd(a)
 
 
 @np.errstate(call=_eigh_failed, invalid="call", over="ignore", divide="ignore", under="ignore")
@@ -430,7 +399,12 @@ def fit_alignment(source, target, weights, proper):
     y_c = y - y_bar[..., None, :]
     cross = (y_c * w[..., None]).mT @ s_c
     u, _, vt = svd(cross)
-    q = _proper(u, vt) if proper else u @ vt
+    q = u @ vt
+    if proper:  # u diag(1, 1, sign det q) vt: a sign of -1 flips u's last column
+        det = _umath_linalg.det(q)  # np.linalg.det's gufunc
+        if np.count_nonzero(det > 0.0) < det.size:
+            u[..., 2] *= np.sign(det)[..., None]
+            q = u @ vt
     return q, y_bar - (q @ s_bar[..., None])[..., 0], s_c, w
 
 

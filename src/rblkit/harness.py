@@ -112,8 +112,10 @@ class PoseDistribution:
         box = "pose_distribution.translation_box"
         lo = converted(_float_array, self.translation_low, box)
         hi = converted(_float_array, self.translation_high, box)
-        if lo.shape != (3,) or hi.shape != (3,) or np.any(hi < lo):
-            raise ConfigError("translation box needs low <= high, three components each", field=box)
+        if not (lo.shape == hi.shape == (3,) and np.isfinite([lo, hi]).all() and (lo <= hi).all()):
+            raise ConfigError(
+                "translation box needs finite low <= high, three components each", field=box
+            )
 
     def sample(self, rng: np.random.Generator) -> Pose:
         rot, trans = self.sample_batch([rng])

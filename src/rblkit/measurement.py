@@ -10,6 +10,7 @@ anchor and poisons every downstream solver.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -25,6 +26,7 @@ from .errors import (
     UnderdeterminedError,
     converted,
     entries,
+    exact,
     u64,
 )
 from .geometry import (
@@ -256,21 +258,31 @@ class MeasurementSet:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementSet":
         (mask,) = entries(doc, "mask")
+        grids = zip(map(doc.get, ("ranges", "aoa", "range_rates")), (_number, _pair, _number))
+        return cls(_grid(mask, _flag), *(None if g is None else _grid(g, f) for g, f in grids))
 
-        def grid(values, depth):
-            if values is None:
-                return None
-            fill = np.nan if depth == 2 else (np.nan, np.nan)
-            return np.array(
-                [[fill if v is None else v for v in row] for row in values], dtype=float
-            )
 
-        return cls(
-            mask=np.asarray(mask, dtype=bool),
-            ranges=grid(doc.get("ranges"), 2),
-            aoa=grid(doc.get("aoa"), 3),
-            range_rates=grid(doc.get("range_rates"), 2),
-        )
+def _grid(rows, entry) -> np.ndarray:
+    """A grid of a data document, a list of rows of entries, as an array: each
+    entry read by `entry`, which refuses what the grid cannot hold."""
+    return np.array([[entry(v) for v in exact(list, row)] for row in exact(list, rows)])
+
+
+def _flag(v) -> bool:
+    """A mask entry: true or false, nothing else."""
+    if not isinstance(v, bool):
+        raise TypeError(f"mask entries must be true or false, got {v!r}")
+    return v
+
+
+def _number(v) -> float:
+    """A value entry: a number, or null read as NaN."""
+    return np.nan if v is None else exact(float, v)
+
+
+def _pair(v) -> list:
+    """An angle entry: an [azimuth, elevation] pair of value entries, or null for both."""
+    return [np.nan, np.nan] if v is None else [_number(x) for x in exact(list, v)]
 
 
 @dataclass(frozen=True)
@@ -340,8 +352,7 @@ class Edm:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Edm":
         d, known, a = entries(doc, "squared_distances", "known_mask", "n_anchors")
-        vals = np.array([[np.nan if v is None else v for v in row] for row in d], dtype=float)
-        return cls(vals, np.asarray(known, dtype=bool), int(a))
+        return cls(_grid(d, _number), _grid(known, _flag), exact(operator.index, a))
 
 
 def noise_keys(sigmas, seeds, kinds) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, RblError, UnderdeterminedError, UnobservableTwistError, entries
+from .errors import (
+    ConfigError,
+    RblError,
+    UnderdeterminedError,
+    UnobservableTwistError,
+    entries,
+    exact,
+)
 from .estimators import (
     ESTIMATOR_TAGS,
     PoseEstimate,
@@ -69,7 +76,7 @@ def estimate_twist(
         w = np.sqrt(np.asarray(weights, dtype=float)[jj, kk])
         rows = rows * w[:, None]
         obs = obs * w
-    u, sv, vt = svd(rows, full_matrices=False)
+    u, sv, vt = svd(rows)
     cutoff = _RANK_RCOND * max(sv.item(0), 1e-300)
     if sv.item(-1) <= cutoff:  # the singular values fall, so the last is the smallest
         raise UnobservableTwistError(vt[sv <= cutoff].T)
@@ -92,7 +99,7 @@ class MeasurementFrame:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementFrame":
         timestamp, measurements = entries(doc, "timestamp", "measurements")
-        return cls(float(timestamp), MeasurementSet.from_json_dict(measurements))
+        return cls(exact(float, timestamp), MeasurementSet.from_json_dict(measurements))
 
 
 @dataclass(frozen=True)

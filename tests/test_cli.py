@@ -218,9 +218,14 @@ class TestMalformedDocuments:
             ("pose", {"rotation": np.eye(3).tolist(), "translation": ["a", 0, 0]},
              "pose.translation", "could not convert"),
             ("measurements", "range", "measurements", "refused str 'range'"),
+            ("pose_distribution", {"translation_box": [[-np.inf, np.inf], [0, 0], [0, 0]]},
+             "pose_distribution.translation_box", "translation box needs finite low <= high"),
+            ("pose_distribution", {"translation_box": [[np.nan, 0], [0, 0], [0, 0]]},
+             "pose_distribution.translation_box", "translation box needs finite low <= high"),
         ],
         ids=["flat-points", "flat-body", "bad-point-line", "text-point", "text-sigma",
-             "text-p", "text-box", "text-rotation", "text-translation", "text-measurements"],
+             "text-p", "text-box", "text-rotation", "text-translation", "text-measurements",
+             "infinite-box", "nan-box"],
     )
     def test_scenario_value(self, tiny_configs, tmp_path, capsys, section, value, field, message):
         s, _ = tiny_configs
@@ -335,9 +340,11 @@ class TestAngleScenarios:
         assert not (tmp_path / "benchmark.csv").exists()
 
 
-def cube_frame(timestamp, anchors=8):
-    """A --trajectory frame document: every range 1 m on an anchors x 8 grid."""
-    mask, ranges = [[True] * 8] * anchors, [[1.0] * 8] * anchors
+def cube_frame(timestamp, anchors=8, flag=True, value=1.0):
+    """A --trajectory frame document: every range 1 m on an anchors x 8 grid, but
+    the first mask entry is `flag` and the first range `value`."""
+    mask = [[flag] + [True] * 7] + [[True] * 8] * (anchors - 1)
+    ranges = [[value] + [1.0] * 7] + [[1.0] * 8] * (anchors - 1)
     return {"timestamp": timestamp, "measurements": {"mask": mask, "ranges": ranges}}
 
 
@@ -408,9 +415,18 @@ class TestTrackCommand:
          ([cube_frame(float("nan"))], "frame 0: timestamp must be finite, got nan"),
          ([cube_frame(0.1), {"timestamp": 0.2, "measurements": {
              "mask": [[True] * 8] * 8, "ranges": [[None] + [1.0] * 7] + [[1.0] * 8] * 7}}],
-          "frame 1: observed ranges must be finite")],
+          "frame 1: observed ranges must be finite"),
+         ([cube_frame(True)], "frame 0: refused bool True"),
+         ([cube_frame("1.5")], "frame 0: refused str '1.5'"),
+         ([cube_frame(0.1, flag="no")], "frame 0: mask entries must be true or false, got 'no'"),
+         ([cube_frame(0.1, flag=2)], "frame 0: mask entries must be true or false, got 2"),
+         ([cube_frame(0.1, flag=0.5)], "frame 0: mask entries must be true or false, got 0.5"),
+         ([cube_frame(0.1, value="1.0")], "frame 0: refused str '1.0'"),
+         ([cube_frame(0.1, value=True)], "frame 0: refused bool True")],
         ids=["no-measurements", "object", "number-frame", "negative-range", "no-mask",
-             "stale-timestamp", "wrong-grid", "nan-timestamp", "null-range"],
+             "stale-timestamp", "wrong-grid", "nan-timestamp", "null-range", "bool-timestamp",
+             "text-timestamp", "text-flag", "number-flag", "fraction-flag", "text-range",
+             "bool-range"],
     )
     def test_malformed_trajectory(self, tiny_configs, tmp_path, capsys, doc, message):
         traj = tmp_path / "traj.json"
@@ -419,6 +435,16 @@ class TestTrackCommand:
                 "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"rblkit: config error: --trajectory: {message}\n"
+
+
+def line_edm(n_anchors=2, flag=True, value=1.0):
+    """An --edm document of four points on a line, two of them anchors, but with
+    the (0, 1) known flag `flag` and squared distance `value`, both ways."""
+    known = [[True] * 4 for _ in range(4)]
+    d = ((np.arange(4.0)[:, None] - np.arange(4.0)) ** 2).tolist()
+    known[0][1] = known[1][0] = flag
+    d[0][1] = d[1][0] = value
+    return {"n_anchors": n_anchors, "known_mask": known, "squared_distances": d}
 
 
 class TestCompleteCommand:
@@ -470,8 +496,15 @@ class TestCompleteCommand:
         [({"n_anchors": 1, "squared_distances": [[0, 1], [1, 0]]}, "missing key 'known_mask'"),
          ({"known_mask": [[True]], "squared_distances": [[0]]}, "missing key 'n_anchors'"),
          (5, "expected an object, got int"),
-         ({"edm": [1, 2]}, "expected an object, got list")],
-        ids=["no-mask", "no-anchors", "number", "list-edm"],
+         ({"edm": [1, 2]}, "expected an object, got list"),
+         (line_edm(n_anchors=2.5), "'float' object cannot be interpreted as an integer"),
+         (line_edm(n_anchors=True), "refused bool True"),
+         (line_edm(n_anchors="1"), "refused str '1'"),
+         (line_edm(flag=1), "mask entries must be true or false, got 1"),
+         (line_edm(value="1.0"), "refused str '1.0'"),
+         (line_edm(value=True), "refused bool True")],
+        ids=["no-mask", "no-anchors", "number", "list-edm", "fraction-anchors", "bool-anchors",
+             "text-anchors", "number-flag", "text-value", "bool-value"],
     )
     def test_malformed_document(self, tmp_path, capsys, doc, message):
         (tmp_path / "edm.json").write_text(json.dumps(doc))
@@ -585,15 +618,15 @@ PRESET_DIGESTS = {
     ),
     "track-nls": (
         TRACK + ["nls"], "track.json",
-        "b03e3a3932ec8377769d4a0f9e857ccb8f0c91ee306a1e7ca0a57793b754767a",
+        "a6fc5bb7c99b1c21a62dbb2b99ee9cbac919e70f04d9885799aede74ef2bfc50",
     ),
     "track-mds": (
         TRACK + ["mds"], "track.json",
-        "acc15693e0940991771dd3c323e17bec2096ab8850e7e175cc2f6bab238af2ec",
+        "a45b4b598754e12802a35e5328ccb4208aafba47708d98158f3a6d1eebae2e2f",
     ),
     "track-gabp": (
         TRACK + ["gabp"], "track.json",
-        "7db278100c774132233ded039e4de8b8fef352bb99365ae8e1f8ff0d2101db7d",
+        "88a191cba77c6307551a3797d5b044403813e97810034377e99e81ee79551c55",
     ),
 }
 

@@ -73,12 +73,18 @@ from rblkit.measurement import (
     simulate_measurements,
     streams,
 )
+from rblkit.tracking import TrackConfig, track_sequence
 
 RZ90_EXACT = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
 def bernoulli_mask(p: float, seed: int, shape) -> np.ndarray:
     return bernoulli_keep(streams([seed], STREAM_BLOCKAGE), p, shape)[0]
+
+
+def so3_deviation(rot) -> float:
+    """The larger of max |R^T R - I| and max |det R - 1| over a stack of rotations."""
+    return max(np.abs(rot.mT @ rot - np.eye(3)).max(), np.abs(np.linalg.det(rot) - 1.0).max())
 
 
 def pose_errors(estimate: PoseEstimate, truth: Pose) -> tuple[float, float]:
@@ -276,7 +282,10 @@ class TestEstimatePoseMds:
         est, report = mds_from_ranges(blocked, anchors, conf)
         assert report is not None and report.converged
         assert np.linalg.norm(est.pose.translation - truth.translation) < 1e-6
-        zero, no_report = mds_from_ranges(blocked, anchors, conf, completion=False)
+        chain = chain_batch(
+            anchors.anchors, conf.nodes, blocked.ranges[None], blocked.mask[None], completion=False
+        )
+        zero, no_report = chain.mds.estimate(0), chain.report(0)
         assert no_report is None
         assert np.linalg.norm(zero.pose.translation - truth.translation) > 1e-3
 
@@ -725,6 +734,32 @@ class TestEstimatorInvariants:
             r = est.pose.rotation
             assert np.abs(r.T @ r - np.eye(3)).max() < 1e-9
             assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-9)
+
+    # NLS moves a rotation only by the retraction R expm([step]x), so its rotations
+    # stay on SO(3) to rounding without a re-projection.
+    @pytest.mark.parametrize("name", ["fig4", "fig5"])
+    def test_nls_stack_rotations_stay_orthonormal(self, name):
+        scenario, _ = preset(name)
+        batch = _run_trials(scenario, np.full(256, 1.0), np.arange(256), ("nls",), True)
+        nls = batch.estimates["nls"]
+        fitted = nls.rotation[[e is None for e in nls.errors]]
+        assert len(fitted) > 200 and so3_deviation(fitted) <= 1e-12
+
+    def test_warm_started_track_rotations_stay_orthonormal(self):
+        # Each frame starts from the last estimate propagated by its twist, so
+        # rounding could only build up from frame to frame; 500 frames show none.
+        scenario, _ = preset("fig4")
+        scenario = replace(
+            scenario,
+            blockage=BlockageSpec(kind="hull"),
+            measurement_kinds=("range", "range_rate"),
+            noise=NoiseModel(range_rate_sigma=0.01),
+        )
+        twist = Twist([0.3, -0.2, 0.4], [0.05, -0.03, 0.02])
+        frames, _ = generate_trajectory(scenario, twist, 500, 0.05, 0.01, 31)
+        track = track_sequence(scenario.anchors, scenario.conformation, frames, TrackConfig("nls"))
+        fitted = [f.pose_estimate.pose.rotation for f in track if f.pose_estimate is not None]
+        assert len(fitted) > 450 and so3_deviation(np.array(fitted)) <= 1e-12
 
     def test_pose_estimate_json(self):
         conf, anchors, meas = simulate_cube_ranges(Pose.identity())

@@ -12,7 +12,6 @@ import rblkit.completion
 import rblkit.geometry
 from rblkit.errors import (
     DegenerateConformationError,
-    DegenerateProjectionError,
     InvalidIntervalError,
     InvalidPoseError,
     MissingTwistError,
@@ -37,7 +36,6 @@ from rblkit.geometry import (
     parse_points,
     pose_gauss_newton,
     pose_jacobian_rows,
-    project_batch,
     propagate_state,
     random_rotation,
     range_curvature,
@@ -836,30 +834,6 @@ class TestSo3:
     def test_log_exp_round_trip_property(self, axis, angle):
         v = axis / np.linalg.norm(axis) * angle
         assert np.abs(so3_log(so3_exp(v)) - v).max() < 1e-9
-
-    def test_project_fixed_point(self):
-        rng = np.random.default_rng(33)
-        r = random_rotation(rng)
-        projected, errors = project_batch(r[None])
-        assert errors == [None] and np.abs(projected[0] - r).max() < 1e-12
-
-    def test_project_removes_scaling(self):
-        assert np.allclose(project_batch(1.1 * np.eye(3)[None])[0], np.eye(3), atol=1e-12)
-
-    def test_project_rank_deficient_raises(self):
-        # The rank-deficient item gets the error it raises; the other item none.
-        m = np.outer([1.0, 0, 0], [1.0, 0, 0]) + np.outer([0, 1.0, 0], [0, 1.0, 0])
-        _, errors = project_batch(np.array([m, np.eye(3)]))
-        assert isinstance(errors[0], DegenerateProjectionError) and errors[1] is None
-
-    def test_project_beats_random_search(self):
-        rng = np.random.default_rng(34)
-        m = random_rotation(rng) + 0.2 * rng.standard_normal((3, 3))
-        best = project_batch(m[None])[0][0]
-        best_cost = np.linalg.norm(best - m)
-        samples = [random_rotation(rng) for _ in range(10_000)]
-        costs = np.array([np.linalg.norm(s - m) for s in samples])
-        assert best_cost <= costs.min() + 1e-12
 
 
 class TestRotationError:

@@ -285,3 +285,23 @@ def test_library_layout_names_exist():
     quoted = {w.removeprefix("rblkit.") for w in words}
     missing = sorted(w for w in quoted - NOT_API if not resolves(w, namespaces))
     assert quoted and not missing, "README names missing API: " + ", ".join(missing)
+
+
+def test_readme_document_keys_match_the_written_documents():
+    # README's serialized-document formats list the keys each to_json_dict
+    # writes, in its order, so a dropped or added key cannot leave the docs stale.
+    import rblkit
+
+    scenario, _ = rblkit.preset("fig5")
+    _, meas = rblkit.draw_trial(scenario, 0.01, 3)
+    edm = rblkit.assemble_edm(scenario.anchors, scenario.conformation, meas)
+    documents = {
+        "MeasurementSet": meas,
+        "Edm": edm,
+        "CompletionReport": rblkit.complete_edm(edm),
+        "PoseEstimate": rblkit.estimate_pose_nls(meas, scenario.anchors, scenario.conformation),
+    }
+    text = (ROOT / "README.md").read_text().split("## Serialized documents", 1)[1]
+    for name, document in documents.items():
+        listed = re.search(rf"- \*\*{name}\*\*: `([^`]+)`", text).group(1)
+        assert re.findall(r'"(\w+)"', listed) == list(document.to_json_dict()), name

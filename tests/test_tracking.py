@@ -295,7 +295,7 @@ GOLDEN_TRACK = (
     "0.85,0.371580863498,0.00268020501721,0.00205783040889,0.00437895651765,0.00897917221159,True,\n"
     "0.9,0.276490637747,0.005188259414,0.0104763308643,0.00435141624495,0.00956180201593,True,\n"
     "0.95,0.277521527611,0.00143826468766,0.00797171801254,0.00261730496083,0.00963730934784,True,\n"
-    "1,0.150826596512,0.00230588985421,0.00147928988317,0.00220887821593,0.00958822010134,True,\n"
+    "1,0.150826596512,0.00230588985421,0.00147928988317,0.00220887821592,0.00958822010134,True,\n"
 )
 
 
