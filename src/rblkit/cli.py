@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -166,8 +165,8 @@ def _parse_twist(text: str) -> Twist:
 
 def _frames(doc, grid) -> list[MeasurementFrame]:
     """The frames of a --trajectory document, each refused on its index
-    unless it measures the (anchors, nodes) `grid` at a finite timestamp
-    after the previous frame's."""
+    unless it measures the (anchors, nodes) `grid` at a timestamp after the
+    previous frame's."""
     if not isinstance(doc, list):
         raise TypeError(f"expected a list of frames, got {type(doc).__name__}")
     frames = [converted(MeasurementFrame.from_json_dict, f, f"frame {i}") for i, f in enumerate(doc)]
@@ -175,8 +174,6 @@ def _frames(doc, grid) -> list[MeasurementFrame]:
         t, shape, where = frame.timestamp, frame.measurements.shape, f"frame {i}"
         if shape != grid:
             raise ConfigError(f"measurements are {shape}, not (anchors, nodes) {grid}", where)
-        if not math.isfinite(t):
-            raise ConfigError(f"timestamp must be finite, got {t}", where)
         if i and t <= frames[i - 1].timestamp:
             raise ConfigError(f"timestamp {t} is not after frame {i - 1}'s", where)
     return frames

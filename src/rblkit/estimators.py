@@ -365,7 +365,9 @@ def _gabp_node_beliefs(anchor_xyz, ranges, mask, sigma):
     over its 3 coordinates with information matrix J and vector h. Gaussian
     belief propagation converges to the means J^-1 h (Weiss & Freeman
     2001); they are solved for directly, all nodes as one (..., K, 3, 3)
-    stack, with the exact marginal variances diag(J^-1). Ranges and masks
+    stack, with the marginal variances diag(J^-1) of a model that treats the
+    differenced rows as independent: they share the reference's noise, so
+    these are not the nodes' error variances (ROADMAP item 10). Ranges and masks
     are (..., A, K), sigma broadcasts over the leading axes. Returns means,
     variances (NaN for nodes with fewer than 3 observed anchors) and the
     usable mask.
@@ -404,11 +406,11 @@ def estimate_pose_gabp(
     """Two-stage message-passing pose estimate.
 
     Stage 1 localizes each node independently at the exact fixed point of
-    Gaussian belief propagation, with exact marginal variances (see
-    _gabp_node_beliefs); stage 2 fits the pose by Procrustes over the
-    belief means, weighted by the belief precisions so poorly observed
-    nodes contribute little. The per-node marginal variances are returned
-    as the soft-decision output. A direct solve has nothing to converge, so
+    Gaussian belief propagation; stage 2 fits the pose by Procrustes over
+    the belief means, weighted by the belief precisions so poorly observed
+    nodes contribute little. node_variances, the soft-decision output, are
+    the beliefs' marginal variances, not the nodes' error variances (see
+    _gabp_node_beliefs). A direct solve has nothing to converge, so
     the estimate reports 0 iterations.
     """
     if meas.ranges is None:

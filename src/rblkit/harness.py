@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import operator
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -66,6 +67,7 @@ _float_array = partial(np.asarray, dtype=float)
 
 
 _tuple = partial(exact, tuple)
+_float = partial(exact, float)
 
 
 def splitmix64(x):
@@ -91,17 +93,33 @@ def derive_seed(master, *indices):
     return seed
 
 
+def _box(value) -> tuple[tuple[float, float], ...]:
+    """Three (low, high) pairs of floats, every entry read exactly, each
+    width high - low finite and >= 0."""
+    try:
+        rows = [_tuple(row) for row in _tuple(value)]
+    except TypeError:  # not a list of lists
+        rows = []
+    if [len(row) for row in rows] != [2, 2, 2]:
+        raise ValueError("expected one [low, high] pair per axis, three in all")
+    box = tuple((_float(low), _float(high)) for low, high in rows)
+    # On Python floats an overflowing width reads inf, with no RuntimeWarning.
+    if not all(0.0 <= high - low < math.inf for low, high in box):
+        raise ValueError("translation box needs finite low <= high and a finite width high - low")
+    return box
+
+
 @dataclass(frozen=True)
 class PoseDistribution:
     """Random pose prior: a rotation law plus a uniform translation box.
 
     rotation is one of "uniform" (Haar on SO(3)), "yaw" (uniform heading
-    about +z), or "none" (identity).
+    about +z), or "none" (identity). translation_box holds one (low, high)
+    pair per axis, as the document's section does.
     """
 
     rotation: str = "uniform"
-    translation_low: tuple[float, float, float] = (-0.5, -0.5, -0.5)
-    translation_high: tuple[float, float, float] = (0.5, 0.5, 0.5)
+    translation_box: tuple[tuple[float, float], ...] = ((-0.5, 0.5),) * 3
 
     def __post_init__(self):
         if self.rotation not in ("uniform", "yaw", "none"):
@@ -109,17 +127,8 @@ class PoseDistribution:
                 f"rotation must be uniform|yaw|none, got {self.rotation!r}",
                 field="pose_distribution.rotation",
             )
-        box = "pose_distribution.translation_box"
-        lo = converted(_float_array, self.translation_low, box)
-        hi = converted(_float_array, self.translation_high, box)
-        if not (lo.shape == hi.shape == (3,) and np.isfinite([lo, hi]).all() and (lo <= hi).all()):
-            raise ConfigError(
-                "translation box needs finite low <= high, three components each", field=box
-            )
-
-    def sample(self, rng: np.random.Generator) -> Pose:
-        rot, trans = self.sample_batch([rng])
-        return Pose(rot[0], trans[0])
+        box = converted(_box, self.translation_box, "pose_distribution.translation_box")
+        object.__setattr__(self, "translation_box", box)
 
     def sample_batch(self, rngs) -> tuple[np.ndarray, np.ndarray]:
         """One pose per generator, as (B, 3, 3) rotations and (B, 3) translations:
@@ -136,7 +145,7 @@ class PoseDistribution:
         else:
             draws = [(None, rng.random(3)) for rng in rngs]
             rot = np.tile(np.eye(3), (len(draws), 1, 1))
-        low, high = np.array(self.translation_low), np.array(self.translation_high)
+        low, high = np.array(self.translation_box).T
         return rot, low + (high - low) * np.reshape([u for _, u in draws], (-1, 3))
 
 
@@ -152,7 +161,7 @@ class BlockageSpec:
     p: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "p", converted(float, self.p, "blockage.p"))
+        object.__setattr__(self, "p", converted(_float, self.p, "blockage.p"))
         if self.kind not in ("none", "bernoulli", "hull"):
             raise ConfigError(
                 f"kind must be none|bernoulli|hull, got {self.kind!r}", field="blockage.kind"
@@ -232,7 +241,8 @@ class ScenarioConfig:
             )
 
     def sample_pose(self, rng: np.random.Generator) -> Pose:
-        return self.pose if self.pose is not None else self.pose_distribution.sample(rng)
+        rot, trans = self.sample_poses([rng])
+        return Pose(rot[0], trans[0])
 
     def sample_poses(self, rngs) -> tuple[np.ndarray, np.ndarray]:
         """sample_pose for each generator, as (B, 3, 3) and (B, 3) stacks."""
@@ -254,7 +264,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         kinds = {
-            "sigma_grid": lambda grid: tuple(exact(float, s) for s in _tuple(grid)),
+            "sigma_grid": lambda grid: tuple(map(_float, _tuple(grid))),
             "trials": partial(exact, operator.index),
             "master_seed": u64,
             "estimators": _tuple,
@@ -555,8 +565,7 @@ def generate_trajectory(
     times = (np.arange(n_frames) + 1) * dt
     rot, trans = propagate_poses(start, twist, times)
     observed = _observe(scenario, rot, trans, twist, levels, rngs, kinds)
-    frames = [MeasurementFrame(float(t), _measurement_set(observed, i))
-              for i, t in enumerate(times)]
+    frames = [MeasurementFrame(t, _measurement_set(observed, i)) for i, t in enumerate(times)]
     return frames, [(Pose(r, t), twist) for r, t in zip(rot, trans)]
 
 
@@ -631,24 +640,10 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
         pose = _section(doc["pose"], _names(Pose), "pose", required=_names(Pose))
         arrays = {k: converted(_float_array, v, f"pose.{k}") for k, v in pose.items()}
         settings["pose"] = Pose(**arrays)
-    sections = (("noise", NoiseModel, "seed"), ("blockage", BlockageSpec))
-    for name, cls, *skip in sections:
+    for name, cls, *skip in (("noise", NoiseModel, "seed"), ("blockage", BlockageSpec),
+                             ("pose_distribution", PoseDistribution)):
         if name in doc:
             settings[name] = _fill(cls, doc[name], name, *skip)
-    if "pose_distribution" in doc:
-        box = ("translation_low", "translation_high")  # both set by translation_box
-        keys = _names(PoseDistribution, *box) + ("translation_box",)
-        dist = dict(_section(doc["pose_distribution"], keys, "pose_distribution"))
-        if "translation_box" in dist:  # [[low, high]] per axis
-            rows = dist.pop("translation_box")
-            pairs = isinstance(rows, list) and [isinstance(r, list) and len(r) == 2 for r in rows]
-            if pairs != [True] * 3:
-                raise ConfigError(
-                    "expected one [low, high] pair per axis, three in all",
-                    field="pose_distribution.translation_box",
-                )
-            dist[box[0]], dist[box[1]] = zip(*rows)
-        settings["pose_distribution"] = PoseDistribution(**dist)
     if "measurements" in doc:
         settings["measurement_kinds"] = doc["measurements"]
     return ScenarioConfig(**settings)
@@ -705,11 +700,7 @@ def preset(name: str) -> tuple[ScenarioConfig, ExperimentConfig]:
         scenario = ScenarioConfig(
             conformation=Conformation(_data_points("car.txt")),
             anchors=AnchorSet(_data_points("truck.txt")),
-            pose_distribution=PoseDistribution(
-                rotation="yaw",
-                translation_low=(8.0, -4.0, -0.5),
-                translation_high=(16.0, 4.0, 0.5),
-            ),
+            pose_distribution=PoseDistribution("yaw", ((8.0, 16.0), (-4.0, 4.0), (-0.5, 0.5))),
             blockage=BlockageSpec(kind="bernoulli", p=0.2),
         )
         experiment = ExperimentConfig(

@@ -13,6 +13,7 @@ import itertools
 import operator
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -183,7 +184,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("range_sigma", "angle_sigma", "range_rate_sigma"):
-            v = converted(float, getattr(self, name), f"noise.{name}")
+            v = converted(partial(exact, float), getattr(self, name), f"noise.{name}")
             if not np.isfinite(v) or v < 0.0:
                 raise ConfigError(f"must be finite and >= 0, got {v}", field=f"noise.{name}")
             object.__setattr__(self, name, v)
@@ -299,12 +300,12 @@ class Edm:
     n_anchors: int
 
     def __post_init__(self):
+        a = exact(operator.index, self.n_anchors)
         d = np.asarray(self.squared_distances, dtype=float)
         known = np.asarray(self.known_mask, dtype=bool)
         n = d.shape[0]
         if d.shape != (n, n) or known.shape != (n, n):
             raise ValueError("squared_distances and known_mask must be square and same shape")
-        a = int(self.n_anchors)
         if not 0 <= a <= n:
             raise ValueError(f"n_anchors {a} out of range for size {n}")
         if not np.array_equal(known, known.T):
@@ -352,7 +353,7 @@ class Edm:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Edm":
         d, known, a = entries(doc, "squared_distances", "known_mask", "n_anchors")
-        return cls(_grid(d, _number), _grid(known, _flag), exact(operator.index, a))
+        return cls(_grid(d, _number), _grid(known, _flag), a)
 
 
 def noise_keys(sigmas, seeds, kinds) -> tuple[np.ndarray, np.ndarray]:

@@ -93,13 +93,19 @@ class MeasurementFrame:
     timestamp: float
     measurements: MeasurementSet
 
+    def __post_init__(self):
+        timestamp = exact(float, self.timestamp)
+        if not math.isfinite(timestamp):
+            raise ValueError(f"timestamp must be finite, got {timestamp}")
+        object.__setattr__(self, "timestamp", timestamp)
+
     def to_json_dict(self) -> dict:
         return {"timestamp": self.timestamp, "measurements": self.measurements.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementFrame":
         timestamp, measurements = entries(doc, "timestamp", "measurements")
-        return cls(exact(float, timestamp), MeasurementSet.from_json_dict(measurements))
+        return cls(timestamp, MeasurementSet.from_json_dict(measurements))
 
 
 @dataclass(frozen=True)
@@ -150,13 +156,12 @@ def track_sequence(
     prev_twist: Twist | None = None
     prev_time = 0.0
     for frame in frames:
-        init = None
-        if prev_pose is not None:
-            elapsed = frame.timestamp - prev_time
-            rot, trans = propagate_poses(prev_pose, prev_twist, [elapsed])
-            init = Pose(rot[0], trans[0])  # the pose propagate_state returns
         meas = frame.measurements
         try:
+            init = None
+            if prev_pose is not None:
+                rot, trans = propagate_poses(prev_pose, prev_twist, [frame.timestamp - prev_time])
+                init = Pose(rot[0], trans[0])  # the pose propagate_state returns
             if config.estimator == "nls":
                 pose_est = estimate_pose_nls(meas, anchors, conf, init=init, noise=config.noise)
             elif config.estimator == "gabp":

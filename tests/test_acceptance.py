@@ -68,7 +68,7 @@ def test_criterion_01_noiseless_exactness():
     start = time.perf_counter()
     worst_rot, worst_trans = 0.0, 0.0
     for _ in range(100):
-        truth = scenario.pose_distribution.sample(rng)
+        truth = scenario.sample_pose(rng)
         state = RigidBodyState(scenario.conformation, truth)
         meas = simulate_measurements(scenario.anchors, state, NoiseModel())
         for tag in ("mds", "nls", "gabp"):
@@ -126,7 +126,7 @@ def test_criterion_03_crlb_validity():
         if row.sigma == 0.01:
             checks.append(mse_t <= 3.0 * crlb_t and mse_r <= 3.0 * crlb_r)
         checks.append(row.failures == 0)
-    pose = scenario.pose_distribution.sample(np.random.default_rng(303))
+    pose = scenario.sample_pose(np.random.default_rng(303))
     reports = crlb_sweep(scenario.anchors, scenario.conformation, pose, grid)
     for field in ("translation_bound", "rotation_bound"):
         values = np.array([getattr(r, field) for r in reports])
@@ -166,7 +166,7 @@ def test_criterion_04_fim_correctness():
     rng = np.random.default_rng(405)
     worst_add = 0.0
     for _ in range(20):
-        pose = scenario.pose_distribution.sample(rng)
+        pose = scenario.sample_pose(rng)
         full = np.ones((8, 8), dtype=bool)
         part = rng.random((8, 8)) < 0.5
         f_a = fim_ranges(scenario.anchors, scenario.conformation, pose, part, sigma=1.0).fim

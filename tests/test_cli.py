@@ -209,10 +209,10 @@ class TestMalformedDocuments:
             ("conformation", {"file": "bad.txt"}, "conformation", "line 2: expected 3 values"),
             ("anchors", {"points": [["a", 0, 0], [1, 0, 0], [0, 1, 0]]}, "anchors",
              "could not convert"),
-            ("noise", {"range_sigma": "abc"}, "noise.range_sigma", "could not convert"),
-            ("blockage", {"kind": "bernoulli", "p": "abc"}, "blockage.p", "could not convert"),
+            ("noise", {"range_sigma": "abc"}, "noise.range_sigma", "refused str 'abc'"),
+            ("blockage", {"kind": "bernoulli", "p": "abc"}, "blockage.p", "refused str 'abc'"),
             ("pose_distribution", {"translation_box": [["a", 1]] * 3},
-             "pose_distribution.translation_box", "could not convert"),
+             "pose_distribution.translation_box", "refused str 'a'"),
             ("pose", {"rotation": "abc", "translation": [0, 0, 0]}, "pose.rotation",
              "could not convert"),
             ("pose", {"rotation": np.eye(3).tolist(), "translation": ["a", 0, 0]},
@@ -222,10 +222,12 @@ class TestMalformedDocuments:
              "pose_distribution.translation_box", "translation box needs finite low <= high"),
             ("pose_distribution", {"translation_box": [[np.nan, 0], [0, 0], [0, 0]]},
              "pose_distribution.translation_box", "translation box needs finite low <= high"),
+            ("pose_distribution", {"translation_box": [["0", 1], [0, 1], [0, 1]]},
+             "pose_distribution.translation_box", "refused str '0'"),
         ],
         ids=["flat-points", "flat-body", "bad-point-line", "text-point", "text-sigma",
              "text-p", "text-box", "text-rotation", "text-translation", "text-measurements",
-             "infinite-box", "nan-box"],
+             "infinite-box", "nan-box", "text-box-entry"],
     )
     def test_scenario_value(self, tiny_configs, tmp_path, capsys, section, value, field, message):
         s, _ = tiny_configs

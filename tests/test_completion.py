@@ -204,7 +204,7 @@ def posed_masks(draw, flat_anchors, flat_body):
     a, k = anchors.shape[0], nodes.shape[0]
     axis_angle = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
     box = scenario.pose_distribution
-    trans = [draw(st.floats(lo, hi)) for lo, hi in zip(box.translation_low, box.translation_high)]
+    trans = [draw(st.floats(lo, hi)) for lo, hi in box.translation_box]
     keep = np.array(draw(st.lists(st.booleans(), min_size=a * k, max_size=a * k))).reshape(a, k)
     for node in range(k):
         spanning = []

@@ -655,7 +655,7 @@ def fig4_masked_draws(draw):
     anchors, conf = scenario.anchors, scenario.conformation
     box = scenario.pose_distribution
     axis_angle = draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
-    trans = [draw(st.floats(lo, hi)) for lo, hi in zip(box.translation_low, box.translation_high)]
+    trans = [draw(st.floats(lo, hi)) for lo, hi in box.translation_box]
     truth = Pose(so3_exp(axis_angle), trans)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keep = rng.random((anchors.num_anchors, conf.num_nodes)) < draw(st.floats(0.2, 1.0))

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -104,13 +106,20 @@ class TestSeeds:
 class TestConfigs:
     def test_pose_distribution_sampling(self):
         rng = np.random.default_rng(1)
-        dist = PoseDistribution("yaw", (-1, -2, 0), (1, 2, 0.5))
+        dist = PoseDistribution("yaw", ((-1, 1), (-2, 2), (0, 0.5)))
         for _ in range(20):
-            pose = dist.sample(rng)
-            assert -1 <= pose.translation[0] <= 1
-            assert abs(pose.rotation[2, 2] - 1.0) < 1e-12  # yaw keeps +z fixed
-        ident = PoseDistribution("none").sample(rng)
-        assert np.array_equal(ident.rotation, np.eye(3))
+            (rotation,), (translation,) = dist.sample_batch([rng])
+            assert -1 <= translation[0] <= 1
+            assert abs(rotation[2, 2] - 1.0) < 1e-12  # yaw keeps +z fixed
+        (ident,), _ = PoseDistribution("none").sample_batch([rng])
+        assert np.array_equal(ident, np.eye(3))
+
+    def test_fixed_pose_sampled_as_set(self):
+        pose = Pose(so3_exp([0.3, -0.2, 0.9]), [0.1, -0.2, 0.05])
+        scenario = small_scenario(pose=pose, pose_distribution=None)
+        sampled = scenario.sample_pose(np.random.default_rng(0))
+        assert sampled.rotation.tobytes() == pose.rotation.tobytes()
+        assert sampled.translation.tobytes() == pose.translation.tobytes()
 
     def test_scenario_requires_exactly_one_pose_source(self):
         with pytest.raises(ConfigError):
@@ -159,6 +168,31 @@ class TestConfigs:
             small_scenario(measurement_kinds="range")
         assert caught.value.field == "measurements"
         assert small_scenario(measurement_kinds=["range"]).measurement_kinds == ("range",)
+
+    @pytest.mark.parametrize(
+        "section, value, field, message",
+        [
+            ("pose_distribution", {"translation_box": [["0", 1], [0, 1], [0, 1]]},
+             "pose_distribution.translation_box", "refused str '0'"),
+            ("pose_distribution", {"translation_box": [[-1e308, 1e308], [0, 1], [0, 1]]},
+             "pose_distribution.translation_box", "translation box needs finite low <= high"),
+            ("noise", {"range_sigma": True}, "noise.range_sigma", "refused bool True"),
+            ("noise", {"range_sigma": "0.1"}, "noise.range_sigma", "refused str '0.1'"),
+            ("blockage", {"kind": "bernoulli", "p": "0.2"}, "blockage.p", "refused str '0.2'"),
+            ("blockage", {"kind": "bernoulli", "p": True}, "blockage.p", "refused bool True"),
+        ],
+        ids=["text-box-entry", "overflowing-box", "bool-sigma", "text-sigma", "text-p", "bool-p"],
+    )
+    def test_setting_refused_alike_from_code_and_document(self, section, value, field, message):
+        # The dataclass that stores a setting is its one check: a box whose
+        # width overflows is refused there, before a draw could warn.
+        cls = {"pose_distribution": PoseDistribution, "noise": NoiseModel, "blockage": BlockageSpec}
+        with pytest.raises(ConfigError, match=re.escape(message)) as from_code:
+            cls[section](**value)
+        with pytest.raises(ConfigError) as from_document:
+            scenario_from_dict(scenario_doc(**{section: value}))
+        assert from_code.value.field == from_document.value.field == field
+        assert str(from_code.value) == str(from_document.value)
 
     def test_blockage_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -256,6 +290,34 @@ class TestDocumentKeys:
         with pytest.raises(ConfigError, match="allowed keys: sigma_grid, trials") as caught:
             experiment_from_dict({"sigma_grid": [0.1], "trails": 3})
         assert caught.value.field == "trails"
+
+    def test_allowed_keys_are_the_field_names(self):
+        # Each section takes its dataclass's field names as keys, and the
+        # scenario its ScenarioConfig's, measurement_kinds read as
+        # "measurements" (the one rename, which bench/workloads.py pins).
+        def allowed(read, doc):
+            with pytest.raises(ConfigError, match="allowed keys: ") as caught:
+                read(doc)
+            return str(caught.value).split("allowed keys: ")[1].split(", ")
+
+        def names(cls, *skip):
+            return [f.name for f in fields(cls) if f.name not in skip]
+
+        sections = {
+            "noise": names(NoiseModel, "seed"),  # refused by name: see test_noise_seed_refused
+            "blockage": names(BlockageSpec),
+            "pose_distribution": names(PoseDistribution),
+            "pose": names(Pose),
+        }
+        for section, keys in sections.items():
+            doc = scenario_doc(**{section: {"bogus": 0}})
+            if section == "pose":  # a scenario takes exactly one of the two
+                del doc["pose_distribution"]
+            assert allowed(scenario_from_dict, doc) == keys
+        assert allowed(experiment_from_dict, {"bogus": 0}) == names(ExperimentConfig)
+        renamed = {"measurement_kinds": "measurements"}
+        scenario_keys = [renamed.get(name, name) for name in names(ScenarioConfig)]
+        assert allowed(scenario_from_dict, scenario_doc(bogus=0)) == scenario_keys
 
     def test_noise_seed_refused(self):
         # Every trial seeds its noise from the experiment's master seed, so a
@@ -597,7 +659,7 @@ def draw_scenario(rotation, kinds, blockage):
     if rotation == "fixed":
         laws = {"pose": Pose(so3_exp([0.3, -0.2, 0.9]), [0.1, -0.2, 0.05])}
     else:
-        laws = {"pose_distribution": PoseDistribution(rotation, (-0.4, -0.3, 0), (0.4, 0.3, 0.2))}
+        laws = {"pose_distribution": PoseDistribution(rotation, ((-0.4, 0.4), (-0.3, 0.3), (0, 0.2)))}
     noise = NoiseModel(
         angle_sigma=0.02 if "aoa" in kinds else 0.0,
         range_rate_sigma=0.05 if "range_rate" in kinds else 0.0,
@@ -650,7 +712,7 @@ class TestStackedDraw:
         # to uniform(-pi, pi) for the yaw and uniform(low, high) for the
         # translation, over 10**4 poses.
         low, high = (-3.0, 0.25, -1e-3), (5.0, 0.5, 7.0)
-        dist = PoseDistribution(rotation, low, high)
+        dist = PoseDistribution(rotation, tuple(zip(low, high)))
         rot, trans = dist.sample_batch([np.random.default_rng(12)] * 10_000)
         rng = np.random.default_rng(12)
         for r, t in zip(rot, trans):

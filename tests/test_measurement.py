@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 import warnings
@@ -604,6 +605,21 @@ class TestFrozenCopies:
         with pytest.raises(ValueError, match="EDM must be hollow with a known diagonal"):
             Edm(np.where(known, d, 0.0), known, 2)
 
+
+    @pytest.mark.parametrize(
+        "n_anchors, message",
+        [(2.5, "'float' object cannot be interpreted as an integer"), (True, "refused bool True")],
+        ids=["fraction", "bool"],
+    )
+    def test_edm_reads_n_anchors_exactly(self, n_anchors, message):
+        # Built in code as read from a document: 2.5 is not read as 2 anchors.
+        d = pairwise_distances(unit_cube().nodes) ** 2
+        known = np.ones(d.shape, dtype=bool)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Edm(d, known, n_anchors)
+        doc = Edm(d, known, 2).to_json_dict() | {"n_anchors": n_anchors}
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            Edm.from_json_dict(doc)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan], ids=["inf", "nan"])
     def test_edm_refuses_non_finite_known_entries(self, value):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,37 @@ class TestTrackSequence:
         monkeypatch.setattr(rblkit.tracking, "estimate_pose_nls", broken)
         with pytest.raises(TypeError, match="injected"):
             track_sequence(anchors, conf, frames)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing propagation's
+    def test_failed_warm_start_recorded_not_raised(self):
+        # Propagated over 1e308 s at 3 m/s, the warm start overflows: its
+        # frame is recorded with the error, and the next frame still runs.
+        twist = Twist([0.0, 0.0, 0.0], [3.0, 0.0, 0.0])
+        conf, anchors, frames, _ = make_trajectory(twist, n_frames=3)
+        stamps = (0.1, 1e308, 1.5e308)
+        frames = [MeasurementFrame(t, f.measurements) for t, f in zip(stamps, frames)]
+        track = track_sequence(anchors, conf, frames)
+        assert track[0].error is None
+        for frame in track[1:]:
+            assert frame.error == "InvalidPoseError: pose entries must be finite"
+            assert frame.pose_estimate is None
+
+    @pytest.mark.parametrize(
+        "timestamp, error, message",
+        [(np.nan, ValueError, "timestamp must be finite, got nan"),
+         (np.inf, ValueError, "timestamp must be finite, got inf"),
+         (True, TypeError, "refused bool True"),
+         ("1.5", TypeError, "refused str '1.5'")],
+        ids=["nan", "inf", "bool", "text"],
+    )
+    def test_frame_timestamp_refused(self, timestamp, error, message):
+        # Built in code as read from a --trajectory document.
+        _, _, (frame,), _ = make_trajectory(Twist.zero(), n_frames=1)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            MeasurementFrame(timestamp, frame.measurements)
+        doc = frame.to_json_dict() | {"timestamp": timestamp}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            MeasurementFrame.from_json_dict(doc)
 
     def test_timestamps_must_increase(self):
         conf, anchors, frames, _ = make_trajectory(Twist.zero(), n_frames=3)
