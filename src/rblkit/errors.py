@@ -122,9 +122,32 @@ def entries(doc, *keys) -> list:
 def exact(kind, value):
     """kind(value) of anything but a bool or a string: int() and float()
     would read those as numbers, and tuple() a string as its characters."""
-    if isinstance(value, (bool, str)):
+    if isinstance(value, (bool, np.bool_, str)):
         raise TypeError(f"refused {type(value).__name__} {value!r}")
     return kind(value)
+
+
+def floats(value) -> np.ndarray:
+    """value as a float array: an int or float array as it is, anything else
+    entry by entry as exact reads a float, with None (a document's null) as NaN.
+    np.asarray(value, dtype=float) would read True as 1 and "0.5" as 0.5."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return np.asarray(value, dtype=float)
+    cells = np.asarray(value, dtype=object)
+    read = [np.nan if v is None else exact(float, v) for v in cells.flat]
+    return np.array(read, dtype=float).reshape(cells.shape)
+
+
+def flags(value) -> np.ndarray:
+    """value as a mask: a bool array as it is, anything else entry by entry,
+    each true or false: np.asarray(value, dtype=bool) would read 1 as true."""
+    if isinstance(value, np.ndarray) and value.dtype == bool:
+        return value
+    cells = np.asarray(value, dtype=object)
+    for v in cells.flat:
+        if not isinstance(v, (bool, np.bool_)):
+            raise TypeError(f"mask entries must be true or false, got {v!r}")
+    return cells.astype(bool)
 
 
 def u64(value) -> int:

@@ -24,6 +24,7 @@ from .errors import (
     IncompleteEdmError,
     InvalidHeadingError,
     UnderdeterminedError,
+    floats,
 )
 from .geometry import (
     Conformation,
@@ -45,17 +46,15 @@ NLS_MAX_ITERS = 100
 class PoseEstimate:
     """Estimated pose with solver diagnostics.
 
-    per_node_positions holds the intermediate per-node world estimate for
-    two-stage methods; node_variances the per-coordinate belief variances
-    when the method produces them (GaBP's soft output). residual_rms is the
-    RMS of the scored range residuals (see estimate_pose_mds), in meters.
+    node_variances holds the per-coordinate belief variances when the method
+    produces them (GaBP's soft output). residual_rms is the RMS of the scored
+    range residuals (see estimate_pose_mds), in meters.
     """
 
     pose: Pose
     method_tag: str
     residual_rms: float = float("nan")
     iterations: int = 0
-    per_node_positions: np.ndarray | None = None
     node_variances: np.ndarray | None = None
     converged: bool = True
     message: str = ""
@@ -79,8 +78,7 @@ class PoseBatch:
 
     errors[i] is the RblError item i raised, or None; a failed item's
     numbers are placeholders. Iterative methods fill iterations, converged
-    and messages; two-stage methods per_node_positions,
-    and GaBP node_variances; the EDM chain's MDS converged and messages.
+    and messages; GaBP node_variances; the EDM chain's MDS converged and messages.
     `score` computes residual_rms, which is scored when first read: a sweep
     that never reads it never scores.
     """
@@ -93,7 +91,6 @@ class PoseBatch:
     iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
     messages: list | None = None
-    per_node_positions: np.ndarray | None = None
     node_variances: np.ndarray | None = None
 
     @cached_property
@@ -110,8 +107,7 @@ class PoseBatch:
             method_tag=self.method_tag,
             residual_rms=self.residual_rms.item(i),  # .item: the Python float, int or bool
             iterations=0 if self.iterations is None else self.iterations.item(i),
-            per_node_positions=_item(self.per_node_positions, i),
-            node_variances=_item(self.node_variances, i),
+            node_variances=None if self.node_variances is None else self.node_variances[i],
             converged=True if self.converged is None else self.converged.item(i),
             message="" if self.messages is None else self.messages[i],
         )
@@ -124,10 +120,6 @@ class PoseBatch:
         if self.converged is not None and not self.converged[i]:
             return f"not converged: {self.messages[i]}"
         return None
-
-
-def _item(stack, i):
-    return None if stack is None else stack[i]
 
 
 @dataclass(frozen=True)
@@ -143,9 +135,9 @@ class SemanticHeading:
     anchor_point: np.ndarray | None = None
 
     def __post_init__(self):
-        body = np.asarray(self.body_vector, dtype=float)
-        world = body.copy() if self.world_vector is None else np.asarray(self.world_vector, float)
-        anchor = np.zeros(3) if self.anchor_point is None else np.asarray(self.anchor_point, float)
+        body = floats(self.body_vector)
+        world = body.copy() if self.world_vector is None else floats(self.world_vector)
+        anchor = np.zeros(3) if self.anchor_point is None else floats(self.anchor_point)
         for name, v in (("body_vector", body), ("world_vector", world)):
             if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-12:
                 raise InvalidHeadingError(f"{name} must be a unit 3-vector")
@@ -214,7 +206,7 @@ def mds_batch(d, known, anchor_xyz, nodes, errors=None) -> PoseBatch:
         links = grid_links(anchor_xyz, nodes, np.sqrt(d[:, :a, a:]), known[:, :a, a:])
         return observed_rms(rot, trans, links)
 
-    return PoseBatch("mds", rot, trans, score, errors, per_node_positions=node_positions)
+    return PoseBatch("mds", rot, trans, score, errors)
 
 
 def mds_from_ranges(
@@ -440,9 +432,7 @@ def gabp_batch(anchor_xyz, nodes, mask, ranges, sigma) -> PoseBatch:
     def score():
         return observed_rms(rot, trans, grid_links(anchor_xyz, nodes, ranges, mask))
 
-    return PoseBatch(
-        "gabp", rot, trans, score, errors, per_node_positions=means, node_variances=variances
-    )
+    return PoseBatch("gabp", rot, trans, score, errors, node_variances=variances)
 
 
 def semantic_transform(heading: SemanticHeading, pose: Pose) -> SemanticHeading:

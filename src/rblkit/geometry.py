@@ -21,6 +21,7 @@ from .errors import (
     InvalidIntervalError,
     InvalidPoseError,
     MissingTwistError,
+    floats,
 )
 
 ORTHONORMALITY_TOL = 1e-9
@@ -224,7 +225,7 @@ class Conformation:
     nodes: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = floats(self.nodes)
         if nodes.ndim != 2 or nodes.shape[1] != 3:
             raise ValueError(f"nodes must be (K, 3), got {nodes.shape}")
         if nodes.shape[0] < 3:
@@ -258,8 +259,7 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float)
-        t = np.asarray(self.translation, dtype=float)
+        r, t = floats(self.rotation), floats(self.translation)
         if r.shape != (3, 3):
             raise InvalidPoseError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
@@ -294,8 +294,7 @@ class Twist:
     linear: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.angular, dtype=float)
-        v = np.asarray(self.linear, dtype=float)
+        w, v = floats(self.angular), floats(self.linear)
         if w.shape != (3,) or v.shape != (3,):
             raise ValueError("angular and linear velocities must be length-3 vectors")
         if not all(map(math.isfinite, w.tolist() + v.tolist())):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import CrlbBatch, fim_batch
-from .errors import ConfigError, RangeClampWarning, converted, exact, u64
+from .errors import ConfigError, RangeClampWarning, converted, exact, floats, u64
 from .estimators import (
     ESTIMATOR_TAGS,
     ChainBatch,
@@ -63,7 +63,6 @@ from .measurement import (
 from .tracking import MeasurementFrame
 
 _MASK64 = (1 << 64) - 1
-_float_array = partial(np.asarray, dtype=float)
 
 
 _tuple = partial(exact, tuple)
@@ -607,19 +606,16 @@ def _fill(cls, doc, path: str, *skip: str):
 
 
 def _points_from(doc, field_name, base_dir):
-    """The (K, 3) finite points of a `points` list or a `file` point table."""
+    """The points of a `points` list, as the document gives them, or of a
+    `file` point table; the class they fill reads and checks them."""
     if len(_section(doc, ("points", "file"), field_name)) != 1:
         raise ConfigError("exactly one of 'points' and 'file'", field=field_name)
     if "points" in doc:
-        points = converted(_float_array, doc["points"], field_name)
-    else:
-        path = Path(base_dir) / doc["file"]
-        if not path.exists():
-            raise ConfigError(f"file not found: {path}", field=field_name)
-        points = converted(load_points, path, field_name)
-    if points.ndim != 2 or points.shape[1] != 3 or not np.isfinite(points).all():
-        raise ConfigError(f"expected finite (K, 3) points, got {points.shape}", field=field_name)
-    return points
+        return doc["points"]
+    path = Path(base_dir) / doc["file"]
+    if not path.exists():
+        raise ConfigError(f"file not found: {path}", field=field_name)
+    return converted(load_points, path, field_name)
 
 
 def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
@@ -627,19 +623,20 @@ def scenario_from_dict(doc: dict, base_dir=".") -> ScenarioConfig:
     keep the ScenarioConfig defaults."""
     keys = _names(ScenarioConfig, "measurement_kinds") + ("measurements",)
     _section(doc, keys, "", required=("conformation", "anchors"))
-    conf = Conformation(_points_from(doc["conformation"], "conformation", base_dir))
+    points = _points_from(doc["conformation"], "conformation", base_dir)
+    conf = converted(Conformation, points, "conformation")
     anchors = _section(doc["anchors"], ("body", "points", "file"), "anchors")
     if len(anchors) != 1:
         raise ConfigError("exactly one of 'body', 'points' and 'file'", field="anchors")
     if "body" in anchors:  # an ego body whose nodes act as anchors
-        points = Conformation(_points_from(anchors["body"], "anchors.body", base_dir)).nodes
+        points = _points_from(anchors["body"], "anchors.body", base_dir)
+        points = converted(Conformation, points, "anchors.body").nodes
     else:
         points = _points_from(anchors, "anchors", base_dir)
     settings = {"conformation": conf, "anchors": AnchorSet(points)}
     if "pose" in doc:
         pose = _section(doc["pose"], _names(Pose), "pose", required=_names(Pose))
-        arrays = {k: converted(_float_array, v, f"pose.{k}") for k, v in pose.items()}
-        settings["pose"] = Pose(**arrays)
+        settings["pose"] = Pose(**{k: converted(floats, v, f"pose.{k}") for k, v in pose.items()})
     for name, cls, *skip in (("noise", NoiseModel, "seed"), ("blockage", BlockageSpec),
                              ("pose_distribution", PoseDistribution)):
         if name in doc:

@@ -28,6 +28,8 @@ from .errors import (
     converted,
     entries,
     exact,
+    flags,
+    floats,
     u64,
 )
 from .geometry import (
@@ -156,7 +158,7 @@ class AnchorSet:
     anchors: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.anchors, dtype=float)
+        a = converted(floats, self.anchors, "anchors")
         if a.ndim != 2 or a.shape[1] != 3:
             raise ConfigError(f"must be (A, 3), got {a.shape}", field="anchors")
         if a.shape[0] < 1:
@@ -212,7 +214,7 @@ class MeasurementSet:
     range_rates: np.ndarray | None = None
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=bool)
+        mask = flags(self.mask)
         if mask.ndim != 2:
             raise ValueError("mask must be (A, K)")
         object.__setattr__(self, "mask", readonly(mask))
@@ -221,7 +223,7 @@ class MeasurementSet:
             m = getattr(self, name)
             if m is None:
                 continue
-            m = np.asarray(m, dtype=float)
+            m = floats(m)
             expect = mask.shape if depth == 2 else mask.shape + (2,)
             if m.shape != expect:
                 raise ValueError(f"{name} must have shape {expect}, got {m.shape}")
@@ -259,31 +261,10 @@ class MeasurementSet:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MeasurementSet":
         (mask,) = entries(doc, "mask")
-        grids = zip(map(doc.get, ("ranges", "aoa", "range_rates")), (_number, _pair, _number))
-        return cls(_grid(mask, _flag), *(None if g is None else _grid(g, f) for g, f in grids))
-
-
-def _grid(rows, entry) -> np.ndarray:
-    """A grid of a data document, a list of rows of entries, as an array: each
-    entry read by `entry`, which refuses what the grid cannot hold."""
-    return np.array([[entry(v) for v in exact(list, row)] for row in exact(list, rows)])
-
-
-def _flag(v) -> bool:
-    """A mask entry: true or false, nothing else."""
-    if not isinstance(v, bool):
-        raise TypeError(f"mask entries must be true or false, got {v!r}")
-    return v
-
-
-def _number(v) -> float:
-    """A value entry: a number, or null read as NaN."""
-    return np.nan if v is None else exact(float, v)
-
-
-def _pair(v) -> list:
-    """An angle entry: an [azimuth, elevation] pair of value entries, or null for both."""
-    return [np.nan, np.nan] if v is None else [_number(x) for x in exact(list, v)]
+        ranges, aoa, rates = map(doc.get, ("ranges", "aoa", "range_rates"))
+        if aoa is not None:  # one null stands for both angles of an unobserved link
+            aoa = [[[None, None] if v is None else v for v in row] for row in aoa]
+        return cls(mask, ranges, aoa, rates)
 
 
 @dataclass(frozen=True)
@@ -301,11 +282,10 @@ class Edm:
 
     def __post_init__(self):
         a = exact(operator.index, self.n_anchors)
-        d = np.asarray(self.squared_distances, dtype=float)
-        known = np.asarray(self.known_mask, dtype=bool)
-        n = d.shape[0]
-        if d.shape != (n, n) or known.shape != (n, n):
+        d, known = floats(self.squared_distances), flags(self.known_mask)
+        if d.ndim != 2 or d.shape[0] != d.shape[1] or known.shape != d.shape:
             raise ValueError("squared_distances and known_mask must be square and same shape")
+        n = len(d)
         if not 0 <= a <= n:
             raise ValueError(f"n_anchors {a} out of range for size {n}")
         if not np.array_equal(known, known.T):
@@ -352,8 +332,7 @@ class Edm:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Edm":
-        d, known, a = entries(doc, "squared_distances", "known_mask", "n_anchors")
-        return cls(_grid(d, _number), _grid(known, _flag), a)
+        return cls(*entries(doc, "squared_distances", "known_mask", "n_anchors"))
 
 
 def noise_keys(sigmas, seeds, kinds) -> tuple[np.ndarray, np.ndarray]:

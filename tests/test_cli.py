@@ -203,20 +203,20 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize(
         "section, value, field, message",
         [
-            ("conformation", {"points": FLAT}, "conformation", "expected finite (K, 3) points"),
+            ("conformation", {"points": FLAT}, "conformation", "nodes must be (K, 3), got (3, 2)"),
             ("anchors", {"body": {"points": FLAT}}, "anchors.body",
-             "expected finite (K, 3) points"),
+             "nodes must be (K, 3), got (3, 2)"),
             ("conformation", {"file": "bad.txt"}, "conformation", "line 2: expected 3 values"),
             ("anchors", {"points": [["a", 0, 0], [1, 0, 0], [0, 1, 0]]}, "anchors",
-             "could not convert"),
+             "refused str 'a'"),
             ("noise", {"range_sigma": "abc"}, "noise.range_sigma", "refused str 'abc'"),
             ("blockage", {"kind": "bernoulli", "p": "abc"}, "blockage.p", "refused str 'abc'"),
             ("pose_distribution", {"translation_box": [["a", 1]] * 3},
              "pose_distribution.translation_box", "refused str 'a'"),
             ("pose", {"rotation": "abc", "translation": [0, 0, 0]}, "pose.rotation",
-             "could not convert"),
+             "refused str 'abc'"),
             ("pose", {"rotation": np.eye(3).tolist(), "translation": ["a", 0, 0]},
-             "pose.translation", "could not convert"),
+             "pose.translation", "refused str 'a'"),
             ("measurements", "range", "measurements", "refused str 'range'"),
             ("pose_distribution", {"translation_box": [[-np.inf, np.inf], [0, 0], [0, 0]]},
              "pose_distribution.translation_box", "translation box needs finite low <= high"),
@@ -504,9 +504,11 @@ class TestCompleteCommand:
          (line_edm(n_anchors="1"), "refused str '1'"),
          (line_edm(flag=1), "mask entries must be true or false, got 1"),
          (line_edm(value="1.0"), "refused str '1.0'"),
-         (line_edm(value=True), "refused bool True")],
+         (line_edm(value=True), "refused bool True"),
+         (line_edm() | {"squared_distances": 0},
+          "squared_distances and known_mask must be square and same shape")],
         ids=["no-mask", "no-anchors", "number", "list-edm", "fraction-anchors", "bool-anchors",
-             "text-anchors", "number-flag", "text-value", "bool-value"],
+             "text-anchors", "number-flag", "text-value", "bool-value", "number-grid"],
     )
     def test_malformed_document(self, tmp_path, capsys, doc, message):
         (tmp_path / "edm.json").write_text(json.dumps(doc))

@@ -194,6 +194,29 @@ class TestConfigs:
         assert from_code.value.field == from_document.value.field == field
         assert str(from_code.value) == str(from_document.value)
 
+    @pytest.mark.parametrize(
+        "sections, build, field, message",
+        [({"conformation": {"points": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, True]]}},
+          lambda doc: Conformation(doc["conformation"]["points"]), "conformation",
+          "refused bool True"),
+         ({"pose": {"rotation": np.eye(3).tolist(), "translation": ["0.5", 0, 0]},
+           "pose_distribution": None},
+          lambda doc: Pose(**doc["pose"]), "pose.translation", "refused str '0.5'")],
+        ids=["bool-point", "text-translation"],
+    )
+    def test_points_and_pose_refused_alike_from_code_and_document(
+        self, sections, build, field, message
+    ):
+        # A body point of true and a translation of "0.5" are no numbers to the
+        # class that stores them, so a scenario document cannot load them as 1 and 0.5.
+        doc = scenario_doc(**sections)
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            build(doc)
+        with pytest.raises(ConfigError) as from_document:
+            scenario_from_dict(doc)
+        assert from_document.value.field == field
+        assert str(from_document.value) == f"{field}: {message}"
+
     def test_blockage_spec_validation(self):
         with pytest.raises(ConfigError):
             BlockageSpec(kind="bernoulli", p=1.5)

@@ -232,6 +232,21 @@ def test_one_seeding_definition():
     assert callers("PCG64") == callers("Generator") == {("measurement.py", "streams")}
 
 
+def test_stored_arrays_are_read_exactly():
+    # Every array a dataclass stores is read by errors.floats or errors.flags,
+    # so code is refused as a document is: no __post_init__ converts with
+    # np.asarray or np.array, which read True as 1, "0.5" as 0.5 and 1 as true.
+    found = [
+        f"{module}:{node.lineno}"
+        for module in MODULES
+        for init in ast.walk(ast.parse((PACKAGE / module).read_text()))
+        if isinstance(init, ast.FunctionDef) and init.name == "__post_init__"
+        for node in ast.walk(init)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.asarray", "np.array")
+    ]
+    assert not found, "__post_init__ converts with numpy: " + ", ".join(found)
+
+
 def test_every_error_class_is_raised():
     # Each exception class of errors.py is constructed, and each warning
     # class is the category of a warnings.warn call, in some other module.

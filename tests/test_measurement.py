@@ -27,6 +27,7 @@ from rblkit.geometry import (
     random_rotation,
     transform_points,
 )
+from rblkit.estimators import SemanticHeading
 from rblkit.harness import BlockageSpec, preset
 from rblkit.measurement import (
     STREAM_BLOCKAGE,
@@ -634,6 +635,62 @@ class TestFrozenCopies:
                 Edm(d, known, 2)
             known[1, 5] = known[5, 1] = False
             assert np.isnan(Edm(d, known, 2).squared_distances[1, 5])  # unknown: any value
+
+
+def line_edm(value=1.0, flag=True) -> Edm:
+    """The EDM of four points on a line, two of them anchors, but with the
+    (0, 1) squared distance `value` and known flag `flag`, both ways."""
+    d = ((np.arange(4.0)[:, None] - np.arange(4.0)) ** 2).tolist()
+    known = [[True] * 4 for _ in range(4)]
+    d[0][1] = d[1][0] = value
+    known[0][1] = known[1][0] = flag
+    return Edm(d, known, 2)
+
+
+# Each stored array of a class, built in code with one entry `v`.
+VALUE_ARRAYS = {
+    "Conformation.nodes": lambda v: Conformation([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, v]]),
+    "AnchorSet.anchors": lambda v: AnchorSet([[3, 0, 0], [0, 3, 0], [0, 0, v]]),
+    "Pose.rotation": lambda v: Pose([[v, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 0]),
+    "Pose.translation": lambda v: Pose(np.eye(3), [0, 0, v]),
+    "Twist.angular": lambda v: Twist([0, 0, v], [0, 0, 0]),
+    "Twist.linear": lambda v: Twist([0, 0, 0], [0, 0, v]),
+    "MeasurementSet.ranges": lambda v: MeasurementSet([[True, True]], ranges=[[1.0, v]]),
+    "MeasurementSet.aoa": lambda v: MeasurementSet([[True, True]], aoa=[[[0, 0], [0, v]]]),
+    "MeasurementSet.range_rates": lambda v: MeasurementSet([[True, True]], range_rates=[[0, v]]),
+    "Edm.squared_distances": lambda v: line_edm(value=v),
+    "SemanticHeading.body_vector": lambda v: SemanticHeading([0, 0, v]),
+    "SemanticHeading.world_vector": lambda v: SemanticHeading([0, 0, 1], [0, 0, v]),
+    "SemanticHeading.anchor_point": lambda v: SemanticHeading([0, 0, 1], anchor_point=[0, 0, v]),
+}
+MASK_ARRAYS = {
+    "MeasurementSet.mask": lambda v: MeasurementSet([[True, v]], ranges=[[1.0, 1.0]]),
+    "Edm.known_mask": lambda v: line_edm(flag=v),
+}
+
+
+class TestExactArrays:
+    """Every array a class stores is read as a data document's grid is, from
+    code too: no true read as 1, no "0.5" as 0.5, no mask entry 1 as true."""
+
+    @pytest.mark.parametrize("name", VALUE_ARRAYS)
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(True, "refused bool True"), (np.True_, "refused bool np.True_"),
+         ("0.5", "refused str '0.5'")],
+        ids=["bool", "numpy-bool", "text"],
+    )
+    def test_value_entry_refused(self, name, entry, message):
+        VALUE_ARRAYS[name](1.0)  # the entry alone is at fault
+        with pytest.raises((TypeError, ConfigError), match=f"{re.escape(message)}$"):
+            VALUE_ARRAYS[name](entry)
+
+    @pytest.mark.parametrize("name", MASK_ARRAYS)
+    @pytest.mark.parametrize("entry", [1, 0.5], ids=["one", "fraction"])
+    def test_mask_entry_refused(self, name, entry):
+        MASK_ARRAYS[name](np.True_)  # numpy's bool is true or false too
+        with pytest.raises(TypeError, match=f"^mask entries must be true or false, got {entry}$"):
+            MASK_ARRAYS[name](entry)
 
 
 class TestStreams:
